@@ -21,16 +21,7 @@ Fault sites (each a no-op unless a spec arms it):
 * ``torn-cache-write`` — a cache write is truncated mid-payload, as if
   the process died between ``write`` and ``fsync`` (ditto);
 * ``drop-connection-mid-response`` — the HTTP layer writes half a
-  response and resets the connection (clients must retry);
-* ``kill-shard`` — the fleet supervisor SIGKILLs one shard process at
-  a monitor tick (the router must fail over, the supervisor must
-  restart it);
-* ``hang-shard`` — the fleet supervisor SIGSTOPs one shard process
-  (health probes time out; hedged requests answer from the successor
-  until the supervisor declares it dead and restarts it);
-* ``slow-shard`` — the fleet router delays the primary forward of a
-  request by ``delay_ms`` as if the shard were slow (exercises the
-  hedging path deterministically).
+  response and resets the connection (clients must retry).
 
 Arming is either programmatic (:func:`install`) or via the
 ``REPRO_FAULTS`` environment variable, a ``;``-separated list of
@@ -73,9 +64,6 @@ KNOWN_SITES = (
     "corrupt-cache-entry",
     "torn-cache-write",
     "drop-connection-mid-response",
-    "kill-shard",
-    "hang-shard",
-    "slow-shard",
 )
 
 #: Environment variable carrying the fault spec (inherited by pool

@@ -29,8 +29,9 @@ Subcommands:
   (:func:`repro.planner.whatif`): cone-limited delta replay over a
   resident compiled graph instead of a full re-plan;
 * ``serve`` — the long-running planning service (:mod:`repro.service`):
-  plan/sweep/scenario queries over HTTP with request coalescing and
-  tiered caches (see ``docs/service.md``);
+  one process answering plan/sweep/scenario/what-if/optimize queries
+  over HTTP, with request coalescing, tiered caches and CPU-bound work
+  on a supervised worker pool (see ``docs/service.md``);
 * ``all`` — every table and figure (several minutes).
 
 Examples::
@@ -79,7 +80,7 @@ SUBCOMMANDS = {
     "scenarios": "cluster scenarios: robustness on non-ideal clusters",
     "calibrate": "fit/inspect calibrated cost-model profiles",
     "whatif": "incremental single-device what-if (delta replay)",
-    "serve": "HTTP planning service: coalescing + tiered caches",
+    "serve": "HTTP planning service: one process, worker pool, caches",
     "all": "everything (several minutes)",
 }
 
@@ -678,8 +679,6 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import PlanningService
 
-    if args.fleet:
-        return _cmd_serve_fleet(args)
     try:
         service = PlanningService(
             host=args.host,
@@ -707,62 +706,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving on http://{live.host}:{live.port}", flush=True)
 
     return service.run(ready=announce)
-
-
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    from repro import faultinject
-    from repro.service.fleet import FleetSupervisor
-    from repro.service.router import FleetRouter
-
-    shard_args = [
-        "--executor", args.executor,
-        "--lru-size", str(args.lru_size),
-        "--max-cache-entries", str(args.max_cache_entries),
-        "--max-inflight", str(args.max_inflight),
-        "--breaker-backoff", str(args.breaker_backoff),
-    ]
-    if args.workers is not None:
-        shard_args += ["--workers", str(args.workers)]
-    if args.cache_dir is not None:
-        # One crash-safe disk tier shared by every shard: a plan one
-        # shard computed is a disk hit on all of them after a restart.
-        shard_args += ["--cache-dir", args.cache_dir]
-    if args.tenant_rate is not None:
-        shard_args += ["--tenant-rate", str(args.tenant_rate)]
-    if args.tenant_burst is not None:
-        shard_args += ["--tenant-burst", str(args.tenant_burst)]
-    if args.default_deadline_ms is not None:
-        shard_args += ["--default-deadline-ms", str(args.default_deadline_ms)]
-    if args.faults:
-        # Shards get the spec explicitly; the supervisor/router arm it
-        # too (kill-shard / hang-shard / slow-shard fire up here).
-        shard_args += ["--faults", args.faults]
-    try:
-        if args.faults:
-            faultinject.install(args.faults)
-        else:
-            faultinject.get_injector()
-        supervisor = FleetSupervisor(
-            args.fleet,
-            host=args.host,
-            port=args.port,
-            shard_args=shard_args,
-            probe_interval_s=args.probe_interval,
-            restart_backoff_s=args.restart_backoff,
-            hedge_min_ms=args.hedge_min_ms,
-            hedge_max_ms=args.hedge_max_ms,
-        )
-    except ValueError as error:
-        raise SystemExit(
-            f"repro-experiments serve: error: {error}"
-        ) from None
-
-    def announce(router: FleetRouter) -> None:
-        # Same line the single-process path prints, so loadtest --spawn
-        # parses the bound port identically for both topologies.
-        print(f"serving on http://{router.host}:{router.port}", flush=True)
-
-    return supervisor.run(ready=announce)
 
 
 def _cmd_all(args: argparse.Namespace) -> None:
@@ -1049,7 +992,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(wi)
     _add_common(wi)
 
-    sv = sub.add_parser("serve", help=SUBCOMMANDS["serve"])
+    sv = sub.add_parser(
+        "serve", help=SUBCOMMANDS["serve"],
+        description="Serve the planner over HTTP from one process: "
+        "request coalescing, LRU and disk cache tiers, and CPU-bound "
+        "planning on a worker pool behind a circuit breaker "
+        "(see docs/service.md).",
+    )
     sv.add_argument(
         "--host", default="127.0.0.1",
         help="interface to bind (default 127.0.0.1)",
@@ -1106,31 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default=None, metavar="SPEC",
         help="arm deterministic fault injection (same spec format as "
         "the REPRO_FAULTS environment variable; chaos testing only)",
-    )
-    sv.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help="run N service shards (subprocesses) behind a "
-        "consistent-hash router with failover, hedging and supervised "
-        "restarts (default 0 = single process)",
-    )
-    sv.add_argument(
-        "--probe-interval", type=float, default=0.5, metavar="S",
-        help="fleet: seconds between supervisor health probes per "
-        "shard (default 0.5)",
-    )
-    sv.add_argument(
-        "--restart-backoff", type=float, default=0.25, metavar="S",
-        help="fleet: base delay before respawning a dead shard, "
-        "doubled per consecutive startup failure (default 0.25)",
-    )
-    sv.add_argument(
-        "--hedge-min-ms", type=float, default=50.0, metavar="MS",
-        help="fleet: floor on the hedging delay before a slow "
-        "request is duplicated to the ring successor (default 50)",
-    )
-    sv.add_argument(
-        "--hedge-max-ms", type=float, default=2000.0, metavar="MS",
-        help="fleet: ceiling on the hedging delay (default 2000)",
     )
 
     al = sub.add_parser("all", help=SUBCOMMANDS["all"])

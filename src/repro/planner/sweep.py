@@ -41,6 +41,7 @@ import functools
 import itertools
 import logging
 import os
+import signal
 import warnings
 from collections.abc import Iterable, Sequence
 from concurrent.futures import (
@@ -385,6 +386,19 @@ def default_chunk_size(num_points: int, workers: int) -> int:
 _POOLS: dict[tuple[str, int | None], Executor] = {}
 
 
+def _reset_inherited_signals() -> None:
+    """Process-pool worker initializer: drop the parent's signal set-up.
+
+    A forked worker inherits the serving process's asyncio signal
+    wiring: a do-nothing SIGTERM handler and the wakeup fd, a socket
+    shared with the parent's event loop.  Terminating a broken pool's
+    workers would then be read by the parent as its own SIGTERM and
+    shut the service down.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _get_pool(executor: str, max_workers: int | None) -> Executor | None:
     """The persistent pool for this configuration, or ``None``.
 
@@ -397,9 +411,13 @@ def _get_pool(executor: str, max_workers: int | None) -> Executor | None:
     pool = _POOLS.get(key)
     if pool is not None:
         return pool
-    pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
     try:
-        pool = pool_cls(max_workers=max_workers)
+        if executor == "process":
+            pool = ProcessPoolExecutor(
+                max_workers=max_workers, initializer=_reset_inherited_signals
+            )
+        else:
+            pool = ThreadPoolExecutor(max_workers=max_workers)
     except (OSError, RuntimeError):
         return None
     _POOLS[key] = pool
@@ -455,9 +473,18 @@ def _discard_pool(executor: str, max_workers: int | None) -> None:
 
 
 def shutdown_pools() -> None:
-    """Shut down every persistent sweep pool (atexit; also for tests)."""
-    for key in list(_POOLS):
-        _discard_pool(*key)
+    """Shut down every persistent sweep pool (atexit; also for tests).
+
+    Unlike :func:`_discard_pool`, this waits for each executor's own
+    teardown: its manager thread must finish reaping the workers before
+    a caller checks for leaked processes, or the two reapers race.
+    """
+    while _POOLS:
+        _key, pool = _POOLS.popitem()
+        try:
+            pool.shutdown(wait=True, cancel_futures=True)
+        except Exception:  # pragma: no cover - defensive
+            pass
 
 
 atexit.register(shutdown_pools)

@@ -21,12 +21,7 @@ Programmatic entry points:
   machinery (deadlines, load shedding, supervised pool recovery; see
   the "Resilience" section of ``docs/service.md``);
 * :data:`ROUTES` — the served route table (ground truth for docs
-  validation);
-* :class:`~repro.service.fleet.FleetSupervisor` /
-  :class:`~repro.service.router.FleetRouter` — the sharded topology
-  (``serve --fleet N``): N shard subprocesses behind a consistent-hash
-  router with failover, hedging and supervised restarts;
-  :data:`FLEET_ROUTES` is the router's own route table.
+  validation).
 """
 
 from repro.service.app import (
@@ -37,7 +32,6 @@ from repro.service.app import (
     ServiceThread,
     shutdown_and_check_workers,
 )
-from repro.service.fleet import FleetSupervisor
 from repro.service.lru import LRUPlanTier
 from repro.service.requests import (
     MAX_SWEEP_POINTS,
@@ -60,20 +54,10 @@ from repro.service.resilience import (
     Shed,
     TokenBucket,
 )
-from repro.service.router import (
-    FLEET_ROUTES,
-    FleetRouter,
-    HashRing,
-    ShardState,
-)
 
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
-    "FLEET_ROUTES",
-    "FleetRouter",
-    "FleetSupervisor",
-    "HashRing",
     "LRUPlanTier",
     "MAX_SWEEP_POINTS",
     "PlanRequest",
@@ -84,7 +68,6 @@ __all__ = [
     "ScenarioRequest",
     "ServiceStats",
     "ServiceThread",
-    "ShardState",
     "Shed",
     "SweepRequest",
     "TokenBucket",

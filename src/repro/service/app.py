@@ -100,75 +100,6 @@ _REASONS = {
 }
 
 
-def render_response(
-    status: int, body: bytes, *, close: bool,
-    extra: dict[str, str] | None = None,
-    content_type: str = "application/json",
-) -> bytes:
-    """Frame one HTTP/1.1 response around already-encoded body bytes.
-
-    Shared by the shard service and the fleet router (which passes
-    shard response bodies through *verbatim*, so hedged duplicates and
-    failovers stay bit-identical to a direct shard answer).
-    """
-    lines = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'close' if close else 'keep-alive'}",
-    ]
-    for name, value in (extra or {}).items():
-        lines.append(f"{name}: {value}")
-    return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
-
-
-def render_json(
-    status: int, payload: dict, *, close: bool,
-    extra: dict[str, str] | None = None,
-) -> bytes:
-    """Frame a JSON payload as one HTTP/1.1 response."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return render_response(status, body, close=close, extra=extra)
-
-
-async def read_http_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request → (method, path, body, close, headers).
-
-    Returns ``None`` on a cleanly closed connection.  Raises
-    :class:`~repro.service.requests.RequestError` on malformed input.
-    Shared by the shard service and the fleet router; the *whole* read
-    is expected to run under the caller's keep-alive timeout.
-    """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) != 3:
-        raise RequestError(f"malformed request line {request_line!r}")
-    method, path, _version = parts
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-        if len(headers) > 100:
-            raise RequestError("too many headers")
-    raw_length = headers.get("content-length", "0") or "0"
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise RequestError(
-            f"invalid Content-Length {raw_length!r}"
-        ) from None
-    if length > MAX_BODY_BYTES:
-        raise RequestError(f"request body of {length} bytes is too large")
-    body = await reader.readexactly(length) if length > 0 else b""
-    close = headers.get("connection", "").lower() == "close"
-    return method.upper(), path, body, close, headers
-
-
 @dataclass(frozen=True)
 class Route:
     """One served endpoint (also the docs-validation ground truth)."""
@@ -330,6 +261,9 @@ class PlanningService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event: asyncio.Event | None = None
         self._clients: set[asyncio.Task] = set()
+        #: Connections waiting for their next request: shutdown closes
+        #: these at once instead of draining them.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- tiered lookup + coalescing -------------------------------------
 
@@ -716,7 +650,16 @@ class PlanningService:
         status: int, payload: dict, *, close: bool,
         extra: dict[str, str] | None = None,
     ) -> bytes:
-        return render_json(status, payload, close=close, extra=extra)
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        lines = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'close' if close else 'keep-alive'}",
+        ]
+        for name, value in (extra or {}).items():
+            lines.append(f"{name}: {value}")
+        return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one HTTP/1.1 request → (method, path, body, close) or None.
@@ -727,7 +670,34 @@ class PlanningService:
         mid-request client (slowloris, short body) both get reclaimed
         instead of leaking a connection task forever.
         """
-        return await read_http_request(reader)
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise RequestError(f"malformed request line {request_line!r}")
+        method, path, _version = parts
+        headers: dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+            if len(headers) > 100:
+                raise RequestError("too many headers")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise RequestError(
+                f"invalid Content-Length {raw_length!r}"
+            ) from None
+        if length > MAX_BODY_BYTES:
+            raise RequestError(f"request body of {length} bytes is too large")
+        body = await reader.readexactly(length) if length > 0 else b""
+        close = headers.get("connection", "").lower() == "close"
+        return method.upper(), path, body, close, headers
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -737,7 +707,8 @@ class PlanningService:
             self._clients.add(task)
             task.add_done_callback(self._clients.discard)
         try:
-            while True:
+            while not self._shutdown_event.is_set():
+                self._idle.add(writer)
                 try:
                     parsed = await asyncio.wait_for(
                         self._read_request(reader), KEEPALIVE_TIMEOUT_S
@@ -762,6 +733,8 @@ class PlanningService:
                     ConnectionError,
                 ):
                     break
+                finally:
+                    self._idle.discard(writer)
                 if parsed is None:
                     break
                 method, path, body, client_close, headers = parsed
@@ -770,9 +743,9 @@ class PlanningService:
                     method, path, body, tenant
                 )
                 shutting_down = (
-                    self._shutdown_event is not None
-                    and self._shutdown_event.is_set()
-                ) or path.split("?", 1)[0] == "/shutdown"
+                    self._shutdown_event.is_set()
+                    or path.split("?", 1)[0] == "/shutdown"
+                )
                 close = client_close or shutting_down
                 data = self._render(
                     status, payload, close=close, extra=extra
@@ -838,9 +811,12 @@ class PlanningService:
                     ready(self)
                 await self._shutdown_event.wait()
         finally:
-            # Stop accepting (the async-with close), then drain: first
-            # the computations clients are awaiting, then the client
-            # connections themselves.
+            # Stop accepting (the async-with close) and close the
+            # connections idling between requests (their readers see
+            # EOF), then drain: first the computations clients are
+            # awaiting, then the connections with a request in progress.
+            for writer in list(self._idle):
+                writer.close()
             pending = list(self._inflight.values()) + list(self._clients)
             if pending:
                 done, not_done = await asyncio.wait(pending, timeout=30.0)

@@ -2,17 +2,27 @@
 
 All tests run the service with the thread executor (process pools are
 covered by CI's service-smoke job via ``tools/loadtest_service.py``,
-and are not reliably available in restricted sandboxes).
+and are not reliably available in restricted sandboxes); the worker
+leak check alone drives a real process pool, and skips without one.
 """
 
 import asyncio
 import http.client
 import json
+import logging
 import threading
+import time
 
 import pytest
 
-from repro.service import PlanningService, ServiceThread
+from repro.planner.sweep import get_pool
+from repro.service import (
+    PlanningService,
+    PlanRequest,
+    ServiceThread,
+    execute_plan_request,
+    shutdown_and_check_workers,
+)
 
 SMALL_PLAN = {
     "devices": 4,
@@ -258,6 +268,46 @@ class TestShutdown:
                 request_json(live, "GET", "/healthz", timeout=5.0)
         finally:
             handle.__exit__(None, None, None)
+
+    def test_idle_keep_alive_connection_does_not_stall_shutdown(self, caplog):
+        """A client holding an idle keep-alive connection is closed at
+        once, not drained until its timeout, and nothing is logged."""
+        service = PlanningService(port=0, executor="thread")
+        handle = ServiceThread(service)
+        live = handle.__enter__()
+        idle = http.client.HTTPConnection(live.host, live.port, timeout=30)
+        try:
+            with caplog.at_level(logging.WARNING):
+                idle.request("GET", "/healthz")
+                response = idle.getresponse()
+                assert response.status == 200
+                response.read()  # the connection stays open, idle
+                started = time.monotonic()
+                status, _ = request_json(live, "POST", "/shutdown")
+                assert status == 200
+                handle._thread.join(timeout=30.0)
+                elapsed = time.monotonic() - started
+            assert not handle._thread.is_alive()
+            assert elapsed < 5.0, f"shutdown took {elapsed:.1f}s"
+            assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        finally:
+            idle.close()
+            handle.__exit__(None, None, None)
+
+    def test_process_pool_teardown_reports_no_leaked_workers(self):
+        """The leak check must not race the executor's own reaping of
+        workers that already exited cleanly."""
+        request = PlanRequest.from_payload(SMALL_PLAN)
+        for _ in range(20):
+            pool = get_pool("process", 2)
+            if pool is None:
+                pytest.skip("process pools are unavailable here")
+            futures = [
+                pool.submit(execute_plan_request, request) for _ in range(2)
+            ]
+            for future in futures:
+                future.result(timeout=120)
+            assert shutdown_and_check_workers() == 0
 
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):

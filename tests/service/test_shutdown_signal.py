@@ -4,7 +4,8 @@ The in-process shutdown path is covered elsewhere; this is the
 operator-facing version: a ``kill <pid>`` (what systemd and container
 runtimes send) must let in-flight work finish, flush it to the disk
 cache, refuse new compute, and exit 0 — a non-zero exit means leaked
-workers.
+workers.  Conversely, the SIGTERMs a broken worker pool's teardown
+sends its own workers must never reach the serving process.
 """
 
 import http.client
@@ -27,35 +28,41 @@ SMALL_PLAN = {
 }
 
 
-def test_sigterm_drains_in_flight_flushes_cache_and_exits_zero(tmp_path):
-    cache_dir = tmp_path / "plans"
+def spawn_serve(*args: str) -> tuple[subprocess.Popen, str, int]:
+    """Start ``serve --port 0 *args``; return it with its bound address."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     env.pop("REPRO_FAULTS", None)
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.harness.cli", "serve",
-            "--executor", "thread", "--port", "0",
-            "--cache-dir", str(cache_dir),
-            # Make the in-flight request measurably slow so the
-            # SIGTERM reliably lands mid-computation.
-            "--faults", "slow-worker:rate=1,delay_ms=1500",
-        ],
+        [sys.executable, "-m", "repro.harness.cli", "serve", "--port", "0",
+         *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         env=env,
     )
-    try:
-        host = port = None
-        deadline = time.monotonic() + 60
-        for line in process.stdout:
-            if line.startswith("serving on http://"):
-                host, raw_port = line.strip().rsplit("/", 1)[1].split(":")
-                port = int(raw_port)
-                break
-            assert time.monotonic() < deadline, "server never came up"
-        assert port is not None, "server exited before its serving line"
+    deadline = time.monotonic() + 60
+    for line in process.stdout:
+        if line.startswith("serving on http://"):
+            host, raw_port = line.strip().rsplit("/", 1)[1].split(":")
+            return process, host, int(raw_port)
+        if time.monotonic() > deadline:
+            break
+    process.kill()
+    process.wait(timeout=10)
+    process.stdout.close()
+    raise AssertionError("server never announced its port")
 
+
+def test_sigterm_drains_in_flight_flushes_cache_and_exits_zero(tmp_path):
+    cache_dir = tmp_path / "plans"
+    process, host, port = spawn_serve(
+        "--executor", "thread",
+        "--cache-dir", str(cache_dir),
+        # Make the in-flight request measurably slow so the
+        # SIGTERM reliably lands mid-computation.
+        "--faults", "slow-worker:rate=1,delay_ms=1500",
+    )
+    try:
         result = {}
 
         def slow_request():
@@ -106,3 +113,35 @@ def test_sigterm_drains_in_flight_flushes_cache_and_exits_zero(tmp_path):
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+        process.stdout.close()
+
+
+def test_broken_pool_teardown_does_not_stop_the_server():
+    """A worker crash breaks the process pool, whose teardown SIGTERMs
+    the surviving workers: the server must degrade and keep serving,
+    not take those signals for its own shutdown."""
+    process, host, port = spawn_serve(
+        "--executor", "process", "--workers", "2",
+        "--faults", "kill-pool-worker:rate=1,after=1,limit=1",
+    )
+    try:
+        for overhead in (1e-9, 2e-9, 3e-9):
+            conn = http.client.HTTPConnection(host, port, timeout=120.0)
+            conn.request(
+                "POST", "/v1/plan",
+                body=json.dumps(dict(SMALL_PLAN, pass_overhead=overhead)),
+            )
+            assert conn.getresponse().status == 200
+            conn.close()
+        time.sleep(0.5)
+        assert process.poll() is None, "server exited after the pool broke"
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        conn.request("POST", "/shutdown")
+        assert conn.getresponse().status == 200
+        conn.close()
+        assert process.wait(timeout=60) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+        process.stdout.close()

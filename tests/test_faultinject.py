@@ -76,10 +76,10 @@ class TestParseSpec:
 
     def test_unknown_site_error_names_token_and_valid_sites(self):
         with pytest.raises(ValueError) as excinfo:
-            parse_spec("slow-worker:rate=1;kill-shrad:rate=1")
+            parse_spec("slow-worker:rate=1;kill-pool-wroker:rate=1")
         message = str(excinfo.value)
         assert "\n" not in message  # one line, greppable in startup logs
-        assert "'kill-shrad'" in message
+        assert "'kill-pool-wroker'" in message
         for site in KNOWN_SITES:
             assert site in message
 
@@ -91,27 +91,18 @@ class TestParseSpec:
 
     def test_unknown_option_error_names_key_and_site(self):
         with pytest.raises(ValueError) as excinfo:
-            parse_spec("kill-shard:bogus=1")
+            parse_spec("kill-pool-worker:bogus=1")
         message = str(excinfo.value)
-        assert "'bogus'" in message and "'kill-shard'" in message
+        assert "'bogus'" in message and "'kill-pool-worker'" in message
         assert "rate/seed/after/limit/delay_ms" in message
 
     def test_malformed_value_error_names_value_key_and_site(self):
         with pytest.raises(ValueError) as excinfo:
-            parse_spec("slow-shard:delay_ms=fast")
+            parse_spec("slow-worker:delay_ms=fast")
         message = str(excinfo.value)
         assert "'fast'" in message
         assert "'delay_ms'" in message
-        assert "'slow-shard'" in message
-
-    def test_shard_sites_parse(self):
-        injector = parse_spec(
-            "kill-shard:rate=1,after=3,limit=1;"
-            "hang-shard:rate=0.5,seed=4;slow-shard:delay_ms=900"
-        )
-        assert injector.fault("kill-shard").limit == 1
-        assert injector.fault("hang-shard").seed == 4
-        assert injector.fault("slow-shard").delay_ms == 900.0
+        assert "'slow-worker'" in message
 
 
 class TestDeterminism:
@@ -214,7 +205,4 @@ def test_known_sites_is_the_documented_set():
         "corrupt-cache-entry",
         "torn-cache-write",
         "drop-connection-mid-response",
-        "kill-shard",
-        "hang-shard",
-        "slow-shard",
     )

@@ -64,13 +64,6 @@ written to ``BENCH_service.json``), driving a live in-process
   connections) against a tiny-LRU service with a throwaway disk tier:
   ``compiled_s`` is the p99 of successful requests and
   ``availability`` the non-shed success rate;
-* ``service_fleet_kill_p99_*`` — tail latency + availability of a
-  request stream over a 2-shard fleet while ``kill-shard`` takes one
-  shard down mid-stream (the router fails over, the supervisor
-  restarts the victim: ``restarts`` records the heal);
-* ``service_fleet_scaleout_*`` — closed-loop throughput of
-  compute-bound fresh-digest plans at fleet sizes 1/2(/4);
-  ``efficiency_nN`` is the achieved fraction of the ideal N×.
 
 Every entry records reference seconds, compiled seconds and the
 speedup (for the two sweep-era classes, "reference" means the
@@ -134,8 +127,9 @@ SWEEP_BUDGETS = (24.0, 32.0, 40.0, 48.0, 56.0, 64.0, 72.0, 80.0)
 #: it takes more rounds to suppress shared-runner noise.
 ROUNDS = {"full": 3, "quick": 5}
 #: Oracle-evaluation budget of the optimize_* classes — small enough
-#: to bench, large enough that the seeded greedy search still finds
-#: its token-split improvement on both panels.
+#: to bench.  At the quick m=32 the seeded greedy search finds its
+#: token-split improvement on both panels within it; at the full m=128
+#: it does not (those entries record ``improved: 0``).
 OPTIMIZE_BUDGET = 16
 #: Seed of the optimize_* classes (the search is bit-reproducible).
 OPTIMIZE_SEED = 0
@@ -154,20 +148,6 @@ SERVICE_CHAOS_FAULTS = (
     "torn-cache-write:rate=0.4,seed=11;"
     "drop-connection-mid-response:rate=0.15,seed=3"
 )
-#: Requests of the fleet kill class (p99 + availability want a sample
-#: that spans the deliberate shard kill and the restart).
-SERVICE_FLEET_REQUESTS = 40
-#: Fault profile of the fleet kill class: SIGKILL one shard at the 3rd
-#: supervisor monitor tick, mid-request-stream.
-SERVICE_FLEET_KILL_FAULTS = "kill-shard:rate=1,after=2,limit=1"
-#: Closed-loop workers of the scale-out class.
-SERVICE_FLEET_CONCURRENCY = 4
-#: Total fresh-digest (compute-bound) requests per fleet size of the
-#: scale-out class.
-SERVICE_FLEET_SCALEOUT_REQUESTS = 24
-#: Fleet sizes whose throughput the scale-out class compares.
-SERVICE_FLEET_SIZES = {"full": (1, 2, 4), "quick": (1, 2)}
-
 
 def best_of(fn, rounds: int) -> float:
     best = float("inf")
@@ -720,148 +700,6 @@ def measure_service_class(
         finally:
             faultinject.reset()
 
-    # Fleet kill class: p99 + availability of a sequential request
-    # stream over a 2-shard fleet while ``kill-shard`` SIGKILLs one
-    # shard mid-stream — the price of failover, not the price of an
-    # outage.  The stream must keep answering (the router fails the
-    # dead shard's keys over to its ring successor) while the
-    # supervisor restarts the victim; ``restarts`` records that the
-    # fleet healed before shutdown.
-    import tempfile as _tempfile
-    import threading
-
-    with _tempfile.TemporaryDirectory() as fleet_dir:
-        fleet = lt.spawn_server(
-            executor="thread",
-            cache_dir=fleet_dir,
-            faults=SERVICE_FLEET_KILL_FAULTS,
-            extra_args=[
-                "--fleet", "2",
-                "--probe-interval", "0.15",
-                "--restart-backoff", "0.2",
-                "--hedge-max-ms", "400",
-            ],
-        )
-        try:
-            kill_latencies: list[float] = []
-            attempts = failed = 0
-            for i in range(SERVICE_FLEET_REQUESTS):
-                body = dict(payload, microbatches=m + (i % 6))
-                attempts += 1
-                start = time.perf_counter()
-                try:
-                    status, _response = lt.request_json(
-                        fleet.host, fleet.port, "POST", "/v1/plan", body
-                    )
-                except (
-                    OSError,
-                    http.client.HTTPException,
-                    json.JSONDecodeError,
-                ):
-                    failed += 1
-                    continue
-                if status == 200:
-                    kill_latencies.append(time.perf_counter() - start)
-                else:
-                    failed += 1
-            restarts = 0
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                status, stats = lt.request_json(
-                    fleet.host, fleet.port, "GET", "/stats"
-                )
-                shards = stats.get("fleet", {}).get("shards", {})
-                restarts = sum(s.get("restarts", 0) for s in shards.values())
-                if restarts >= 1 and all(
-                    s.get("state") == "up" for s in shards.values()
-                ):
-                    break
-                time.sleep(0.2)
-            add(
-                f"service_fleet_kill_p99_{tag}",
-                None,
-                lt.percentile(kill_latencies, 99.0),
-                availability=(
-                    len(kill_latencies) / attempts if attempts else 0.0
-                ),
-                requests=attempts,
-                failed=failed,
-                restarts=restarts,
-                shards=2,
-            )
-        finally:
-            code = fleet.shutdown()
-            assert code == 0, f"fleet exited {code}"
-
-    # Fleet scale-out class: closed-loop throughput of compute-bound
-    # fresh-digest plans (distinct pass_overhead bindings — every
-    # request is a real top-k re-simulation) at fleet sizes 1/2(/4).
-    # Shards are separate processes, so efficiency_nN records how much
-    # of the ideal N× the consistent-hash fan-out actually delivers.
-    fresh = iter(
-        1e-12 * (i + 1)
-        for i in range(10 * SERVICE_FLEET_SCALEOUT_REQUESTS * 8)
-    )
-
-    def scaleout_rps(n_shards: int) -> float:
-        per_worker = SERVICE_FLEET_SCALEOUT_REQUESTS // SERVICE_FLEET_CONCURRENCY
-        bodies = [
-            dict(payload, pass_overhead=next(fresh))
-            for _ in range(per_worker * SERVICE_FLEET_CONCURRENCY)
-        ]
-        with _tempfile.TemporaryDirectory() as cache_dir:
-            handle = lt.spawn_server(
-                executor="thread",
-                cache_dir=cache_dir,
-                extra_args=(
-                    ["--fleet", str(n_shards)] if n_shards > 1 else []
-                ),
-            )
-            errors: list[str] = []
-
-            def worker(index: int) -> None:
-                for slot in range(per_worker):
-                    body = bodies[index * per_worker + slot]
-                    status, response = lt.request_json(
-                        handle.host, handle.port, "POST", "/v1/plan", body
-                    )
-                    if status != 200:
-                        errors.append(f"HTTP {status}: {response}")
-
-            threads = [
-                threading.Thread(target=worker, args=(w,))
-                for w in range(SERVICE_FLEET_CONCURRENCY)
-            ]
-            try:
-                start = time.perf_counter()
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                wall = time.perf_counter() - start
-            finally:
-                code = handle.shutdown()
-            assert code == 0, f"fleet of {n_shards} exited {code}"
-            assert not errors, errors[:3]
-            return len(bodies) / wall
-
-    rps = {n: scaleout_rps(n) for n in SERVICE_FLEET_SIZES[klass]}
-    scaleout_extra = {
-        f"throughput_n{n}_rps": value for n, value in rps.items()
-    }
-    scaleout_extra.update({
-        f"efficiency_n{n}": (rps[n] / rps[1]) / n
-        for n in rps
-        if n > 1 and rps[1] > 0
-    })
-    add(
-        f"service_fleet_scaleout_{tag}",
-        None,
-        1.0 / rps[2] if rps.get(2) else 0.0,
-        concurrency=SERVICE_FLEET_CONCURRENCY,
-        requests=SERVICE_FLEET_SCALEOUT_REQUESTS,
-        **scaleout_extra,
-    )
     clear_all_planner_caches()
     return entries
 

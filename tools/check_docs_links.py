@@ -87,15 +87,10 @@ def cli_surface() -> dict[str, set[str]]:
 
 
 def service_routes() -> set[tuple[str, str]]:
-    """(method, path) pairs the planning service actually serves.
+    """(method, path) pairs the planning service actually serves."""
+    from repro.service import ROUTES
 
-    The union of the single-process route table and the fleet router's
-    own control routes (``serve --fleet N``) — both documented in
-    ``docs/service.md``.
-    """
-    from repro.service import FLEET_ROUTES, ROUTES
-
-    return {(route.method, route.path) for route in ROUTES + FLEET_ROUTES}
+    return {(route.method, route.path) for route in ROUTES}
 
 
 def check_route_coverage(routes: set[tuple[str, str]], text: str) -> list[str]:
@@ -113,20 +108,20 @@ def check_route_coverage(routes: set[tuple[str, str]], text: str) -> list[str]:
 def known_callables() -> dict[str, object]:
     """Public callables whose documented kwargs must stay real.
 
-    Every name exported by :mod:`repro.planner` and
+    Every name exported by :mod:`repro.api` and
     :mod:`repro.scenarios`, plus the harness/sim/config entry points
     docs quote.  Documented calls to *other* names are not checked —
     this is a drift detector for the public planning/scenario API, not
     a type checker.
     """
     import repro
-    import repro.planner
+    import repro.api
     import repro.scenarios
     from repro.harness import experiments
     from repro.sim import RuntimeModel, SimulationSetup, compile_schedule
 
     known: dict[str, object] = {}
-    for module in (repro.planner, repro.scenarios):
+    for module in (repro.api, repro.scenarios):
         for name in module.__all__:
             value = getattr(module, name)
             if callable(value):

@@ -383,17 +383,6 @@ CHAOS_SPEC = (
 #: 500, any unexplained status — is a violation.
 CHAOS_ALLOWED = (200, 429, 503, 504)
 
-#: The fixed fault schedule of ``--chaos --fleet N`` (CI's
-#: fleet-chaos-smoke job).  ``kill-shard`` SIGKILLs one shard at the
-#: 4th supervisor monitor tick — mid-replay — so the router must fail
-#: its keys over while the supervisor restarts it; ``slow-shard``
-#: delays ~30% of primary forwards by far more than the hedge ceiling,
-#: so hedged duplicates must fire and win.
-FLEET_CHAOS_SPEC = (
-    "kill-shard:rate=1,after=3,limit=1;"
-    "slow-shard:rate=0.4,seed=0,delay_ms=900"
-)
-
 #: Response-identity contract: every ``/v1/*`` success is the uniform
 #: envelope; identity is ``meta.digest`` plus the ``result`` object.
 #: ``meta.timings`` varies per request, so raw bytes are never compared.
@@ -657,239 +646,6 @@ def run_chaos(args: argparse.Namespace) -> int:
     return _report_chaos(problems)
 
 
-def run_chaos_fleet(args: argparse.Namespace) -> int:
-    """The ``--chaos --fleet N`` entry point: chaos against a fleet.
-
-    Replays the deterministic chaos request list against an N-shard
-    fleet while ``kill-shard`` takes a shard down mid-run and
-    ``slow-shard`` forces the hedging path, then asserts the fleet
-    contract against a fault-free single-process oracle: every
-    response is bit-identical to the oracle, no non-deliberate 5xx
-    surfaces, at least one hedge fires and wins, the killed shard is
-    restarted and re-admitted, and a final batch answers 200 first try
-    (post-restart availability).
-    """
-    import tempfile
-
-    problems: list[str] = []
-    requests = chaos_requests(args)
-    expected: dict[str, tuple[str, str]] = {}
-
-    with tempfile.TemporaryDirectory() as oracle_dir, \
-            tempfile.TemporaryDirectory() as fleet_dir:
-        print("chaos: oracle run (fault-free, single process) ...", flush=True)
-        oracle = spawn_server(
-            executor="thread", workers=args.workers, cache_dir=oracle_dir
-        )
-        try:
-            for path, payload in requests:
-                body = fetch_with_retries(
-                    oracle.host, oracle.port, path, payload, problems
-                )
-                if body is None:
-                    problems.append("chaos: oracle run failed; aborting")
-                    return _report_chaos(problems)
-                key = json.dumps([path, payload], sort_keys=True)
-                expected[key] = (
-                    body["meta"]["digest"],
-                    json.dumps(body["result"], sort_keys=True),
-                )
-        finally:
-            code = oracle.shutdown()
-            if code != 0:
-                problems.append(f"chaos: oracle server exited {code}")
-
-        print(
-            f"chaos: fleet run ({args.fleet} shards, spec: "
-            f"{FLEET_CHAOS_SPEC}) ...",
-            flush=True,
-        )
-        fleet = spawn_server(
-            executor="thread",
-            workers=args.workers,
-            cache_dir=fleet_dir,
-            faults=FLEET_CHAOS_SPEC,
-            extra_args=[
-                "--fleet", str(args.fleet),
-                "--probe-interval", "0.2",
-                "--restart-backoff", "1.0",
-                "--hedge-min-ms", "50",
-                "--hedge-max-ms", "400",
-            ],
-        )
-        matched = 0
-        try:
-            # Hold traffic until kill-shard has actually taken a shard
-            # down (4th monitor tick), so the replay passes run through
-            # the outage and the failover path is exercised for real.
-            kill_deadline = time.monotonic() + 15.0
-            killed = False
-            while time.monotonic() < kill_deadline:
-                try:
-                    status, stats = request_json(
-                        fleet.host, fleet.port, "GET", "/stats"
-                    )
-                except OSError:
-                    status, stats = 0, {}
-                fleet_shards = stats.get("fleet", {}).get("shards", {})
-                if status == 200 and any(
-                    s.get("state") != "up" or s.get("restarts", 0) >= 1
-                    for s in fleet_shards.values()
-                ):
-                    killed = True
-                    break
-                time.sleep(0.1)
-            if not killed:
-                problems.append(
-                    "chaos: kill-shard never took a shard down within 15s"
-                )
-
-            # Two replay passes: pass 1 overlaps the shard outage
-            # (failover must cover it), pass 2 runs while and after the
-            # supervisor restarts the victim.
-            for _sweep in range(2):
-                for path, payload in requests:
-                    body = fetch_with_retries(
-                        fleet.host, fleet.port, path, payload, problems
-                    )
-                    if body is None:
-                        continue
-                    key = json.dumps([path, payload], sort_keys=True)
-                    digest, rendered = expected[key]
-                    if body["meta"]["digest"] != digest:
-                        problems.append(
-                            f"chaos: {path}: digest diverged from oracle"
-                        )
-                    elif (
-                        json.dumps(body["result"], sort_keys=True)
-                        != rendered
-                    ):
-                        problems.append(
-                            f"chaos: {path}: response bytes diverged from "
-                            "the fault-free oracle"
-                        )
-                    else:
-                        matched += 1
-
-            # The killed shard must be restarted and re-admitted.
-            deadline = time.monotonic() + 30.0
-            shards: dict[str, dict] = {}
-            while time.monotonic() < deadline:
-                try:
-                    status, stats = request_json(
-                        fleet.host, fleet.port, "GET", "/stats"
-                    )
-                except OSError:
-                    status, stats = 0, {}
-                if status == 200:
-                    shards = stats.get("fleet", {}).get("shards", {})
-                    if shards and any(
-                        s.get("restarts", 0) >= 1 for s in shards.values()
-                    ) and all(
-                        s.get("state") == "up" for s in shards.values()
-                    ):
-                        break
-                time.sleep(0.25)
-            restarted = [
-                sid for sid, s in shards.items() if s.get("restarts", 0) >= 1
-            ]
-            if not restarted:
-                problems.append(
-                    "chaos: kill-shard fired but no shard was ever "
-                    f"restarted (states: "
-                    f"{ {sid: s.get('state') for sid, s in shards.items()} })"
-                )
-            if not shards or not all(
-                s.get("state") == "up" for s in shards.values()
-            ):
-                problems.append(
-                    "chaos: fleet never returned to full strength "
-                    f"(states: "
-                    f"{ {sid: s.get('state') for sid, s in shards.items()} })"
-                )
-
-            # Post-restart availability: 200 on the first try, no
-            # retries, for the whole request list.
-            unavailable = 0
-            for path, payload in requests:
-                try:
-                    status, _body = request_json(
-                        fleet.host, fleet.port, "POST", path, payload,
-                        timeout=120.0,
-                    )
-                except OSError as error:
-                    unavailable += 1
-                    problems.append(
-                        f"chaos: post-restart availability: {path}: "
-                        f"transport error {error}"
-                    )
-                    continue
-                if status != 200:
-                    unavailable += 1
-                    problems.append(
-                        f"chaos: post-restart availability: {path}: "
-                        f"HTTP {status} on first try"
-                    )
-
-            try:
-                status, stats = request_json(
-                    fleet.host, fleet.port, "GET", "/stats"
-                )
-            except OSError:
-                status, stats = 0, {}
-            if status != 200:
-                problems.append(f"chaos: final /stats: HTTP {status}")
-                stats = {}
-            shards = stats.get("fleet", {}).get("shards", {})
-            hedges = sum(s.get("hedges_fired", 0) for s in shards.values())
-            wins = sum(s.get("hedge_wins", 0) for s in shards.values())
-            failovers = sum(s.get("failovers", 0) for s in shards.values())
-            restarts = sum(s.get("restarts", 0) for s in shards.values())
-            print(
-                f"chaos: matched={matched} restarts={restarts} "
-                f"failovers={failovers} hedges={hedges} hedge_wins={wins} "
-                f"router_errors={stats.get('errors')} "
-                f"unrouted={stats.get('unrouted')} "
-                f"unavailable={unavailable}"
-            )
-            if hedges < 1:
-                problems.append(
-                    "chaos: slow-shard was armed but no hedged request "
-                    "ever fired"
-                )
-            if wins < 1:
-                problems.append(
-                    "chaos: hedges fired but none won — successors never "
-                    "answered before the slowed primary"
-                )
-            if failovers < 1:
-                problems.append(
-                    "chaos: a shard died mid-run but no request was "
-                    "failed over to its ring successor"
-                )
-            if stats.get("errors", 0):
-                problems.append(
-                    f"chaos: router counted {stats['errors']} errors "
-                    "(non-deliberate 5xx responses)"
-                )
-            if stats.get("unrouted", 0):
-                problems.append(
-                    f"chaos: {stats['unrouted']} requests found no "
-                    "routable shard"
-                )
-        finally:
-            code = fleet.shutdown()
-            if code != 0:
-                problems.append(
-                    f"chaos: fleet exited {code} (dirty shutdown: a shard "
-                    "needed a force-kill)"
-                )
-            else:
-                print("chaos: fleet shut down cleanly (exit 0)")
-
-    return _report_chaos(problems)
-
-
 def _report_chaos(problems: list[str]) -> int:
     if problems:
         print("\nchaos loadtest FAILED:")
@@ -956,12 +712,6 @@ def main(argv: list[str] | None = None) -> int:
         "resilience contract vs a fault-free oracle run",
     )
     parser.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help="spawn an N-shard fleet behind the consistent-hash router "
-        "instead of a single process; with --chaos, asserts the fleet "
-        "contract (failover, hedging, restart, availability) instead",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="OUT",
         help="write the latency/throughput report as JSON",
     )
@@ -977,25 +727,18 @@ def main(argv: list[str] | None = None) -> int:
                 "loadtest: --chaos spawns its own oracle and fault "
                 "servers; it cannot target --url"
             )
-        return run_chaos_fleet(args) if args.fleet else run_chaos(args)
+        return run_chaos(args)
 
     problems: list[str] = []
     server: ServerHandle | None = None
     if args.url is not None:
         host, port = parse_url(args.url)
     else:
-        topology = (
-            f"fleet of {args.fleet}" if args.fleet
-            else f"executor={args.executor}"
-        )
-        print(f"spawning service ({topology}) ...", flush=True)
+        print(f"spawning service (executor={args.executor}) ...", flush=True)
         server = spawn_server(
             executor=args.executor,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            extra_args=(
-                ["--fleet", str(args.fleet)] if args.fleet else None
-            ),
         )
         host, port = server.host, server.port
         print(f"spawned http://{host}:{port}", flush=True)
@@ -1006,12 +749,10 @@ def main(argv: list[str] | None = None) -> int:
         if status != 200 or health.get("status") not in ("ok", "degraded"):
             problems.append(f"/healthz before load: HTTP {status} {health}")
         else:
-            detail = (
-                f"{health['shards_up']} shards up"
-                if "shards_up" in health
-                else f"executor {health.get('executor')}"
+            print(
+                f"healthz: {health['status']} "
+                f"(executor {health.get('executor')})"
             )
-            print(f"healthz: {health['status']} ({detail})")
 
         classes = build_mix(args)
         latencies, wall_s, errors = run_closed_loop(
