@@ -87,6 +87,11 @@ MAX_BODY_BYTES = 1 << 20
 #: closed when it expires.
 KEEPALIVE_TIMEOUT_S = 75.0
 
+
+class PayloadTooLarge(RequestError):
+    """A request body over :data:`MAX_BODY_BYTES` (HTTP 413, not 400)."""
+
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -586,7 +591,7 @@ class PlanningService:
             return 503, error_body(
                 "shutting_down",
                 "service is shutting down",
-                hint="retry against another shard or after a restart",
+                hint="retry after the service restarts",
             ), {"Retry-After": "1"}
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
@@ -694,7 +699,9 @@ class PlanningService:
                 f"invalid Content-Length {raw_length!r}"
             ) from None
         if length > MAX_BODY_BYTES:
-            raise RequestError(f"request body of {length} bytes is too large")
+            raise PayloadTooLarge(
+                f"request body of {length} bytes is too large"
+            )
         body = await reader.readexactly(length) if length > 0 else b""
         close = headers.get("connection", "").lower() == "close"
         return method.upper(), path, body, close, headers
@@ -714,14 +721,16 @@ class PlanningService:
                         self._read_request(reader), KEEPALIVE_TIMEOUT_S
                     )
                 except RequestError as error:
+                    if isinstance(error, PayloadTooLarge):
+                        status, code = 413, "payload_too_large"
+                        hint = f"send at most {MAX_BODY_BYTES} bytes"
+                    else:
+                        status, code = 400, "bad_request"
+                        hint = "send a well-formed HTTP/1.1 request"
                     writer.write(
                         self._render(
-                            400,
-                            error_body(
-                                "bad_request",
-                                str(error),
-                                hint="send a well-formed HTTP/1.1 request",
-                            ),
+                            status,
+                            error_body(code, str(error), hint=hint),
                             close=True,
                         )
                     )

@@ -104,6 +104,18 @@ class TestParseSpec:
         assert "'delay_ms'" in message
         assert "'slow-worker'" in message
 
+    @pytest.mark.parametrize("site", KNOWN_SITES)
+    def test_every_known_site_parses_with_all_options(self, site):
+        injector = parse_spec(
+            f"{site}:rate=0.5,seed=4,after=1,limit=2,delay_ms=900"
+        )
+        assert injector.fault(site) == Fault(
+            site, rate=0.5, seed=4, after=1, limit=2, delay_ms=900.0
+        )
+        assert [other for other in KNOWN_SITES if injector.fault(other)] == [
+            site
+        ]
+
 
 class TestDeterminism:
     def test_same_spec_same_schedule(self):
