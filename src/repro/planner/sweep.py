@@ -42,6 +42,7 @@ import itertools
 import logging
 import os
 import signal
+import threading
 import warnings
 from collections.abc import Iterable, Sequence
 from concurrent.futures import (
@@ -472,19 +473,26 @@ def _discard_pool(executor: str, max_workers: int | None) -> None:
             pass
 
 
-def shutdown_pools() -> None:
+def shutdown_pools() -> list[threading.Thread]:
     """Shut down every persistent sweep pool (atexit; also for tests).
 
-    Unlike :func:`_discard_pool`, this waits for each executor's own
-    teardown: its manager thread must finish reaping the workers before
-    a caller checks for leaked processes, or the two reapers race.
+    Does not wait: returns the process executors' manager threads,
+    which go on reaping the workers.  A caller that checks for leaked
+    processes must join these first (with its own timeout), or the two
+    reapers race and a cleanly exited worker reads as alive.
     """
+    reapers = []
     while _POOLS:
         _key, pool = _POOLS.popitem()
+        # Taken first: ``shutdown`` drops the executor's reference.
+        reaper = getattr(pool, "_executor_manager_thread", None)
         try:
-            pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
             pass
+        if reaper is not None:
+            reapers.append(reaper)
+    return reapers
 
 
 atexit.register(shutdown_pools)

@@ -666,16 +666,21 @@ class PlanningService:
             lines.append(f"{name}: {value}")
         return "\r\n".join(lines).encode("ascii") + b"\r\n\r\n" + body
 
-    async def _read_request(self, reader: asyncio.StreamReader):
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ):
         """Parse one HTTP/1.1 request → (method, path, body, close) or None.
 
         The *whole* read — request line, headers and body — runs under
         one ``KEEPALIVE_TIMEOUT_S`` budget (enforced by the caller's
         ``wait_for``), so an idle keep-alive connection and a stalled
         mid-request client (slowloris, short body) both get reclaimed
-        instead of leaking a connection task forever.
+        instead of leaking a connection task forever.  The connection
+        stops counting as idle once its request line has arrived, so
+        shutdown drains the rest of the request instead of closing it.
         """
         request_line = await reader.readline()
+        self._idle.discard(writer)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
@@ -718,7 +723,8 @@ class PlanningService:
                 self._idle.add(writer)
                 try:
                     parsed = await asyncio.wait_for(
-                        self._read_request(reader), KEEPALIVE_TIMEOUT_S
+                        self._read_request(reader, writer),
+                        KEEPALIVE_TIMEOUT_S,
                     )
                 except RequestError as error:
                     if isinstance(error, PayloadTooLarge):
@@ -815,15 +821,19 @@ class PlanningService:
         self.port = server.sockets[0].getsockname()[1]
         self.started_at = time.monotonic()
         try:
-            async with server:
-                if ready is not None:
-                    ready(self)
-                await self._shutdown_event.wait()
+            if ready is not None:
+                ready(self)
+            await self._shutdown_event.wait()
         finally:
-            # Stop accepting (the async-with close) and close the
-            # connections idling between requests (their readers see
-            # EOF), then drain: first the computations clients are
+            # Stop accepting, then yield once so handlers whose request
+            # line has already arrived leave the idle set.  Close the
+            # connections still idling between requests (their readers
+            # see EOF), then drain: first the computations clients are
             # awaiting, then the connections with a request in progress.
+            # Only then wait for the server: from Python 3.12.1 on,
+            # ``wait_closed`` waits for every connection, idle or not.
+            server.close()
+            await asyncio.sleep(0)
             for writer in list(self._idle):
                 writer.close()
             pending = list(self._inflight.values()) + list(self._clients)
@@ -833,6 +843,10 @@ class PlanningService:
                     task.cancel()
                 if not_done:
                     await asyncio.wait(not_done, timeout=5.0)
+            try:
+                await asyncio.wait_for(server.wait_closed(), 5.0)
+            except asyncio.TimeoutError:
+                pass  # a connection that never detached; exit anyway
 
     def run(self, ready=None) -> int:
         """Blocking entry point for the CLI: serve, then clean up.
@@ -864,14 +878,18 @@ def shutdown_and_check_workers(join_timeout_s: float = 5.0) -> int:
 
     Returns the exit code the ``serve`` subcommand reports: ``1`` when
     any pool worker process is still alive after the join timeout —
-    the condition CI's service-smoke job exists to catch.
+    the condition CI's service-smoke job exists to catch.  A worker
+    still busy with a long computation counts as leaked, and is
+    reported within the timeout instead of being waited for.
     """
     import multiprocessing
 
-    shutdown_pools()
+    deadline = time.monotonic() + join_timeout_s
+    for reaper in shutdown_pools():
+        reaper.join(timeout=max(0.0, deadline - time.monotonic()))
     leaked = []
     for process in multiprocessing.active_children():
-        process.join(timeout=join_timeout_s)
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
         if process.is_alive():
             leaked.append(process)
     if leaked:

@@ -10,6 +10,7 @@ are exercised here byte by byte against a thread-executor service.
 import contextlib
 import json
 import socket
+import time
 
 import pytest
 
@@ -227,6 +228,34 @@ class TestResponseFraming:
                 status, headers, body = read_response(stream)
                 assert status == 200
                 assert json.loads(body) == {"status": "shutting-down"}
+                assert headers["connection"] == "close"
+                assert_closed(stream)
+            handle._thread.join(timeout=30.0)
+            assert not handle._thread.is_alive()
+        finally:
+            handle.__exit__(None, None, None)
+
+    def test_request_begun_before_shutdown_is_answered(self):
+        """Shutdown closes idle connections, not one whose request line
+        has arrived: the rest of that request is read and answered."""
+        service = PlanningService(port=0, executor="thread")
+        handle = ServiceThread(service)
+        running = handle.__enter__()
+        try:
+            with connect(running) as (sock, stream):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
+                deadline = time.monotonic() + 10.0
+                while service._idle and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not service._idle, "request line never read"
+                with connect(running) as (control, control_stream):
+                    control.sendall(
+                        b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+                    )
+                    assert read_response(control_stream)[0] == 200
+                sock.sendall(b"\r\n")
+                status, headers, _body = read_response(stream)
+                assert status == 200
                 assert headers["connection"] == "close"
                 assert_closed(stream)
             handle._thread.join(timeout=30.0)

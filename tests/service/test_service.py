@@ -309,6 +309,23 @@ class TestShutdown:
                 future.result(timeout=120)
             assert shutdown_and_check_workers() == 0
 
+    def test_busy_worker_is_reported_within_the_join_timeout(self, capsys):
+        """A worker still computing at shutdown is reported as leaked
+        once the join timeout runs out, not waited for."""
+        pool = get_pool("process", 1)
+        if pool is None:
+            pytest.skip("process pools are unavailable here")
+        future = pool.submit(time.sleep, 3.0)
+        deadline = time.monotonic() + 30.0
+        while not future.running() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert future.running()
+        started = time.monotonic()
+        assert shutdown_and_check_workers(join_timeout_s=0.3) == 1
+        assert time.monotonic() - started < 2.0
+        assert "still alive after shutdown" in capsys.readouterr().err
+        future.result(timeout=30)
+
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):
             PlanningService(executor="carrier-pigeon")
