@@ -846,7 +846,7 @@ class PlanningService:
             try:
                 await asyncio.wait_for(server.wait_closed(), 5.0)
             except asyncio.TimeoutError:
-                pass  # a connection that never detached; exit anyway
+                pass  # e.g. a peer that stopped reading: exit anyway
 
     def run(self, ready=None) -> int:
         """Blocking entry point for the CLI: serve, then clean up.
