@@ -151,18 +151,17 @@ class BuildingBlock:
             )
         orders: list[list[Pass]] = []
         for device in range(self.num_devices):
-            entries: list[tuple[float, int, int, Pass]] = []
-            for slot_index, slot in enumerate(self.slots[device]):
-                for mb in range(num_microbatches):
-                    time = slot.offset + mb * self.interval
-                    entries.append(
-                        (
-                            time,
-                            slot_index,
-                            mb,
-                            Pass(slot.type, mb, device, slot.chunk),
-                        )
-                    )
-            entries.sort(key=lambda e: (e[0], e[1], e[2]))
-            orders.append([e[3] for e in entries])
+            slots = self.slots[device]
+            keys = [
+                (slot.offset + mb * self.interval, slot_index, mb)
+                for slot_index, slot in enumerate(slots)
+                for mb in range(num_microbatches)
+            ]
+            keys.sort()
+            orders.append(
+                [
+                    Pass(slots[slot_index].type, mb, device, slots[slot_index].chunk)
+                    for _, slot_index, mb in keys
+                ]
+            )
         return orders

@@ -29,6 +29,12 @@ class PassType(enum.Enum):
     VF = "VF"  #: interlaced synchronous vocabulary forward segment
     VB = "VB"  #: interlaced synchronous vocabulary backward segment
 
+    # Members are singletons, so identity hashing is exact and runs at C
+    # speed; Enum's own __hash__ hashes the name in Python on every
+    # dict/set probe of the executor's stream and pass tables.  The hash
+    # differs between processes, as a str hash already did.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -43,8 +49,15 @@ REPLICATED_TYPES = frozenset(
 SYNCHRONOUS_TYPES = frozenset({PassType.VF, PassType.VB})
 
 
-@dataclass(frozen=True, order=True)
-class Pass:
+class _HashSlot:
+    """Holds :class:`Pass`'s cached hash in a slot that is not a field, so
+    it never reaches ``dataclasses.fields``, equality or digests."""
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, order=True, init=False, slots=True)
+class Pass(_HashSlot):
     """One schedulable unit: ``type`` for ``microbatch`` on ``device``.
 
     ``chunk`` selects the virtual-pipeline chunk for F/B/W (V-Half has
@@ -57,31 +70,48 @@ class Pass:
     device: int
     chunk: int = 0
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, type: PassType, microbatch: int, device: int, chunk: int = 0
+    ) -> None:
         """Reject negative indices and non-zero chunks on replicated passes."""
-        if self.microbatch < 0:
-            raise ValueError(f"microbatch must be non-negative, got {self.microbatch}")
-        if self.device < 0:
-            raise ValueError(f"device must be non-negative, got {self.device}")
-        if self.chunk < 0:
-            raise ValueError(f"chunk must be non-negative, got {self.chunk}")
-        if self.chunk != 0 and self.type in REPLICATED_TYPES:
-            raise ValueError(f"{self.type} passes must use chunk 0, got {self.chunk}")
-        # Passes key every executor-side dict (pass_times, node maps);
-        # the generated dataclass __hash__ rebuilds the field tuple per
-        # call, which dominated result collection on large schedules.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.type, self.microbatch, self.device, self.chunk)),
-        )
+        if microbatch < 0:
+            raise ValueError(f"microbatch must be non-negative, got {microbatch}")
+        if device < 0:
+            raise ValueError(f"device must be non-negative, got {device}")
+        if chunk < 0:
+            raise ValueError(f"chunk must be non-negative, got {chunk}")
+        if chunk != 0 and type in REPLICATED_TYPES:
+            raise ValueError(f"{type} passes must use chunk 0, got {chunk}")
+        # Schedule generation builds every pass of every candidate, so the
+        # frozen fields are written through their slot descriptors: the
+        # generated __init__'s object.__setattr__ per field costs more
+        # than all of the checks above.  Passes key every executor-side
+        # dict (pass_times, node maps), so the hash is computed once here.
+        _set_type(self, type)
+        _set_microbatch(self, microbatch)
+        _set_device(self, device)
+        _set_chunk(self, chunk)
+        _set_hash(self, hash((type, microbatch, device, chunk)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed in the
+        # loading process: the hash of the pass type is per process, and a
+        # pickled _hash would make an unpickled pass miss equal dict keys.
+        return (Pass, (self.type, self.microbatch, self.device, self.chunk))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         chunk = f".{self.chunk}" if self.chunk else ""
         return f"{self.type.value}{chunk}[{self.microbatch}]@{self.device}"
+
+
+_set_type = Pass.type.__set__
+_set_microbatch = Pass.microbatch.__set__
+_set_device = Pass.device.__set__
+_set_chunk = Pass.chunk.__set__
+_set_hash = _HashSlot._hash.__set__
 
 
 class CollectiveKind(enum.Enum):
@@ -98,6 +128,8 @@ class CollectiveKind(enum.Enum):
     C2_GRAD_REDUCE = "C2"     #: ∇X reduce (naïve / Algorithm 1 only)
     INPUT_ALLREDUCE = "IAR"   #: assemble the input-layer output on stage 0
     INPUT_BROADCAST = "IBC"   #: broadcast the input-layer output gradient
+
+    __hash__ = object.__hash__  # identity, at C speed (see PassType)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

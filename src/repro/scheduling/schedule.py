@@ -23,6 +23,9 @@ from repro.scheduling.passes import (
     REPLICATED_TYPES,
 )
 
+#: Stage-local pass types, one stream per chunk; the rest use chunk 0.
+_CHUNKED_TYPES = (PassType.F, PassType.B, PassType.W)
+
 
 @dataclass(frozen=True)
 class StageLayout:
@@ -242,7 +245,14 @@ class Schedule:
         return self.layout.holder_of_stage(0)
 
     def validate(self) -> None:
-        """Structural validation; raises ``ValueError`` on any violation."""
+        """Structural validation; raises ``ValueError`` on any violation.
+
+        One pass over each device's order.  Per-pass faults (wrong
+        device, duplicate, microbatch or chunk out of range) raise at
+        the first offending pass; stream counts, then stream order, are
+        checked after the walk, so a device's first fault in that
+        precedence is the one reported.
+        """
         if self.vocab_algorithm not in (None, 1, 2):
             raise ValueError(f"vocab_algorithm must be None, 1 or 2: {self.vocab_algorithm}")
         if len(self.device_orders) != self.num_devices:
@@ -250,6 +260,7 @@ class Schedule:
                 f"{len(self.device_orders)} device orders for {self.num_devices} devices"
             )
         m = self.num_microbatches
+        num_chunks = self.layout.num_chunks
         expected_types: dict[PassType, bool] = {
             PassType.F: True,
             PassType.B: True,
@@ -261,30 +272,36 @@ class Schedule:
             PassType.VF: self.interlaced,
             PassType.VB: self.interlaced,
         }
+        chunked = range(num_chunks)
         for device, order in enumerate(self.device_orders):
-            seen: set[Pass] = set()
+            # (type, chunk) -> [microbatches seen, count, last microbatch,
+            # out of order].  Earlier passes all passed the range checks,
+            # so a pass out of range can never duplicate one of them.
+            streams: dict[tuple[PassType, int], list] = {}
             for p in order:
                 if p.device != device:
                     raise ValueError(f"pass {p} listed on device {device}")
-                if p in seen:
+                type_, mb, chunk = p.type, p.microbatch, p.chunk
+                stream = streams.get((type_, chunk))
+                if stream is not None and mb < m and stream[0][mb]:
                     raise ValueError(f"duplicate pass {p} on device {device}")
-                seen.add(p)
-                if not 0 <= p.microbatch < m:
+                if mb >= m:
                     raise ValueError(f"pass {p} microbatch out of range [0, {m})")
-                if p.chunk >= self.layout.num_chunks and p.type not in REPLICATED_TYPES:
+                if chunk >= num_chunks and type_ not in REPLICATED_TYPES:
                     raise ValueError(f"pass {p} chunk out of range")
+                if stream is None:
+                    stream = streams[(type_, chunk)] = [bytearray(m), 0, -1, False]
+                stream[0][mb] = 1
+                stream[1] += 1
+                if mb < stream[2]:
+                    stream[3] = True
+                stream[2] = mb
             # Every stream present exactly once per microbatch.
             for type_, present in expected_types.items():
-                chunks = (
-                    range(self.layout.num_chunks)
-                    if type_ in (PassType.F, PassType.B, PassType.W)
-                    else [0]
-                )
-                for chunk in chunks:
-                    count = sum(
-                        1 for p in order if p.type is type_ and p.chunk == chunk
-                    )
-                    expected = m if present else 0
+                expected = m if present else 0
+                for chunk in chunked if type_ in _CHUNKED_TYPES else (0,):
+                    stream = streams.get((type_, chunk))
+                    count = 0 if stream is None else stream[1]
                     if count != expected:
                         raise ValueError(
                             f"device {device}: {count} {type_}.{chunk} passes, "
@@ -292,13 +309,9 @@ class Schedule:
                         )
             # Microbatch order within each (type, chunk) stream is monotone.
             for type_ in PassType:
-                for chunk in range(self.layout.num_chunks):
-                    stream = [
-                        p.microbatch
-                        for p in order
-                        if p.type is type_ and p.chunk == chunk
-                    ]
-                    if stream != sorted(stream):
+                for chunk in chunked:
+                    stream = streams.get((type_, chunk))
+                    if stream is not None and stream[3]:
                         raise ValueError(
                             f"device {device}: {type_}.{chunk} stream out of order"
                         )

@@ -41,7 +41,11 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections import defaultdict, deque
+from bisect import insort
+from collections import Counter, defaultdict, deque
+from functools import reduce
+from itertools import accumulate, chain, repeat
+from operator import add, sub
 
 try:  # NumPy accelerates execute_many; the pure-Python path is exact too.
     import numpy as _np
@@ -224,6 +228,7 @@ class CompiledGraph:
 
     def __init__(self) -> None:
         # Populated by compile_schedule / rebind / with_orders.
+        self._pass_id: dict[Pass, int] | None = None
         self._chain_next: list[int] | None = None
         self._topo: list[int] | None = None
         self._inorder: ExecutionResult | None = None
@@ -267,68 +272,6 @@ class CompiledGraph:
                 lags[k] = p2p[pair]
         return durations, lags
 
-    def _pricing_plan(self) -> tuple:
-        """Stream-level pricing plan: durations are per *stream*, not
-        per node, so K bindings price ``O(streams)`` Python calls and a
-        vectorized gather instead of ``O(nodes)`` calls each.
-
-        Returns ``(stream_reps, node_value_idx, comm_first_kind,
-        pair_list, edge_value_idx)``:
-
-        * ``stream_reps`` — one representative :class:`Pass` per
-          distinct ``(type, device, chunk)`` stream;
-        * ``node_value_idx`` — for every node, the index into the
-          per-binding value list ``stream values + collective values``;
-        * ``comm_first_kind`` — per communicator, the kind its duration
-          is priced from (matching :meth:`binding_rows`' first-seen
-          memoization exactly);
-        * ``pair_list`` / ``edge_value_idx`` — distinct P2P pairs and,
-          per edge, the index into ``[0.0] + pair durations``.
-        """
-        if self._pricing is not None:
-            return self._pricing
-        stream_index: dict[tuple, int] = {}
-        stream_reps: list[Pass] = []
-        node_value_idx: list[int] = []
-        for p in self.node_pass:
-            key = (p.type, p.device, p.chunk)
-            idx = stream_index.get(key)
-            if idx is None:
-                idx = len(stream_reps)
-                stream_index[key] = idx
-                stream_reps.append(p)
-            node_value_idx.append(idx)
-        num_streams = len(stream_reps)
-        comm_first_kind: list[CollectiveKind | None] = [None] * self.num_comms
-        for j, (kind, _mb) in enumerate(self.coll_keys):
-            comm = self.coll_comm[j]
-            if comm_first_kind[comm] is None:
-                comm_first_kind[comm] = kind
-            node_value_idx.append(num_streams + j)
-        pair_index: dict[tuple[int, int], int] = {}
-        pair_list: list[tuple[int, int]] = []
-        edge_value_idx: list[int] = []
-        for pair in self.succ_p2p:
-            if pair is None:
-                edge_value_idx.append(0)
-            else:
-                idx = pair_index.get(pair)
-                if idx is None:
-                    idx = len(pair_list)
-                    pair_index[pair] = idx
-                    pair_list.append(pair)
-                edge_value_idx.append(1 + idx)
-        node_idx = None
-        edge_idx = None
-        if _np is not None:
-            node_idx = _np.asarray(node_value_idx, dtype=_np.intp)
-            edge_idx = _np.asarray(edge_value_idx, dtype=_np.intp)
-        self._pricing = (
-            stream_reps, node_value_idx, comm_first_kind, pair_list,
-            edge_value_idx, node_idx, edge_idx,
-        )
-        return self._pricing
-
     def _stream_values(self, runtime) -> tuple[list[float], list[float]]:
         """Per-slot value lists (node values, ``[0.0]`` + pair lags).
 
@@ -337,9 +280,7 @@ class CompiledGraph:
         chunk)`` (the :class:`~repro.sim.runtime.RuntimeModel` contract;
         its memo key is exactly that stream).
         """
-        stream_reps, _, comm_first_kind, pair_list, _, _, _ = (
-            self._pricing_plan()
-        )
+        stream_reps, _, comm_first_kind, pair_list, _, _, _ = self._pricing
         values = [runtime.pass_duration(p) for p in stream_reps]
         comm_values = [
             0.0 if kind is None else runtime.collective_duration(kind)
@@ -365,7 +306,7 @@ class CompiledGraph:
         dedup plus vectorized gather is what makes pricing K bindings
         cheap enough for :meth:`execute_bindings` to amortize.
         """
-        plan = self._pricing_plan()
+        plan = self._pricing
         node_list, edge_list = plan[1], plan[4]
         node_idx, edge_idx = plan[5], plan[6]
         duration_rows: list = []
@@ -394,7 +335,7 @@ class CompiledGraph:
         distinct stream (see :meth:`_stream_values`).
         """
         self.runtime = runtime
-        plan = self._pricing_plan()
+        plan = self._pricing
         values, pair_values = self._stream_values(runtime)
         self.durations = [values[i] for i in plan[1]]
         self.succ_lag = [pair_values[i] for i in plan[4]]
@@ -455,6 +396,17 @@ class CompiledGraph:
             schedule = dataclasses.replace(
                 self.schedule, device_orders=[list(o) for o in device_orders]
             )
+        if self._pass_id is None:
+            self._pass_id = {p: i for i, p in enumerate(self.node_pass)}
+        pass_id = self._pass_id
+        return self._with_device_nodes(
+            [[pass_id[p] for p in order] for order in device_orders], schedule
+        )
+
+    def _with_device_nodes(
+        self, device_nodes: list[list[int]], schedule: Schedule
+    ) -> CompiledGraph:
+        """:meth:`with_orders` for orders given as pass node ids."""
         clone = CompiledGraph()
         clone.schedule = schedule
         for name in (
@@ -465,8 +417,7 @@ class CompiledGraph:
             "succ_p2p", "base_indeg", "_pass_id",
         ):
             setattr(clone, name, getattr(self, name))
-        pass_id = self._pass_id
-        clone.device_nodes = [[pass_id[p] for p in order] for order in device_orders]
+        clone.device_nodes = device_nodes
         # Pricing is order-independent and can be shared; the batch and
         # collect plans depend on the device chains and must rebuild.
         clone._pricing = self._pricing
@@ -851,10 +802,11 @@ class CompiledGraph:
         return self._summarize(start_col.tolist(), end_col.tolist())
 
     def _collect_plan(self) -> tuple:
-        """Gather plan for :meth:`_collect_column`: the flattened stream
-        order (``None`` when it is the identity over pass node ids, the
-        straight-from-compile case), its :class:`Pass` objects, and
-        per-device stream lengths."""
+        """Gather plan for :meth:`_collect` and :meth:`_collect_column`:
+        the flattened stream order (``None`` when it is the identity over
+        pass node ids, the straight-from-compile case) as a list and as a
+        NumPy index array (``None`` without NumPy), its :class:`Pass`
+        objects, and per-device stream lengths."""
         if self._cplan is not None:
             return self._cplan
         flat_order: list[int] = []
@@ -863,57 +815,37 @@ class CompiledGraph:
             flat_order.extend(nodes)
             counts.append(len(nodes))
         node_pass = self.node_pass
-        flat_passes = [node_pass[i] for i in flat_order]
-        identity = flat_order == list(range(self.num_passes))
-        self._cplan = (
-            None if identity
-            else (
-                _np.asarray(flat_order, dtype=_np.intp)
-                if _np is not None else flat_order
-            ),
-            flat_passes,
-            counts,
-        )
+        if flat_order == list(range(self.num_passes)):
+            self._cplan = (None, None, node_pass, counts)
+        else:
+            self._cplan = (
+                flat_order,
+                None if _np is None else _np.asarray(flat_order, dtype=_np.intp),
+                [node_pass[i] for i in flat_order],
+                counts,
+            )
         return self._cplan
 
     def _collect_column(self, start_col, end_col) -> ExecutionResult:
         """:meth:`_collect` for one NumPy column of the batched sweep.
 
-        Same observables, bit for bit: the per-device busy sums
-        accumulate in the same stream order with the same float adds,
-        and the gathered start/end values are exactly the sweep's.
+        Same observables, bit for bit: the gathered start/end values are
+        exactly the sweep's, and :meth:`_result` sums them the same way.
         """
-        flat_order, flat_passes, counts = self._collect_plan()
-        if flat_order is None:
-            starts = start_col[: self.num_passes].tolist()
-            ends = end_col[: self.num_passes].tolist()
-        else:
-            starts = start_col.take(flat_order).tolist()
-            ends = end_col.take(flat_order).tolist()
-        pass_times = dict(zip(flat_passes, zip(starts, ends)))
-        busy: list[float] = []
-        position = 0
-        for count in counts:
-            total = 0.0
-            stop = position + count
-            for s, e in zip(starts[position:stop], ends[position:stop]):
-                total += e - s
-            busy.append(total)
-            position = stop
+        flat_idx = self._collect_plan()[1]
         num_passes = self.num_passes
-        coll_starts = start_col[num_passes:].tolist()
-        coll_ends = end_col[num_passes:].tolist()
-        collective_times = {
-            key: (coll_starts[j], coll_ends[j])
-            for j, key in enumerate(self.coll_keys)
-        }
-        iteration_time = float(end_col.max() - start_col.min())
-        return ExecutionResult(
-            schedule=self.schedule,
-            pass_times=pass_times,
-            collective_times=collective_times,
-            iteration_time=iteration_time,
-            device_busy=busy,
+        if flat_idx is None:
+            starts = start_col[:num_passes].tolist()
+            ends = end_col[:num_passes].tolist()
+        else:
+            starts = start_col.take(flat_idx).tolist()
+            ends = end_col.take(flat_idx).tolist()
+        return self._result(
+            starts,
+            ends,
+            start_col[num_passes:].tolist(),
+            end_col[num_passes:].tolist(),
+            float(end_col.max() - start_col.min()),
         )
 
     def execute_bindings(self, runtimes) -> list[ExecutionResult]:
@@ -942,29 +874,43 @@ class CompiledGraph:
         return self._inorder
 
     def _collect(self, start: list[float], end: list[float]) -> ExecutionResult:
-        schedule = self.schedule
-        pass_times: dict[Pass, tuple[float, float]] = {}
-        busy = [0.0] * schedule.num_devices
-        node_pass = self.node_pass
-        # Walk passes in the *current* stream order (which differs from
-        # node-id order after with_orders) so the busy sums accumulate in
-        # exactly the reference executor's order — float addition is not
-        # associative, and the equivalence suite compares bit-for-bit.
-        for device, nodes in enumerate(self.device_nodes):
-            for i in nodes:
-                s, e = start[i], end[i]
-                pass_times[node_pass[i]] = (s, e)
-                busy[device] += e - s
+        """The :class:`ExecutionResult` of per-node start/end times."""
+        flat_order = self._collect_plan()[0]
         num_passes = self.num_passes
-        collective_times = {
-            key: (start[num_passes + j], end[num_passes + j])
-            for j, key in enumerate(self.coll_keys)
-        }
-        iteration_time = max(end) - min(start)
+        if flat_order is None:
+            starts = start[:num_passes]
+            ends = end[:num_passes]
+        else:
+            starts = [start[i] for i in flat_order]
+            ends = [end[i] for i in flat_order]
+        return self._result(
+            starts, ends, start[num_passes:], end[num_passes:],
+            max(end) - min(start),
+        )
+
+    def _result(
+        self, starts, ends, coll_starts, coll_ends, iteration_time: float
+    ) -> ExecutionResult:
+        """Assemble a result from pass times in flattened stream order
+        and collective times in node order."""
+        _, _, flat_passes, counts = self._collect_plan()
+        # Busy sums run over the *current* stream order (which differs
+        # from node-id order after with_orders), one left-to-right float
+        # add per pass from 0.0 — exactly the reference executor's order;
+        # float addition is not associative, and the equivalence suite
+        # compares bit-for-bit.
+        busy: list[float] = []
+        position = 0
+        for count in counts:
+            stop = position + count
+            busy.append(
+                reduce(add, map(sub, ends[position:stop], starts[position:stop]), 0.0)
+            )
+            position = stop
         return ExecutionResult(
-            schedule=schedule,
-            pass_times=pass_times,
-            collective_times=collective_times,
+            schedule=self.schedule,
+            pass_times=dict(zip(flat_passes, zip(starts, ends))),
+            collective_times=dict(zip(self.coll_keys, zip(coll_starts, coll_ends))),
             iteration_time=iteration_time,
             device_busy=busy,
         )
@@ -1304,6 +1250,12 @@ class CompiledGraph:
         re-scanned, instead of the reference's O(devices) sweep per
         completion.
         """
+        start, end = self._dataflow(lookahead, mode)
+        return self._collect(start, end)
+
+    def _dataflow(self, lookahead: int, mode: str) -> tuple[list[float], list[float]]:
+        """The dataflow run behind :meth:`execute_dataflow`: (start, end)
+        per node, without collecting an :class:`ExecutionResult`."""
         if lookahead < 1:
             raise ValueError(f"lookahead must be ≥ 1, got {lookahead}")
         if mode not in ("strict", "zero-bubble"):
@@ -1320,7 +1272,9 @@ class CompiledGraph:
         node_type = self.node_type
         node_chunk = self.node_chunk
         node_flexible = self.node_flexible
+        coll_comm = self.coll_comm
         strict = mode == "strict"
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         f_caps: list[dict[int, int]] | None = None
         release_type = (
@@ -1337,9 +1291,27 @@ class CompiledGraph:
         start_arr = [0.0] * n
         end_arr = [0.0] * n
         seen = [False] * n
-        pending: list[deque[int]] = [deque(nodes) for nodes in self.device_nodes]
         device_free = [0.0] * num_devices
         comm_free = [0.0] * self.num_comms
+
+        # A device's pending passes are its stream minus those dispatched;
+        # the lookahead window is the first ``lookahead`` of them.  Only
+        # passes whose dependencies are done can dispatch, so instead of
+        # scanning the window each device keeps those passes' stream
+        # positions sorted (``ready``), and the window as a bound: every
+        # pending pass before ``limit`` is in it, none after.  ``head`` is
+        # the first pending position.  Visiting ``ready`` in order below
+        # ``limit`` visits the window's ready passes in window order, so
+        # the first eligible one is the pass a window scan would pick.
+        streams = self.device_nodes
+        node_pos = [0] * n
+        ready: list[list[int]] = []
+        for nodes in streams:
+            for pos, i in enumerate(nodes):
+                node_pos[i] = pos
+            ready.append([pos for pos, i in enumerate(nodes) if num_deps[i] == 0])
+        head = [0] * num_devices
+        limit = [min(lookahead, len(nodes)) for nodes in streams]
 
         events: list[tuple[float, int, int]] = []
         counter = 0
@@ -1358,40 +1330,48 @@ class CompiledGraph:
             end_arr[i] = e
             seen[i] = True
             counter += 1
-            heapq.heappush(events, (e, counter, i))
+            heappush(events, (e, counter, i))
 
         def launch_collective(j: int, now: float) -> None:
-            comm = self.coll_comm[j - num_passes]
+            comm = coll_comm[j - num_passes]
             start = max(dep_ready[j], comm_free[comm], now)
             comm_free[comm] = start + dur[j]
             finish_at(j, start)
 
         def try_dispatch(device: int, now: float) -> None:
-            if device_free[device] > now:
-                return
-            queue = pending[device]
-            window = lookahead if lookahead < len(queue) else len(queue)
-            for offset in range(window):
-                i = queue[offset]
+            # Callers skip devices still busy at ``now``.
+            positions = ready[device]
+            nodes = streams[device]
+            first = head[device]
+            bound = limit[device]
+            for index, pos in enumerate(positions):
+                if pos >= bound:
+                    return
+                i = nodes[pos]
                 if strict:
-                    if offset > 0 and not node_flexible[i]:
+                    if pos != first and not node_flexible[i]:
                         continue
                 elif node_type[i] is PassType.F and f_caps is not None:
                     cap = f_caps[device].get(node_chunk[i], 0)
                     if live_f[device][node_chunk[i]] >= cap:
                         continue
-                if num_deps[i] == 0:
-                    start = max(now, dep_ready[i], device_free[device])
-                    device_free[device] = start + dur[i]
-                    heapq.heappush(free_heap, (device_free[device], device))
-                    del queue[offset]
-                    if not strict:
-                        if node_type[i] is PassType.F:
-                            live_f[device][node_chunk[i]] += 1
-                        elif node_type[i] is release_type:
-                            live_f[device][node_chunk[i]] -= 1
-                    finish_at(i, start)
-                    return
+                start = max(now, dep_ready[i], device_free[device])
+                free = device_free[device] = start + dur[i]
+                heappush(free_heap, (free, device))
+                del positions[index]
+                if bound < len(nodes):
+                    limit[device] = bound + 1
+                if not strict:
+                    if node_type[i] is PassType.F:
+                        live_f[device][node_chunk[i]] += 1
+                    elif node_type[i] is release_type:
+                        live_f[device][node_chunk[i]] -= 1
+                finish_at(i, start)
+                if pos == first:
+                    while first < len(nodes) and seen[nodes[first]]:
+                        first += 1
+                    head[device] = first
+                return
 
         # Seed: collectives with no dependencies, then every device.
         for j in range(num_passes, n):
@@ -1401,11 +1381,14 @@ class CompiledGraph:
             try_dispatch(device, 0.0)
 
         executed = 0
+        # Devices to re-scan after the current event, deduplicated through
+        # ``marked`` and visited in ascending order like the reference.
+        dirty: list[int] = []
+        marked = [False] * num_devices
         while events:
-            now, _, i = heapq.heappop(events)
+            now, _, i = heappop(events)
             executed += 1
             e = end_arr[i]
-            dirty: set[int] = set()
             for k in range(off[i], off[i + 1]):
                 j = nxt[k]
                 r = e + lag[k]
@@ -1416,18 +1399,31 @@ class CompiledGraph:
                     if j >= num_passes:
                         launch_collective(j, now)
                     else:
-                        dirty.add(node_device[j])
+                        device = node_device[j]
+                        insort(ready[device], node_pos[j])
+                        if not marked[device]:
+                            marked[device] = True
+                            dirty.append(device)
             while free_heap and free_heap[0][0] <= now:
-                dirty.add(heapq.heappop(free_heap)[1])
-            for device in sorted(dirty):
-                try_dispatch(device, now)
+                device = heappop(free_heap)[1]
+                if not marked[device]:
+                    marked[device] = True
+                    dirty.append(device)
+            if dirty:
+                if len(dirty) > 1:
+                    dirty.sort()
+                for device in dirty:
+                    marked[device] = False
+                    if device_free[device] <= now:
+                        try_dispatch(device, now)
+                dirty.clear()
         if executed != n:
             blocked = [self._describe(i) for i in range(n) if not seen[i]]
             raise DeadlockError(
                 f"schedule '{self.schedule.name}' deadlocked in dataflow mode; "
                 f"{len(blocked)} nodes blocked, e.g. {blocked[:5]}"
             )
-        return self._collect(start_arr, end_arr)
+        return start_arr, end_arr
 
     # ------------------------------------------------------------------
     # Refinement (shared compiled graph across all phases)
@@ -1441,21 +1437,35 @@ class CompiledGraph:
         Returns ``(schedule, in_order_result, graph)`` where ``result``
         is the in-order execution of the *returned* schedule and
         ``graph`` is its compiled form — so callers (``run_method``,
-        the planner's top-k loop) never re-execute or re-lower.  One
-        compile now covers the zero-bubble pre-pass, the dataflow run
-        and both sides of the before/after check; only the reordered
-        device chains are re-threaded (:meth:`with_orders`).
+        the planner's top-k loop) never re-execute or re-lower.
+
+        One dataflow run yields both the refined order and the refined
+        schedule's in-order result: each device's passes sorted by
+        dataflow ``(start, end)`` (what ``passes_on`` returns) form the
+        new order, and the dataflow's start/end times *are* that order's
+        in-order times, so they are collected directly instead of
+        replaying the refined graph.  The "before" side is this graph's
+        cached :meth:`execute` (already run by the zero-bubble pre-pass).
         """
-        flow = self.execute_dataflow(lookahead=lookahead, mode=mode)
-        new_orders = [
-            [p for p, _, _ in flow.passes_on(device)]
-            for device in range(self.schedule.num_devices)
+        start, end = self._dataflow(lookahead, mode)
+        device_nodes = [
+            sorted(nodes, key=lambda i: (start[i], end[i]))
+            for nodes in self.device_nodes
         ]
+        node_pass = self.node_pass
+        new_orders = [[node_pass[i] for i in nodes] for nodes in device_nodes]
         refined = dataclasses.replace(self.schedule, device_orders=new_orders)
         refined.validate()
-        refined_graph = self.with_orders(new_orders, refined)
+        refined_graph = self._with_device_nodes(device_nodes, refined)
+        # Valid because durations and lags are non-negative: a dataflow
+        # start is then max(dependency ready, previous end on the device)
+        # — dispatch is retried exactly when either changes — which is
+        # the in-order sweep's recurrence over the refined order.  The
+        # result is bit-identical to ``refined_graph.replay()``
+        # (tests/sim/test_compiled_equivalence.py pins it).
+        after = refined_graph._collect(start, end)
+        refined_graph._inorder = after
         before = self.execute()
-        after = refined_graph.execute()
         if after.iteration_time <= before.iteration_time:
             return refined, after, refined_graph
         return self.schedule, before, self
@@ -1471,6 +1481,16 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     graphs.  Device-chain edges are *implicit* (consecutive entries of
     ``device_nodes``), which is what lets :meth:`CompiledGraph.with_orders`
     reorder a schedule without touching the CSR.
+
+    Lowering is by tiling: a schedule repeats the paper's §5.2 building
+    block once per microbatch, so every edge belongs to one microbatch
+    and joins the same two streams in each.  The edges are listed once,
+    as stream-to-stream templates (a collective chain's ``mb-1 → mb``
+    link is a template with a one-microbatch shift), and each node's
+    successor row is the template's destination streams read at the
+    node's microbatch.  Listing the templates in the reference's edge
+    order keeps every source's successors in its insertion order, which
+    the dataflow mode's tie-breaks depend on.
 
     ``runtime`` must price passes per ``(type, device, chunk)`` stream —
     ``pass_duration`` may not depend on the microbatch index.  This is
@@ -1488,175 +1508,167 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     node_pass: list[Pass] = []
     node_device: list[int] = []
     device_nodes: list[list[int]] = []
-    pass_id: dict[Pass, int] = {}
     for device, order in enumerate(schedule.device_orders):
-        ids = []
-        for p in order:
-            ids.append(len(node_pass))
-            pass_id[p] = len(node_pass)
-            node_pass.append(p)
-            node_device.append(device)
-        device_nodes.append(ids)
+        first = len(node_pass)
+        node_pass.extend(order)
+        node_device.extend([device] * len(order))
+        device_nodes.append(list(range(first, len(node_pass))))
     num_passes = len(node_pass)
+
+    # One slot per (type, device, chunk) stream in first-seen node order
+    # (also the pricing plan's stream order), holding the node id of each
+    # microbatch's pass; collective chains append one slot each.
+    stream_of: dict[tuple[PassType, int, int], int] = {}
+    slot_nodes: list[list[int]] = []
+    stream_reps: list[Pass] = []
+    node_stream: list[int] = []
+    for i, p in enumerate(node_pass):
+        key = (p.type, p.device, p.chunk)
+        slot = stream_of.get(key)
+        if slot is None:
+            slot = stream_of[key] = len(slot_nodes)
+            slot_nodes.append([-1] * m)
+            stream_reps.append(p)
+        slot_nodes[slot][p.microbatch] = i
+        node_stream.append(slot)
+    num_streams = len(slot_nodes)
 
     coll_keys: list[tuple[CollectiveKind, int]] = []
     coll_comm: list[int] = []
     coll_override: list[float | None] = []
-    coll_id: dict[tuple[str, int], int] = {}
     comm_index: dict[str, int] = {}
-    edges: list[tuple[int, int, tuple[int, int] | None]] = []
-
-    # (type, device, chunk) -> node id per microbatch.  Validation
-    # guarantees one pass per stream per microbatch, so edge lowering can
-    # index streams directly instead of hashing a fresh Pass per lookup.
-    streams: dict[tuple[PassType, int, int], list[int]] = {}
-    for i, p in enumerate(node_pass):
-        streams.setdefault((p.type, p.device, p.chunk), [-1] * m)[p.microbatch] = i
-
-    def node_of(type_: PassType, mb: int, device: int, chunk: int = 0) -> int:
-        node = streams[(type_, device, chunk)][mb]
-        if node < 0:
-            # A hole in an otherwise-present stream: keep the reference
-            # executor's behaviour of rejecting malformed schedules
-            # instead of silently wiring the edge to the last node.
-            raise KeyError(
-                f"edge references unknown node: {Pass(type_, mb, device, chunk)}"
-            )
-        return node
+    # (source slot, destination slot, destination microbatch shift, P2P
+    # pair), in the reference's edge insertion order.
+    templates: list[tuple[int, int, int, tuple[int, int] | None]] = []
 
     def add_collective_chain(
         kind: CollectiveKind, duration: float | None = None
-    ) -> None:
-        comm = comm_index.setdefault(kind.value, len(comm_index))
-        for mb in range(m):
-            key = (kind.value, mb)
-            if key in coll_id:
-                raise ValueError(f"duplicate node {('coll',) + key}")
-            node = num_passes + len(coll_keys)
-            coll_id[key] = node
-            coll_keys.append((kind, mb))
-            coll_comm.append(comm)
-            coll_override.append(duration)
-            if mb > 0:
-                edges.append((coll_id[(kind.value, mb - 1)], node, None))
+    ) -> int:
+        if kind.value in comm_index:
+            raise ValueError(f"duplicate node {('coll', kind.value, 0)}")
+        comm_index[kind.value] = comm = len(comm_index)
+        first = num_passes + len(coll_keys)
+        slot = len(slot_nodes)
+        slot_nodes.append(list(range(first, first + m)))
+        coll_keys.extend((kind, mb) for mb in range(m))
+        coll_comm.extend([comm] * m)
+        coll_override.extend([duration] * m)
+        templates.append((slot, slot, 1, None))
+        return slot
+
+    def streams(type_: PassType, places) -> list[int]:
+        return [stream_of[(type_, device, chunk)] for device, chunk in places]
 
     # Transformer stage chains (P2P activation/gradient transfers).
     stages = layout.num_stages
     holders = [layout.holder_of_stage(s) for s in range(stages)]
-    for mb in range(m):
-        for s in range(1, stages):
-            src_dev, src_chunk = holders[s - 1]
-            dst_dev, dst_chunk = holders[s]
-            pair = (src_dev, dst_dev)
-            edges.append(
-                (
-                    node_of(PassType.F, mb, src_dev, src_chunk),
-                    node_of(PassType.F, mb, dst_dev, dst_chunk),
-                    pair,
-                )
-            )
-            edges.append(
-                (
-                    node_of(PassType.B, mb, dst_dev, dst_chunk),
-                    node_of(PassType.B, mb, src_dev, src_chunk),
-                    pair,
-                )
-            )
-        for s in range(stages):
-            dev, chunk = holders[s]
-            edges.append(
-                (
-                    node_of(PassType.F, mb, dev, chunk),
-                    node_of(PassType.B, mb, dev, chunk),
-                    None,
-                )
-            )
-            if schedule.has_weight_passes:
-                edges.append(
-                    (
-                        node_of(PassType.B, mb, dev, chunk),
-                        node_of(PassType.W, mb, dev, chunk),
-                        None,
-                    )
-                )
+    fwd = streams(PassType.F, holders)
+    bwd = streams(PassType.B, holders)
+    wgt = streams(PassType.W, holders) if schedule.has_weight_passes else None
+    for s in range(1, stages):
+        pair = (holders[s - 1][0], holders[s][0])
+        templates.append((fwd[s - 1], fwd[s], 0, pair))
+        templates.append((bwd[s], bwd[s - 1], 0, pair))
+    for s in range(stages):
+        templates.append((fwd[s], bwd[s], 0, None))
+        if wgt is not None:
+            templates.append((bwd[s], wgt[s], 0, None))
 
-    last_dev, last_chunk = holders[-1]
-    first_dev, first_chunk = holders[0]
-    devices = range(layout.num_devices)
+    per_device = [(d, 0) for d in range(layout.num_devices)]
 
     # Collectives for the partitioned vocabulary layers.
     if schedule.vocab_algorithm is not None:
-        add_collective_chain(CollectiveKind.C0_BROADCAST)
-        add_collective_chain(CollectiveKind.C1_STATS)
+        c0 = add_collective_chain(CollectiveKind.C0_BROADCAST)
+        c1 = add_collective_chain(CollectiveKind.C1_STATS)
         if schedule.vocab_algorithm == 1:
-            add_collective_chain(CollectiveKind.C2_GRAD_REDUCE)
-        for mb in range(m):
-            c0 = coll_id[(CollectiveKind.C0_BROADCAST.value, mb)]
-            c1 = coll_id[(CollectiveKind.C1_STATS.value, mb)]
-            edges.append((node_of(PassType.F, mb, last_dev, last_chunk), c0, None))
-            for d in devices:
-                edges.append((c0, node_of(PassType.S, mb, d), None))
-                edges.append((node_of(PassType.S, mb, d), c1, None))
-                edges.append((c1, node_of(PassType.T, mb, d), None))
-            last_b = node_of(PassType.B, mb, last_dev, last_chunk)
-            if schedule.vocab_algorithm == 1:
-                c2 = coll_id[(CollectiveKind.C2_GRAD_REDUCE.value, mb)]
-                for d in devices:
-                    edges.append((node_of(PassType.T, mb, d), c2, None))
-                edges.append((c2, last_b, None))
-            else:
-                edges.append((c1, last_b, None))
+            c2 = add_collective_chain(CollectiveKind.C2_GRAD_REDUCE)
+        templates.append((fwd[-1], c0, 0, None))
+        for s_pass, t_pass in zip(
+            streams(PassType.S, per_device), streams(PassType.T, per_device)
+        ):
+            templates.append((c0, s_pass, 0, None))
+            templates.append((s_pass, c1, 0, None))
+            templates.append((c1, t_pass, 0, None))
+        if schedule.vocab_algorithm == 1:
+            for t_pass in streams(PassType.T, per_device):
+                templates.append((t_pass, c2, 0, None))
+            templates.append((c2, bwd[-1], 0, None))
+        else:
+            templates.append((c1, bwd[-1], 0, None))
 
     # Input-layer passes (Appendix C).
     if schedule.has_input_passes:
-        add_collective_chain(CollectiveKind.INPUT_ALLREDUCE)
-        add_collective_chain(CollectiveKind.INPUT_BROADCAST)
-        for mb in range(m):
-            iar = coll_id[(CollectiveKind.INPUT_ALLREDUCE.value, mb)]
-            ibc = coll_id[(CollectiveKind.INPUT_BROADCAST.value, mb)]
-            for d in devices:
-                edges.append((node_of(PassType.IF, mb, d), iar, None))
-                edges.append((ibc, node_of(PassType.IB, mb, d), None))
-            edges.append((iar, node_of(PassType.F, mb, first_dev, first_chunk), None))
-            edges.append((node_of(PassType.B, mb, first_dev, first_chunk), ibc, None))
+        iar = add_collective_chain(CollectiveKind.INPUT_ALLREDUCE)
+        ibc = add_collective_chain(CollectiveKind.INPUT_BROADCAST)
+        for if_pass, ib_pass in zip(
+            streams(PassType.IF, per_device), streams(PassType.IB, per_device)
+        ):
+            templates.append((if_pass, iar, 0, None))
+            templates.append((ibc, ib_pass, 0, None))
+        templates.append((iar, fwd[0], 0, None))
+        templates.append((bwd[0], ibc, 0, None))
 
     # Interlaced synchronous segments (barriers via 0-duration colls).
     if schedule.interlaced:
-        add_collective_chain(CollectiveKind.C0_BROADCAST)
-        add_collective_chain(CollectiveKind.C1_STATS, duration=0.0)
-        add_collective_chain(CollectiveKind.C2_GRAD_REDUCE, duration=0.0)
-        for mb in range(m):
-            c0 = coll_id[(CollectiveKind.C0_BROADCAST.value, mb)]
-            c1 = coll_id[(CollectiveKind.C1_STATS.value, mb)]
-            c2 = coll_id[(CollectiveKind.C2_GRAD_REDUCE.value, mb)]
-            edges.append((node_of(PassType.F, mb, last_dev, last_chunk), c0, None))
-            for d in devices:
-                edges.append((c0, node_of(PassType.VF, mb, d), None))
-                edges.append((node_of(PassType.VF, mb, d), c1, None))
-                edges.append((c1, node_of(PassType.VB, mb, d), None))
-                edges.append((node_of(PassType.VB, mb, d), c2, None))
-            edges.append((c2, node_of(PassType.B, mb, last_dev, last_chunk), None))
+        c0 = add_collective_chain(CollectiveKind.C0_BROADCAST)
+        c1 = add_collective_chain(CollectiveKind.C1_STATS, duration=0.0)
+        c2 = add_collective_chain(CollectiveKind.C2_GRAD_REDUCE, duration=0.0)
+        templates.append((fwd[-1], c0, 0, None))
+        for vf, vb in zip(
+            streams(PassType.VF, per_device), streams(PassType.VB, per_device)
+        ):
+            templates.append((c0, vf, 0, None))
+            templates.append((vf, c1, 0, None))
+            templates.append((c1, vb, 0, None))
+            templates.append((vb, c2, 0, None))
+        templates.append((c2, bwd[-1], 0, None))
 
     num_nodes = num_passes + len(coll_keys)
 
-    # CSR over the base edges, preserving insertion order per source so
-    # the dataflow mode relaxes successors exactly like the reference.
-    counts = [0] * num_nodes
-    for src, _, _ in edges:
-        counts[src] += 1
-    succ_off = [0] * (num_nodes + 1)
-    for i in range(num_nodes):
-        succ_off[i + 1] = succ_off[i] + counts[i]
-    cursor = list(succ_off[:num_nodes])
-    succ_node = [0] * len(edges)
-    succ_p2p: list[tuple[int, int] | None] = [None] * len(edges)
-    base_indeg = [0] * num_nodes
-    for src, dst, pair in edges:
-        k = cursor[src]
-        cursor[src] = k + 1
-        succ_node[k] = dst
-        succ_p2p[k] = pair
-        base_indeg[dst] += 1
+    # A hole in a stream an edge touches: keep the reference executor's
+    # behaviour of rejecting malformed schedules instead of silently
+    # wiring the edge to the wrong node.
+    out: list[list[tuple[int, int, tuple[int, int] | None]]] = [
+        [] for _ in slot_nodes
+    ]
+    for src, dst, shift, pair in templates:
+        for slot in (src, dst):
+            if slot < num_streams and -1 in slot_nodes[slot]:
+                rep = stream_reps[slot]
+                mb = slot_nodes[slot].index(-1)
+                raise KeyError(
+                    "edge references unknown node: "
+                    f"{Pass(rep.type, mb, rep.device, rep.chunk)}"
+                )
+        out[src].append((dst, shift, pair))
+
+    # Successor rows per node: a slot's templates read at the node's
+    # microbatch (a shifted template has no edge from the last one).
+    # Nodes no template reaches — a duplicate pass the stream table
+    # did not keep — have none, as in the reference.
+    node_succ: list[tuple[int, ...]] = [()] * num_nodes
+    node_pairs: list[tuple] = [()] * num_nodes
+    for slot, edges in enumerate(out):
+        if not edges:
+            continue
+        columns = [
+            slot_nodes[dst][shift:] + [-1] * shift for dst, shift, _ in edges
+        ]
+        rows = list(zip(*columns))
+        pairs = [tuple(pair for _, _, pair in edges)] * m
+        for mb in range(m - max(shift for _, shift, _ in edges), m):
+            keep = [mb + shift < m for _, shift, _ in edges]
+            rows[mb] = tuple(n for n, k in zip(rows[mb], keep) if k)
+            pairs[mb] = tuple(p for p, k in zip(pairs[mb], keep) if k)
+        for node, row, pair_row in zip(slot_nodes[slot], rows, pairs):
+            node_succ[node] = row
+            node_pairs[node] = pair_row
+
+    succ_off = [0, *accumulate(map(len, node_succ))]
+    succ_node = list(chain.from_iterable(node_succ))
+    succ_p2p = list(chain.from_iterable(node_pairs))
+    indeg = Counter(succ_node)
+    base_indeg = list(map(indeg.get, range(num_nodes), repeat(0, num_nodes)))
 
     graph.num_passes = num_passes
     graph.num_nodes = num_nodes
@@ -1674,6 +1686,54 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     graph.succ_p2p = succ_p2p
     graph.base_indeg = base_indeg
     graph.device_nodes = device_nodes
-    graph._pass_id = pass_id
+    graph._pricing = _pricing_plan(
+        stream_reps, node_stream, coll_keys, coll_comm, len(comm_index), succ_p2p
+    )
     graph._bind(runtime)
     return graph
+
+
+def _pricing_plan(
+    stream_reps, node_stream, coll_keys, coll_comm, num_comms, succ_p2p
+) -> tuple:
+    """Stream-level pricing plan: durations are per *stream*, not
+    per node, so K bindings price ``O(streams)`` Python calls and a
+    vectorized gather instead of ``O(nodes)`` calls each.
+
+    Returns ``(stream_reps, node_value_idx, comm_first_kind,
+    pair_list, edge_value_idx, node_idx, edge_idx)``:
+
+    * ``stream_reps`` — one representative :class:`Pass` per
+      distinct ``(type, device, chunk)`` stream;
+    * ``node_value_idx`` — for every node, the index into the
+      per-binding value list ``stream values + collective values``;
+    * ``comm_first_kind`` — per communicator, the kind its duration
+      is priced from (matching :meth:`CompiledGraph.binding_rows`'
+      first-seen memoization exactly);
+    * ``pair_list`` / ``edge_value_idx`` — distinct P2P pairs in
+      first-seen edge order and, per edge, the index into
+      ``[0.0] + pair durations``;
+    * ``node_idx`` / ``edge_idx`` — the two index lists as NumPy
+      arrays (``None`` without NumPy).
+    """
+    num_streams = len(stream_reps)
+    node_value_idx = node_stream + list(
+        range(num_streams, num_streams + len(coll_keys))
+    )
+    comm_first_kind: list[CollectiveKind | None] = [None] * num_comms
+    for (kind, _mb), comm in zip(coll_keys, coll_comm):
+        if comm_first_kind[comm] is None:
+            comm_first_kind[comm] = kind
+    pair_list = [pair for pair in dict.fromkeys(succ_p2p) if pair is not None]
+    pair_index: dict = {pair: 1 + k for k, pair in enumerate(pair_list)}
+    pair_index[None] = 0
+    edge_value_idx = list(map(pair_index.__getitem__, succ_p2p))
+    node_idx = None
+    edge_idx = None
+    if _np is not None:
+        node_idx = _np.asarray(node_value_idx, dtype=_np.intp)
+        edge_idx = _np.asarray(edge_value_idx, dtype=_np.intp)
+    return (
+        stream_reps, node_value_idx, comm_first_kind, pair_list,
+        edge_value_idx, node_idx, edge_idx,
+    )

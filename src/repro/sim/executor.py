@@ -149,18 +149,20 @@ def _live_f_caps(
     """
     caps: list[dict[int, int]] = [dict() for _ in range(schedule.num_devices)]
     release_type = PassType.W if schedule.has_weight_passes else PassType.B
+    # One walk buckets every device's events; sorting whole tuples makes
+    # the result independent of the walk order.
+    events: list[list[tuple[float, int, int]]] = [
+        [] for _ in range(schedule.num_devices)
+    ]
+    for p, (start, end) in result.pass_times.items():
+        if p.type is PassType.F:
+            events[p.device].append((start, p.chunk, +1))
+        elif p.type is release_type:
+            events[p.device].append((end, p.chunk, -1))
     for device in range(schedule.num_devices):
-        events: list[tuple[float, int, int]] = []
-        for p, (start, end) in result.pass_times.items():
-            if p.device != device:
-                continue
-            if p.type is PassType.F:
-                events.append((start, p.chunk, +1))
-            elif p.type is release_type:
-                events.append((end, p.chunk, -1))
         live: dict[int, int] = defaultdict(int)
         peak: dict[int, int] = defaultdict(int)
-        for _, chunk, delta in sorted(events):
+        for _, chunk, delta in sorted(events[device]):
             live[chunk] += delta
             peak[chunk] = max(peak[chunk], live[chunk])
         caps[device] = dict(peak)

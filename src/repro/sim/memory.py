@@ -26,6 +26,7 @@ and the max-minus-min spread that Figure 14 shades.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.costmodel.memory import MemoryModel
 from repro.scheduling.passes import CollectiveKind, PassType
@@ -112,57 +113,60 @@ def _activation_events(
     ]
     split = schedule.has_weight_passes
     r_w = weight_release_fraction if split else 0.0
+    # Byte counts are priced once per stage, not per pass: (activation
+    # bytes, whether the stage holds the full output layer's logits).
+    stage_bytes: dict[tuple[int, int], tuple[float, bool]] = {}
+    logits = n * setup.padded_vocab_single * FP32
+    shard_act = memory_model.output_shard_activation_bytes(model, b, shard)
 
     for p, (start, end) in result.pass_times.items():
         dev = p.device
-        if p.type is PassType.F:
-            act = memory_model.activation_bytes(
-                model, b, layout.transformer_layers[dev][p.chunk]
-            )
-            events[dev].append((end, act))
-            if layout.hosts_output(dev, p.chunk):
-                events[dev].append((end, n * setup.padded_vocab_single * FP32))
-        elif p.type is PassType.B:
-            act = memory_model.activation_bytes(
-                model, b, layout.transformer_layers[dev][p.chunk]
-            )
-            events[dev].append((end, -(1.0 - r_w) * act))
-            if layout.hosts_output(dev, p.chunk):
-                events[dev].append((end, -(n * setup.padded_vocab_single * FP32)))
-        elif p.type is PassType.W:
-            act = memory_model.activation_bytes(
-                model, b, layout.transformer_layers[dev][p.chunk]
-            )
-            events[dev].append((end, -r_w * act))
-        elif p.type is PassType.S:
-            events[dev].append(
-                (end, memory_model.output_shard_activation_bytes(model, b, shard))
-            )
+        type_ = p.type
+        if type_ is PassType.F or type_ is PassType.B or type_ is PassType.W:
+            stage = stage_bytes.get((dev, p.chunk))
+            if stage is None:
+                stage = stage_bytes[(dev, p.chunk)] = (
+                    memory_model.activation_bytes(
+                        model, b, layout.transformer_layers[dev][p.chunk]
+                    ),
+                    layout.hosts_output(dev, p.chunk),
+                )
+            act, hosts_output = stage
+            if type_ is PassType.F:
+                events[dev].append((end, act))
+                if hosts_output:
+                    events[dev].append((end, logits))
+            elif type_ is PassType.B:
+                events[dev].append((end, -(1.0 - r_w) * act))
+                if hosts_output:
+                    events[dev].append((end, -logits))
+            else:
+                events[dev].append((end, -r_w * act))
+        elif type_ is PassType.S:
+            events[dev].append((end, shard_act))
             if schedule.vocab_algorithm == 2:
                 # A and B operands live until the C1 barrier consumes them.
                 c1 = result.collective_times[(CollectiveKind.C1_STATS, p.microbatch)]
                 events[dev].append((end, 2.0 * n * h * BF16))
                 events[dev].append((c1[1], -2.0 * n * h * BF16))
-        elif p.type is PassType.T:
-            events[dev].append(
-                (end, -memory_model.output_shard_activation_bytes(model, b, shard))
-            )
-        elif p.type is PassType.IF:
+        elif type_ is PassType.T:
+            events[dev].append((end, -shard_act))
+        elif type_ is PassType.IF:
             iar = result.collective_times[
                 (CollectiveKind.INPUT_ALLREDUCE, p.microbatch)
             ]
             events[dev].append((end, n * h * BF16))
             events[dev].append((iar[1], -(n * h * BF16)))
-        elif p.type is PassType.IB:
+        elif type_ is PassType.IB:
             ibc = result.collective_times[
                 (CollectiveKind.INPUT_BROADCAST, p.microbatch)
             ]
             events[dev].append((ibc[1], n * h * BF16))
             events[dev].append((end, -(n * h * BF16)))
-        elif p.type is PassType.VF:
+        elif type_ is PassType.VF:
             size = n * shard * FP32 + n * h * BF16
             events[dev].append((end, size))
-        elif p.type is PassType.VB:
+        elif type_ is PassType.VB:
             size = n * shard * FP32 + n * h * BF16
             events[dev].append((end, -size))
     return events
@@ -186,9 +190,10 @@ def memory_report(
     for device in range(layout.num_devices):
         level = 0.0
         peak_act = 0.0
-        for _, delta in sorted(events[device], key=lambda e: e[0]):
+        for _, delta in sorted(events[device], key=itemgetter(0)):
             level += delta
-            peak_act = max(peak_act, level)
+            if level > peak_act:
+                peak_act = level
         act_peaks.append(peak_act)
         peaks.append(params[device] + peak_act + memory_model.overhead_bytes)
     return MemoryReport(
