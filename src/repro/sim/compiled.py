@@ -44,7 +44,7 @@ import heapq
 from bisect import insort
 from collections import Counter, defaultdict, deque
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, sub
 
 try:  # NumPy accelerates execute_many; the pure-Python path is exact too.
@@ -437,8 +437,21 @@ class CompiledGraph:
 
     def _topology(self) -> tuple[list[int], list[int]]:
         """Topological order including device chains; cached."""
-        if self._topo is not None and self._chain_next is not None:
-            return self._topo, self._chain_next
+        if self._topo is None:
+            self._ordered_sweep(self.durations, self.succ_lag)
+        return self._topo, self._chain_next
+
+    def _ordered_sweep(
+        self, dur: list[float], lag: list[float]
+    ) -> tuple[list[float], list[float]]:
+        """Derive and cache the topological order while sweeping once.
+
+        Kahn's algorithm pops a node only after all its predecessors, so
+        its ready time is final right then: the first sweep of a graph
+        rides on the topological sort instead of walking every edge a
+        second time.  The relaxations are exact ``max`` operations, so
+        the times equal a later :meth:`_sweep` over the cached order.
+        """
         n = self.num_nodes
         chain_next = [-1] * n
         indeg = list(self.base_indeg)
@@ -447,18 +460,27 @@ class CompiledGraph:
                 chain_next[a] = b
                 indeg[b] += 1
         off, nxt = self.succ_off, self.succ_node
+        ready = [0.0] * n
+        end = [0.0] * n
         queue = deque(i for i in range(n) if indeg[i] == 0)
         topo: list[int] = []
         while queue:
             i = queue.popleft()
             topo.append(i)
+            e = ready[i] + dur[i]
+            end[i] = e
             for k in range(off[i], off[i + 1]):
                 j = nxt[k]
+                r = e + lag[k]
+                if r > ready[j]:
+                    ready[j] = r
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
             j = chain_next[i]
             if j >= 0:
+                if e > ready[j]:
+                    ready[j] = e
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     queue.append(j)
@@ -470,7 +492,7 @@ class CompiledGraph:
             )
         self._chain_next = chain_next
         self._topo = topo
-        return topo, chain_next
+        return ready, end
 
     def _sweep(self, dur: list[float], lag: list[float]) -> tuple[list[float], list[float]]:
         """One longest-path forward sweep; returns (start, end) arrays.
@@ -479,8 +501,9 @@ class CompiledGraph:
         predecessors precede it in topological order), so the ready
         array doubles as the start-time array.
         """
-        topo, chain_next = self._topology()
-        num_passes = self.num_passes
+        if self._topo is None:
+            return self._ordered_sweep(dur, lag)
+        topo, chain_next = self._topo, self._chain_next
         off, nxt = self.succ_off, self.succ_node
         ready = [0.0] * self.num_nodes
         end = [0.0] * self.num_nodes
@@ -492,7 +515,7 @@ class CompiledGraph:
                 r = e + lag[k]
                 if r > ready[j]:
                     ready[j] = r
-            j = chain_next[i] if i < num_passes else -1
+            j = chain_next[i]
             if j >= 0 and e > ready[j]:
                 ready[j] = e
         return ready, end
@@ -1250,12 +1273,15 @@ class CompiledGraph:
         re-scanned, instead of the reference's O(devices) sweep per
         completion.
         """
-        start, end = self._dataflow(lookahead, mode)
+        start, end, _ = self._dataflow(lookahead, mode)
         return self._collect(start, end)
 
-    def _dataflow(self, lookahead: int, mode: str) -> tuple[list[float], list[float]]:
+    def _dataflow(
+        self, lookahead: int, mode: str
+    ) -> tuple[list[float], list[float], list[list[int]]]:
         """The dataflow run behind :meth:`execute_dataflow`: (start, end)
-        per node, without collecting an :class:`ExecutionResult`."""
+        per node and each device's passes in dispatch order, without
+        collecting an :class:`ExecutionResult`."""
         if lookahead < 1:
             raise ValueError(f"lookahead must be ≥ 1, got {lookahead}")
         if mode not in ("strict", "zero-bubble"):
@@ -1277,6 +1303,7 @@ class CompiledGraph:
         heappush, heappop = heapq.heappush, heapq.heappop
 
         f_caps: list[dict[int, int]] | None = None
+        forward = PassType.F
         release_type = (
             PassType.W if schedule.has_weight_passes else PassType.B
         )
@@ -1311,10 +1338,12 @@ class CompiledGraph:
                 node_pos[i] = pos
             ready.append([pos for pos, i in enumerate(nodes) if num_deps[i] == 0])
         head = [0] * num_devices
+        dispatched: list[list[int]] = [[] for _ in streams]
         limit = [min(lookahead, len(nodes)) for nodes in streams]
 
+        # Completion events (end, tie-break tick, node).
         events: list[tuple[float, int, int]] = []
-        counter = 0
+        tick = count()
         # Devices become eligible again the moment simulated time reaches
         # their busy-until mark — which can happen at an event of *another*
         # node sharing that timestamp, not just at their own completion.
@@ -1323,20 +1352,14 @@ class CompiledGraph:
         # devices whose state could actually have changed.
         free_heap: list[tuple[float, int]] = []
 
-        def finish_at(i: int, start: float) -> None:
-            nonlocal counter
-            e = start + dur[i]
-            start_arr[i] = start
-            end_arr[i] = e
-            seen[i] = True
-            counter += 1
-            heappush(events, (e, counter, i))
-
         def launch_collective(j: int, now: float) -> None:
             comm = coll_comm[j - num_passes]
             start = max(dep_ready[j], comm_free[comm], now)
-            comm_free[comm] = start + dur[j]
-            finish_at(j, start)
+            e = comm_free[comm] = start + dur[j]
+            start_arr[j] = start
+            end_arr[j] = e
+            seen[j] = True
+            heappush(events, (e, next(tick), j))
 
         def try_dispatch(device: int, now: float) -> None:
             # Callers skip devices still busy at ``now``.
@@ -1351,22 +1374,26 @@ class CompiledGraph:
                 if strict:
                     if pos != first and not node_flexible[i]:
                         continue
-                elif node_type[i] is PassType.F and f_caps is not None:
-                    cap = f_caps[device].get(node_chunk[i], 0)
-                    if live_f[device][node_chunk[i]] >= cap:
+                elif node_type[i] is forward:
+                    chunk = node_chunk[i]
+                    if live_f[device][chunk] >= f_caps[device].get(chunk, 0):
                         continue
                 start = max(now, dep_ready[i], device_free[device])
-                free = device_free[device] = start + dur[i]
-                heappush(free_heap, (free, device))
+                e = device_free[device] = start + dur[i]
+                heappush(free_heap, (e, device))
                 del positions[index]
                 if bound < len(nodes):
                     limit[device] = bound + 1
                 if not strict:
-                    if node_type[i] is PassType.F:
+                    if node_type[i] is forward:
                         live_f[device][node_chunk[i]] += 1
                     elif node_type[i] is release_type:
                         live_f[device][node_chunk[i]] -= 1
-                finish_at(i, start)
+                start_arr[i] = start
+                end_arr[i] = e
+                seen[i] = True
+                heappush(events, (e, next(tick), i))
+                dispatched[device].append(i)
                 if pos == first:
                     while first < len(nodes) and seen[nodes[first]]:
                         first += 1
@@ -1386,16 +1413,17 @@ class CompiledGraph:
         dirty: list[int] = []
         marked = [False] * num_devices
         while events:
+            # An event's time is its node's end.
             now, _, i = heappop(events)
             executed += 1
-            e = end_arr[i]
             for k in range(off[i], off[i + 1]):
                 j = nxt[k]
-                r = e + lag[k]
+                r = now + lag[k]
                 if r > dep_ready[j]:
                     dep_ready[j] = r
-                num_deps[j] -= 1
-                if num_deps[j] == 0:
+                deps = num_deps[j] - 1
+                num_deps[j] = deps
+                if not deps:
                     if j >= num_passes:
                         launch_collective(j, now)
                     else:
@@ -1423,7 +1451,7 @@ class CompiledGraph:
                 f"schedule '{self.schedule.name}' deadlocked in dataflow mode; "
                 f"{len(blocked)} nodes blocked, e.g. {blocked[:5]}"
             )
-        return start_arr, end_arr
+        return start_arr, end_arr, dispatched
 
     # ------------------------------------------------------------------
     # Refinement (shared compiled graph across all phases)
@@ -1445,9 +1473,10 @@ class CompiledGraph:
         new order, and the dataflow's start/end times *are* that order's
         in-order times, so they are collected directly instead of
         replaying the refined graph.  The "before" side is this graph's
-        cached :meth:`execute` (already run by the zero-bubble pre-pass).
+        in-order run (the zero-bubble pre-pass's, when that ran),
+        collected into a result only when it wins.
         """
-        start, end = self._dataflow(lookahead, mode)
+        start, end, dispatched = self._dataflow(lookahead, mode)
         device_nodes = [
             sorted(nodes, key=lambda i: (start[i], end[i]))
             for nodes in self.device_nodes
@@ -1457,17 +1486,34 @@ class CompiledGraph:
         refined = dataclasses.replace(self.schedule, device_orders=new_orders)
         refined.validate()
         refined_graph = self._with_device_nodes(device_nodes, refined)
-        # Valid because durations and lags are non-negative: a dataflow
-        # start is then max(dependency ready, previous end on the device)
-        # — dispatch is retried exactly when either changes — which is
-        # the in-order sweep's recurrence over the refined order.  The
-        # result is bit-identical to ``refined_graph.replay()``
-        # (tests/sim/test_compiled_equivalence.py pins it).
-        after = refined_graph._collect(start, end)
-        refined_graph._inorder = after
-        before = self.execute()
-        if after.iteration_time <= before.iteration_time:
+        # With non-negative durations and lags, a dataflow start is
+        # max(dependency ready, end of the pass dispatched before it on
+        # the device) — dispatch is retried exactly when either changes —
+        # which is the in-order sweep's recurrence over the dispatch
+        # order.  Sorting by (start, end) gives back the dispatch order
+        # unless zero-duration passes tie; only then is the refined
+        # order replayed.  Either way the result is bit-identical to
+        # ``refined_graph.replay()`` (tests/sim/test_compiled_equivalence.py).
+        if (
+            device_nodes == dispatched
+            and min(self.durations) >= 0.0
+            and min(self.succ_lag, default=0.0) >= 0.0
+        ):
+            after = refined_graph._collect(start, end)
+            refined_graph._inorder = after
+        else:
+            after = refined_graph.replay()
+        # The "before" side is collected only if it wins the comparison.
+        before = self._inorder
+        if before is None:
+            before_start, before_end = self._sweep(self.durations, self.succ_lag)
+            before_time = max(before_end) - min(before_start)
+        else:
+            before_time = before.iteration_time
+        if after.iteration_time <= before_time:
             return refined, after, refined_graph
+        if before is None:
+            before = self._inorder = self._collect(before_start, before_end)
         return self.schedule, before, self
 
 

@@ -154,8 +154,9 @@ def _live_f_caps(
     events: list[list[tuple[float, int, int]]] = [
         [] for _ in range(schedule.num_devices)
     ]
+    forward = PassType.F
     for p, (start, end) in result.pass_times.items():
-        if p.type is PassType.F:
+        if p.type is forward:
             events[p.device].append((start, p.chunk, +1))
         elif p.type is release_type:
             events[p.device].append((end, p.chunk, -1))

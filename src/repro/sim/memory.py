@@ -118,11 +118,22 @@ def _activation_events(
     stage_bytes: dict[tuple[int, int], tuple[float, bool]] = {}
     logits = n * setup.padded_vocab_single * FP32
     shard_act = memory_model.output_shard_activation_bytes(model, b, shard)
+    # Enum member lookups cost a class-attribute resolution each on
+    # Python < 3.12; the per-pass chain below compares against locals.
+    F, B, W, S, T = PassType.F, PassType.B, PassType.W, PassType.S, PassType.T
+    IF, IB, VF, VB = PassType.IF, PassType.IB, PassType.VF, PassType.VB
+    c1_stats = CollectiveKind.C1_STATS
+    input_allreduce = CollectiveKind.INPUT_ALLREDUCE
+    input_broadcast = CollectiveKind.INPUT_BROADCAST
+    operands_held = schedule.vocab_algorithm == 2
+    operand_bytes = 2.0 * n * h * BF16
+    input_bytes = n * h * BF16
+    segment_bytes = n * shard * FP32 + n * h * BF16
 
     for p, (start, end) in result.pass_times.items():
         dev = p.device
         type_ = p.type
-        if type_ is PassType.F or type_ is PassType.B or type_ is PassType.W:
+        if type_ is F or type_ is B or type_ is W:
             stage = stage_bytes.get((dev, p.chunk))
             if stage is None:
                 stage = stage_bytes[(dev, p.chunk)] = (
@@ -132,43 +143,37 @@ def _activation_events(
                     layout.hosts_output(dev, p.chunk),
                 )
             act, hosts_output = stage
-            if type_ is PassType.F:
+            if type_ is F:
                 events[dev].append((end, act))
                 if hosts_output:
                     events[dev].append((end, logits))
-            elif type_ is PassType.B:
+            elif type_ is B:
                 events[dev].append((end, -(1.0 - r_w) * act))
                 if hosts_output:
                     events[dev].append((end, -logits))
             else:
                 events[dev].append((end, -r_w * act))
-        elif type_ is PassType.S:
+        elif type_ is S:
             events[dev].append((end, shard_act))
-            if schedule.vocab_algorithm == 2:
+            if operands_held:
                 # A and B operands live until the C1 barrier consumes them.
-                c1 = result.collective_times[(CollectiveKind.C1_STATS, p.microbatch)]
-                events[dev].append((end, 2.0 * n * h * BF16))
-                events[dev].append((c1[1], -2.0 * n * h * BF16))
-        elif type_ is PassType.T:
+                c1 = result.collective_times[(c1_stats, p.microbatch)]
+                events[dev].append((end, operand_bytes))
+                events[dev].append((c1[1], -operand_bytes))
+        elif type_ is T:
             events[dev].append((end, -shard_act))
-        elif type_ is PassType.IF:
-            iar = result.collective_times[
-                (CollectiveKind.INPUT_ALLREDUCE, p.microbatch)
-            ]
-            events[dev].append((end, n * h * BF16))
-            events[dev].append((iar[1], -(n * h * BF16)))
-        elif type_ is PassType.IB:
-            ibc = result.collective_times[
-                (CollectiveKind.INPUT_BROADCAST, p.microbatch)
-            ]
-            events[dev].append((ibc[1], n * h * BF16))
-            events[dev].append((end, -(n * h * BF16)))
-        elif type_ is PassType.VF:
-            size = n * shard * FP32 + n * h * BF16
-            events[dev].append((end, size))
-        elif type_ is PassType.VB:
-            size = n * shard * FP32 + n * h * BF16
-            events[dev].append((end, -size))
+        elif type_ is IF:
+            iar = result.collective_times[(input_allreduce, p.microbatch)]
+            events[dev].append((end, input_bytes))
+            events[dev].append((iar[1], -input_bytes))
+        elif type_ is IB:
+            ibc = result.collective_times[(input_broadcast, p.microbatch)]
+            events[dev].append((ibc[1], input_bytes))
+            events[dev].append((end, -input_bytes))
+        elif type_ is VF:
+            events[dev].append((end, segment_bytes))
+        elif type_ is VB:
+            events[dev].append((end, -segment_bytes))
     return events
 
 
