@@ -138,6 +138,118 @@ class TestValidationCatchesCorruption:
             bad.validate()
 
 
+def _wrong_device(orders):
+    orders[0][0] = Pass(PassType.F, 0, 1)
+
+
+def _duplicate(orders):
+    orders[0].append(orders[0][0])
+
+
+def _microbatch_out_of_range(orders):
+    orders[0].append(Pass(PassType.F, 4, 0))
+
+
+def _chunk_out_of_range(orders):
+    orders[0].append(Pass(PassType.F, 0, 0, chunk=1))
+
+
+def _missing_stream_pass(orders):
+    del orders[1][-1]
+
+
+def _extra_stream(orders):
+    orders[0].append(Pass(PassType.S, 0, 0))
+
+
+def _out_of_order(orders):
+    orders[0][0], orders[0][1] = orders[0][1], orders[0][0]
+
+
+def _count_before_order(orders):
+    """Device 0 has an out-of-order F stream *and* a missing B pass."""
+    _out_of_order(orders)
+    orders[0].remove(Pass(PassType.B, 3, 0))
+
+
+def _first_pass_fault_wins(orders):
+    """A duplicate early in the order, a wrong device later on."""
+    orders[0].insert(1, orders[0][0])
+    orders[0].append(Pass(PassType.B, 0, 1))
+
+
+def _earlier_device_wins(orders):
+    """Device 0's stream count beats device 1's per-pass fault."""
+    del orders[0][-1]
+    orders[1][0] = Pass(PassType.F, 0, 0)
+
+
+def _pass_fault_before_count(orders):
+    """A missing pass (count) and a later out-of-range microbatch."""
+    del orders[0][-1]
+    orders[0].append(Pass(PassType.F, 9, 0))
+
+
+#: (corruption, the exact message ``validate`` raises for it).
+MALFORMED = [
+    (_wrong_device, "pass F[0]@1 listed on device 0"),
+    (_duplicate, "duplicate pass F[0]@0 on device 0"),
+    (_microbatch_out_of_range, "pass F[4]@0 microbatch out of range [0, 4)"),
+    (_chunk_out_of_range, "pass F.1[0]@0 chunk out of range"),
+    (_missing_stream_pass, "device 1: 3 B.0 passes, expected 4"),
+    (_extra_stream, "device 0: 1 S.0 passes, expected 0"),
+    (_out_of_order, "device 0: F.0 stream out of order"),
+    (_count_before_order, "device 0: 3 B.0 passes, expected 4"),
+    (_first_pass_fault_wins, "duplicate pass F[0]@0 on device 0"),
+    (_earlier_device_wins, "device 0: 3 B.0 passes, expected 4"),
+    (_pass_fault_before_count, "pass F[9]@0 microbatch out of range [0, 4)"),
+]
+
+
+class TestValidationMessages:
+    """The exact first fault ``Schedule.validate`` reports, per corruption.
+
+    The base is 1F1B over 2 devices and 4 microbatches: device 0 runs
+    ``F0 F1 B0 F2 B1 F3 B2 B3``, device 1 alternates ``F B``.  Checks
+    run device by device; within a device, per-pass faults (in order
+    position) come first, then stream counts, then stream order.
+    """
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        MALFORMED,
+        ids=[corrupt.__name__.lstrip("_") for corrupt, _ in MALFORMED],
+    )
+    def test_exact_message(self, corrupt, message):
+        schedule = generate_1f1b(2, 4, num_layers=4)
+        corrupt(schedule.device_orders)
+        with pytest.raises(ValueError) as error:
+            schedule.validate()
+        assert str(error.value) == message
+
+    def test_device_order_count(self):
+        schedule = generate_1f1b(2, 4, num_layers=4)
+        del schedule.device_orders[1]
+        with pytest.raises(ValueError) as error:
+            schedule.validate()
+        assert str(error.value) == "1 device orders for 2 devices"
+
+    def test_vocab_algorithm_value(self):
+        schedule = dataclasses.replace(
+            generate_1f1b(2, 4, num_layers=4), vocab_algorithm=3
+        )
+        with pytest.raises(ValueError) as error:
+            schedule.validate()
+        assert str(error.value) == "vocab_algorithm must be None, 1 or 2: 3"
+
+    def test_chunked_streams_counted_per_chunk(self):
+        schedule = generate_vhalf(2, 4, 8)
+        schedule.device_orders[1].remove(Pass(PassType.W, 2, 1, chunk=1))
+        with pytest.raises(ValueError) as error:
+            schedule.validate()
+        assert str(error.value) == "device 1: 3 W.1 passes, expected 4"
+
+
 class TestGeneratorValidation:
     def test_vocab_algorithm_range(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,131 @@ class TestEquivalence:
         assert graph.schedule.device_orders == refined.device_orders
 
 
+#: Families whose schedules plan() refines (vocabulary or split backward).
+REFINABLE = ("vocab-1", "vocab-2", "vhalf-baseline", "vhalf-vocab-1", "vhalf-vocab-2")
+
+
+class _Scaled:
+    """A runtime scaling chosen pass durations and every P2P lag.
+
+    ``factors`` maps a ``(type, device, chunk)`` stream or a whole pass
+    type to the factor its durations are multiplied by.
+    """
+
+    def __init__(self, inner, factors, p2p_factor=1.0):
+        self.inner = inner
+        self.factors = factors
+        self.p2p_factor = p2p_factor
+
+    def pass_duration(self, p):
+        factor = self.factors.get(
+            (p.type, p.device, p.chunk), self.factors.get(p.type, 1.0)
+        )
+        return self.inner.pass_duration(p) * factor
+
+    def collective_duration(self, kind):
+        return self.inner.collective_duration(kind)
+
+    def p2p_duration(self, src, dst):
+        return self.inner.p2p_duration(src, dst) * self.p2p_factor
+
+
+def _refine_mode(schedule):
+    return "zero-bubble" if schedule.has_weight_passes else "strict"
+
+
+def _assert_refine_exact(schedule, runtime):
+    """``refine()``'s in-order result, taken from the dataflow run, equals
+    a fresh replay of the refined orders and the reference engine."""
+    mode = _refine_mode(schedule)
+    graph = compile_schedule(schedule, runtime)
+    refined, result, refined_graph = graph.refine(mode=mode)
+    replayed = graph.with_orders(refined.device_orders).replay()
+    assert_results_identical(result, replayed)
+    reference = reference_refine_schedule_order(schedule, runtime, mode=mode)
+    assert refined.device_orders == reference.device_orders
+    assert_results_identical(result, reference_execute_schedule(reference, runtime))
+    assert refined_graph.schedule is refined
+    return graph, refined_graph
+
+
+class TestRefineShortcut:
+    """Pins the refinement shortcut: the refined schedule's in-order times
+    are read off the dataflow run instead of replaying the refined graph
+    (valid for non-negative durations and lags when sorting by
+    ``(start, end)`` reproduces the dispatch order)."""
+
+    def test_refinable_families(self, setup):
+        from repro.harness.experiments import _wants_refinement
+
+        refinable = tuple(
+            method
+            for method in KNOWN_METHODS
+            if _wants_refinement(build_schedule(method, setup, refine=False))
+        )
+        assert refinable == REFINABLE
+
+    @pytest.mark.parametrize("scenario", [None, "slow-node", "high-jitter"])
+    @pytest.mark.parametrize("devices, microbatches", [(4, 6), (8, 32)])
+    @pytest.mark.parametrize("method", REFINABLE)
+    def test_matches_replay_and_reference(self, method, devices, microbatches, scenario):
+        from repro.scenarios import get_scenario
+
+        setup = SimulationSetup(
+            MODEL,
+            ParallelConfig(
+                pipeline_size=devices, num_microbatches=microbatches, microbatch_size=1
+            ),
+        )
+        cluster = None if scenario is None else get_scenario(scenario)
+        if cluster is not None:
+            setup = cluster.setup_for(setup)
+        schedule = build_schedule(method, setup, refine=False)
+        runtime = RuntimeModel(setup, schedule)
+        if cluster is not None:
+            runtime = cluster.wrap_runtime(runtime)
+        _assert_refine_exact(schedule, runtime)
+
+    def test_zero_duration_ties_replay_the_refined_order(self):
+        """Zero-duration passes can tie in (start, end) with a pass the
+        dataflow dispatched just before them, and the stable sort then
+        puts them first; there the dataflow times are not the refined
+        order's in-order times, so the refined graph is replayed.
+
+        Compared against a replay only: with zero-duration passes the
+        two engines' zero-bubble dataflow runs already dispatch
+        differently (a known divergence, older than the shortcut)."""
+        setup = SimulationSetup(
+            MODEL, ParallelConfig(pipeline_size=2, num_microbatches=6, microbatch_size=1)
+        )
+        schedule = build_schedule("vhalf-vocab-1", setup, refine=False)
+        factors = {
+            (PassType.F, 0, 0): 3.0,
+            (PassType.F, 0, 1): 0.0,
+            (PassType.F, 1, 0): 0.0,
+            (PassType.S, 1, 0): 0.0,
+        }
+        runtime = _Scaled(RuntimeModel(setup, schedule), factors)
+        graph = compile_schedule(schedule, runtime)
+        start, end, dispatched = graph._dataflow(64, _refine_mode(schedule))
+        sorted_orders = [
+            sorted(nodes, key=lambda i: (start[i], end[i])) for nodes in graph.device_nodes
+        ]
+        assert sorted_orders != dispatched  # the tie this test is about
+        refined, result, _ = graph.refine(mode=_refine_mode(schedule))
+        assert_results_identical(result, graph.with_orders(refined.device_orders).replay())
+
+    def test_original_order_kept_when_it_is_faster(self, setup):
+        """When the refined order loses, the original graph and its own
+        in-order result come back."""
+        schedule = build_schedule("vocab-2", setup, refine=False)
+        runtime = _Scaled(
+            RuntimeModel(setup, schedule), {PassType.F: 0.0}, p2p_factor=50.0
+        )
+        graph, returned = _assert_refine_exact(schedule, runtime)
+        assert returned is graph
+
+
 class TestDeadlockParity:
     @staticmethod
     def _corrupted():
