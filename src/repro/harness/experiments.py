@@ -402,9 +402,12 @@ def _simulate(
 ) -> tuple[Schedule, ExecutionResult]:
     """Refine (optionally) and execute in-order, sharing one compiled graph.
 
-    Under the compiled engine the schedule is lowered once; refinement's
-    dataflow run, its before/after checks, and the final in-order result
-    all replay that graph — where the pre-compiled flow executed the
+    Under the compiled engine the schedule is lowered once.  Refinement
+    runs the dataflow simulation on that graph and takes the refined
+    schedule's in-order result from the same run; the original order is
+    swept once, for the zero-bubble memory caps and the before/after
+    check.  The result returned is the winner's, so metrics collection
+    executes nothing again — where the pre-compiled flow executed the
     schedule up to five times from scratch.  The reference engine keeps
     the original execute-from-scratch behaviour for oracle comparisons.
     ``setup`` must already be the scenario setup when ``scenario`` is

@@ -26,8 +26,8 @@ systems (TeraPipe, BaPipe) use to keep their search loops affordable:
   for a different runtime **without re-lowering the topology**, and
   :meth:`CompiledGraph.with_orders` re-threads the device chains for a
   reordered schedule while sharing every structural array — which is
-  exactly what :meth:`CompiledGraph.refine` needs for its before/after
-  comparison.
+  how :meth:`CompiledGraph.refine` builds the refined graph, whose
+  in-order result it reads off the dataflow run.
 
 Results are bit-identical to the reference executor
 (:mod:`repro.sim.reference_executor`): the same floating-point
@@ -887,10 +887,12 @@ class CompiledGraph:
     def execute(self) -> ExecutionResult:
         """In-order execution result; cached across calls.
 
-        The refinement flow shares this single run between the
-        zero-bubble memory-cap pre-pass, the "before" side of the
-        refinement check, and the metrics collection that used to be a
-        separate execution.
+        A graph's first run also derives its topological order (see
+        :meth:`_ordered_sweep`).  The zero-bubble refinement reads its
+        memory caps from this run, and :meth:`refine` reuses it as the
+        "before" side of its check; a refined graph gets its result from
+        the dataflow run instead (:meth:`refine`), so metrics collection
+        never executes a schedule twice.
         """
         if self._inorder is None:
             self.replay()
@@ -1704,8 +1706,8 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
         pairs = [tuple(pair for _, _, pair in edges)] * m
         for mb in range(m - max(shift for _, shift, _ in edges), m):
             keep = [mb + shift < m for _, shift, _ in edges]
-            rows[mb] = tuple(n for n, k in zip(rows[mb], keep) if k)
-            pairs[mb] = tuple(p for p, k in zip(pairs[mb], keep) if k)
+            rows[mb] = tuple(node for node, kept in zip(rows[mb], keep) if kept)
+            pairs[mb] = tuple(pair for pair, kept in zip(pairs[mb], keep) if kept)
         for node, row, pair_row in zip(slot_nodes[slot], rows, pairs):
             node_succ[node] = row
             node_pairs[node] = pair_row
