@@ -19,7 +19,10 @@ distribution transforms use arithmetic only (a 4-uniform Bates sum for
 twice — vectorized NumPy and pure Python — and produce **bit-identical
 matrices**, so robustness numbers do not depend on whether the
 optional NumPy extra is installed (the pure-Python path is just
-slower), mirroring ``execute_many``'s own exact fallback.
+slower), mirroring ``execute_many``'s own exact fallback.  Every draw
+has a fixed counter position, so a caller can draw any subset of a
+matrix's columns — :func:`perturbed_rows` draws only the slots a factor
+can change — and get exactly the values the full matrix holds there.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ _MASK = (1 << 64) - 1
 _DRAWS = 4
 #: √3 rescales a centered 4-uniform sum to unit variance.
 _SQRT3 = math.sqrt(3.0)
+#: Generator states mixed per NumPy block: the state, its shift scratch
+#: and the uniforms (256 KiB each) stay cache-resident.
+_BLOCK = 1 << 15
 
 #: Quantile names accepted by :meth:`RobustnessStats.quantile_time`
 #: and :attr:`RobustnessObjective.rank_by`.
@@ -55,76 +61,129 @@ def _stream_seed(scenario_seed: int, sample_seed: int) -> int:
     return ((scenario_seed & _MASK) * _GOLDEN + (sample_seed & _MASK)) & _MASK
 
 
-def _uniforms_py(seed: int, start: int, count: int) -> list[float]:
-    """``count`` uniforms in [0, 1) from the counter-based stream."""
-    out = []
-    for i in range(count):
-        z = (seed + (start + i + 1) * _GOLDEN) & _MASK
-        z = (z + _GOLDEN) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        z = z ^ (z >> 31)
-        out.append((z >> 11) * 2.0**-53)
-    return out
-
-
-def _uniforms_np(seed: int, start: int, count: int):
-    """NumPy twin of :func:`_uniforms_py` — bit-identical output."""
-    idx = _np.arange(start + 1, start + count + 1, dtype=_np.uint64)
-    z = _np.uint64(seed) + idx * _np.uint64(_GOLDEN)
-    z = z + _np.uint64(_GOLDEN)
-    z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX1)
-    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX2)
-    z = z ^ (z >> _np.uint64(31))
-    return (z >> _np.uint64(11)).astype(_np.float64) * 2.0**-53
-
-
-def _factor_block_py(
+def _factors_py(
     scenario: ClusterScenario,
     seed: int,
     start: int,
     rows: int,
-    cols: int,
-    sigma_of,
+    width: int,
+    columns,
+    sigma,
 ) -> list[list[float]]:
-    """``rows×cols`` multiplicative factors, pure Python."""
-    uniform = _uniforms_py(seed, start, rows * cols * _DRAWS)
+    """Jitter factors of ``columns`` in a ``rows × width`` factor matrix
+    whose stream begins at counter ``start``, as ``rows`` pure-Python
+    rows (one value per column, ``sigma`` holding each column's scale).
+
+    Draw ``d`` of factor ``(k, j)`` sits at counter position
+    ``start + (k·width + j)·_DRAWS + d``, so any subset of columns
+    draws exactly the values the full matrix holds there.
+    """
     floor = scenario.min_jitter_factor
     normal = scenario.jitter_distribution == "normal"
+    column_step = _DRAWS * _GOLDEN
     out = []
-    at = 0
-    for _ in range(rows):
+    for k in range(rows):
+        # The draw at counter c mixes the state seed + (c + 2)·γ.
+        row_state = seed + _GOLDEN + (start + 1 + k * width * _DRAWS) * _GOLDEN
         row = []
-        for j in range(cols):
-            sigma = sigma_of(j)
+        for j, s in zip(columns, sigma):
+            state = row_state + j * column_step
             if normal:
-                u = uniform[at : at + _DRAWS]
-                z = (((u[0] + u[1]) + u[2]) + u[3] - 2.0) * _SQRT3
+                total = 0.0
+                for _ in range(_DRAWS):
+                    z = state & _MASK
+                    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+                    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+                    total += ((z ^ (z >> 31)) >> 11) * 2.0**-53
+                    state += _GOLDEN
+                x = (total - 2.0) * _SQRT3
             else:
-                z = 2.0 * uniform[at] - 1.0
-            at += _DRAWS
-            row.append(max(1.0 + sigma * z, floor))
+                z = state & _MASK
+                z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+                x = 2.0 * (((z ^ (z >> 31)) >> 11) * 2.0**-53) - 1.0
+            row.append(max(1.0 + s * x, floor))
         out.append(row)
     return out
 
 
-def _factor_block_np(
+def _factors_np(
     scenario: ClusterScenario,
     seed: int,
     start: int,
     rows: int,
-    cols: int,
-    sigma_row,
+    width: int,
+    columns,
+    sigma,
 ):
-    """NumPy twin of :func:`_factor_block_py` — bit-identical output."""
-    u = _uniforms_np(seed, start, rows * cols * _DRAWS).reshape(
-        rows, cols, _DRAWS
+    """NumPy twin of :func:`_factors_py`, transposed: a
+    ``len(columns) × rows`` array, bit-identical value for value.
+
+    The generator state is a column term plus a (draw, sample) term,
+    both precomputed; each block of columns adds them, then mixes and
+    transforms in place, sized so the working set stays in cache.
+    """
+    normal = scenario.jitter_distribution == "normal"
+    draws = _DRAWS if normal else 1
+    u64 = _np.uint64
+    column_state = _np.asarray(columns, dtype=u64) * u64(_DRAWS * _GOLDEN & _MASK)
+    draw_state = _np.asarray(
+        [
+            (seed + _GOLDEN + (start + 1 + d) * _GOLDEN) & _MASK
+            for d in range(draws)
+        ],
+        dtype=u64,
     )
-    if scenario.jitter_distribution == "normal":
-        z = (((u[:, :, 0] + u[:, :, 1]) + u[:, :, 2]) + u[:, :, 3] - 2.0) * _SQRT3
-    else:
-        z = 2.0 * u[:, :, 0] - 1.0
-    return _np.maximum(1.0 + sigma_row[None, :] * z, scenario.min_jitter_factor)
+    sample_state = _np.arange(rows, dtype=u64) * u64(
+        width * _DRAWS * _GOLDEN & _MASK
+    )
+    row_state = draw_state[:, None] + sample_state[None, :]
+    sigma = _np.asarray(sigma, dtype=_np.float64)
+    out = _np.empty((column_state.size, rows), dtype=_np.float64)
+    step = max(1, _BLOCK // (draws * rows))
+    state = _np.empty((step, draws, rows), dtype=u64)
+    shifted = _np.empty_like(state)
+    uniform = _np.empty(state.shape, dtype=_np.float64)
+    for lo in range(0, column_state.size, step):
+        hi = min(lo + step, column_state.size)
+        z, t, u = state[: hi - lo], shifted[: hi - lo], uniform[: hi - lo]
+        _np.add(column_state[lo:hi, None, None], row_state[None], out=z)
+        _np.right_shift(z, u64(30), out=t)
+        z ^= t
+        z *= u64(_MIX1)
+        _np.right_shift(z, u64(27), out=t)
+        z ^= t
+        z *= u64(_MIX2)
+        _np.right_shift(z, u64(31), out=t)
+        z ^= t
+        z >>= u64(11)
+        _np.multiply(z, 2.0**-53, out=u)
+        f = out[lo:hi]
+        if normal:
+            _np.add(u[:, 0], u[:, 1], out=f)
+            f += u[:, 2]
+            f += u[:, 3]
+            f -= 2.0
+            f *= _SQRT3
+        else:
+            _np.multiply(u[:, 0], 2.0, out=f)
+            f -= 1.0
+        f *= sigma[lo:hi, None]
+        f += 1.0
+        _np.maximum(f, scenario.min_jitter_factor, out=f)
+    return out
+
+
+def _node_sigma(graph: CompiledGraph, scenario: ClusterScenario) -> list[float]:
+    """Each node's jitter scale: ``pass_jitter`` for passes on jittered
+    devices, 0 for the rest, ``comm_jitter`` for collective barriers."""
+    jittered = scenario.jitter_device_set(len(graph.device_nodes))
+    node_device = graph.node_device
+    pass_sigma = scenario.pass_jitter
+    return [
+        pass_sigma if node_device[i] in jittered else 0.0
+        for i in range(graph.num_passes)
+    ] + [scenario.comm_jitter] * (graph.num_nodes - graph.num_passes)
 
 
 def perturbation_factors(
@@ -139,57 +198,53 @@ def perturbation_factors(
     nodes and edge lags (P2P transfers) jitter with ``comm_jitter``.
     The stream is a pure function of ``(scenario.seed, seed)`` and the
     graph's node/edge counts — same seed, same shape ⇒ bit-identical
-    matrices, with or without NumPy.
+    matrices, with or without NumPy.  Devices outside the scenario's
+    jitter set have zero sigma, so their factors are exactly 1.0; their
+    draws still occupy their counter positions, so narrowing the
+    support never shifts anyone else's draws.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     num_nodes = graph.num_nodes
-    num_passes = graph.num_passes
     num_edges = len(graph.succ_node)
     stream = _stream_seed(scenario.seed, seed)
     lag_start = samples * num_nodes * _DRAWS
-    # Devices outside the scenario's jitter set draw from the stream
-    # like everyone else (the counter advances identically) but with
-    # zero sigma, so their factors are exactly 1.0 — narrowing the
-    # support never shifts anyone else's draws.
-    jittered = scenario.jitter_device_set(len(graph.device_nodes))
-    node_device = graph.node_device
-    if _np is not None:
-        sigma_nodes = _np.where(
-            _np.arange(num_nodes) < num_passes,
-            scenario.pass_jitter,
-            scenario.comm_jitter,
-        )
-        if scenario.jitter_devices:
-            muted = _np.asarray(
-                [
-                    i < num_passes and node_device[i] not in jittered
-                    for i in range(num_nodes)
-                ]
-            )
-            sigma_nodes = _np.where(muted, 0.0, sigma_nodes)
-        dur = _factor_block_np(scenario, stream, 0, samples, num_nodes, sigma_nodes)
-        lag = _factor_block_np(
-            scenario,
-            stream,
-            lag_start,
-            samples,
-            num_edges,
-            _np.full(num_edges, scenario.comm_jitter),
-        )
-        return dur, lag
-    pass_sigma, comm_sigma = scenario.pass_jitter, scenario.comm_jitter
-
-    def sigma_of(j: int) -> float:
-        if j >= num_passes:
-            return comm_sigma
-        return pass_sigma if node_device[j] in jittered else 0.0
-
-    dur = _factor_block_py(scenario, stream, 0, samples, num_nodes, sigma_of)
-    lag = _factor_block_py(
-        scenario, stream, lag_start, samples, num_edges, lambda j: comm_sigma
+    return (
+        _factor_matrix(
+            scenario, stream, 0, samples, num_nodes, range(num_nodes),
+            _node_sigma(graph, scenario),
+        ),
+        _factor_matrix(
+            scenario, stream, lag_start, samples, num_edges, range(num_edges),
+            [scenario.comm_jitter] * num_edges,
+        ),
     )
-    return dur, lag
+
+
+def _factor_matrix(scenario, seed, start, rows, width, columns, sigma):
+    """``rows × len(columns)`` factors from the available backend: a
+    transposed view of :func:`_factors_np`, or :func:`_factors_py`."""
+    if _np is not None:
+        return _factors_np(scenario, seed, start, rows, width, columns, sigma).T
+    return _factors_py(scenario, seed, start, rows, width, columns, sigma)
+
+
+def _jittered(scenario, seed, start, samples, width, base, columns, sigma):
+    """``samples`` copies of the row ``base``, ``columns`` multiplied by
+    their factors; with NumPy, a transposed view of a ``width × samples``
+    array."""
+    factors = _factor_matrix(scenario, seed, start, samples, width, columns, sigma)
+    if _np is not None:
+        base = _np.asarray(base, dtype=_np.float64)
+        block = _np.empty((width, samples))
+        block[:] = base[:, None]
+        block[columns] = base[columns][:, None] * factors.T
+        return block.T
+    rows = [list(base) for _ in range(samples)]
+    for row, values in zip(rows, factors):
+        for j, f in zip(columns, values):
+            row[j] = base[j] * f
+    return rows
 
 
 def perturbed_rows(
@@ -204,37 +259,39 @@ def perturbed_rows(
     i.e. the scenario's deterministic part (device speeds, interconnect
     tiers) must already be priced into the graph
     (:meth:`~repro.scenarios.cluster.ClusterScenario.runtime_for`).
-    Jitter multiplies on top; zero-lag structural edges stay exactly
-    zero, so the batched kernel's lag-free level skips remain valid.
+    Jitter multiplies on top.  Bit-identical to multiplying
+    :func:`perturbation_factors` onto the base, but only the slots a
+    factor can change are drawn: a zero-sigma factor is exactly 1.0 and
+    ``0.0 × f`` is exactly ``0.0``, so a node with zero sigma or zero
+    duration, and every zero-lag edge, keeps its base value.  (Zero-lag
+    structural edges therefore stay exactly zero, and the batched
+    kernel's lag-free level skips remain valid.)  The counter-based
+    stream draws each remaining slot at its own position.
+
+    With NumPy the matrices are transposed views of node-major
+    (``num_nodes × K``) arrays — the layout the batched kernel sweeps.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
-    if not scenario.has_jitter:
-        if _np is not None:
-            base_dur = _np.asarray(graph.durations, dtype=_np.float64)
-            base_lag = _np.asarray(graph.succ_lag, dtype=_np.float64)
-            return (
-                _np.repeat(base_dur[None, :], samples, axis=0),
-                _np.repeat(base_lag[None, :], samples, axis=0),
-            )
-        return (
-            [list(graph.durations) for _ in range(samples)],
-            [list(graph.succ_lag) for _ in range(samples)],
-        )
-    dur_factors, lag_factors = perturbation_factors(
-        graph, scenario, samples, seed
+    num_nodes = graph.num_nodes
+    num_edges = len(graph.succ_node)
+    base_dur, base_lag = graph.durations, graph.succ_lag
+    stream = _stream_seed(scenario.seed, seed)
+    lag_start = samples * num_nodes * _DRAWS
+    sigma = _node_sigma(graph, scenario)
+    dur_cols = [j for j in range(num_nodes) if sigma[j] and base_dur[j]]
+    comm = scenario.comm_jitter
+    lag_cols = [k for k in range(num_edges) if comm and base_lag[k]]
+    return (
+        _jittered(
+            scenario, stream, 0, samples, num_nodes, base_dur, dur_cols,
+            [sigma[j] for j in dur_cols],
+        ),
+        _jittered(
+            scenario, stream, lag_start, samples, num_edges, base_lag, lag_cols,
+            [comm] * len(lag_cols),
+        ),
     )
-    if _np is not None:
-        base_dur = _np.asarray(graph.durations, dtype=_np.float64)
-        base_lag = _np.asarray(graph.succ_lag, dtype=_np.float64)
-        return base_dur[None, :] * dur_factors, base_lag[None, :] * lag_factors
-    base_dur = list(graph.durations)
-    base_lag = list(graph.succ_lag)
-    durations = [
-        [b * f for b, f in zip(base_dur, row)] for row in dur_factors
-    ]
-    lags = [[b * f for b, f in zip(base_lag, row)] for row in lag_factors]
-    return durations, lags
 
 
 def delta_support(
@@ -263,81 +320,6 @@ def delta_support(
     )
 
 
-def _uniform_at_py(seed: int, draw: int) -> float:
-    """The uniform at absolute stream position ``draw`` — equal, bit
-    for bit, to ``_uniforms_py(seed, 0, draw + 1)[-1]``."""
-    z = (seed + (draw + 1) * _GOLDEN) & _MASK
-    z = (z + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    z = z ^ (z >> 31)
-    return (z >> 11) * 2.0**-53
-
-
-def _support_factors_py(
-    scenario: ClusterScenario,
-    seed: int,
-    num_nodes: int,
-    samples: int,
-    support: tuple[int, ...],
-) -> list[list[float]]:
-    """K×|support| pass-jitter factors — the same columns, bit for
-    bit, as the dense ``perturbation_factors`` duration matrix, pulled
-    from the counter-based stream at the columns' own draw offsets."""
-    sigma = scenario.pass_jitter
-    floor = scenario.min_jitter_factor
-    normal = scenario.jitter_distribution == "normal"
-    out = []
-    for k in range(samples):
-        base = k * num_nodes
-        row = []
-        for j in support:
-            at = (base + j) * _DRAWS
-            if normal:
-                z = (
-                    (
-                        (_uniform_at_py(seed, at) + _uniform_at_py(seed, at + 1))
-                        + _uniform_at_py(seed, at + 2)
-                    )
-                    + _uniform_at_py(seed, at + 3)
-                    - 2.0
-                ) * _SQRT3
-            else:
-                z = 2.0 * _uniform_at_py(seed, at) - 1.0
-            row.append(max(1.0 + sigma * z, floor))
-        out.append(row)
-    return out
-
-
-def _support_factors_np(
-    scenario: ClusterScenario,
-    seed: int,
-    num_nodes: int,
-    samples: int,
-    support: tuple[int, ...],
-):
-    """NumPy twin of :func:`_support_factors_py` — bit-identical."""
-    idx = _np.asarray(support, dtype=_np.uint64)[None, :]
-    base = _np.arange(samples, dtype=_np.uint64)[:, None] * _np.uint64(num_nodes)
-    at = (base + idx) * _np.uint64(_DRAWS)
-
-    def uniform(offset: int):
-        z = _np.uint64(seed) + (at + _np.uint64(offset + 1)) * _np.uint64(_GOLDEN)
-        z = z + _np.uint64(_GOLDEN)
-        z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_MIX1)
-        z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_MIX2)
-        z = z ^ (z >> _np.uint64(31))
-        return (z >> _np.uint64(11)).astype(_np.float64) * 2.0**-53
-
-    if scenario.jitter_distribution == "normal":
-        z = (((uniform(0) + uniform(1)) + uniform(2)) + uniform(3) - 2.0) * _SQRT3
-    else:
-        z = 2.0 * uniform(0) - 1.0
-    return _np.maximum(
-        1.0 + scenario.pass_jitter * z, scenario.min_jitter_factor
-    )
-
-
 def _delta_summaries(
     graph: CompiledGraph,
     scenario: ClusterScenario,
@@ -352,18 +334,20 @@ def _delta_summaries(
     1.0 there, and ``base * factor`` is the same IEEE multiply here.
     """
     stream = _stream_seed(scenario.seed, seed)
-    factors = (
-        _support_factors_np if _np is not None else _support_factors_py
-    )(scenario, stream, graph.num_nodes, samples, support)
+    factors = _factor_matrix(
+        scenario, stream, 0, samples, graph.num_nodes, support,
+        [scenario.pass_jitter] * len(support),
+    )
+    if _np is not None:
+        factors = factors.tolist()
     graph.checkpoint()
     base = graph.durations
     summaries = []
     for row in factors:
-        values = row.tolist() if _np is not None else row
         perturbation = Perturbation(
             durations=tuple(
                 (i, base[i] * f)
-                for i, f in zip(support, values)
+                for i, f in zip(support, row)
                 if f != 1.0
             )
         )

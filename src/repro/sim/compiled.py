@@ -64,6 +64,9 @@ from repro.sim.executor import (
     _live_f_caps,
 )
 
+#: Binding matrices used as given; other iterables are listed first.
+_MATRIX_TYPES = (list,) if _np is None else (list, _np.ndarray)
+
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -639,20 +642,22 @@ class CompiledGraph:
         )
         return self._batch
 
-    def _execute_rows(self, durations, lags, collect_row, collect_column):
+    def _execute_rows(self, durations, lags, collect_row, collect_batch):
         """Shared K-binding sweep behind :meth:`execute_many` and
         :meth:`execute_many_summary`.
 
         ``collect_row(start, end)`` consumes one scalar-path sweep
-        (plain lists in node-id space); ``collect_column(start, end)``
-        consumes one row-contiguous NumPy column pair of the batched
-        sweep.  Both receive exactly the values the corresponding
-        single-binding :meth:`replay` would have produced.
+        (plain lists in node-id space) and returns one result;
+        ``collect_batch(start, end, position)`` consumes the whole
+        batched sweep — ``(nodes, K)`` NumPy arrays in the level plan's
+        permuted node order, ``position[i]`` being node ``i``'s row —
+        and returns the K results.  Both see exactly the values the
+        corresponding single-binding :meth:`replay` would have produced.
         """
-        rows = durations if isinstance(durations, list) else list(durations)
+        rows = durations if isinstance(durations, _MATRIX_TYPES) else list(durations)
         k_rows = len(rows)
         if lags is not None:
-            lag_rows = lags if isinstance(lags, list) else list(lags)
+            lag_rows = lags if isinstance(lags, _MATRIX_TYPES) else list(lags)
             if len(lag_rows) != k_rows:
                 raise ValueError(
                     f"{k_rows} duration rows but {len(lag_rows)} lag rows"
@@ -749,11 +754,7 @@ class CompiledGraph:
             if seg_starts is not None:
                 candidate = reduceat(candidate, seg_starts, axis=0)
             ready[dst_unique] = maximum(ready[dst_unique], candidate)
-        # Back to node-id space (one gather for all K bindings), then
-        # row-contiguous per binding so the collect gathers are slices.
-        ready = _np.ascontiguousarray(ready[inverse_perm].T)
-        end = _np.ascontiguousarray(end[inverse_perm].T)
-        return [collect_column(ready[k], end[k]) for k in range(k_rows)]
+        return collect_batch(ready, end, inverse_perm)
 
     def execute_many(
         self,
@@ -777,7 +778,7 @@ class CompiledGraph:
         order.
         """
         return self._execute_rows(
-            durations, lags, self._collect, self._collect_column
+            durations, lags, self._collect, self._collect_batch
         )
 
     def execute_many_summary(
@@ -796,7 +797,7 @@ class CompiledGraph:
         results' (:mod:`repro.scenarios.perturb` relies on this).
         """
         return self._execute_rows(
-            durations, lags, self._summarize, self._summarize_column
+            durations, lags, self._summarize, self._summarize_batch
         )
 
     def _summarize(self, start, end) -> ExecutionSummary:
@@ -813,16 +814,26 @@ class CompiledGraph:
             device_busy=tuple(busy),
         )
 
-    def _summarize_column(self, start_col, end_col) -> ExecutionSummary:
-        """:meth:`_summarize` for one NumPy column of the batched sweep.
+    def _summarize_batch(self, start, end, position) -> list[ExecutionSummary]:
+        """:meth:`_summarize` for all K columns of the batched sweep.
 
-        Converting to plain lists first makes the busy sums accumulate
-        with the same scalar float adds (and order) as :meth:`_collect`
-        / :meth:`_collect_column`; max/min are order-independent exact
-        ops, so the delegated iteration time equals
-        ``float(end_col.max() - start_col.min())`` bit for bit.
+        The iteration time is ``max(end) − min(start)`` per column (exact
+        whatever the reduction order).  Busy time adds each pass's
+        ``end − start`` as a K-vector in stream order from ``0.0`` — per
+        column, the scalar loop's IEEE adds in the scalar loop's order.
         """
-        return self._summarize(start_col.tolist(), end_col.tolist())
+        iteration = (end.max(axis=0) - start.min(axis=0)).tolist()
+        span = end - start
+        busy = []
+        for nodes in self.device_nodes:
+            total = _np.zeros(span.shape[1])
+            for row in span[position[nodes]]:
+                total += row
+            busy.append(total.tolist())
+        return [
+            ExecutionSummary(iteration_time=t, device_busy=b)
+            for t, b in zip(iteration, zip(*busy))
+        ]
 
     def _collect_plan(self) -> tuple:
         """Gather plan for :meth:`_collect` and :meth:`_collect_column`:
@@ -848,6 +859,14 @@ class CompiledGraph:
                 counts,
             )
         return self._cplan
+
+    def _collect_batch(self, start, end, position) -> list[ExecutionResult]:
+        """:meth:`_collect` for all K columns of the batched sweep: one
+        gather back to node-id space, then one row-contiguous pair per
+        binding so the per-result gathers are slices."""
+        start = _np.ascontiguousarray(start[position].T)
+        end = _np.ascontiguousarray(end[position].T)
+        return [self._collect_column(s, e) for s, e in zip(start, end)]
 
     def _collect_column(self, start_col, end_col) -> ExecutionResult:
         """:meth:`_collect` for one NumPy column of the batched sweep.
@@ -1269,8 +1288,8 @@ class CompiledGraph:
 
         Semantics match
         :func:`repro.sim.reference_executor.reference_execute_schedule_dataflow`
-        exactly (same dispatch rules, same collective serialization,
-        same tie-breaking); the difference is that after each event
+        exactly (the dispatch and tie-break rules are written down in
+        :meth:`_dataflow`); the difference is that after each event
         only devices whose dependency state or free time changed are
         re-scanned, instead of the reference's O(devices) sweep per
         completion.
@@ -1283,7 +1302,41 @@ class CompiledGraph:
     ) -> tuple[list[float], list[float], list[list[int]]]:
         """The dataflow run behind :meth:`execute_dataflow`: (start, end)
         per node and each device's passes in dispatch order, without
-        collecting an :class:`ExecutionResult`."""
+        collecting an :class:`ExecutionResult`.
+
+        Dispatch and tie-break rules — the specification both this
+        engine and the frozen reference
+        (:func:`~repro.sim.reference_executor.reference_execute_schedule_dataflow`)
+        are tested against:
+
+        1. **Seed.** Collectives without dependencies launch at 0 in
+           node order; then every device, in ascending order, gets one
+           dispatch try at 0.
+        2. **Events.** Completions are processed in ``(end, tick)``
+           order; the tick counts dispatches and launches, so equal end
+           times go to the node dispatched first.
+        3. **Completion at ``now``.** Relax the node's out-edges
+           (``ready = max(ready, now + lag)``) and launch every
+           collective whose dependencies are now complete, at
+           ``max(ready, communicator free, now)``.  Then every device
+           free at ``now`` gets one try, in ascending order; then, if
+           the node is a pass, its own device gets a second try (it
+           matters when the first dispatched a zero-duration pass,
+           leaving the device free at ``now``).
+        4. **A try** dispatches at most one pass: the first in the
+           device's lookahead window (its first ``lookahead`` pending
+           passes, in stream order) whose dependencies are complete and
+           which is eligible — in ``strict`` mode the window's head or
+           a flexible-type pass, in ``zero-bubble`` mode any pass but
+           a forward whose chunk is at its live-forward cap.  It starts
+           at ``max(now, ready, device free)``.
+
+        A try on a device whose state has not changed since its last
+        failed try fails again, so this engine re-tries only devices
+        that gained a ready pass or reached their free time (rule 3's
+        sweep), and gives the second try only to a device that
+        dispatched since the completed pass and is still free.
+        """
         if lookahead < 1:
             raise ValueError(f"lookahead must be ≥ 1, got {lookahead}")
         if mode not in ("strict", "zero-bubble"):
@@ -1447,6 +1500,11 @@ class CompiledGraph:
                     if device_free[device] <= now:
                         try_dispatch(device, now)
                 dirty.clear()
+                # Rule 3's second try, for the completed pass's device.
+                if i < num_passes:
+                    device = node_device[i]
+                    if device_free[device] <= now and dispatched[device][-1] != i:
+                        try_dispatch(device, now)
         if executed != n:
             blocked = [self._describe(i) for i in range(n) if not seen[i]]
             raise DeadlockError(

@@ -126,6 +126,90 @@ class TestPurePythonParity:
         assert with_numpy == without_numpy
 
 
+    def test_skipped_draws_parity_at_scale(self, monkeypatch):
+        """K ≥ 16 on a graph with zero- and non-zero-lag edges and
+        zero-sigma nodes: the rows (which draw only the slots a factor
+        can change) equal base × the dense factors, and both backends'
+        rows and batched summaries agree bit for bit."""
+        graph = tiny_graph("vhalf-vocab-1")
+        lags = graph.succ_lag
+        assert any(lag == 0.0 for lag in lags) and any(lag > 0.0 for lag in lags)
+        scenario = ClusterScenario(
+            name="t-narrow", pass_jitter=0.2, comm_jitter=0.3, jitter_devices=(1,)
+        )
+        samples = 19
+        dur_rows, lag_rows = perturbed_rows(graph, scenario, samples, seed=11)
+        dur_factors, lag_factors = perturbation_factors(
+            graph, scenario, samples, seed=11
+        )
+        assert as_rows(dur_rows) == [
+            [b * f for b, f in zip(graph.durations, row)]
+            for row in as_rows(dur_factors)
+        ]
+        assert as_rows(lag_rows) == [
+            [b * f for b, f in zip(lags, row)] for row in as_rows(lag_factors)
+        ]
+        batched = graph.execute_many_summary(dur_rows, lag_rows)
+        monkeypatch.setattr(perturb, "_np", None)
+        py_dur, py_lag = perturbed_rows(graph, scenario, samples, seed=11)
+        assert py_dur == as_rows(dur_rows)
+        assert py_lag == as_rows(lag_rows)
+        monkeypatch.setattr(compiled, "_np", None)
+        fallback = graph.execute_many_summary(py_dur, py_lag)
+        assert batched == fallback
+        assert len(batched) == samples
+
+
+def _splitmix_uniform(seed: int, counter: int) -> float:
+    """The uniform at ``counter`` of the stream, straight from the
+    SplitMix64 definition (state = seed + (counter + 1)·γ)."""
+    mask = (1 << 64) - 1
+    z = (seed + (counter + 2) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+class TestGeneratorBlocks:
+    """The NumPy generator mixes its states block by block; a block
+    edge must not shift any counter position."""
+
+    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
+    def test_partial_block_and_nonzero_start(self, distribution, monkeypatch):
+        if perturb._np is None:
+            pytest.skip("numpy is not installed")
+        scenario = ClusterScenario(
+            name="t-blocks", pass_jitter=0.4, jitter_distribution=distribution
+        )
+        seed, start, rows, width = 0xDEADBEEF, 12345, 5, 23
+        columns = [0, 2, 3, 7, 11, 12, 13, 17, 19, 22, 1]
+        sigma = [0.1 * (1 + j % 4) for j in columns]
+        # 3 columns per block: 11 columns end on a partial block.
+        draws = perturb._DRAWS if distribution == "normal" else 1
+        monkeypatch.setattr(perturb, "_BLOCK", 3 * draws * rows)
+        blocked = perturb._factors_np(
+            scenario, seed, start, rows, width, columns, sigma
+        )
+        monkeypatch.setattr(perturb, "_BLOCK", 1 << 20)
+        whole = perturb._factors_np(
+            scenario, seed, start, rows, width, columns, sigma
+        )
+        python = perturb._factors_py(
+            scenario, seed, start, rows, width, columns, sigma
+        )
+        assert blocked.T.tolist() == whole.T.tolist() == python
+        for k in range(rows):
+            for c, (j, s) in enumerate(zip(columns, sigma)):
+                at = start + (k * width + j) * perturb._DRAWS
+                if distribution == "normal":
+                    u = [_splitmix_uniform(seed, at + d) for d in range(4)]
+                    z = (((u[0] + u[1]) + u[2]) + u[3] - 2.0) * math.sqrt(3.0)
+                else:
+                    z = 2.0 * _splitmix_uniform(seed, at) - 1.0
+                expected = max(1.0 + s * z, scenario.min_jitter_factor)
+                assert python[k][c] == expected
+
+
 class TestNominalIdentity:
     def test_homogeneous_scenario_equals_execute(self):
         """Zero perturbation ⇒ every quantile is the nominal time, bit-for-bit."""

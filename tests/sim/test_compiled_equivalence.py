@@ -11,6 +11,7 @@ frozen by design).
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -190,11 +191,9 @@ class TestRefineShortcut:
         """Zero-duration passes can tie in (start, end) with a pass the
         dataflow dispatched just before them, and the stable sort then
         puts them first; there the dataflow times are not the refined
-        order's in-order times, so the refined graph is replayed.
-
-        Compared against a replay only: with zero-duration passes the
-        two engines' zero-bubble dataflow runs already dispatch
-        differently (a known divergence, older than the shortcut)."""
+        order's in-order times, so the refined graph is replayed — and
+        the dataflow run, refined orders and result all still equal the
+        reference engine's."""
         setup = SimulationSetup(
             MODEL, ParallelConfig(pipeline_size=2, num_microbatches=6, microbatch_size=1)
         )
@@ -207,13 +206,17 @@ class TestRefineShortcut:
         }
         runtime = _Scaled(RuntimeModel(setup, schedule), factors)
         graph = compile_schedule(schedule, runtime)
-        start, end, dispatched = graph._dataflow(64, _refine_mode(schedule))
+        mode = _refine_mode(schedule)
+        start, end, dispatched = graph._dataflow(64, mode)
         sorted_orders = [
             sorted(nodes, key=lambda i: (start[i], end[i])) for nodes in graph.device_nodes
         ]
         assert sorted_orders != dispatched  # the tie this test is about
-        refined, result, _ = graph.refine(mode=_refine_mode(schedule))
-        assert_results_identical(result, graph.with_orders(refined.device_orders).replay())
+        assert_results_identical(
+            graph.execute_dataflow(lookahead=64, mode=mode),
+            reference_execute_schedule_dataflow(schedule, runtime, lookahead=64, mode=mode),
+        )
+        _assert_refine_exact(schedule, runtime)
 
     def test_original_order_kept_when_it_is_faster(self, setup):
         """When the refined order loses, the original graph and its own
@@ -224,6 +227,49 @@ class TestRefineShortcut:
         )
         graph, returned = _assert_refine_exact(schedule, runtime)
         assert returned is graph
+
+
+def _zero_duration_case(seed: int):
+    """A seeded schedule and runtime pricing a random third of the
+    pass streams at 0 s (the rest scaled by 0.5–2×)."""
+    rng = random.Random(seed)
+    method = REFINABLE[seed % len(REFINABLE)]
+    setup = SimulationSetup(
+        MODEL,
+        ParallelConfig(
+            pipeline_size=rng.choice((2, 4)),
+            num_microbatches=rng.choice((4, 6, 8)),
+            microbatch_size=1,
+        ),
+    )
+    schedule = build_schedule(method, setup, refine=False)
+    streams = sorted(
+        {(p.type, p.device, p.chunk) for order in schedule.device_orders for p in order},
+        key=lambda key: (key[0].value, key[1], key[2]),
+    )
+    factors = {
+        key: 0.0 if rng.random() < 1 / 3 else rng.uniform(0.5, 2.0) for key in streams
+    }
+    return schedule, _Scaled(RuntimeModel(setup, schedule), factors)
+
+
+class TestZeroDurationDataflow:
+    """Zero-duration passes leave a device free at the instant it
+    dispatched them; the engines must still dispatch identically (see
+    ``CompiledGraph._dataflow`` for the rules)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_zero_duration_runtimes_match_reference(self, seed):
+        schedule, runtime = _zero_duration_case(seed)
+        mode = _refine_mode(schedule)
+        for lookahead in (4, 64):
+            compiled = compile_schedule(schedule, runtime).execute_dataflow(
+                lookahead=lookahead, mode=mode
+            )
+            reference = reference_execute_schedule_dataflow(
+                schedule, runtime, lookahead=lookahead, mode=mode
+            )
+            assert_results_identical(compiled, reference)
 
 
 class TestDeadlockParity:

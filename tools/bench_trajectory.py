@@ -70,7 +70,8 @@ speedup (for the two sweep-era classes, "reference" means the
 unbatched/uncached equivalent path, not the reference *engine*).  A ``calibration_s`` scalar (a fixed pure-Python workload)
 makes the numbers comparable across machines: regression checks use
 times *normalized by calibration*, so a slower CI box does not fail
-the perf-smoke job.
+the perf-smoke job.  The host's ``python`` version, ``nproc`` and
+``numpy`` version (``null`` without NumPy) are recorded beside it.
 
 Usage::
 
@@ -763,9 +764,15 @@ def main(argv: list[str] | None = None) -> int:
         )
     measure = measure_service_class if args.service else measure_class
 
+    try:
+        import numpy
+    except ImportError:  # the pure-Python kernels are measured then
+        numpy = None
     result: dict = {
         "schema": 1,
         "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "numpy": None if numpy is None else numpy.__version__,
         "microbatches": MICROBATCHES,
         "calibration_s": calibration(),
     }
