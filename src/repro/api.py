@@ -6,7 +6,7 @@ defining module under one stable namespace:
 * :func:`plan` / :class:`PlannerConstraints` / :class:`RankedPlans` —
   rank the named schedule families for one configuration;
 * :func:`whatif` / :class:`WhatifResult` — price a single-device
-  slowdown incrementally against a resident compiled graph;
+  slowdown against a resident compiled graph;
 * :func:`sweep` / :func:`grid` / :class:`SweepOutcome` — plan whole
   (devices, vocab, microbatches, budget) grids in parallel;
 * :func:`optimize` / :class:`OptimizedPlan` — rewrite-based search for

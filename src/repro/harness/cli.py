@@ -25,9 +25,9 @@ Subcommands:
   against simulator ground truth, re-measure predicted-vs-simulated
   accuracy (``report``, with ``--check`` as a CI drift gate), and
   inspect committed profiles (``show``);
-* ``whatif`` — price one single-device slowdown incrementally
-  (:func:`repro.planner.whatif`): cone-limited delta replay over a
-  resident compiled graph instead of a full re-plan;
+* ``whatif`` — price one single-device slowdown
+  (:func:`repro.planner.whatif`): one sweep of the perturbed rows over
+  a resident compiled graph instead of a full re-plan;
 * ``serve`` — the long-running planning service (:mod:`repro.service`):
   one process answering plan/sweep/scenario/what-if/optimize queries
   over HTTP, with request coalescing, tiered caches and CPU-bound work
@@ -79,7 +79,7 @@ SUBCOMMANDS = {
     "optimize": "rewrite-based search for a schedule beating the families",
     "scenarios": "cluster scenarios: robustness on non-ideal clusters",
     "calibrate": "fit/inspect calibrated cost-model profiles",
-    "whatif": "incremental single-device what-if (delta replay)",
+    "whatif": "single-device what-if on a resident compiled graph",
     "serve": "HTTP planning service: one process, worker pool, caches",
     "all": "everything (several minutes)",
 }

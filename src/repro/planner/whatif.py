@@ -1,17 +1,16 @@
-"""Incremental what-if queries over a resident compiled graph.
+"""What-if queries over a resident compiled graph.
 
 :func:`plan` answers "which schedule family should I run?"; this module
 answers the follow-up an operator actually asks mid-incident: *"what
 happens to my chosen schedule if device 7 slows down 30 %?"*.  A full
-re-plan would re-enumerate, re-estimate and re-simulate every family —
-milliseconds of work to price a perturbation whose affected cone is a
-few hundred nodes.  :func:`whatif` instead keeps the method's compiled
-graph resident (checkpointed via
-:meth:`~repro.sim.compiled.CompiledGraph.checkpoint`) and prices the
-perturbation with cone-limited delta replay
-(:meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`),
-which is bit-identical to a fresh simulation by construction and costs
-time proportional to the perturbation's successor cone, not the graph.
+re-plan would re-enumerate, re-estimate and re-simulate every family.
+:func:`whatif` instead keeps the method's compiled graph resident, with
+its unperturbed sweep checkpointed
+(:meth:`~repro.sim.compiled.CompiledGraph.checkpoint`) as the baseline,
+and prices each perturbation with one sweep of the perturbed duration
+rows (:meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`):
+no schedule generation, lowering or refinement, and the same exact
+longest-path sweep a fresh simulation of the perturbed binding runs.
 
 The result digest (:func:`whatif_cache_key`) follows the same
 normalization discipline as :func:`~repro.planner.planner.plan_cache_key`
@@ -22,6 +21,7 @@ what-if without computing it.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,16 +39,17 @@ from repro.scenarios import ClusterScenario, get_scenario
 from repro.sim import RuntimeModel, SimulationSetup
 from repro.sim.compiled import ExecutionSummary
 
-#: Resident compiled graphs with live checkpoints, keyed on the binding
-#: digest.  Small on purpose: each entry pins a full graph plus its
-#: LevelState; the serving layer's request mix concentrates on a handful
-#: of (model, method) bindings at a time.
+#: Resident compiled graphs with their baseline checkpoints, keyed on the
+#: binding digest.  Small on purpose: each entry pins a full graph plus
+#: its LevelState; the serving layer's request mix concentrates on a
+#: handful of (model, method) bindings at a time.
 _RESIDENT_LIMIT = 8
 _RESIDENT: OrderedDict[str, object] = OrderedDict()
-#: One lock guards the resident table *and* each delta query: the
-#: LevelState undo log is mutated in place during a query, so two
-#: threads sharing a graph must serialize.  Queries are cone-limited
-#: (microseconds), so the critical section is cheap.
+#: One lock guards the resident table and each query against a resident
+#: graph: the graph's lazily built caches (topological order, the
+#: baseline checkpoint) are filled on first use, so two threads sharing
+#: a graph must not race to build them.  A query is one sweep of the
+#: perturbed rows, so the critical section stays short.
 _RESIDENT_LOCK = threading.Lock()
 
 
@@ -134,8 +135,8 @@ def whatif_cache_key(
         raise ValueError(
             f"unknown method {method!r}; expected one of {KNOWN_METHODS}"
         )
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"factor must be finite and positive, got {factor}")
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     device = _normalize_device(device, parallel.pipeline_size)
@@ -175,9 +176,9 @@ def _resident_graph(
     structural cache behind
     :func:`~repro.harness.experiments.compiled_graph_for`: that cache
     re-binds (a fresh clone, no checkpoint) on every hit, which is
-    right for batch replay but would force a full baseline sweep per
+    right for batch replay but would force a baseline sweep per
     what-if.  Here the *bound* graph itself stays resident, so repeated
-    queries against one binding pay only their cone.
+    queries against one binding pay only their perturbed sweep.
     """
     graph = _RESIDENT.get(graph_key)
     if graph is not None:
@@ -211,15 +212,15 @@ def whatif(
     refine: bool = True,
     cache: PlanCache | None = None,
 ) -> WhatifResult:
-    """Price one single-device perturbation incrementally.
+    """Price one single-device perturbation against a resident graph.
 
     Scales every pass of ``device`` (negative indexes from the end of
     the pipeline) by ``factor`` and returns baseline vs perturbed
     iteration time and mean bubble fraction for ``method``'s schedule
     on the given binding.  The first call for a binding compiles and
-    checkpoints the schedule's graph; subsequent calls — any device,
-    any factor — replay only the perturbation's successor cone, which
-    is bit-identical to a fresh simulation of the perturbed binding.
+    checkpoints the schedule's graph; every call — any device, any
+    factor — then costs one sweep of the perturbed rows, bit-identical
+    to a fresh simulation of the perturbed binding.
 
     ``scenario`` prices the *baseline* on a non-ideal cluster first
     (same semantics as :func:`~repro.planner.planner.plan`); the

@@ -36,7 +36,6 @@ from repro.scenarios.perturb import (
     QUANTILES,
     RobustnessObjective,
     RobustnessStats,
-    delta_support,
     method_robustness,
     perturbation_factors,
     perturbed_rows,
@@ -58,7 +57,6 @@ __all__ = [
     "RobustnessObjective",
     "RobustnessStats",
     "ScenarioRuntime",
-    "delta_support",
     "get_scenario",
     "list_scenarios",
     "method_robustness",

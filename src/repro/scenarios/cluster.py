@@ -79,10 +79,9 @@ class ClusterScenario:
         Devices whose compute passes jitter (negative indices count
         from the end of the pipeline); empty means every device.  A
         narrow set — one thermally unstable straggler — confines the
-        jitter support to that device's passes, which is what lets
-        :func:`repro.scenarios.perturb.robustness_stats` route the
-        Monte Carlo sweep through the incremental delta-replay path.
-        Communication jitter is unaffected (it has no home device).
+        jitter support to that device's passes; the other devices'
+        factors are exactly 1.0.  Communication jitter is unaffected
+        (it has no home device).
     jitter_distribution:
         ``"normal"`` (a 4-uniform Bates approximation — arithmetic
         only, so the NumPy and pure-Python generators are

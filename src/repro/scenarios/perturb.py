@@ -36,7 +36,7 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
     _np = None
 
 from repro.scenarios.cluster import ClusterScenario
-from repro.sim.compiled import CompiledGraph, Perturbation
+from repro.sim.compiled import CompiledGraph
 
 #: SplitMix64 constants (Steele, Lea & Flood 2014).
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -294,67 +294,6 @@ def perturbed_rows(
     )
 
 
-def delta_support(
-    graph: CompiledGraph, scenario: ClusterScenario
-) -> tuple[int, ...] | None:
-    """Node ids the scenario's jitter can touch, when that support is
-    narrow enough for incremental delta replay; ``None`` ⇒ dense.
-
-    Narrow means: jitter is confined to an explicit device subset
-    (``jitter_devices``) covering at most half the pipeline, and there
-    is no communication jitter (which would spread the support over
-    every collective barrier and edge lag).  Wide-support scenarios
-    keep the batched ``execute_many`` kernel — re-relaxing most of the
-    graph per sample would just be a slower full sweep.
-    """
-    if not scenario.has_jitter or not scenario.jitter_devices:
-        return None
-    if scenario.comm_jitter > 0:
-        return None
-    num_devices = len(graph.device_nodes)
-    devices = scenario.jitter_device_set(num_devices)
-    if 2 * len(devices) > num_devices:
-        return None
-    return tuple(
-        sorted(i for d in devices for i in graph.device_nodes[d])
-    )
-
-
-def _delta_summaries(
-    graph: CompiledGraph,
-    scenario: ClusterScenario,
-    samples: int,
-    seed: int,
-    support: tuple[int, ...],
-) -> list:
-    """One delta replay per Monte Carlo sample, over the resident
-    checkpoint — cost scales with the perturbation's cone, not the
-    graph.  Bit-identical to pushing the same samples through the
-    dense ``execute_many_summary`` kernel: muted columns are exactly
-    1.0 there, and ``base * factor`` is the same IEEE multiply here.
-    """
-    stream = _stream_seed(scenario.seed, seed)
-    factors = _factor_matrix(
-        scenario, stream, 0, samples, graph.num_nodes, support,
-        [scenario.pass_jitter] * len(support),
-    )
-    if _np is not None:
-        factors = factors.tolist()
-    graph.checkpoint()
-    base = graph.durations
-    summaries = []
-    for row in factors:
-        perturbation = Perturbation(
-            durations=tuple(
-                (i, base[i] * f)
-                for i, f in zip(support, row)
-                if f != 1.0
-            )
-        )
-        summaries.append(graph.execute_delta_summary(perturbation))
-    return summaries
-
-
 def _quantile(sorted_values: list[float], q: float) -> float:
     """Linear-interpolation quantile of an ascending list."""
     n = len(sorted_values)
@@ -472,14 +411,6 @@ def robustness_stats(
     identical whichever kernel backend ran the sweep.  A jitter-free
     scenario degenerates to the nominal execution (every quantile
     equals ``nominal_time`` exactly).
-
-    Scenarios whose jitter support is narrow (:func:`delta_support` —
-    an explicit small ``jitter_devices`` subset, no communication
-    jitter) route each sample through
-    :meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`
-    instead: per-sample cost then scales with the perturbed cone, not
-    the graph, and the statistics are bit-identical to the dense
-    kernel's either way.
     """
     nominal = graph.execute()
     nominal_time = nominal.iteration_time
@@ -498,12 +429,8 @@ def robustness_stats(
             nominal_bubble=nominal_bubble,
             p95_bubble=nominal_bubble,
         )
-    support = delta_support(graph, scenario)
-    if support is not None:
-        summaries = _delta_summaries(graph, scenario, samples, seed, support)
-    else:
-        durations, lags = perturbed_rows(graph, scenario, samples, seed)
-        summaries = graph.execute_many_summary(durations, lags)
+    durations, lags = perturbed_rows(graph, scenario, samples, seed)
+    summaries = graph.execute_many_summary(durations, lags)
     times = sorted(s.iteration_time for s in summaries)
     bubbles = sorted(s.mean_bubble_fraction() for s in summaries)
     mean = sum(times) / len(times)

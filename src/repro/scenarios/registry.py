@@ -15,9 +15,7 @@ name a well-understood cluster instead of hand-building one:
 * ``high-jitter`` — heavy runtime noise on compute and communication
   (busy multi-tenant cluster);
 * ``straggler-device`` — kernel-time jitter confined to the last
-  pipeline device (one thermally unstable card); its narrow support
-  routes Monte Carlo robustness through the incremental delta-replay
-  path.
+  pipeline device (one thermally unstable card).
 
 :func:`register_scenario` adds user scenarios; lookups are
 case-sensitive by ``name``.
@@ -68,8 +66,8 @@ _BUILTINS = (
     ClusterScenario(
         name="straggler-device",
         description="One thermally unstable device (last in the "
-        "pipeline) with 10% kernel-time jitter; narrow support drives "
-        "the incremental delta-replay path.",
+        "pipeline) with 10% kernel-time jitter; the other devices run "
+        "without jitter.",
         pass_jitter=0.10,
         jitter_devices=(-1,),
     ),

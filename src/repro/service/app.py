@@ -127,7 +127,7 @@ ROUTES: tuple[Route, ...] = (
     ),
     Route(
         "POST", "/v1/whatif",
-        "price a single-device slowdown by incremental delta replay",
+        "price a single-device slowdown on a resident compiled graph",
     ),
     Route(
         "POST", "/v1/optimize",

@@ -24,6 +24,7 @@ and plan caches stay warm across requests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -126,14 +127,22 @@ def _coerce_vocab(name: str, value: int | str) -> int:
     return value
 
 
+def _finite(name: str, value: int | float) -> int | float:
+    # json.loads accepts the NaN and Infinity tokens; neither is a
+    # value any field means, and NaN slips through every comparison.
+    if not -math.inf < value < math.inf:
+        raise RequestError(f"field {name!r} must be finite, got {value}")
+    return value
+
+
 def _positive(name: str, value: int | float) -> int | float:
-    if value <= 0:
+    if _finite(name, value) <= 0:
         raise RequestError(f"field {name!r} must be positive, got {value}")
     return value
 
 
 def _non_negative(name: str, value: int | float) -> int | float:
-    if value < 0:
+    if _finite(name, value) < 0:
         raise RequestError(f"field {name!r} must be >= 0, got {value}")
     return value
 
@@ -149,7 +158,7 @@ def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
     question with different patience share one cache entry and one
     coalesced computation.  Returns ``default_ms`` (converted) when the
     field is absent; raises :class:`RequestError` (→ 400) on a
-    non-positive or non-numeric value.
+    non-positive, non-finite or non-numeric value.
     """
     if not isinstance(payload, dict) or "deadline_ms" not in payload:
         raw = default_ms
@@ -159,7 +168,11 @@ def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
             raw = default_ms
     if raw is None:
         return None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or raw <= 0:
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, (int, float))
+        or not 0 < raw < math.inf
+    ):
         raise RequestError(
             f"field 'deadline_ms' must be a positive number of "
             f"milliseconds, got {raw!r}"
@@ -588,12 +601,12 @@ _WHATIF_FIELDS = (
 
 @dataclass(frozen=True)
 class WhatifRequest:
-    """One normalized ``POST /v1/whatif`` body — an incremental query.
+    """One normalized ``POST /v1/whatif`` body — a what-if query.
 
     Prices "what if ``device`` ran ``factor``× slower?" against
-    ``method``'s schedule via :func:`repro.planner.whatif` — the
-    cone-limited delta-replay path over a worker-resident compiled
-    graph, not a re-plan.  The model shape derives from
+    ``method``'s schedule via :func:`repro.planner.whatif` — one sweep
+    of the perturbed rows over a worker-resident compiled graph, not a
+    re-plan.  The model shape derives from
     ``devices``/``vocab_size``/``seq_length`` exactly like
     :class:`PlanRequest`, and the digest is the planner's own what-if
     cache key, so the service tiers and the planner's ``"whatif"``

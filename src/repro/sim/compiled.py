@@ -74,10 +74,7 @@ class Perturbation:
 
     ``durations`` maps node ids to *new absolute* durations and
     ``lags`` maps edge indices (into ``succ_lag``) to new absolute
-    transfer lags — everything not listed keeps its checkpoint value.
-    Entries equal to the checkpoint value are allowed and simply do
-    not dirty anything, so callers can hand over whole perturbed rows
-    via :meth:`from_rows` and let the diff find the support.
+    transfer lags — everything not listed keeps its bound value.
     """
 
     durations: tuple[tuple[int, float], ...] = ()
@@ -91,81 +88,25 @@ class Perturbation:
             lags=tuple(sorted((lags or {}).items())),
         )
 
-    @classmethod
-    def from_rows(cls, graph: "CompiledGraph", dur_row, lag_row=None) -> "Perturbation":
-        """The sparse difference between full rows and ``graph``'s binding.
-
-        ``dur_row`` (length ``num_nodes``) and optionally ``lag_row``
-        (length ``num_edges``) are compared against the graph's bound
-        ``durations`` / ``succ_lag``; only differing slots survive.
-        This is how a Monte Carlo sample row (mostly-ones factors)
-        becomes a support-sized delta.
-        """
-        return cls(
-            durations=_row_diff(graph.durations, dur_row),
-            lags=() if lag_row is None else _row_diff(graph.succ_lag, lag_row),
-        )
-
     @property
     def support(self) -> int:
         """Number of touched slots (nodes + edges)."""
         return len(self.durations) + len(self.lags)
 
 
-def _row_diff(base, row) -> tuple[tuple[int, float], ...]:
-    """Sparse ``(index, new_value)`` pairs where ``row`` differs from
-    ``base``; vectorized when NumPy is present (the comparison is exact
-    either way — a slot is in the support iff the floats differ)."""
-    if _np is not None:
-        base_arr = _np.asarray(base, dtype=_np.float64)
-        row_arr = _np.asarray(row, dtype=_np.float64)
-        changed = _np.flatnonzero(row_arr != base_arr)
-        return tuple(
-            (int(i), float(row_arr[i])) for i in changed
-        )
-    return tuple(
-        (i, float(v)) for i, (b, v) in enumerate(zip(base, row)) if v != b
-    )
-
-
+@dataclass(frozen=True)
 class LevelState:
-    """Checkpointed relaxation state of one bound :class:`CompiledGraph`.
+    """The resident in-order baseline of one bound :class:`CompiledGraph`.
 
-    Holds working copies of the graph's bound duration/lag rows and the
-    baseline longest-path solution (``ready``/``end`` per node, plus
-    the per-device busy sums in collection order).  ``execute_delta``
-    perturbs these arrays in place while keeping an undo log; a
-    :meth:`rollback` (applied automatically unless a caller opts into
-    cumulative deltas) restores the baseline bit for bit.  The graph's
-    own ``durations``/``succ_lag`` are never mutated.
+    Per-node ``ready``/``end`` times of one sweep over the bound
+    durations and lags, plus the per-device busy sums in collection
+    order — everything a what-if needs to report the unperturbed
+    schedule without sweeping it again (:meth:`CompiledGraph.checkpoint`).
     """
 
-    __slots__ = ("dur", "lag", "ready", "end", "busy", "_log")
-
-    def __init__(self, dur, lag, ready, end, busy) -> None:
-        self.dur = dur
-        self.lag = lag
-        self.ready = ready
-        self.end = end
-        self.busy = busy
-        self._log: list[tuple[list, int, float]] = []
-
-    @property
-    def pristine(self) -> bool:
-        """Whether the state currently equals the checkpoint baseline."""
-        return not self._log
-
-    def rollback(self) -> None:
-        """Undo every applied delta, restoring the baseline exactly.
-
-        The undo log replays old values in reverse application order,
-        so the arrays return to the checkpointed floats bit for bit.
-        Idempotent: rolling back a pristine state is a no-op.
-        """
-        log = self._log
-        while log:
-            array, index, value = log.pop()
-            array[index] = value
+    ready: list[float]
+    end: list[float]
+    busy: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -225,7 +166,6 @@ class CompiledGraph:
         "_batch",
         "_pricing",
         "_cplan",
-        "_rev",
         "_levelstate",
     )
 
@@ -238,7 +178,6 @@ class CompiledGraph:
         self._batch: list | None = None
         self._pricing: tuple | None = None
         self._cplan: tuple | None = None
-        self._rev: tuple | None = None
         self._levelstate: LevelState | None = None
 
     # ------------------------------------------------------------------
@@ -343,8 +282,8 @@ class CompiledGraph:
         self.durations = [values[i] for i in plan[1]]
         self.succ_lag = [pair_values[i] for i in plan[4]]
         # Topology (and its cached topological order) is unaffected by a
-        # rebind; the cached execution result and the checkpointed
-        # relaxation state price the old binding and must be dropped.
+        # rebind; the cached execution result and the resident baseline
+        # (checkpoint) price the old binding and must be dropped.
         self._inorder = None
         self._levelstate = None
 
@@ -378,10 +317,6 @@ class CompiledGraph:
         clone._batch = self._batch
         clone._pricing = self._pricing
         clone._cplan = self._cplan
-        # The reverse plan is structural (CSR + device chains), both
-        # shared here; the LevelState checkpoint is binding-dependent
-        # and is intentionally *not* carried over (_bind resets it).
-        clone._rev = self._rev
         clone._bind(runtime)
         return clone
 
@@ -680,33 +615,6 @@ class CompiledGraph:
                         f"lag row {k} has {len(lag)} entries, "
                         f"expected {num_edges}"
                     )
-                state = self._levelstate
-                if k_rows == 1 and state is not None and state.pristine:
-                    # K=1 with a resident pristine checkpoint: diff the
-                    # row against the baseline and replay only the cone
-                    # instead of re-sweeping the whole topology.  The
-                    # collectors see the exact merged (ready, end)
-                    # arrays a full sweep would produce.  Dense diffs
-                    # (or cones the walk finds to be dense) fall
-                    # through to the plain sweep below — the adaptive
-                    # policy of :meth:`execute_delta`.
-                    perturbation = Perturbation(
-                        durations=_row_diff(state.dur, dur),
-                        lags=() if lags is None else _row_diff(state.lag, lag),
-                    )
-                    budget = self._delta_budget(perturbation.support)
-                    changed = (
-                        None
-                        if budget is None
-                        else self._delta_relax(
-                            state, perturbation, budget=budget
-                        )
-                    )
-                    if changed is not None:
-                        result = collect_row(state.ready, state.end)
-                        state.rollback()
-                        results.append(result)
-                        continue
                 ready, end = self._sweep(dur, lag)
                 results.append(collect_row(ready, end))
             return results
@@ -960,63 +868,17 @@ class CompiledGraph:
         )
 
     # ------------------------------------------------------------------
-    # Incremental (delta) replay
+    # What-if replay (resident baseline + one perturbed sweep)
     # ------------------------------------------------------------------
-
-    def _reverse_plan(self) -> tuple:
-        """Predecessor view of the topology, for cone re-relaxation.
-
-        Returns ``(pred_off, pred_src, pred_edge, chain_prev,
-        topo_pos)``: a CSR over *incoming* explicit edges (``pred_edge``
-        indexes the shared lag array), the implicit device-chain
-        predecessor per pass node (``-1`` when none), and each node's
-        position in the cached topological order.  Structural — shared
-        by :meth:`rebind` alongside the forward plans.
-        """
-        if self._rev is not None:
-            return self._rev
-        topo, chain_next = self._topology()
-        n = self.num_nodes
-        off, nxt = self.succ_off, self.succ_node
-        counts = [0] * n
-        for j in nxt:
-            counts[j] += 1
-        pred_off = [0] * (n + 1)
-        for i in range(n):
-            pred_off[i + 1] = pred_off[i] + counts[i]
-        cursor = list(pred_off[:n])
-        num_edges = len(nxt)
-        pred_src = [0] * num_edges
-        pred_edge = [0] * num_edges
-        for i in range(n):
-            for k in range(off[i], off[i + 1]):
-                j = nxt[k]
-                slot = cursor[j]
-                cursor[j] = slot + 1
-                pred_src[slot] = i
-                pred_edge[slot] = k
-        chain_prev = [-1] * n
-        for i, j in enumerate(chain_next):
-            if j >= 0:
-                chain_prev[j] = i
-        topo_pos = [0] * n
-        for position, node in enumerate(topo):
-            topo_pos[node] = position
-        self._rev = (pred_off, pred_src, pred_edge, chain_prev, topo_pos)
-        return self._rev
 
     def checkpoint(self) -> LevelState:
         """Materialize (or return) the resident :class:`LevelState`.
 
         Runs one baseline sweep over the currently bound durations and
-        lags, then snapshots everything :meth:`execute_delta` needs:
-        working copies of the binding rows, the per-node ready/end
-        solution, and the per-device busy sums in collection order.
-        Cached until the binding changes (:meth:`rebind` / a fresh
-        :meth:`_bind` drop it).  Raises :class:`DeadlockError` exactly
-        when :meth:`execute` would — deadlocks are structural, so a
-        graph that checkpointed successfully cannot deadlock under any
-        delta.
+        lags and keeps its per-node ready/end solution and per-device
+        busy sums.  Cached until the binding changes (:meth:`rebind` /
+        a fresh :meth:`_bind` drop it).  Raises :class:`DeadlockError`
+        exactly when :meth:`execute` would.
         """
         if self._levelstate is not None:
             return self._levelstate
@@ -1027,22 +889,15 @@ class CompiledGraph:
             for i in nodes:
                 total += end[i] - ready[i]
             busy.append(total)
-        self._levelstate = LevelState(
-            dur=list(self.durations),
-            lag=list(self.succ_lag),
-            ready=ready,
-            end=end,
-            busy=tuple(busy),
-        )
+        self._levelstate = LevelState(ready=ready, end=end, busy=tuple(busy))
         return self._levelstate
 
     def device_perturbation(self, device: int, factor: float) -> Perturbation:
         """Scale every pass of ``device`` by ``factor`` (a straggler).
 
-        Priced against the graph's bound durations — the checkpoint
-        baseline — so repeated what-ifs with different factors all
-        describe absolute single-device rebindings, not compounding
-        ones.
+        Priced against the graph's bound durations, so repeated
+        what-ifs with different factors all describe absolute
+        single-device rebindings, not compounding ones.
         """
         if not 0 <= device < len(self.device_nodes):
             raise ValueError(
@@ -1055,227 +910,33 @@ class CompiledGraph:
             )
         )
 
-    def _delta_budget(self, support: int) -> int | None:
-        """Walk budget (processed nodes) for one adaptive delta query.
-
-        ``None`` means the support alone predicts a dense cone — on a
-        tight pipeline a perturbation touching more than a sliver of
-        the nodes shifts nearly everything downstream, and the scalar
-        sweep's per-node constant is several times smaller than the
-        cone walk's — so the caller should go straight to a full
-        resweep of the perturbed rows.  Otherwise the walk runs, but
-        gives up (and the caller resweeps) once the cone it has
-        actually uncovered stops being narrow.
-        """
-        if support > max(32, self.num_nodes // 16):
-            return None
-        return max(64, self.num_nodes // 8)
-
-    def _delta_resweep(
-        self, state: LevelState, perturbation: Perturbation
+    def _perturbed_sweep(
+        self, perturbation: Perturbation
     ) -> tuple[list[float], list[float]]:
-        """Full scalar sweep of ``state``'s rows under ``perturbation``.
-
-        The dense-cone escape hatch: builds the perturbed duration/lag
-        rows off to the side (``state`` is not touched) and re-relaxes
-        the whole topology with :meth:`_sweep` — the definitionally
-        bit-identical path.
-        """
-        dur = list(state.dur)
+        """One full sweep of the bound rows with ``perturbation`` applied
+        to copies of them (the graph's own binding is never touched)."""
+        dur = list(self.durations)
         for i, value in perturbation.durations:
             dur[i] = value
-        lag = state.lag
+        lag = self.succ_lag
         if perturbation.lags:
             lag = list(lag)
             for k, value in perturbation.lags:
                 lag[k] = value
         return self._sweep(dur, lag)
 
-    def _delta_relax(
-        self,
-        state: LevelState,
-        perturbation: Perturbation,
-        budget: int | None = None,
-    ) -> list[int] | None:
-        """Re-relax the affected successor cone of ``perturbation``.
+    def execute_delta(self, perturbation: Perturbation) -> ExecutionResult:
+        """In-order execution of the bound binding under ``perturbation``.
 
-        Applies the perturbed durations/lags to ``state`` (undo-logged),
-        then walks only dirty nodes in topological-position order: a
-        node whose ready time is stale is re-maxed over **all** its
-        predecessors (max-relaxation is an exact, order-independent
-        reduction, so this reproduces the full sweep's float bit for
-        bit), and propagation stops at nodes whose ``(ready, end)``
-        did not change — the cone limit.  Returns the node ids whose
-        start or end moved, for the incremental collectors.
-
-        With a ``budget``, the walk aborts once it has processed that
-        many nodes: every edit made so far is unwound (``state`` is
-        exactly as on entry) and ``None`` is returned, signalling the
-        caller that the cone is dense and a full resweep is cheaper.
+        One sweep of the perturbed rows — bit for bit, per-pass timing
+        maps included, what rebinding the perturbed durations/lags and
+        calling :meth:`execute` on a fresh graph returns.
         """
-        dur, lag = state.dur, state.lag
-        ready, end = state.ready, state.end
-        log = state._log
-        mark = len(log)
-        pred_off, pred_src, pred_edge, chain_prev, topo_pos = self._reverse_plan()
-        topo, chain_next = self._topology()
-        off, nxt = self.succ_off, self.succ_node
-        num_passes = self.num_passes
+        return self._collect(*self._perturbed_sweep(perturbation))
 
-        heap: list[int] = []
-        pending: dict[int, bool] = {}  # node -> ready needs recompute
-
-        def enqueue(node: int, ready_dirty: bool) -> None:
-            flag = pending.get(node)
-            if flag is None:
-                pending[node] = ready_dirty
-                heapq.heappush(heap, topo_pos[node])
-            elif ready_dirty and not flag:
-                pending[node] = True
-
-        for i, value in perturbation.durations:
-            if value != dur[i]:
-                log.append((dur, i, dur[i]))
-                dur[i] = value
-                enqueue(i, False)
-        for k, value in perturbation.lags:
-            if value != lag[k]:
-                log.append((lag, k, lag[k]))
-                lag[k] = value
-                enqueue(nxt[k], True)
-
-        changed: list[int] = []
-        processed = 0
-        while heap:
-            if budget is not None:
-                processed += 1
-                if processed > budget:
-                    while len(log) > mark:
-                        array, index, value = log.pop()
-                        array[index] = value
-                    return None
-            i = topo[heapq.heappop(heap)]
-            ready_dirty = pending.pop(i)
-            r = ready[i]
-            if ready_dirty:
-                r = 0.0
-                for k in range(pred_off[i], pred_off[i + 1]):
-                    v = end[pred_src[k]] + lag[pred_edge[k]]
-                    if v > r:
-                        r = v
-                cp = chain_prev[i]
-                if cp >= 0:
-                    v = end[cp]
-                    if v > r:
-                        r = v
-            e = r + dur[i]
-            moved = False
-            if r != ready[i]:
-                log.append((ready, i, ready[i]))
-                ready[i] = r
-                moved = True
-            if e != end[i]:
-                log.append((end, i, end[i]))
-                end[i] = e
-                moved = True
-                for k in range(off[i], off[i + 1]):
-                    enqueue(nxt[k], True)
-                if i < num_passes:
-                    j = chain_next[i]
-                    if j >= 0:
-                        enqueue(j, True)
-            if moved:
-                changed.append(i)
-        return changed
-
-    def execute_delta(
-        self, perturbation: Perturbation, *, rollback: bool = True
-    ) -> ExecutionResult:
-        """In-order execution under a sparse perturbation, incrementally.
-
-        Equivalent — bit for bit, per-pass timing maps included — to
-        rebinding the perturbed durations/lags and calling
-        :meth:`execute` fresh, but only the perturbation's successor
-        cone is re-relaxed from the resident checkpoint
-        (:meth:`checkpoint` is created on demand).  With ``rollback``
-        (the default) the state returns to the baseline before this
-        method returns, so every call prices an independent what-if;
-        ``rollback=False`` leaves the delta applied, letting deltas
-        compose until :meth:`LevelState.rollback`.
-
-        The query is *adaptive*: when the perturbation's support (or
-        the cone the walk uncovers) predicts that most of the graph
-        shifts — a whole-device straggler on a tight pipeline dirties
-        nearly every downstream node — the incremental walk is
-        abandoned for one full scalar resweep of the perturbed rows,
-        whose per-node constant is several times smaller.  Either path
-        produces the same floats; ``rollback=False`` always takes the
-        exact walk so composed deltas stay incremental.
-        """
-        state = self.checkpoint()
-        if rollback:
-            budget = self._delta_budget(perturbation.support)
-            changed = (
-                None
-                if budget is None
-                else self._delta_relax(state, perturbation, budget=budget)
-            )
-            if changed is None:
-                ready, end = self._delta_resweep(state, perturbation)
-                state.rollback()
-                return self._collect(ready, end)
-            result = self._collect(state.ready, state.end)
-            state.rollback()
-            return result
-        self._delta_relax(state, perturbation)
-        return self._collect(state.ready, state.end)
-
-    def execute_delta_summary(
-        self, perturbation: Perturbation, *, rollback: bool = True
-    ) -> ExecutionSummary:
-        """:meth:`execute_delta`, collecting only summary observables.
-
-        The incremental collector: devices none of whose passes moved
-        keep their checkpointed busy sums (the same floats summed in
-        the same order are the same float), only dirty devices
-        re-accumulate, and the iteration time re-reduces with the same
-        exact ``max``/``min`` as :meth:`_summarize`.  This is the
-        sub-millisecond what-if path — cost scales with the
-        perturbation's cone when the cone is narrow, and degrades to
-        one full resweep (never the slower cone walk) when it is not;
-        see :meth:`execute_delta` for the adaptive policy.
-        """
-        state = self.checkpoint()
-        if rollback:
-            budget = self._delta_budget(perturbation.support)
-            changed = (
-                None
-                if budget is None
-                else self._delta_relax(state, perturbation, budget=budget)
-            )
-            if changed is None:
-                ready, end = self._delta_resweep(state, perturbation)
-                state.rollback()
-                return self._summarize(ready, end)
-        else:
-            changed = self._delta_relax(state, perturbation)
-        ready, end = state.ready, state.end
-        num_passes = self.num_passes
-        node_device = self.node_device
-        dirty_devices = {node_device[i] for i in changed if i < num_passes}
-        busy = list(state.busy)
-        for device in dirty_devices:
-            total = 0.0
-            for i in self.device_nodes[device]:
-                total += end[i] - ready[i]
-            busy[device] = total
-        summary = ExecutionSummary(
-            iteration_time=max(end) - min(ready),
-            device_busy=tuple(busy),
-        )
-        if rollback:
-            state.rollback()
-        return summary
+    def execute_delta_summary(self, perturbation: Perturbation) -> ExecutionSummary:
+        """:meth:`execute_delta`, collecting only summary observables."""
+        return self._summarize(*self._perturbed_sweep(perturbation))
 
     # ------------------------------------------------------------------
     # Work-conserving (dataflow) execution

@@ -14,6 +14,9 @@ import threading
 
 import pytest
 
+from repro.config import ParallelConfig
+from repro.planner.sweep import model_for_devices
+from repro.planner.whatif import whatif
 from repro.service import (
     PlanningService,
     RequestError,
@@ -95,6 +98,35 @@ class TestWhatifValidation:
             WhatifRequest.from_payload([1, 2, 3])
 
 
+class TestNonFiniteNumbers:
+    """``json.loads`` accepts the ``NaN``/``Infinity`` tokens; no numeric
+    field may take them, and neither may the library call."""
+
+    TOKENS = ("NaN", "Infinity", "-Infinity")
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_payload_tokens_rejected(self, token):
+        for name in ("factor", "microbatches"):
+            payload = json.loads(
+                json.dumps(small_whatif_payload(**{name: 1})).replace(
+                    f'"{name}": 1', f'"{name}": {token}'
+                )
+            )
+            with pytest.raises(RequestError, match=f"'{name}' must be"):
+                WhatifRequest.from_payload(payload)
+
+    @pytest.mark.parametrize("factor", (float("nan"), float("inf")))
+    def test_library_call_rejects(self, factor):
+        with pytest.raises(ValueError, match="finite"):
+            whatif(
+                model_for_devices(4, 2048, 32 * 1024),
+                ParallelConfig(pipeline_size=4, num_microbatches=8),
+                method="vocab-1",
+                device=-1,
+                factor=factor,
+            )
+
+
 class TestWhatifDigest:
     def test_digest_matches_planner_cache_key(self):
         """The normative tiered-cache property: the request digest is
@@ -163,6 +195,23 @@ class TestWhatifEndpoint:
         )
         assert status == 400
         assert "bogus" in body["error"]["message"]
+
+    @pytest.mark.parametrize("factor", (float("nan"), float("inf")))
+    def test_non_finite_factor_is_400(self, live, factor):
+        # json.dumps writes these as the bare NaN / Infinity tokens.
+        status, body = request_json(
+            live, "POST", "/v1/whatif", small_whatif_payload(factor=factor)
+        )
+        assert status == 400
+        assert "'factor' must be finite" in body["error"]["message"]
+
+    def test_non_finite_deadline_is_400(self, live):
+        status, body = request_json(
+            live, "POST", "/v1/whatif",
+            small_whatif_payload(deadline_ms=float("nan")),
+        )
+        assert status == 400
+        assert "deadline_ms" in body["error"]["message"]
 
     def test_speedup_factor_below_one(self, live):
         status, body = request_json(

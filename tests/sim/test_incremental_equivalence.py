@@ -1,12 +1,12 @@
-"""Differential fuzz: delta replay ⇔ fresh full execution.
+"""Differential fuzz: what-if replay ⇔ fresh full execution.
 
-:meth:`CompiledGraph.execute_delta` claims to be bit-identical to a
-fresh full execution of the perturbed binding *by construction* — the
-cone re-relaxation re-maxes dirty nodes over all their predecessors
-(an exact, order-independent reduction) and unreached nodes keep the
-checkpointed floats.  This suite fuzzes that claim with seeded random
+:meth:`CompiledGraph.execute_delta` and
+:meth:`CompiledGraph.execute_delta_summary` price a sparse
+:class:`Perturbation` of a bound graph with one sweep of the perturbed
+rows, and claim to be bit-identical to a fresh full execution of the
+perturbed binding.  This suite fuzzes that claim with seeded random
 perturbations — single device rows, multi-row stragglers, arbitrary
-node/edge cones — across every schedule family and both engines
+node/edge sets — across every schedule family and both engines
 (NumPy and the pure-Python fallback), comparing every observable of
 the :class:`ExecutionResult` (per-pass timing maps included) with
 ``==``.
@@ -102,7 +102,7 @@ def _perturbed_rows(graph, perturbation):
 
 def _fresh_full(schedule, runtime, perturbation):
     """The ground truth: a fresh graph, fully swept with the perturbed
-    binding rows (no checkpoint resident, so no delta path)."""
+    binding rows."""
     fresh = compile_schedule(schedule, runtime)
     dur, lag = _perturbed_rows(fresh, perturbation)
     return fresh.execute_many([dur], lags=[lag])[0]
@@ -133,25 +133,10 @@ class TestDifferentialFuzz:
             summary = graph.execute_delta_summary(perturbation)
             assert summary.iteration_time == full.iteration_time
             assert list(summary.device_busy) == list(full.device_busy)
-            # Every query rolled back: the resident state is pristine
-            # and the unperturbed result is still the baseline.
-            assert graph.checkpoint().pristine
+        # The graph's own binding is untouched: the unperturbed result
+        # is still the baseline.
         baseline = _fresh_full(schedule, runtime, Perturbation())
         assert_results_identical(graph.execute(), baseline)
-
-    def test_from_rows_diff_matches_explicit_support(self, method, setup, engine):
-        """A whole perturbed row round-trips through the sparse diff."""
-        schedule, runtime, graph = _graph(method, setup)
-        rng = random.Random(f"rows/{method}/{engine}")
-        perturbation = _random_perturbation(rng, graph, "multi-row")
-        dur, lag = _perturbed_rows(graph, perturbation)
-        rediffed = Perturbation.from_rows(graph, dur, lag)
-        assert dict(rediffed.durations) == dict(perturbation.durations)
-        assert rediffed.lags == ()
-        assert_results_identical(
-            graph.execute_delta(rediffed),
-            _fresh_full(schedule, runtime, perturbation),
-        )
 
 
 class TestDeadlockParity:
@@ -177,6 +162,40 @@ class TestDeadlockParity:
             graph.execute_delta_summary(perturbation)
         with pytest.raises(DeadlockError):
             graph.checkpoint()
+
+
+class TestRebind:
+    def test_rebound_graph_prices_new_runtime(self, setup):
+        """A rebound graph prices its new runtime, not the old
+        checkpoint — and the original graph's checkpoint is untouched."""
+
+        class Doubled:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def pass_duration(self, p):
+                return 2.0 * self.inner.pass_duration(p)
+
+            def collective_duration(self, kind):
+                return 2.0 * self.inner.collective_duration(kind)
+
+            def p2p_duration(self, src, dst):
+                return 2.0 * self.inner.p2p_duration(src, dst)
+
+        schedule, runtime, graph = _graph("vocab-1", setup)
+        state = graph.checkpoint()
+        rebound = graph.rebind(Doubled(runtime))
+        rebound_state = rebound.checkpoint()
+        assert rebound_state is not state
+        assert rebound_state.end != state.end
+        perturbation = rebound.device_perturbation(0, 1.5)
+        fresh = compile_schedule(schedule, Doubled(runtime))
+        dur, lag = _perturbed_rows(fresh, perturbation)
+        assert (
+            rebound.execute_delta(perturbation).pass_times
+            == fresh.execute_many([dur], lags=[lag])[0].pass_times
+        )
+        assert graph.checkpoint() is state
 
 
 class TestPerturbationValidation:

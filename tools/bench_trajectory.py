@@ -34,11 +34,10 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
 * ``incremental_whatif_*`` — one single-device what-if (the last
   device 1.25× slower): the "reference" side is the reference engine
   fully re-relaxing the perturbed binding from scratch, the "compiled"
-  side answers from the resident checkpoint via the adaptive delta
-  path (:meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`);
-  ``resweep_s``/``tail_s`` record the compiled full-resweep
-  alternative and a transient (last-two-microbatch) variant whose
-  narrow cone stays on the incremental walk;
+  side is one sweep of the perturbed rows on the resident graph
+  (:meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`);
+  ``resweep_s`` records the same sweep through a fresh rebind clone's
+  K=1 ``execute_many_summary`` (no resident graph);
 * ``optimize_*`` — one fixed-seed, budget-bounded rewrite search
   (:func:`repro.optimize.optimize`: full-verify named-family baseline
   + 16 oracle evaluations, a ``/v1/optimize`` cache miss) on a cold
@@ -405,17 +404,13 @@ def measure_class(
             scenario=MC_SCENARIO,
         )
 
-        # Incremental what-if: one single-device perturbation (the last
-        # device 1.25x slower) answered from the resident checkpoint by
-        # the adaptive delta path, vs the reference engine fully
-        # re-relaxing the perturbed binding from scratch.  resweep_s
-        # additionally records the strongest compiled alternative (a
-        # fresh rebind clone re-sweeping the perturbed row, no resident
-        # state); tail_s records a *transient* variant of the same
-        # straggler — only the last two microbatches slow down — whose
-        # narrow cone stays on the incremental walk.
+        # What-if: one single-device perturbation (the last device 1.25x
+        # slower) priced by one sweep of the perturbed rows on the
+        # resident graph, vs the reference engine fully re-relaxing the
+        # perturbed binding from scratch.  resweep_s additionally
+        # records a fresh rebind clone sweeping the perturbed row
+        # through execute_many_summary (no resident graph).
         from repro.scenarios.cluster import ScenarioRuntime
-        from repro.sim.compiled import Perturbation
 
         whatif_device, whatif_factor = gpus - 1, 1.25
         whatif_pert = graph.device_perturbation(whatif_device, whatif_factor)
@@ -430,12 +425,6 @@ def measure_class(
             ),
         )
         full_graph = graph.rebind(runtime)
-        graph.checkpoint()
-        tail_pert = Perturbation.from_maps(durations={
-            node: whatif_factor * graph.durations[node]
-            for node in graph.device_nodes[whatif_device]
-            if graph.node_pass[node].microbatch >= m - 2
-        })
 
         def full_whatif() -> None:
             reference_execute_schedule(schedule, whatif_runtime)
@@ -446,9 +435,6 @@ def measure_class(
         def delta_whatif() -> None:
             graph.execute_delta_summary(whatif_pert)
 
-        def tail_whatif() -> None:
-            graph.execute_delta_summary(tail_pert)
-
         add(
             f"incremental_whatif_{tag}",
             best_of(full_whatif, rounds) if with_reference else None,
@@ -457,8 +443,6 @@ def measure_class(
             factor=whatif_factor,
             support=whatif_pert.support,
             resweep_s=best_of(resweep_whatif, rounds),
-            tail_s=best_of(tail_whatif, rounds),
-            tail_support=tail_pert.support,
         )
 
         # Sweep throughput: an 8-budget grid over one schedule structure.
