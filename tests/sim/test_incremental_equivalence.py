@@ -138,6 +138,24 @@ class TestDifferentialFuzz:
         baseline = _fresh_full(schedule, runtime, Perturbation())
         assert_results_identical(graph.execute(), baseline)
 
+    def test_queries_leave_binding_untouched(self, method, setup, engine):
+        """Every query sweeps copies: the bound rows and the resident
+        baseline are exactly as they were, whatever the shape."""
+        _, _, graph = _graph(method, setup)
+        rng = random.Random(f"binding/{method}/{engine}")
+        state = graph.checkpoint()
+        baseline = (list(state.ready), list(state.end), state.busy)
+        durations = list(graph.durations)
+        lags = list(graph.succ_lag)
+        for kind in KINDS:
+            perturbation = _random_perturbation(rng, graph, kind)
+            graph.execute_delta(perturbation)
+            graph.execute_delta_summary(perturbation)
+            assert graph.durations == durations
+            assert graph.succ_lag == lags
+            assert graph.checkpoint() is state
+            assert (list(state.ready), list(state.end), state.busy) == baseline
+
 
 class TestDeadlockParity:
     @staticmethod

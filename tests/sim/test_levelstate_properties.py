@@ -1,9 +1,10 @@
-"""Checkpoint invariants of the resident :class:`LevelState`.
+"""Invariants of the resident :class:`LevelState` and the what-if queries.
 
-The delta path mutates the checkpointed arrays in place behind an undo
-log, so the properties that keep it safe to leave resident inside the
-planner's graph cache are: re-applying the same delta is idempotent,
-rollback restores the baseline bit for bit, and interleaving delta
+A what-if sweeps copies of the bound rows, so the properties that keep
+the graph safe to leave resident inside the planner's graph cache are:
+re-asking the same question gives the same answer, every answer is
+priced against the bound binding (never compounding on an earlier
+query), the binding itself is never mutated, and interleaving what-if
 queries with full executions (``execute`` / ``execute_many`` / the
 batched summary path) never corrupts either side.
 """
@@ -43,13 +44,7 @@ def _graph(setup, method="vocab-1"):
 
 
 def _snapshot(state):
-    return (
-        list(state.dur),
-        list(state.lag),
-        list(state.ready),
-        list(state.end),
-        tuple(state.busy),
-    )
+    return (list(state.ready), list(state.end), tuple(state.busy))
 
 
 class TestIdempotence:
@@ -76,63 +71,21 @@ class TestIdempotence:
         assert first.iteration_time == second.iteration_time
 
 
-class TestRollback:
-    def test_rollback_restores_baseline_exactly(self, setup):
-        _, _, graph = _graph(setup)
-        state = graph.checkpoint()
-        baseline = _snapshot(state)
-        perturbation = graph.device_perturbation(0, 3.0)
-        graph.execute_delta(perturbation, rollback=False)
-        assert not state.pristine
-        assert _snapshot(state) != baseline
-        state.rollback()
-        assert state.pristine
-        assert _snapshot(state) == baseline
-
-    def test_rollback_is_idempotent(self, setup):
-        _, _, graph = _graph(setup)
-        state = graph.checkpoint()
-        baseline = _snapshot(state)
-        state.rollback()
-        state.rollback()
-        assert _snapshot(state) == baseline
-
-    def test_composed_deltas_roll_back_to_baseline(self, setup):
-        """rollback undoes the whole composition, not just the last
-        delta — and a default (rollback=True) query after a kept one
-        also returns the state to the baseline."""
-        schedule, runtime, graph = _graph(setup)
-        state = graph.checkpoint()
-        baseline = _snapshot(state)
-        first = graph.device_perturbation(0, 1.5)
-        second = graph.device_perturbation(3, 0.5)
-        graph.execute_delta(first, rollback=False)
-        composed = graph.execute_delta(second, rollback=False)
-        # Ground truth for the composition: a fresh full execution.
-        fresh = compile_schedule(schedule, runtime)
-        dur = list(fresh.durations)
-        for i, value in first.durations:
-            dur[i] = value
-        for i, value in second.durations:
-            dur[i] = value
-        full = fresh.execute_many([dur])[0]
-        assert composed.pass_times == full.pass_times
-        assert composed.iteration_time == full.iteration_time
-        state.rollback()
-        assert _snapshot(state) == baseline
-        graph.execute_delta(first, rollback=False)
-        graph.execute_delta(second)  # default rollback → baseline
-        assert state.pristine
-        assert _snapshot(state) == baseline
-
+class TestBinding:
     def test_graph_binding_never_mutated(self, setup):
+        """A query leaves the bound rows and the resident baseline
+        exactly as they were — there is nothing to roll back."""
         _, _, graph = _graph(setup)
+        state = graph.checkpoint()
+        baseline = _snapshot(state)
         durations = list(graph.durations)
         lags = list(graph.succ_lag)
-        graph.execute_delta(graph.device_perturbation(1, 2.0), rollback=False)
+        graph.execute_delta(graph.device_perturbation(1, 2.0))
+        graph.execute_delta_summary(graph.device_perturbation(3, 0.5))
         assert graph.durations == durations
         assert graph.succ_lag == lags
-        graph.checkpoint().rollback()
+        assert graph.checkpoint() is state
+        assert _snapshot(state) == baseline
 
 
 class TestInterleaving:
@@ -148,44 +101,11 @@ class TestInterleaving:
         assert first.pass_times == again.pass_times
         assert graph.execute().pass_times == baseline.pass_times
 
-    def test_rebind_drops_stale_checkpoint(self, setup):
-        """A rebound graph prices the new runtime — its checkpoint is
-        rebuilt, and the original graph's state is untouched."""
-
-        class Doubled:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def pass_duration(self, p):
-                return 2.0 * self.inner.pass_duration(p)
-
-            def collective_duration(self, kind):
-                return 2.0 * self.inner.collective_duration(kind)
-
-            def p2p_duration(self, src, dst):
-                return 2.0 * self.inner.p2p_duration(src, dst)
-
-        _, runtime, graph = _graph(setup)
-        state = graph.checkpoint()
-        rebound = graph.rebind(Doubled(runtime))
-        rebound_state = rebound.checkpoint()
-        assert rebound_state is not state
-        assert rebound_state.dur != state.dur
-        perturbation = rebound.device_perturbation(0, 1.5)
-        fresh = compile_schedule(rebound.schedule, Doubled(runtime))
-        dur = list(fresh.durations)
-        for i, value in perturbation.durations:
-            dur[i] = value
-        assert (
-            rebound.execute_delta(perturbation).pass_times
-            == fresh.execute_many([dur])[0].pass_times
-        )
-        assert graph.checkpoint() is state
-
 
 class TestK1FastPath:
-    """execute_many's K=1 lane reuses the resident LevelState; results
-    stay pinned — bit for bit — to the batched (and plain-sweep) path."""
+    """execute_many's K=1 lane runs the scalar sweep; its results stay
+    pinned — bit for bit — to the batched path, with or without a
+    resident LevelState on the graph."""
 
     def _rows(self, graph, seed):
         rng = random.Random(seed)
@@ -200,16 +120,18 @@ class TestK1FastPath:
         if compiled_mod._np is None:
             pytest.skip("batched path needs NumPy")
         _, _, graph = _graph(setup, "vhalf-vocab-1")
-        graph.checkpoint()
+        state = graph.checkpoint()
+        baseline = _snapshot(state)
         row = self._rows(graph, "k1")
-        via_delta = graph.execute_many([row])[0]
-        assert graph.checkpoint().pristine  # resident state survives
+        single = graph.execute_many([row])[0]
+        assert graph.checkpoint() is state  # resident state survives
+        assert _snapshot(state) == baseline
         batched = graph.execute_many([row, row])  # K=2 → vectorized lane
         for result in batched:
-            assert via_delta.pass_times == result.pass_times
-            assert via_delta.collective_times == result.collective_times
-            assert via_delta.iteration_time == result.iteration_time
-            assert via_delta.device_busy == result.device_busy
+            assert single.pass_times == result.pass_times
+            assert single.collective_times == result.collective_times
+            assert single.iteration_time == result.iteration_time
+            assert single.device_busy == result.device_busy
 
     def test_k1_matches_plain_sweep_without_checkpoint(self, setup):
         schedule, runtime, graph = _graph(setup, "redis")
@@ -217,10 +139,10 @@ class TestK1FastPath:
         cold = compile_schedule(schedule, runtime)
         plain = cold.execute_many([row])[0]  # no resident state
         graph.checkpoint()
-        via_delta = graph.execute_many([row])[0]
-        assert via_delta.pass_times == plain.pass_times
-        assert via_delta.iteration_time == plain.iteration_time
-        assert via_delta.device_busy == plain.device_busy
+        warm = graph.execute_many([row])[0]
+        assert warm.pass_times == plain.pass_times
+        assert warm.iteration_time == plain.iteration_time
+        assert warm.device_busy == plain.device_busy
 
     def test_k1_summary_matches(self, setup):
         _, _, graph = _graph(setup, "interlaced")
