@@ -143,3 +143,9 @@ class MemoryModel:
             * vocab_shard
             * self.output_softmax_bytes_per_element
         )
+
+
+#: The default memory model every planner entry point shares (frozen, so
+#: safe): one object means cache keys render it once and memos keyed on
+#: it hit across callers, where a fresh ``MemoryModel()`` per call would not.
+DEFAULT_MEMORY_MODEL = MemoryModel()

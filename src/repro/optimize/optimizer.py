@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import resolve_cost_model
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
-from repro.costmodel.memory import GiB, MemoryModel
+from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB, MemoryModel
 from repro.optimize.ir import ScheduleIR
 from repro.optimize.rewrites import RewriteStep, default_rewrites
 from repro.optimize.search import (
@@ -209,7 +209,7 @@ def optimize_cache_key(
     tiers address an optimized plan without computing it.
     """
     constraints, scenario = _normalize(constraints, scenario, strategy, budget)
-    memory_model = memory_model or MemoryModel()
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
     scenario_sig = None if scenario is None else scenario.signature()
     cost_model_digest = resolve_cost_model(constraints.cost_model).digest()
     return config_digest(
@@ -252,7 +252,7 @@ def optimize(
     cache entry).
     """
     constraints, scenario = _normalize(constraints, scenario, strategy, budget)
-    memory_model = memory_model or MemoryModel()
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
     cache = cache if cache is not None else default_plan_cache()
     key = optimize_cache_key(
         model, parallel, constraints, hardware=hardware,

@@ -10,6 +10,10 @@ and probe entry instead of aliasing stale prices
 (see :meth:`repro.costmodel.calibrate.HardwareProfile.digest`).
 Dataclasses are serialized field by field; anything non-JSON falls back
 to ``repr``, which is stable for the frozen dataclasses used here.
+Each frozen config object is rendered once per lifetime (see
+:func:`config_digest`), so warm re-ranks and what-ifs that key a dozen
+entries on the same model/parallel/hardware/memory objects do not
+re-serialize them for every key.
 
 The default cache is in-memory and process-local.  Passing a
 ``directory`` additionally persists entries as pickle files named by
@@ -42,6 +46,7 @@ import hashlib
 import json
 import os
 import pickle
+import weakref
 from pathlib import Path
 from typing import Any
 
@@ -85,9 +90,115 @@ def _canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+#: ``json.dumps(..., sort_keys=True)`` without rebuilding an encoder
+#: per call; encoding is stateless, so one instance serves every thread.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+#: The encodings ``json.dumps`` gives scalars of exactly these types,
+#: without its per-call encoder setup (floats keep the encoder: it owns
+#: the NaN/Infinity spelling).
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+class _Fragment(weakref.ref):
+    """A weak reference to a digested config, carrying its rendering."""
+
+    __slots__ = ("key", "text")
+
+
+#: Canonical JSON of each frozen config object digested so far, keyed
+#: by ``id``.  The weak reference proves on every hit that the entry
+#: still belongs to the object at that address, and its callback drops
+#: the entry when the object dies, so the table holds at most one
+#: fragment per live config object.
+_FRAGMENTS: dict[int, _Fragment] = {}
+
+
+def _forget(ref: _Fragment, table: dict = _FRAGMENTS) -> None:
+    """Weak-reference callback: drop a dead object's fragment.
+
+    ``table`` is bound at definition, so callbacks that fire while the
+    interpreter tears this module down still find it.
+    """
+    if table.get(ref.key) is ref:
+        table.pop(ref.key, None)
+
+
+def _immutable(value: Any) -> bool:
+    """Whether ``value``'s canonical rendering can never change."""
+    if value is None or isinstance(value, (str, int, float)):
+        return True
+    if isinstance(value, tuple):
+        return all(_immutable(item) for item in value)
+    return _frozen_config(value)
+
+
+def _frozen_config(obj: Any) -> bool:
+    """A frozen dataclass instance whose fields are all immutable."""
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return (
+        params is not None
+        and params.frozen
+        and all(_immutable(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    )
+
+
+def _fragment(part: Any) -> str:
+    """Canonical JSON of one digest part, rendered once per frozen config."""
+    scalar = _SCALARS.get(type(part))
+    if scalar is not None:
+        return scalar(part)
+    key = id(part)
+    ref = _FRAGMENTS.get(key)
+    if ref is not None and ref() is part:
+        return ref.text
+    text = _ENCODER.encode(_canonical(part))
+    if _frozen_config(part):
+        try:
+            ref = _Fragment(part, _forget)
+        except TypeError:  # slotted dataclass: no weak references
+            return text
+        ref.key = key
+        ref.text = text
+        _FRAGMENTS[key] = ref
+    return text
+
+
 def config_digest(*parts: Any) -> str:
-    """SHA-256 hex digest of an arbitrary tuple of config objects."""
-    payload = json.dumps([_canonical(part) for part in parts], sort_keys=True)
+    """SHA-256 hex digest of an arbitrary tuple of config objects.
+
+    The payload is ``json.dumps([_canonical(p) for p in parts],
+    sort_keys=True)``, assembled as the ``", "``-join of each part's own
+    encoding — the same bytes ``json.dumps`` produces for the list.
+    Invariants of the per-object memo behind it:
+
+    * **Byte-identical digests.**  A memoized fragment is exactly the
+      encoding the part would get today; equal-but-differently-typed
+      configs (``memory_budget_gib=40`` vs ``40.0``) compare and hash
+      equal, so the memo is keyed on object identity, never equality,
+      and they keep distinct digests.
+    * **Frozen, immutable configs only.**  Only frozen dataclass
+      instances whose fields are, recursively, ``None``/``str``/
+      numbers, tuples of those, or such frozen dataclasses are
+      memoized (their ``as_dict`` hook, if any, must be a pure function
+      of the fields, as every config type's is).  Primitives, lists,
+      dicts, mutable dataclasses and anything rendered through ``repr``
+      are rendered on every call.
+    * **Lifetime-bound.**  An entry lives exactly as long as its
+      object: a weak reference both evicts it when the object dies and
+      proves on every hit that the ``id`` was not reused.  No size knob
+      is needed; the table holds one fragment per live digested config.
+    * **Never stored on the instance, never pickled.**  The memo is a
+      module-level table, so pickling, copying or comparing a config is
+      unaffected and a copy is rendered afresh.
+    * **Thread-safe.**  Every table operation is a single dict
+      operation; racing renders of one object store identical text.
+    """
+    payload = "[" + ", ".join(map(_fragment, parts)) + "]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -45,16 +45,12 @@ from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import CostModel, PhaseFeatures, get_cost_model
-from repro.costmodel.memory import MemoryModel
+from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.harness.experiments import KNOWN_METHODS, build_schedule
 from repro.scheduling.passes import CollectiveKind
 from repro.scheduling.schedule import Schedule
 from repro.sim.memory import device_param_bytes
 from repro.sim.runtime import BF16, FP32, RuntimeModel, SimulationSetup
-
-#: Default memory model shared by every estimate (frozen, so safe); a
-#: fresh ``MemoryModel()`` per call defeated the probe memoization key.
-_DEFAULT_MEMORY_MODEL = MemoryModel()
 
 
 @dataclass(frozen=True)
@@ -299,7 +295,7 @@ def estimate_method(
     through ``cost_model`` (default: the analytic model, bit-identical
     to the planner's historical estimate).
     """
-    memory_model = memory_model or _DEFAULT_MEMORY_MODEL
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
     cost_model = cost_model or get_cost_model(None)
     model = setup.model
     parallel = setup.parallel

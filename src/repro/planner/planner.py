@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import CostModel, resolve_cost_model
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
-from repro.costmodel.memory import GiB, MemoryModel
+from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB, MemoryModel
 from repro.costmodel.mfu import mfu
 from repro.harness.experiments import (
     KNOWN_METHODS,
@@ -482,7 +482,7 @@ def plan_cache_key(
     resolved by name).
     """
     constraints = constraints or PlannerConstraints()
-    memory_model = memory_model or MemoryModel()
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     if isinstance(robustness, str):
@@ -546,7 +546,7 @@ def plan(
     plans never share priced results.
     """
     constraints = constraints or PlannerConstraints()
-    memory_model = memory_model or MemoryModel()
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
     cache = cache if cache is not None else _DEFAULT_CACHE
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)

@@ -54,7 +54,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
-from repro.costmodel.memory import MemoryModel
+from repro.costmodel.memory import DEFAULT_MEMORY_MODEL
 from repro.harness.experiments import (
     KNOWN_METHODS,
     generate_method_schedule,
@@ -75,10 +75,6 @@ from repro.planner.planner import (
 from repro.sim import SimulationSetup
 
 logger = logging.getLogger(__name__)
-
-#: Default memory model matching plan()'s (frozen dataclass → equal
-#: digests for equal field values).
-_DEFAULT_MEMORY_MODEL = MemoryModel()
 
 
 @dataclass(frozen=True)
@@ -310,12 +306,12 @@ def _warm_binding_groups(
             for method in feasible:
                 est_key = _estimate_digest(
                     method, model, parallel, setup.hardware,
-                    _DEFAULT_MEMORY_MODEL, overhead, cost_model_digest,
+                    DEFAULT_MEMORY_MODEL, overhead, cost_model_digest,
                 )
                 est = cache.get_aux("estimate", est_key)
                 if est is None:
                     est = estimate_method(
-                        method, setup, _DEFAULT_MEMORY_MODEL, cost_model
+                        method, setup, DEFAULT_MEMORY_MODEL, cost_model
                     )
                     cache.put_aux("estimate", est_key, est)
                 ranked.append((est.iteration_time, method))
@@ -336,7 +332,7 @@ def _warm_binding_groups(
                 ).structure_signature()
                 sim_key = _metrics_digest(
                     method, signature, model, parallel, setup.hardware,
-                    _DEFAULT_MEMORY_MODEL, overhead, base.refine,
+                    DEFAULT_MEMORY_MODEL, overhead, base.refine,
                 )
                 cache.put_aux(
                     "metrics",

@@ -37,7 +37,6 @@ from repro.planner.cache import PlanCache, config_digest
 from repro.planner.planner import PLANNER_VERSION, default_plan_cache
 from repro.scenarios import ClusterScenario, get_scenario
 from repro.sim import RuntimeModel, SimulationSetup
-from repro.sim.compiled import ExecutionSummary
 
 #: Resident compiled graphs with their baseline checkpoints, keyed on the
 #: binding digest.  Small on purpose: each entry pins a full graph plus
@@ -249,11 +248,7 @@ def whatif(
     )
     with _RESIDENT_LOCK:
         graph = _resident_graph(graph_key, method, setup, scenario, refine)
-        state = graph.checkpoint()
-        baseline = ExecutionSummary(
-            iteration_time=max(state.end) - min(state.ready),
-            device_busy=state.busy,
-        )
+        baseline = graph.checkpoint().baseline
         perturbation = graph.device_perturbation(device, factor)
         summary = graph.execute_delta_summary(perturbation)
     result = WhatifResult(

@@ -99,14 +99,16 @@ class LevelState:
     """The resident in-order baseline of one bound :class:`CompiledGraph`.
 
     Per-node ``ready``/``end`` times of one sweep over the bound
-    durations and lags, plus the per-device busy sums in collection
-    order — everything a what-if needs to report the unperturbed
-    schedule without sweeping it again (:meth:`CompiledGraph.checkpoint`).
+    durations and lags, plus the :class:`ExecutionSummary` of that
+    sweep (iteration time and per-device busy sums in collection
+    order) — everything a what-if needs to report the unperturbed
+    schedule without sweeping, or even scanning, it again
+    (:meth:`CompiledGraph.checkpoint`).
     """
 
     ready: list[float]
     end: list[float]
-    busy: tuple[float, ...]
+    baseline: ExecutionSummary
 
 
 @dataclass(frozen=True)
@@ -875,9 +877,9 @@ class CompiledGraph:
         """Materialize (or return) the resident :class:`LevelState`.
 
         Runs one baseline sweep over the currently bound durations and
-        lags and keeps its per-node ready/end solution and per-device
-        busy sums.  Cached until the binding changes (:meth:`rebind` /
-        a fresh :meth:`_bind` drop it).  Raises :class:`DeadlockError`
+        lags and keeps its per-node ready/end solution and its
+        :class:`ExecutionSummary`.  Cached until the binding changes
+        (:meth:`rebind` / a fresh :meth:`_bind` drop it).  Raises :class:`DeadlockError`
         exactly when :meth:`execute` would.
         """
         if self._levelstate is not None:
@@ -889,7 +891,13 @@ class CompiledGraph:
             for i in nodes:
                 total += end[i] - ready[i]
             busy.append(total)
-        self._levelstate = LevelState(ready=ready, end=end, busy=tuple(busy))
+        self._levelstate = LevelState(
+            ready=ready,
+            end=end,
+            baseline=ExecutionSummary(
+                iteration_time=max(end) - min(ready), device_busy=tuple(busy)
+            ),
+        )
         return self._levelstate
 
     def device_perturbation(self, device: int, factor: float) -> Perturbation:

@@ -15,7 +15,7 @@ from repro.harness.experiments import (
     generate_method_schedule,
     run_method,
 )
-from repro.planner import PlanCache, PlannerConstraints, plan
+from repro.api import PlanCache, PlannerConstraints, plan
 from repro.scenarios import get_scenario
 from repro.sim import RuntimeModel, SimulationSetup
 

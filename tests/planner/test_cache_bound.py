@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.planner import PlanCache
+from repro.api import PlanCache
 
 
 def put_n(cache: PlanCache, n: int, *, start: int = 0) -> list[str]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import faultinject
-from repro.planner import PlanCache
+from repro.api import PlanCache
 from repro.planner.cache import _MAGIC, QUARANTINE_DIR
 
 

@@ -15,7 +15,7 @@ from repro.harness.settings import (
     VHALF_METHODS,
     parallel_for,
 )
-from repro.planner import PlanCache, PlannerConstraints, plan
+from repro.api import PlanCache, PlannerConstraints, plan
 
 #: Enough microbatches for steady-state behaviour, small enough for CI.
 MICROBATCHES = 32

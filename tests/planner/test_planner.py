@@ -5,14 +5,8 @@ import pytest
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.memory import GiB, MemoryModel
 from repro.harness.settings import ONE_F_ONE_B_METHODS
-from repro.planner import (
-    PlanCache,
-    PlannerConstraints,
-    config_digest,
-    estimate_method,
-    infeasibility_reason,
-    plan,
-)
+from repro.api import PlanCache, PlannerConstraints, config_digest, plan
+from repro.planner.estimate import estimate_method, infeasibility_reason
 from repro.sim import SimulationSetup
 
 
@@ -382,7 +376,7 @@ except ImportError:
 else:
     raise SystemExit("hider inert: numpy imported")
 from repro.config import ModelConfig, ParallelConfig
-from repro.planner import PlannerConstraints, plan
+from repro.api import PlannerConstraints, plan
 model = ModelConfig(num_layers=8, hidden_size=256, num_attention_heads=4,
                     seq_length=256, vocab_size=8 * 1024)
 parallel = ParallelConfig(pipeline_size=4, num_microbatches=4)

@@ -3,16 +3,18 @@
 import pytest
 
 from repro.harness.settings import TABLE1_SHAPES, TABLE2_SHAPES
-from repro.planner import (
+from repro.api import (
     PlannerConstraints,
     SweepPoint,
-    best_method_table,
-    default_chunk_size,
     grid,
     model_for_devices,
+    sweep,
+)
+from repro.planner.sweep import (
+    best_method_table,
+    default_chunk_size,
     plan_point,
     plan_points,
-    sweep,
 )
 
 FAST = PlannerConstraints(simulate_top_k=1)
@@ -156,7 +158,7 @@ class TestPassOverheadAxis:
         assert [p.pass_overhead for p in points] == [None, 1e-3]
 
     def test_overhead_sweep_matches_individual_plans(self):
-        from repro.planner import clear_plan_cache
+        from repro.api import clear_plan_cache
 
         constraints = PlannerConstraints(simulate_top_k=2, refine=False)
         points = grid(devices=(4,), vocab_sizes=(64 * 1024,),
@@ -174,7 +176,7 @@ class TestPassOverheadAxis:
                 assert a.peak_memory_gb == s.peak_memory_gb
 
     def test_overhead_sweep_matches_with_refinement(self):
-        from repro.planner import clear_plan_cache
+        from repro.api import clear_plan_cache
 
         constraints = PlannerConstraints(simulate_top_k=2, refine=True)
         points = grid(devices=(4,), vocab_sizes=(64 * 1024,),
@@ -238,7 +240,7 @@ class TestScenarioAxis:
         assert nominal.structure_axes() != perturbed.structure_axes()
 
     def test_scenario_sweep_matches_individual_plans(self):
-        from repro.planner import clear_plan_cache
+        from repro.api import clear_plan_cache
 
         points = grid(devices=(4,), vocab_sizes=(32 * 1024,),
                       microbatches=(8,), scenarios=(None, "slow-node"))

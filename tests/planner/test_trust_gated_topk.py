@@ -26,14 +26,12 @@ from repro.costmodel import (
 )
 from repro.costmodel.calibrate import _REGISTRY
 from repro.harness.settings import model_for_1f1b, model_for_vhalf, parallel_for
-from repro.planner import (
-    PlanCache,
-    PlannerConstraints,
+from repro.api import PlanCache, PlannerConstraints, plan
+from repro.planner.estimate import (
     clear_probe_cache,
-    plan,
+    estimate_method,
     probe_cache_stats,
 )
-from repro.planner.estimate import estimate_method
 from repro.sim import SimulationSetup
 
 FULL = PlannerConstraints(simulate_top_k=None)
@@ -178,7 +176,7 @@ class TestCacheIdentity:
         assert probe_cache_stats()["entries"] == 2 * analytic_entries
 
     def test_plan_cache_key_differs_by_profile_content(self, scratch_model):
-        from repro.planner import plan_cache_key
+        from repro.api import plan_cache_key
 
         _, model, parallel = CONFIGS[0]
         analytic_key = plan_cache_key(model, parallel, FULL)

@@ -144,7 +144,7 @@ class TestDifferentialFuzz:
         _, _, graph = _graph(method, setup)
         rng = random.Random(f"binding/{method}/{engine}")
         state = graph.checkpoint()
-        baseline = (list(state.ready), list(state.end), state.busy)
+        baseline = (list(state.ready), list(state.end), state.baseline)
         durations = list(graph.durations)
         lags = list(graph.succ_lag)
         for kind in KINDS:
@@ -154,7 +154,7 @@ class TestDifferentialFuzz:
             assert graph.durations == durations
             assert graph.succ_lag == lags
             assert graph.checkpoint() is state
-            assert (list(state.ready), list(state.end), state.busy) == baseline
+            assert (list(state.ready), list(state.end), state.baseline) == baseline
 
 
 class TestDeadlockParity:

@@ -44,7 +44,7 @@ def _graph(setup, method="vocab-1"):
 
 
 def _snapshot(state):
-    return (list(state.ready), list(state.end), tuple(state.busy))
+    return (list(state.ready), list(state.end), state.baseline)
 
 
 class TestIdempotence:
@@ -86,6 +86,18 @@ class TestBinding:
         assert graph.succ_lag == lags
         assert graph.checkpoint() is state
         assert _snapshot(state) == baseline
+
+
+class TestBaseline:
+    @pytest.mark.parametrize("method", ["vocab-1", "vhalf-vocab-1", "interlaced"])
+    def test_checkpoint_baseline_matches_execute(self, setup, method):
+        """The summary kept with the checkpoint is what a fresh
+        ``execute()`` of the bound binding reports — bit for bit."""
+        _, _, graph = _graph(setup, method)
+        baseline = graph.checkpoint().baseline
+        full = graph.execute()
+        assert baseline.iteration_time == full.iteration_time
+        assert baseline.device_busy == tuple(full.device_busy)
 
 
 class TestInterleaving:
