@@ -22,6 +22,7 @@ simulator, never by the estimate.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
@@ -138,24 +139,37 @@ class PlannerConstraints:
             # Normalize the two spellings of the default model so they
             # share one cache-key universe.
             object.__setattr__(self, "cost_model", None)
-        if self.memory_budget_gib is not None and self.memory_budget_gib <= 0:
+        # Written so NaN fails: it compares false against every bound,
+        # and a NaN budget would reject every simulated candidate while
+        # ranking the estimate-only ones as feasible.
+        if self.memory_budget_gib is not None and not (
+            0 < self.memory_budget_gib < math.inf
+        ):
             raise ValueError(
-                f"memory_budget_gib must be positive, got {self.memory_budget_gib}"
+                "memory_budget_gib must be positive and finite, "
+                f"got {self.memory_budget_gib}"
             )
         if self.simulate_top_k is not None and self.simulate_top_k < 0:
             raise ValueError(
                 f"simulate_top_k must be >= 0 or None, got {self.simulate_top_k}"
             )
-        if self.estimate_margin < 1.0:
+        if not 1.0 <= self.estimate_margin < math.inf:
             raise ValueError(
-                f"estimate_margin must be >= 1, got {self.estimate_margin}"
+                f"estimate_margin must be finite and >= 1, got {self.estimate_margin}"
             )
         if self.methods is not None:
+            if not self.methods:
+                raise ValueError(
+                    "methods must name at least one method; use None for all"
+                )
             for method in self.methods:
                 if method not in KNOWN_METHODS:
                     raise ValueError(
                         f"unknown method {method!r}; expected one of {KNOWN_METHODS}"
                     )
+            if len(set(self.methods)) != len(self.methods):
+                repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+                raise ValueError(f"methods lists {', '.join(repeated)} more than once")
 
 
 @dataclass(frozen=True)

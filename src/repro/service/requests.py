@@ -180,6 +180,20 @@ def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
     return float(raw) / 1000.0
 
 
+def _validated(request, check):
+    """``request``, once ``check()`` has built the library objects it
+    denotes; their ``ValueError``/``KeyError`` become a
+    :class:`RequestError` (→ 400) carrying the library's message."""
+    try:
+        check()
+    except RequestError:
+        raise
+    except (ValueError, KeyError) as error:
+        message = error.args[0] if error.args else error
+        raise RequestError(str(message)) from None
+    return request
+
+
 def _reject_unknown(payload: dict, known: tuple[str, ...], what: str) -> None:
     unknown = sorted(set(payload) - set(known))
     if unknown:
@@ -338,14 +352,7 @@ class PlanRequest:
             raise RequestError(
                 "field 'robustness' requires a 'scenario' (the jitter source)"
             )
-        try:
-            request.resolve()
-        except (ValueError, KeyError) as error:
-            if isinstance(error, RequestError):
-                raise
-            message = error.args[0] if error.args else error
-            raise RequestError(str(message)) from None
-        return request
+        return _validated(request, request.resolve)
 
     def resolve(
         self,
@@ -523,7 +530,7 @@ class SweepRequest:
                 f"sweep expands to {len(request.points())} grid points; "
                 f"the service caps one request at {MAX_SWEEP_POINTS}"
             )
-        return request
+        return _validated(request, request.constraints)
 
     def points(self) -> list[SweepPoint]:
         return grid(
@@ -657,14 +664,7 @@ class WhatifRequest:
             scenario=_scenario_name(payload),
             refine=_field(payload, "refine", bool, True),
         )
-        try:
-            request.digest()  # device range, config validity
-        except (ValueError, KeyError) as error:
-            if isinstance(error, RequestError):
-                raise
-            message = error.args[0] if error.args else error
-            raise RequestError(str(message)) from None
-        return request
+        return _validated(request, request.digest)  # device range, config validity
 
     def resolve(
         self,
@@ -939,14 +939,7 @@ class OptimizeRequest:
                 convert=_non_negative,
             ),
         )
-        try:
-            request.digest()  # config validity, strategy/budget bounds
-        except (ValueError, KeyError) as error:
-            if isinstance(error, RequestError):
-                raise
-            message = error.args[0] if error.args else error
-            raise RequestError(str(message)) from None
-        return request
+        return _validated(request, request.digest)  # config validity, strategy/budget bounds
 
     def resolve(
         self,

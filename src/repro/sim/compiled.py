@@ -43,9 +43,8 @@ import dataclasses
 import heapq
 from bisect import insort
 from collections import Counter, defaultdict, deque
-from functools import reduce
 from itertools import accumulate, chain, count, repeat
-from operator import add, sub
+from operator import itemgetter
 
 try:  # NumPy accelerates execute_many; the pure-Python path is exact too.
     import numpy as _np
@@ -129,6 +128,95 @@ class ExecutionSummary(BubbleFractions):
     device_busy: tuple[float, ...]
 
 
+def _stream_busy(device_nodes, start, end) -> list[float]:
+    """Per-device busy seconds: each pass's ``end − start`` added left to
+    right in stream order from ``0.0`` — the reference executor's order
+    (float addition is not associative, and the equivalence suite
+    compares bit for bit)."""
+    busy = []
+    for nodes in device_nodes:
+        total = 0.0
+        for i in nodes:
+            total += end[i] - start[i]
+        busy.append(total)
+    return busy
+
+
+class ResultView(ExecutionResult):
+    """An :class:`ExecutionResult` over one run's per-node start/end arrays.
+
+    What a compiled execution returns.  ``iteration_time`` and
+    ``device_busy`` are computed on construction, with the same IEEE
+    operations as the reference engine; ``pass_times`` and
+    ``collective_times`` are built from the arrays on first access
+    (pass entries in flattened stream order, as the reference's), and
+    :meth:`device_rows` reads one device's rows straight off its stream
+    without building either map.  A view keeps the graph's structural
+    arrays and the two time arrays, which no engine code mutates after
+    the run, and pickles as a plain :class:`ExecutionResult` with its
+    maps materialized.
+    """
+
+    def __init__(
+        self,
+        graph: CompiledGraph,
+        start: list[float],
+        end: list[float],
+        iteration_time: float | None = None,
+    ) -> None:
+        self.schedule = graph.schedule
+        self._node_pass = graph.node_pass
+        self._device_nodes = graph.device_nodes
+        self._coll_keys = graph.coll_keys
+        self._num_passes = graph.num_passes
+        self._start = start
+        self._end = end
+        self.iteration_time = (
+            max(end) - min(start) if iteration_time is None else iteration_time
+        )
+        self.device_busy = _stream_busy(graph.device_nodes, start, end)
+        self._pass_times: dict | None = None
+        self._collective_times: dict | None = None
+
+    @property
+    def pass_times(self) -> dict[Pass, tuple[float, float]]:
+        if self._pass_times is None:
+            flat = list(chain.from_iterable(self._device_nodes))
+            times = zip(
+                map(self._start.__getitem__, flat), map(self._end.__getitem__, flat)
+            )
+            self._pass_times = dict(zip(map(self._node_pass.__getitem__, flat), times))
+        return self._pass_times
+
+    @property
+    def collective_times(self) -> dict[tuple[CollectiveKind, int], tuple[float, float]]:
+        if self._collective_times is None:
+            first = self._num_passes
+            self._collective_times = dict(
+                zip(self._coll_keys, zip(self._start[first:], self._end[first:]))
+            )
+        return self._collective_times
+
+    def device_rows(self, device: int):
+        nodes = self._device_nodes[device]
+        if len(nodes) < 2:  # itemgetter returns a bare item for one index
+            return [(self._node_pass[i], self._start[i], self._end[i]) for i in nodes]
+        gather = itemgetter(*nodes)
+        return zip(gather(self._node_pass), gather(self._start), gather(self._end))
+
+    def __reduce__(self):
+        return (
+            ExecutionResult,
+            (
+                self.schedule,
+                self.pass_times,
+                self.collective_times,
+                self.iteration_time,
+                self.device_busy,
+            ),
+        )
+
+
 class CompiledGraph:
     """A schedule's dependency DAG lowered to flat arrays.
 
@@ -167,7 +255,6 @@ class CompiledGraph:
         "_inorder",
         "_batch",
         "_pricing",
-        "_cplan",
         "_levelstate",
     )
 
@@ -179,7 +266,6 @@ class CompiledGraph:
         self._inorder: ExecutionResult | None = None
         self._batch: list | None = None
         self._pricing: tuple | None = None
-        self._cplan: tuple | None = None
         self._levelstate: LevelState | None = None
 
     # ------------------------------------------------------------------
@@ -318,7 +404,6 @@ class CompiledGraph:
         clone._topo = self._topo
         clone._batch = self._batch
         clone._pricing = self._pricing
-        clone._cplan = self._cplan
         clone._bind(runtime)
         return clone
 
@@ -358,8 +443,8 @@ class CompiledGraph:
         ):
             setattr(clone, name, getattr(self, name))
         clone.device_nodes = device_nodes
-        # Pricing is order-independent and can be shared; the batch and
-        # collect plans depend on the device chains and must rebuild.
+        # Pricing is order-independent and can be shared; the batch
+        # plan depends on the device chains and must rebuild.
         clone._pricing = self._pricing
         return clone
 
@@ -711,17 +796,11 @@ class CompiledGraph:
         )
 
     def _summarize(self, start, end) -> ExecutionSummary:
-        """Summary observables of one sweep, matching :meth:`_collect`'s
-        float accumulation order exactly (stream-order busy sums)."""
-        busy: list[float] = []
-        for nodes in self.device_nodes:
-            total = 0.0
-            for i in nodes:
-                total += end[i] - start[i]
-            busy.append(total)
+        """Summary observables of one sweep, bit-identical to a
+        :meth:`_collect` result's (the same stream-order busy sums)."""
         return ExecutionSummary(
             iteration_time=max(end) - min(start),
-            device_busy=tuple(busy),
+            device_busy=tuple(_stream_busy(self.device_nodes, start, end)),
         )
 
     def _summarize_batch(self, start, end, position) -> list[ExecutionSummary]:
@@ -745,60 +824,18 @@ class CompiledGraph:
             for t, b in zip(iteration, zip(*busy))
         ]
 
-    def _collect_plan(self) -> tuple:
-        """Gather plan for :meth:`_collect` and :meth:`_collect_column`:
-        the flattened stream order (``None`` when it is the identity over
-        pass node ids, the straight-from-compile case) as a list and as a
-        NumPy index array (``None`` without NumPy), its :class:`Pass`
-        objects, and per-device stream lengths."""
-        if self._cplan is not None:
-            return self._cplan
-        flat_order: list[int] = []
-        counts: list[int] = []
-        for nodes in self.device_nodes:
-            flat_order.extend(nodes)
-            counts.append(len(nodes))
-        node_pass = self.node_pass
-        if flat_order == list(range(self.num_passes)):
-            self._cplan = (None, None, node_pass, counts)
-        else:
-            self._cplan = (
-                flat_order,
-                None if _np is None else _np.asarray(flat_order, dtype=_np.intp),
-                [node_pass[i] for i in flat_order],
-                counts,
-            )
-        return self._cplan
-
     def _collect_batch(self, start, end, position) -> list[ExecutionResult]:
         """:meth:`_collect` for all K columns of the batched sweep: one
-        gather back to node-id space, then one row-contiguous pair per
-        binding so the per-result gathers are slices."""
+        gather back to node-id space, then one view per binding over
+        that binding's row.  The iteration times are reduced in NumPy;
+        ``max``/``min`` are exact, so they equal the scalar reductions."""
         start = _np.ascontiguousarray(start[position].T)
         end = _np.ascontiguousarray(end[position].T)
-        return [self._collect_column(s, e) for s, e in zip(start, end)]
-
-    def _collect_column(self, start_col, end_col) -> ExecutionResult:
-        """:meth:`_collect` for one NumPy column of the batched sweep.
-
-        Same observables, bit for bit: the gathered start/end values are
-        exactly the sweep's, and :meth:`_result` sums them the same way.
-        """
-        flat_idx = self._collect_plan()[1]
-        num_passes = self.num_passes
-        if flat_idx is None:
-            starts = start_col[:num_passes].tolist()
-            ends = end_col[:num_passes].tolist()
-        else:
-            starts = start_col.take(flat_idx).tolist()
-            ends = end_col.take(flat_idx).tolist()
-        return self._result(
-            starts,
-            ends,
-            start_col[num_passes:].tolist(),
-            end_col[num_passes:].tolist(),
-            float(end_col.max() - start_col.min()),
-        )
+        iteration = (end.max(axis=1) - start.min(axis=1)).tolist()
+        return [
+            ResultView(self, s, e, t)
+            for s, e, t in zip(start.tolist(), end.tolist(), iteration)
+        ]
 
     def execute_bindings(self, runtimes) -> list[ExecutionResult]:
         """Price and execute this topology under each runtime in one batch.
@@ -828,46 +865,9 @@ class CompiledGraph:
         return self._inorder
 
     def _collect(self, start: list[float], end: list[float]) -> ExecutionResult:
-        """The :class:`ExecutionResult` of per-node start/end times."""
-        flat_order = self._collect_plan()[0]
-        num_passes = self.num_passes
-        if flat_order is None:
-            starts = start[:num_passes]
-            ends = end[:num_passes]
-        else:
-            starts = [start[i] for i in flat_order]
-            ends = [end[i] for i in flat_order]
-        return self._result(
-            starts, ends, start[num_passes:], end[num_passes:],
-            max(end) - min(start),
-        )
-
-    def _result(
-        self, starts, ends, coll_starts, coll_ends, iteration_time: float
-    ) -> ExecutionResult:
-        """Assemble a result from pass times in flattened stream order
-        and collective times in node order."""
-        _, _, flat_passes, counts = self._collect_plan()
-        # Busy sums run over the *current* stream order (which differs
-        # from node-id order after with_orders), one left-to-right float
-        # add per pass from 0.0 — exactly the reference executor's order;
-        # float addition is not associative, and the equivalence suite
-        # compares bit-for-bit.
-        busy: list[float] = []
-        position = 0
-        for count in counts:
-            stop = position + count
-            busy.append(
-                reduce(add, map(sub, ends[position:stop], starts[position:stop]), 0.0)
-            )
-            position = stop
-        return ExecutionResult(
-            schedule=self.schedule,
-            pass_times=dict(zip(flat_passes, zip(starts, ends))),
-            collective_times=dict(zip(self.coll_keys, zip(coll_starts, coll_ends))),
-            iteration_time=iteration_time,
-            device_busy=busy,
-        )
+        """The result of per-node start/end times: a :class:`ResultView`
+        over the two arrays (see there for what it computes eagerly)."""
+        return ResultView(self, start, end)
 
     # ------------------------------------------------------------------
     # What-if replay (resident baseline + one perturbed sweep)
@@ -885,18 +885,8 @@ class CompiledGraph:
         if self._levelstate is not None:
             return self._levelstate
         ready, end = self._sweep(self.durations, self.succ_lag)
-        busy: list[float] = []
-        for nodes in self.device_nodes:
-            total = 0.0
-            for i in nodes:
-                total += end[i] - ready[i]
-            busy.append(total)
         self._levelstate = LevelState(
-            ready=ready,
-            end=end,
-            baseline=ExecutionSummary(
-                iteration_time=max(end) - min(ready), device_busy=tuple(busy)
-            ),
+            ready=ready, end=end, baseline=self._summarize(ready, end)
         )
         return self._levelstate
 
@@ -1201,15 +1191,22 @@ class CompiledGraph:
         dataflow ``(start, end)`` (what ``passes_on`` returns) form the
         new order, and the dataflow's start/end times *are* that order's
         in-order times, so they are collected directly instead of
-        replaying the refined graph.  The "before" side is this graph's
-        in-order run (the zero-bubble pre-pass's, when that ran),
-        collected into a result only when it wins.
+        replaying the refined graph.  When every pass duration is
+        positive the sort is skipped: each pass then starts after the
+        previous one on its device ends, so dispatch starts strictly
+        increase and the dispatch order is the sorted order.  The
+        "before" side is this graph's cached in-order result
+        (:meth:`execute`; the zero-bubble pre-pass's, when that ran).
         """
         start, end, dispatched = self._dataflow(lookahead, mode)
-        device_nodes = [
-            sorted(nodes, key=lambda i: (start[i], end[i]))
-            for nodes in self.device_nodes
-        ]
+        positive = min(self.durations[: self.num_passes]) > 0.0
+        if positive:
+            device_nodes = dispatched
+        else:
+            device_nodes = [
+                sorted(nodes, key=lambda i: (start[i], end[i]))
+                for nodes in self.device_nodes
+            ]
         node_pass = self.node_pass
         new_orders = [[node_pass[i] for i in nodes] for nodes in device_nodes]
         refined = dataclasses.replace(self.schedule, device_orders=new_orders)
@@ -1228,21 +1225,12 @@ class CompiledGraph:
             and min(self.durations) >= 0.0
             and min(self.succ_lag, default=0.0) >= 0.0
         ):
-            after = refined_graph._collect(start, end)
-            refined_graph._inorder = after
+            after = refined_graph._inorder = refined_graph._collect(start, end)
         else:
             after = refined_graph.replay()
-        # The "before" side is collected only if it wins the comparison.
-        before = self._inorder
-        if before is None:
-            before_start, before_end = self._sweep(self.durations, self.succ_lag)
-            before_time = max(before_end) - min(before_start)
-        else:
-            before_time = before.iteration_time
-        if after.iteration_time <= before_time:
+        before = self.execute()
+        if after.iteration_time <= before.iteration_time:
             return refined, after, refined_graph
-        if before is None:
-            before = self._inorder = self._collect(before_start, before_end)
         return self.schedule, before, self
 
 

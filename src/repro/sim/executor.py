@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.scheduling.passes import CollectiveKind, Pass, PassType
 from repro.scheduling.schedule import Schedule
@@ -89,41 +91,84 @@ class BubbleFractions:
         return sum(self.bubble_fraction(d) for d in range(p)) / p
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionResult(BubbleFractions):
-    """Timing outcome of one simulated training iteration."""
+    """Timing outcome of one simulated training iteration.
+
+    ``pass_times`` maps each :class:`Pass` to its ``(start, end)`` and
+    ``collective_times`` each ``(kind, microbatch)`` barrier to its
+    ``(start, end)``; ``iteration_time`` and ``device_busy`` (per-device
+    sums of pass durations, added in stream order) reduce them.
+
+    The reference engine builds these maps directly.  The compiled
+    engine returns a :class:`~repro.sim.compiled.ResultView`, a subclass
+    over the graph's per-node start/end arrays: its ``iteration_time``
+    and ``device_busy`` are computed when it is made, and its two maps
+    (bit-identical to the reference engine's) only on first access —
+    most callers (the planner, the optimizer's scoring) never read them.
+    Consumers that walk passes device by device read
+    :meth:`device_rows`, which a view serves straight from its arrays.
+    Both kinds compare equal when every observable is equal, and a view
+    pickles as a plain result holding its materialized maps.
+    """
 
     schedule: Schedule
     pass_times: dict[Pass, tuple[float, float]]
     collective_times: dict[tuple[CollectiveKind, int], tuple[float, float]]
     iteration_time: float
     device_busy: list[float]
-    #: Lazily built per-device (pass, start, end) rows sorted by start —
-    #: one O(P log P) pass over ``pass_times`` serves every device
-    #: instead of a full scan per ``passes_on`` call.
+    #: Lazily built per-device rows: ``_rows`` in ``pass_times`` order
+    #: (:meth:`device_rows`), ``_per_device`` sorted by (start, end)
+    #: (:meth:`passes_on`).
+    _rows: list[list[tuple[Pass, float, float]]] | None = field(
+        default=None, init=False, repr=False
+    )
     _per_device: list[list[tuple[Pass, float, float]]] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, init=False, repr=False
     )
 
-    def passes_on(self, device: int) -> list[tuple[Pass, float, float]]:
-        """(pass, start, end) for one device, sorted by start time.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionResult):
+            return NotImplemented
+        return (
+            self.schedule == other.schedule
+            and self.iteration_time == other.iteration_time
+            and self.device_busy == other.device_busy
+            and self.pass_times == other.pass_times
+            and self.collective_times == other.collective_times
+        )
 
-        The per-device rows are built once for *all* devices on the
-        first call and indexed thereafter; ``refine_schedule_order``
-        and the bubble analyses call this per device, which used to
-        cost a full O(total-passes) scan each time.
+    def device_rows(self, device: int) -> Iterable[tuple[Pass, float, float]]:
+        """``(pass, start, end)`` for each pass of ``device``, unsorted.
+
+        Rows come in ``pass_times`` order — for a compiled result, the
+        device's stream order.  Event sweeps that add floats in row
+        order (:func:`repro.sim.memory.memory_report`) depend on it.
+        Iterate the rows once; do not mutate them.
         """
-        if not 0 <= device < len(self.device_busy):
-            return []
-        if self._per_device is None:
+        if self._rows is None:
             rows: list[list[tuple[Pass, float, float]]] = [
                 [] for _ in range(len(self.device_busy))
             ]
             for p, (start, end) in self.pass_times.items():
                 rows[p.device].append((p, start, end))
-            for device_rows in rows:
-                device_rows.sort(key=lambda r: (r[1], r[2]))
-            self._per_device = rows
+            self._rows = rows
+        return self._rows[device]
+
+    def passes_on(self, device: int) -> list[tuple[Pass, float, float]]:
+        """(pass, start, end) for one device, sorted by start time.
+
+        The per-device rows are sorted once for *all* devices on the
+        first call and indexed thereafter.  The sort is stable, so
+        passes with equal (start, end) keep their row order.
+        """
+        if not 0 <= device < len(self.device_busy):
+            return []
+        if self._per_device is None:
+            self._per_device = [
+                sorted(self.device_rows(d), key=itemgetter(1, 2))
+                for d in range(len(self.device_busy))
+            ]
         return list(self._per_device[device])
 
 
@@ -147,26 +192,23 @@ def _live_f_caps(
     may run ahead of schedule only while the device's live count stays
     within what the static schedule itself would have held.
     """
-    caps: list[dict[int, int]] = [dict() for _ in range(schedule.num_devices)]
+    caps: list[dict[int, int]] = []
     release_type = PassType.W if schedule.has_weight_passes else PassType.B
-    # One walk buckets every device's events; sorting whole tuples makes
-    # the result independent of the walk order.
-    events: list[list[tuple[float, int, int]]] = [
-        [] for _ in range(schedule.num_devices)
-    ]
     forward = PassType.F
-    for p, (start, end) in result.pass_times.items():
-        if p.type is forward:
-            events[p.device].append((start, p.chunk, +1))
-        elif p.type is release_type:
-            events[p.device].append((end, p.chunk, -1))
     for device in range(schedule.num_devices):
+        # Sorting whole tuples makes the result independent of row order.
+        events: list[tuple[float, int, int]] = []
+        for p, start, end in result.device_rows(device):
+            if p.type is forward:
+                events.append((start, p.chunk, +1))
+            elif p.type is release_type:
+                events.append((end, p.chunk, -1))
         live: dict[int, int] = defaultdict(int)
         peak: dict[int, int] = defaultdict(int)
-        for _, chunk, delta in sorted(events[device]):
+        for _, chunk, delta in sorted(events):
             live[chunk] += delta
             peak[chunk] = max(peak[chunk], live[chunk])
-        caps[device] = dict(peak)
+        caps.append(dict(peak))
     return caps
 
 

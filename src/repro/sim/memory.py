@@ -26,6 +26,7 @@ and the max-minus-min spread that Figure 14 shades.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 
 from repro.costmodel.memory import MemoryModel
@@ -113,9 +114,6 @@ def _activation_events(
     ]
     split = schedule.has_weight_passes
     r_w = weight_release_fraction if split else 0.0
-    # Byte counts are priced once per stage, not per pass: (activation
-    # bytes, whether the stage holds the full output layer's logits).
-    stage_bytes: dict[tuple[int, int], tuple[float, bool]] = {}
     logits = n * setup.padded_vocab_single * FP32
     shard_act = memory_model.output_shard_activation_bytes(model, b, shard)
     # Enum member lookups cost a class-attribute resolution each on
@@ -129,51 +127,54 @@ def _activation_events(
     operand_bytes = 2.0 * n * h * BF16
     input_bytes = n * h * BF16
     segment_bytes = n * shard * FP32 + n * h * BF16
+    collective_times = result.collective_times
 
-    for p, (start, end) in result.pass_times.items():
-        dev = p.device
-        type_ = p.type
-        if type_ is F or type_ is B or type_ is W:
-            stage = stage_bytes.get((dev, p.chunk))
-            if stage is None:
-                stage = stage_bytes[(dev, p.chunk)] = (
-                    memory_model.activation_bytes(
-                        model, b, layout.transformer_layers[dev][p.chunk]
-                    ),
-                    layout.hosts_output(dev, p.chunk),
-                )
-            act, hosts_output = stage
+    for dev in range(layout.num_devices):
+        emit = events[dev].append
+        # Each stage's F/B/W deltas are priced once, not per pass: (F's
+        # activation bytes, B's release, W's release, whether the stage
+        # holds the full output layer's logits).
+        stages = []
+        for chunk, layers in enumerate(layout.transformer_layers[dev]):
+            act = memory_model.activation_bytes(model, b, layers)
+            stages.append(
+                (act, -(1.0 - r_w) * act, -r_w * act, layout.hosts_output(dev, chunk))
+            )
+        for p, _, end in result.device_rows(dev):
+            type_ = p.type
             if type_ is F:
-                events[dev].append((end, act))
-                if hosts_output:
-                    events[dev].append((end, logits))
+                stage = stages[p.chunk]
+                emit((end, stage[0]))
+                if stage[3]:
+                    emit((end, logits))
             elif type_ is B:
-                events[dev].append((end, -(1.0 - r_w) * act))
-                if hosts_output:
-                    events[dev].append((end, -logits))
-            else:
-                events[dev].append((end, -r_w * act))
-        elif type_ is S:
-            events[dev].append((end, shard_act))
-            if operands_held:
-                # A and B operands live until the C1 barrier consumes them.
-                c1 = result.collective_times[(c1_stats, p.microbatch)]
-                events[dev].append((end, operand_bytes))
-                events[dev].append((c1[1], -operand_bytes))
-        elif type_ is T:
-            events[dev].append((end, -shard_act))
-        elif type_ is IF:
-            iar = result.collective_times[(input_allreduce, p.microbatch)]
-            events[dev].append((end, input_bytes))
-            events[dev].append((iar[1], -input_bytes))
-        elif type_ is IB:
-            ibc = result.collective_times[(input_broadcast, p.microbatch)]
-            events[dev].append((ibc[1], input_bytes))
-            events[dev].append((end, -input_bytes))
-        elif type_ is VF:
-            events[dev].append((end, segment_bytes))
-        elif type_ is VB:
-            events[dev].append((end, -segment_bytes))
+                stage = stages[p.chunk]
+                emit((end, stage[1]))
+                if stage[3]:
+                    emit((end, -logits))
+            elif type_ is W:
+                emit((end, stages[p.chunk][2]))
+            elif type_ is S:
+                emit((end, shard_act))
+                if operands_held:
+                    # A and B operands live until the C1 barrier consumes them.
+                    c1 = collective_times[(c1_stats, p.microbatch)]
+                    emit((end, operand_bytes))
+                    emit((c1[1], -operand_bytes))
+            elif type_ is T:
+                emit((end, -shard_act))
+            elif type_ is IF:
+                iar = collective_times[(input_allreduce, p.microbatch)]
+                emit((end, input_bytes))
+                emit((iar[1], -input_bytes))
+            elif type_ is IB:
+                ibc = collective_times[(input_broadcast, p.microbatch)]
+                emit((ibc[1], input_bytes))
+                emit((end, -input_bytes))
+            elif type_ is VF:
+                emit((end, segment_bytes))
+            elif type_ is VB:
+                emit((end, -segment_bytes))
     return events
 
 
@@ -193,12 +194,10 @@ def memory_report(
     peaks = []
     act_peaks = []
     for device in range(layout.num_devices):
-        level = 0.0
-        peak_act = 0.0
-        for _, delta in sorted(events[device], key=itemgetter(0)):
-            level += delta
-            if level > peak_act:
-                peak_act = level
+        # Running level over the time-sorted events (a stable sort, so
+        # equal times keep their emission order), floored at zero.
+        levels = accumulate(map(itemgetter(1), sorted(events[device], key=itemgetter(0))))
+        peak_act = max(0.0, max(levels, default=0.0))
         act_peaks.append(peak_act)
         peaks.append(params[device] + peak_act + memory_model.overhead_bytes)
     return MemoryReport(
@@ -230,9 +229,7 @@ def live_microbatch_peaks(
     for device in range(layout.num_devices):
         total_layers = max(1, sum(layout.transformer_layers[device]))
         events = []
-        for p, (start, end) in result.pass_times.items():
-            if p.device != device:
-                continue
+        for p, _, end in result.device_rows(device):
             weight = layout.transformer_layers[device][p.chunk] / total_layers if (
                 p.type in (PassType.F, PassType.B, PassType.W)
             ) else 0.0

@@ -80,6 +80,21 @@ class TestHttpSurface:
         assert body["error"]["code"] == "bad_request"
         assert "bogus" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "path, fields, message",
+        [
+            ("/v1/plan", {"methods": []}, "at least one method"),
+            ("/v1/plan", {"methods": ["vocab-1", "vocab-1"]}, "more than once"),
+            ("/v1/optimize", {"methods": []}, "at least one method"),
+        ],
+    )
+    def test_invalid_constraints_are_bad_requests(self, live, path, fields, message):
+        payload = {"devices": 4, "vocab_size": "32k", "microbatches": 8, **fields}
+        status, body = request_json(live, "POST", path, payload)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert message in body["error"]["message"]
+
     def test_plan_rejects_malformed_json(self, live):
         conn = http.client.HTTPConnection(live.host, live.port, timeout=30)
         try:
