@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 
 from repro.costmodel.memory import MemoryModel
 from repro.scheduling.passes import CollectiveKind, PassType
@@ -100,8 +99,8 @@ def _activation_events(
     setup: SimulationSetup,
     memory_model: MemoryModel,
     weight_release_fraction: float,
-) -> list[list[tuple[float, float]]]:
-    """Per-device (time, delta_bytes) events."""
+) -> list[tuple[list[float], list[float]]]:
+    """Per-device event times and byte deltas, in emission order."""
     schedule = result.schedule
     layout = schedule.layout
     model = setup.model
@@ -109,8 +108,11 @@ def _activation_events(
     n = setup.tokens
     h = model.hidden_size
     shard = setup.partition.shard_size
-    events: list[list[tuple[float, float]]] = [
-        [] for _ in range(layout.num_devices)
+    # Parallel time/delta lists rather than (time, delta) tuples: one
+    # memory report emits tens of thousands of events, and tuples are
+    # objects the cyclic garbage collector must track and visit.
+    events: list[tuple[list[float], list[float]]] = [
+        ([], []) for _ in range(layout.num_devices)
     ]
     split = schedule.has_weight_passes
     r_w = weight_release_fraction if split else 0.0
@@ -130,7 +132,8 @@ def _activation_events(
     collective_times = result.collective_times
 
     for dev in range(layout.num_devices):
-        emit = events[dev].append
+        times, deltas = events[dev]
+        at, add = times.append, deltas.append
         # Each stage's F/B/W deltas are priced once, not per pass: (F's
         # activation bytes, B's release, W's release, whether the stage
         # holds the full output layer's logits).
@@ -144,37 +147,52 @@ def _activation_events(
             type_ = p.type
             if type_ is F:
                 stage = stages[p.chunk]
-                emit((end, stage[0]))
+                at(end)
+                add(stage[0])
                 if stage[3]:
-                    emit((end, logits))
+                    at(end)
+                    add(logits)
             elif type_ is B:
                 stage = stages[p.chunk]
-                emit((end, stage[1]))
+                at(end)
+                add(stage[1])
                 if stage[3]:
-                    emit((end, -logits))
+                    at(end)
+                    add(-logits)
             elif type_ is W:
-                emit((end, stages[p.chunk][2]))
+                at(end)
+                add(stages[p.chunk][2])
             elif type_ is S:
-                emit((end, shard_act))
+                at(end)
+                add(shard_act)
                 if operands_held:
                     # A and B operands live until the C1 barrier consumes them.
                     c1 = collective_times[(c1_stats, p.microbatch)]
-                    emit((end, operand_bytes))
-                    emit((c1[1], -operand_bytes))
+                    at(end)
+                    add(operand_bytes)
+                    at(c1[1])
+                    add(-operand_bytes)
             elif type_ is T:
-                emit((end, -shard_act))
+                at(end)
+                add(-shard_act)
             elif type_ is IF:
                 iar = collective_times[(input_allreduce, p.microbatch)]
-                emit((end, input_bytes))
-                emit((iar[1], -input_bytes))
+                at(end)
+                add(input_bytes)
+                at(iar[1])
+                add(-input_bytes)
             elif type_ is IB:
                 ibc = collective_times[(input_broadcast, p.microbatch)]
-                emit((ibc[1], input_bytes))
-                emit((end, -input_bytes))
+                at(ibc[1])
+                add(input_bytes)
+                at(end)
+                add(-input_bytes)
             elif type_ is VF:
-                emit((end, segment_bytes))
+                at(end)
+                add(segment_bytes)
             elif type_ is VB:
-                emit((end, -segment_bytes))
+                at(end)
+                add(-segment_bytes)
     return events
 
 
@@ -193,11 +211,11 @@ def memory_report(
     )
     peaks = []
     act_peaks = []
-    for device in range(layout.num_devices):
+    for device, (times, deltas) in enumerate(events):
         # Running level over the time-sorted events (a stable sort, so
         # equal times keep their emission order), floored at zero.
-        levels = accumulate(map(itemgetter(1), sorted(events[device], key=itemgetter(0))))
-        peak_act = max(0.0, max(levels, default=0.0))
+        order = sorted(range(len(times)), key=times.__getitem__)
+        peak_act = max(0.0, max(accumulate(map(deltas.__getitem__, order)), default=0.0))
         act_peaks.append(peak_act)
         peaks.append(params[device] + peak_act + memory_model.overhead_bytes)
     return MemoryReport(
