@@ -149,7 +149,8 @@ class ResultView(ExecutionResult):
     ``device_busy`` are computed on construction, with the same IEEE
     operations as the reference engine; ``pass_times`` and
     ``collective_times`` are built from the arrays on first access
-    (pass entries in flattened stream order, as the reference's), and
+    (pass entries in flattened stream order, as compiled results have
+    always listed them), and
     :meth:`device_rows` reads one device's rows straight off its stream
     without building either map.  A view keeps the graph's structural
     arrays and the two time arrays, which no engine code mutates after

@@ -18,7 +18,6 @@ import pytest
 from repro.api import PlanCache, PlannerConstraints, optimize, plan
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness.experiments import KNOWN_METHODS, build_schedule, run_method
-from repro.scheduling import PassType
 from repro.sim import RuntimeModel, SimulationSetup, compile_schedule, memory_report
 from repro.sim.compiled import ResultView
 from repro.sim.executor import ExecutionResult, _live_f_caps
