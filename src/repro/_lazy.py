@@ -9,7 +9,6 @@ those imports until first attribute access.
 
 from __future__ import annotations
 
-import warnings
 from importlib import import_module
 from typing import Callable
 
@@ -38,40 +37,3 @@ def lazy_exports(
 
     return __getattr__, __dir__
 
-
-def deprecated_exports(
-    module_name: str,
-    exports: dict[str, str],
-    module_globals: dict,
-    *,
-    replacement: str = "repro.api",
-) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
-    """Like :func:`lazy_exports`, but each access warns once.
-
-    The shim behind the old scattered import paths: attribute access
-    still resolves (from the defining module in ``exports``) but emits
-    a :class:`DeprecationWarning` pointing at ``replacement``.  The
-    resolved value is cached into ``module_globals``, so the warning
-    fires at most once per name per process.
-    """
-
-    def __getattr__(name: str):
-        target = exports.get(name)
-        if target is None:
-            raise AttributeError(
-                f"module {module_name!r} has no attribute {name!r}"
-            )
-        warnings.warn(
-            f"importing {name!r} from {module_name!r} is deprecated; "
-            f"use {replacement!r} (or the defining module {target!r})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        value = getattr(import_module(target), name)
-        module_globals[name] = value
-        return value
-
-    def __dir__() -> list[str]:
-        return sorted(set(module_globals) | set(exports))
-
-    return __getattr__, __dir__

@@ -20,11 +20,8 @@ defining module under one stable namespace:
 
 :data:`API_VERSION` tracks the *shape* of this surface (names and
 signatures), and matches the ``api_version`` field every service
-response carries.  The scattered historical import paths
-(``repro.planner``, ``repro.scenarios``, …) keep working but the deep
-``repro.planner`` re-exports now emit a :class:`DeprecationWarning`;
-new code should import from :mod:`repro.api` (or the defining
-submodule).
+response carries.  Import from here or from the defining submodule;
+the ``repro.planner`` package itself re-exports nothing.
 """
 
 from __future__ import annotations

@@ -26,13 +26,21 @@ Subcommands:
   accuracy (``report``, with ``--check`` as a CI drift gate), and
   inspect committed profiles (``show``);
 * ``whatif`` — price one single-device slowdown
-  (:func:`repro.planner.whatif`): one sweep of the perturbed rows over
+  (:func:`repro.api.whatif`): one sweep of the perturbed rows over
   a resident compiled graph instead of a full re-plan;
 * ``serve`` — the long-running planning service (:mod:`repro.service`):
   one process answering plan/sweep/scenario/what-if/optimize queries
   over HTTP, with request coalescing, tiered caches and CPU-bound work
   on a supervised worker pool (see ``docs/service.md``);
 * ``all`` — every table and figure (several minutes).
+
+``plan``, ``optimize``, ``whatif`` and ``scenarios run|compare|describe``
+are the service's operations: their options are derived from the
+request specs in :mod:`repro.service.requests`, an invocation builds
+the same request object a JSON body would, and an invalid value exits
+with the service's 400 message.  Only table rendering and the
+CLI-only options (``--format``, ``--cache-dir``, the sweep pool's
+``--executor``/``--workers``/``--chunk-size``) live here.
 
 Examples::
 
@@ -85,70 +93,84 @@ SUBCOMMANDS = {
 }
 
 
-def _parse_vocab(text: str) -> int:
-    """Parse a vocabulary size: ``131072``, ``128k`` or ``128K``."""
-    text = text.strip().lower()
-    try:
-        if text.endswith("k"):
-            return int(text[:-1]) * 1024
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid vocabulary size {text!r}; use e.g. 128k or 131072"
-        ) from None
-
-
-def _parse_top_k(text: str) -> int | None:
-    """Parse ``--top-k``: an integer, or ``all`` to simulate everything."""
-    if text.strip().lower() == "all":
-        return None
+def _positive_int(text: str) -> int:
+    """argparse type of the hand-written count options."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid --top-k {text!r}; use an integer or 'all'"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("--top-k must be >= 0 or 'all'")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--microbatches",
-        type=int,
+        type=_positive_int,
         default=128,
         help="microbatches per iteration (paper: 128)",
     )
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
-    """The uniform ``--format {table,json}`` pair (+ legacy ``--json``)."""
     parser.add_argument(
         "--format", choices=["table", "json"], default="table",
         help="output format (default table)",
     )
-    parser.add_argument(
-        "--json", action="store_const", dest="format", const="json",
-        help="deprecated alias for --format json",
-    )
 
 
-def _add_scenario(parser: argparse.ArgumentParser, help_: str) -> None:
-    parser.add_argument("--scenario", default=None, metavar="NAME", help=help_)
+def _int_or_text(text: str) -> int | str:
+    """A flag value the wire takes as an int or a string (``128k``, ``all``)."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
-def _add_cost_model(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cost-model", default=None, metavar="NAME",
-        help="price estimates with a calibrated cost-model profile "
-        "(see 'repro-experiments calibrate'); a calibrated profile "
-        "also trust-gates the top-k simulation (default: analytic)",
-    )
+#: argparse ``type`` of a spec field's flag, by the JSON types the wire
+#: accepts; absent entries (``str``, ``list`` of ``str``) take the text.
+_FLAG_TYPES = {int: int, (int, float): float, (int, str): _int_or_text}
 
 
-def _add_seed(parser: argparse.ArgumentParser, help_: str) -> None:
-    parser.add_argument("--seed", type=int, default=0, help=help_)
+def _add_spec_flags(parser: argparse.ArgumentParser, request_type) -> None:
+    """The options of one operation, derived from its request spec.
+
+    Defaults are the wire's (or a field's ``cli_default`` where the
+    wire requires it); values are validated by the request itself, so
+    a bad flag fails with the service's message (see :func:`_request`).
+    """
+    from repro.service.requests import REQUIRED
+
+    for param in request_type.SPEC:
+        if param.flag is None:
+            continue
+        default = param.default if param.cli_default is REQUIRED else param.cli_default
+        parser.add_argument(
+            param.flag,
+            dest=param.name,
+            type=_FLAG_TYPES.get(param.types),
+            nargs="+" if param.many or param.types is list else None,
+            default=[default] if param.many else default,
+            metavar=param.metavar,
+            help=param.help,
+        )
+
+
+def _request(request_type, args: argparse.Namespace, **fields):
+    """The request an invocation denotes, validated like a JSON body."""
+    payload = {
+        param.name: getattr(args, param.name)
+        for param in request_type.SPEC
+        if param.flag is not None
+    }
+    return request_type.from_payload({**payload, **fields})
+
+
+def _print_json(data) -> None:
+    import json
+
+    print(json.dumps(data, indent=2))
 
 
 def _cmd_fig2(_args: argparse.Namespace) -> None:
@@ -224,64 +246,40 @@ def _cmd_schedules(args: argparse.Namespace) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> None:
-    import json
+    import itertools
 
-    from repro.planner.planner import PlannerConstraints
-    from repro.planner.sweep import best_method_table, grid, plan_point, sweep
-    from repro.service.requests import plans_to_json, sweep_to_json
+    from repro.planner.sweep import best_method_table, sweep
+    from repro.service.requests import (
+        PlanRequest,
+        execute_plan_request,
+        plans_to_json,
+        sweep_to_json,
+    )
 
-    try:
-        if args.cost_model is not None:
-            # Resolve up front: a typo fails here with the name list
-            # instead of inside a sweep worker.
-            from repro.costmodel.calibrate import get_cost_model
-
-            get_cost_model(args.cost_model)
-        constraints = PlannerConstraints(
-            memory_budget_gib=args.memory_budget,
-            methods=tuple(args.methods) if args.methods else None,
-            simulate_top_k=args.top_k,
-            cost_model=args.cost_model,
-        )
-        points = grid(
-            devices=args.devices,
-            vocab_sizes=args.vocab,
-            seq_lengths=[args.seq],
-            microbatches=[args.microbatches],
-            memory_budgets_gib=[args.memory_budget],
-            pass_overheads=args.pass_overhead,
-            scenarios=[args.scenario],
-        )
-        if len(points) == 1:
-            plans = plan_point(
-                points[0], constraints, cache_dir=args.cache_dir
-            ).plans
-            if args.format == "json":
-                print(json.dumps(plans_to_json(plans), indent=2))
-            else:
-                print(plans.render())
-            return
-        outcomes = sweep(
-            points,
-            constraints,
-            executor=args.executor,
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-            chunk_size=args.chunk_size,
-        )
-    except (ValueError, KeyError) as error:
-        # Config validation (vocab/seq/devices bounds, unknown methods
-        # or scenarios, bad budgets) surfaces as an argparse-style
-        # message, not a traceback.  KeyError.__str__ would re-quote
-        # the message; unwrap its payload instead.
-        message = (
-            error.args[0]
-            if isinstance(error, KeyError) and error.args
-            else error
-        )
-        raise SystemExit(f"repro-experiments plan: error: {message}") from None
+    # Several values of a grid flag (--devices/--vocab/--pass-overhead)
+    # make one request per grid point, in repro.api.grid's order.
+    axes = [param.name for param in PlanRequest.SPEC if param.many]
+    requests = [
+        _request(PlanRequest, args, **dict(zip(axes, values)))
+        for values in itertools.product(*(getattr(args, name) for name in axes))
+    ]
+    if len(requests) == 1:
+        plans = execute_plan_request(requests[0], args.cache_dir)
+        if args.format == "json":
+            _print_json(plans_to_json(plans))
+        else:
+            print(plans.render())
+        return
+    outcomes = sweep(
+        [request.point() for request in requests],
+        requests[0].constraints(),
+        executor=args.executor,
+        max_workers=args.workers,
+        cache_dir=args.cache_dir,
+        chunk_size=args.chunk_size,
+    )
     if args.format == "json":
-        print(json.dumps(sweep_to_json(outcomes), indent=2))
+        _print_json(sweep_to_json(outcomes))
         return
     for outcome in outcomes:
         print(outcome.plans.render())
@@ -290,119 +288,31 @@ def _cmd_plan(args: argparse.Namespace) -> None:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
-    import json
-
-    from repro.config import ParallelConfig
-    from repro.optimize import optimize
     from repro.planner.cache import PlanCache
-    from repro.planner.planner import PlannerConstraints
-    from repro.planner.sweep import model_for_devices
+    from repro.service.requests import OptimizeRequest
 
-    try:
-        if args.cost_model is not None:
-            from repro.costmodel.calibrate import get_cost_model
-
-            get_cost_model(args.cost_model)
-        model = model_for_devices(args.devices, args.seq, args.vocab)
-        parallel = ParallelConfig(
-            pipeline_size=args.devices,
-            num_microbatches=args.microbatches,
-            microbatch_size=1,
-        )
-        constraints = PlannerConstraints(
-            memory_budget_gib=args.memory_budget,
-            methods=tuple(args.methods) if args.methods else None,
-            cost_model=args.cost_model,
-        )
-        cache = (
-            PlanCache(args.cache_dir) if args.cache_dir is not None else None
-        )
-        result = optimize(
-            model,
-            parallel,
-            constraints,
-            cache=cache,
-            pass_overhead=args.pass_overhead,
-            scenario=args.scenario,
-            strategy=args.strategy,
-            seed=args.seed,
-            budget=args.budget,
-        )
-    except (ValueError, KeyError) as error:
-        message = (
-            error.args[0]
-            if isinstance(error, KeyError) and error.args
-            else error
-        )
-        raise SystemExit(
-            f"repro-experiments optimize: error: {message}"
-        ) from None
+    cache = None if args.cache_dir is None else PlanCache(args.cache_dir)
+    result = _request(OptimizeRequest, args).run(cache)
     if args.format == "json":
-        print(json.dumps(result.as_dict(), indent=2))
+        _print_json(result.as_dict())
         return
     print(result.render())
 
 
-def _scenario_model(args: argparse.Namespace):
-    """Model/parallel configuration of one ``scenarios`` invocation."""
-    from repro.config import ParallelConfig
-    from repro.planner.sweep import model_for_devices
-
-    model = model_for_devices(args.devices, args.seq, args.vocab)
-    parallel = ParallelConfig(
-        pipeline_size=args.devices,
-        num_microbatches=args.microbatches,
-        microbatch_size=1,
-    )
-    return model, parallel
-
-
-def _scenario_rows(stats) -> list[object]:
-    """Shared stats columns of the ``run``/``compare`` tables.
-
-    Times are pre-formatted to 4 decimals (format_table's default 2
-    would hide single-digit-percent jitter spreads).
-    """
-    return [
-        f"{stats.nominal_time:.4f}",
-        f"{stats.p50_time:.4f}",
-        f"{stats.p95_time:.4f}",
-        f"{stats.worst_time:.4f}",
-        round(100.0 * stats.p95_inflation, 2),
-        round(100.0 * stats.p95_bubble, 2),
-    ]
-
-
 def _cmd_scenarios(args: argparse.Namespace) -> None:
-    import json
-
     from repro.harness.tables import format_table
-    from repro.scenarios import get_scenario, list_scenarios, method_robustness
-
-    def require_scenario():
-        if args.scenario is None:
-            raise SystemExit(
-                f"repro-experiments scenarios {args.action}: error: "
-                "--scenario is required"
-            )
-        try:
-            return get_scenario(args.scenario)
-        except KeyError as error:
-            raise SystemExit(
-                f"repro-experiments scenarios: error: {error.args[0]}"
-            ) from None
+    from repro.scenarios import list_scenarios
+    from repro.service.requests import (
+        RequestError,
+        ScenarioRequest,
+        execute_scenario_request,
+    )
 
     if args.action == "list":
         scenarios = list_scenarios()
         if args.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {"name": s.name, "description": s.description}
-                        for s in scenarios
-                    ],
-                    indent=2,
-                )
+            _print_json(
+                [{"name": s.name, "description": s.description} for s in scenarios]
             )
             return
         rows = [
@@ -424,78 +334,39 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
         )
         return
 
+    if args.scenario is None:
+        raise RequestError("--scenario is required")
+    # 'run' prices --method; 'compare' (method None) every family.
+    request = _request(
+        ScenarioRequest, args, method=args.method if args.action == "run" else None
+    )
     if args.action == "describe":
-        scenario = require_scenario()
-        _, parallel = _scenario_model(args)
-        print(scenario.describe(parallel))
+        resolved = request.resolve()
+        print(resolved.scenario.describe(resolved.parallel))
         return
-
-    scenario = require_scenario()
-    model, parallel = _scenario_model(args)
-    from repro.harness.experiments import KNOWN_METHODS
-    from repro.planner.estimate import infeasibility_reason
-
-    if args.action == "run":
-        methods = [args.method]
-        if args.method not in KNOWN_METHODS:
-            raise SystemExit(
-                f"repro-experiments scenarios run: error: unknown method "
-                f"{args.method!r}; expected one of {KNOWN_METHODS}"
-            )
-    else:  # compare
-        methods = list(KNOWN_METHODS)
-
-    results = []
-    skipped = []
-    for method in methods:
-        reason = infeasibility_reason(method, model, parallel)
-        if reason is not None:
-            skipped.append((method, reason))
-            continue
-        stats = method_robustness(
-            method,
-            model,
-            parallel,
-            scenario,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        results.append((method, stats))
-    # Robust ranking: the objective quantile, method name as tie-break.
-    results.sort(key=lambda item: (item[1].p95_time, item[0]))
-
+    result = execute_scenario_request(request)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "scenario": scenario.name,
-                    "devices": args.devices,
-                    "vocab_size": args.vocab,
-                    "seq_length": args.seq,
-                    "microbatches": args.microbatches,
-                    "samples": args.samples,
-                    "seed": args.seed,
-                    "ranked": [
-                        {"method": method, **stats.as_dict()}
-                        for method, stats in results
-                    ],
-                    "skipped": [
-                        {"method": method, "reason": reason}
-                        for method, reason in skipped
-                    ],
-                },
-                indent=2,
-            )
-        )
+        _print_json(result)
         return
+    # Times to 4 decimals: format_table's default 2 would hide
+    # single-digit-percent jitter spreads.
     rows = [
-        [rank, method] + _scenario_rows(stats)
-        for rank, (method, stats) in enumerate(results, start=1)
+        [
+            rank,
+            entry["method"],
+            *(
+                f"{entry[key]:.4f}"
+                for key in ("nominal_time", "p50_time", "p95_time", "worst_time")
+            ),
+            round(100.0 * entry["p95_inflation"], 2),
+            round(100.0 * entry["p95_bubble"], 2),
+        ]
+        for rank, entry in enumerate(result["ranked"], start=1)
     ]
     title = (
-        f"Scenario {scenario.name} — {args.devices} devices, "
-        f"vocab {args.vocab // 1024}k, seq {args.seq}, "
-        f"m={args.microbatches}, K={args.samples}, seed {args.seed} "
+        f"Scenario {result['scenario']} — {request.devices} devices, "
+        f"vocab {request.vocab_size // 1024}k, seq {request.seq_length}, "
+        f"m={request.microbatches}, K={request.samples}, seed {request.seed} "
         "(ranked by p95)"
     )
     print(
@@ -508,8 +379,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> None:
             title=title,
         )
     )
-    for method, reason in skipped:
-        print(f"  skipped {method:15s} {reason}")
+    for entry in result["skipped"]:
+        print(f"  skipped {entry['method']:15s} {entry['reason']}")
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int | None:
@@ -616,44 +487,19 @@ def _cmd_calibrate(args: argparse.Namespace) -> int | None:
 
 
 def _cmd_whatif(args: argparse.Namespace) -> None:
-    import json
-
     from repro.harness.tables import format_table
-    from repro.planner.cache import PlanCache
-    from repro.planner.whatif import whatif
+    from repro.service.requests import WhatifRequest, execute_whatif_request
 
-    try:
-        model, parallel = _scenario_model(args)
-        cache = (
-            PlanCache(args.cache_dir) if args.cache_dir is not None else None
-        )
-        result = whatif(
-            model,
-            parallel,
-            method=args.method,
-            device=args.device,
-            factor=args.factor,
-            pass_overhead=args.pass_overhead,
-            scenario=args.scenario,
-            cache=cache,
-        )
-    except (ValueError, KeyError) as error:
-        message = (
-            error.args[0]
-            if isinstance(error, KeyError) and error.args
-            else error
-        )
-        raise SystemExit(
-            f"repro-experiments whatif: error: {message}"
-        ) from None
+    request = _request(WhatifRequest, args)
+    result = execute_whatif_request(request, args.cache_dir)
     if args.format == "json":
-        print(json.dumps(result.as_dict(), indent=2))
+        _print_json(result)
         return
     title = (
-        f"What-if — {result.method}: device {result.device} at "
-        f"{result.factor:g}x duration, {args.devices} devices, "
-        f"vocab {args.vocab // 1024}k, seq {args.seq}, "
-        f"m={args.microbatches}"
+        f"What-if — {result['method']}: device {result['device']} at "
+        f"{result['factor']:g}x duration, {request.devices} devices, "
+        f"vocab {request.vocab_size // 1024}k, seq {request.seq_length}, "
+        f"m={request.microbatches}"
     )
     print(
         format_table(
@@ -663,12 +509,13 @@ def _cmd_whatif(args: argparse.Namespace) -> None:
             ],
             [
                 [
-                    f"{result.baseline_time:.4f}",
-                    f"{result.whatif_time:.4f}",
-                    f"{result.slowdown:.4f}",
-                    round(100.0 * result.baseline_bubble, 2),
-                    round(100.0 * result.whatif_bubble, 2),
-                    result.support,
+                    *(
+                        f"{result[key]:.4f}"
+                        for key in ("baseline_time", "whatif_time", "slowdown")
+                    ),
+                    round(100.0 * result["baseline_bubble"], 2),
+                    round(100.0 * result["whatif_bubble"], 2),
+                    result["support"],
                 ]
             ],
             title=title,
@@ -738,6 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     Public so tooling (``tools/check_docs_links.py``) can introspect
     every subcommand and option instead of pattern-matching source.
     """
+    from repro.service.requests import (
+        OptimizeRequest,
+        PlanRequest,
+        ScenarioRequest,
+        WhatifRequest,
+    )
+
     epilog = "subcommands:\n" + "\n".join(
         f"  {name:12s} {help_}" for name, help_ in SUBCOMMANDS.items()
     )
@@ -769,107 +623,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ab)
 
     sc = sub.add_parser("schedules", help=SUBCOMMANDS["schedules"])
-    sc.add_argument("--devices", type=int, default=4)
-    sc.add_argument("--width", type=int, default=120)
+    sc.add_argument("--devices", type=_positive_int, default=4)
+    sc.add_argument("--width", type=_positive_int, default=120)
     sc.add_argument("--mode", choices=["type", "microbatch"], default="type")
     _add_common(sc)
 
     pl = sub.add_parser("plan", help=SUBCOMMANDS["plan"])
-    pl.add_argument(
-        "--devices", type=int, nargs="+", default=[8],
-        help="pipeline device counts to plan for (several values sweep a grid)",
-    )
-    pl.add_argument(
-        "--vocab", type=_parse_vocab, nargs="+", default=[128 * 1024],
-        metavar="SIZE", help="vocabulary sizes, e.g. 128k or 131072",
-    )
-    pl.add_argument("--seq", type=int, default=2048, help="sequence length")
-    pl.add_argument(
-        "--memory-budget", type=float, default=None, metavar="GIB",
-        help="per-device peak-memory budget in GiB (default: the A100's 80)",
-    )
-    pl.add_argument(
-        "--methods", nargs="+", default=None, metavar="METHOD",
-        help="restrict the search to these schedule families",
-    )
-    pl.add_argument(
-        "--pass-overhead", type=float, nargs="+", default=[None], metavar="S",
-        help="per-pass host overhead bindings in seconds (several values "
-        "sweep the §7 overhead ablation over shared schedule structures)",
-    )
-    pl.add_argument(
-        "--top-k", type=_parse_top_k, default=3, metavar="K",
-        help="simulate the K best-estimated candidates (0: estimates only, "
-        "'all': simulate everything; default 3)",
-    )
+    _add_spec_flags(pl, PlanRequest)
     pl.add_argument(
         "--executor", choices=["process", "thread", "serial"], default="process",
         help="pool type for grid sweeps",
     )
     pl.add_argument(
-        "--workers", type=int, default=None, help="max sweep workers"
+        "--workers", type=_positive_int, default=None, help="max sweep workers"
     )
     pl.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=_positive_int, default=None, metavar="N",
         help="grid points per pool task (default: ~4 chunks per worker)",
     )
     pl.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="disk-backed plan cache shared across invocations and workers",
     )
-    _add_scenario(
-        pl,
-        "price the plan under a registered cluster scenario "
-        "(see 'repro-experiments scenarios list')",
-    )
-    _add_cost_model(pl)
     _add_format(pl)
-    _add_common(pl)
 
     op = sub.add_parser("optimize", help=SUBCOMMANDS["optimize"])
-    op.add_argument(
-        "--devices", type=int, default=8, help="pipeline device count"
-    )
-    op.add_argument(
-        "--vocab", type=_parse_vocab, default=128 * 1024, metavar="SIZE",
-        help="vocabulary size, e.g. 128k or 131072",
-    )
-    op.add_argument("--seq", type=int, default=2048, help="sequence length")
-    op.add_argument(
-        "--microbatches", type=int, default=16,
-        help="microbatches per iteration (default 16 — small enough to "
-        "keep the search interactive, with token-split headroom)",
-    )
-    op.add_argument(
-        "--memory-budget", type=float, default=None, metavar="GIB",
-        help="per-device peak-memory budget in GiB (default: the A100's 80)",
-    )
-    op.add_argument(
-        "--methods", nargs="+", default=None, metavar="METHOD",
-        help="restrict the starting named families",
-    )
-    op.add_argument(
-        "--strategy", choices=["greedy", "anneal"], default="greedy",
-        help="search strategy (default greedy; anneal accepts uphill "
-        "moves on a cooling temperature)",
-    )
-    op.add_argument(
-        "--budget", type=int, default=96, metavar="N",
-        help="oracle evaluations the search may spend (default 96)",
-    )
-    op.add_argument(
-        "--pass-overhead", type=float, default=None, metavar="S",
-        help="per-pass host overhead binding in seconds",
-    )
+    _add_spec_flags(op, OptimizeRequest)
     op.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="disk-backed plan cache shared with plan/serve runs",
     )
-    _add_seed(op, "seed for the search's random decisions (default 0)")
-    _add_scenario(
-        op, "optimize under a registered cluster scenario's runtime"
-    )
-    _add_cost_model(op)
     _add_format(op)
 
     sn = sub.add_parser("scenarios", help=SUBCOMMANDS["scenarios"])
@@ -878,34 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list/describe the registry, or price one method ('run') / "
         "all schedule families ('compare') under a scenario",
     )
-    _add_scenario(
-        sn, "registered scenario name (required for describe/run/compare)"
-    )
-    sn.add_argument(
-        "--method", default="vocab-1", metavar="METHOD",
-        help="schedule family for 'run' (default vocab-1)",
-    )
-    sn.add_argument(
-        "--devices", type=int, default=12,
-        help="pipeline device count (default 12 — two nodes of 8+4, so "
-        "node-level scenarios like slow-node and bandwidth-asymmetric "
-        "have a real inter-node boundary to act on)",
-    )
-    sn.add_argument(
-        "--vocab", type=_parse_vocab, default=128 * 1024, metavar="SIZE",
-        help="vocabulary size, e.g. 128k or 131072",
-    )
-    sn.add_argument("--seq", type=int, default=2048, help="sequence length")
-    sn.add_argument(
-        "--microbatches", type=int, default=32,
-        help="microbatches per iteration (default 32 — smaller than the "
-        "paper's 128 to keep Monte Carlo interactive)",
-    )
-    sn.add_argument(
-        "--samples", type=int, default=256, metavar="K",
-        help="Monte Carlo jitter samples per method (default 256)",
-    )
-    _add_seed(sn, "sample seed combined with the scenario's base seed")
+    _add_spec_flags(sn, ScenarioRequest)
     _add_format(sn)
 
     cb = sub.add_parser("calibrate", help=SUBCOMMANDS["calibrate"])
@@ -957,40 +713,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(cb)
 
     wi = sub.add_parser("whatif", help=SUBCOMMANDS["whatif"])
-    wi.add_argument(
-        "--devices", type=int, default=8, help="pipeline device count"
-    )
-    wi.add_argument(
-        "--vocab", type=_parse_vocab, default=128 * 1024, metavar="SIZE",
-        help="vocabulary size, e.g. 128k or 131072",
-    )
-    wi.add_argument("--seq", type=int, default=2048, help="sequence length")
-    wi.add_argument(
-        "--method", default="vocab-1", metavar="METHOD",
-        help="schedule family to perturb (default vocab-1)",
-    )
-    wi.add_argument(
-        "--device", type=int, default=-1,
-        help="device whose passes slow down; negative counts from the "
-        "end of the pipeline (default -1, the last device)",
-    )
-    wi.add_argument(
-        "--factor", type=float, default=1.3,
-        help="duration multiplier for the perturbed device (default 1.3)",
-    )
-    wi.add_argument(
-        "--pass-overhead", type=float, default=None, metavar="S",
-        help="per-pass host overhead binding in seconds",
-    )
-    _add_scenario(
-        wi, "price the baseline under a registered cluster scenario"
-    )
+    _add_spec_flags(wi, WhatifRequest)
     wi.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="disk-backed plan cache shared with plan/serve runs",
     )
     _add_format(wi)
-    _add_common(wi)
 
     sv = sub.add_parser(
         "serve", help=SUBCOMMANDS["serve"],
@@ -1063,6 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.service.requests import RequestError
+
     args = build_parser().parse_args(argv)
     handlers = {
         "fig2": _cmd_fig2,
@@ -1082,6 +812,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         result = handlers[args.command](args)
+    except RequestError as error:
+        # An invalid flag value: the same message the service's 400
+        # carries, as an argparse-style error.
+        command = " ".join([args.command, *([args.action] if "action" in args else [])])
+        raise SystemExit(f"repro-experiments {command}: error: {error}") from None
     except BrokenPipeError:
         # Piping into `head` closes stdout early; exit quietly the way
         # well-behaved Unix tools do instead of dumping a traceback.

@@ -132,39 +132,6 @@ def run_table6_cell(
     return sweep
 
 
-def run_plan(
-    devices: int = 8,
-    vocab_size: int = 128 * 1024,
-    seq_length: int = 2048,
-    num_microbatches: int = 128,
-    memory_budget_gib: float | None = None,
-    methods: tuple[str, ...] | None = None,
-    simulate_top_k: int | None = 3,
-):
-    """Plan the best schedule family for one configuration.
-
-    The CLI-facing wrapper around :func:`repro.planner.plan`: picks the
-    paper's Table 1/2 model shape when ``devices`` matches one
-    (8/16/24/32 GPUs) and a generic 4-layers-per-device shape
-    otherwise, then ranks every known schedule family under the
-    memory budget.  Returns a
-    :class:`~repro.planner.planner.RankedPlans` (render()-able like
-    every other runner result).
-    """
-    from repro.planner.planner import PlannerConstraints
-    from repro.planner.sweep import SweepPoint, plan_point
-
-    constraints = PlannerConstraints(
-        memory_budget_gib=memory_budget_gib,
-        methods=tuple(methods) if methods else None,
-        simulate_top_k=simulate_top_k,
-    )
-    point = SweepPoint(
-        devices, vocab_size, seq_length, num_microbatches, memory_budget_gib
-    )
-    return plan_point(point, constraints).plans
-
-
 @dataclass
 class Figure2Result:
     """Vocabulary-to-transformer ratios for Gemma2-9B (Figure 2)."""

@@ -9,79 +9,10 @@ family, prices each with the analytic cost model, verifies the
 frontrunners with the discrete-event simulator, and ranks them under a
 peak-memory constraint.
 
-.. deprecated::
-    Importing planner names from ``repro.planner`` directly is
-    deprecated; the supported surface is :mod:`repro.api` (or the
-    defining submodule — :mod:`repro.planner.planner`,
-    :mod:`repro.planner.sweep`, :mod:`repro.planner.whatif`,
-    :mod:`repro.planner.cache`, :mod:`repro.planner.estimate`).  Every
-    historical name still resolves here, with a one-time
-    :class:`DeprecationWarning` per name.
+The public names are exported by :mod:`repro.api`; they are defined in
+:mod:`repro.planner.planner`, :mod:`repro.planner.sweep`,
+:mod:`repro.planner.whatif`, :mod:`repro.planner.cache` and
+:mod:`repro.planner.estimate`.
 
 CLI: ``repro-experiments plan --devices 8 --vocab 128k``.
 """
-
-import sys
-from types import ModuleType
-
-from repro._lazy import deprecated_exports
-
-_EXPORTS = {
-    "PlanCache": "repro.planner.cache",
-    "config_digest": "repro.planner.cache",
-    "CandidateEstimate": "repro.planner.estimate",
-    "clear_probe_cache": "repro.planner.estimate",
-    "estimate_method": "repro.planner.estimate",
-    "infeasibility_reason": "repro.planner.estimate",
-    "phase_features": "repro.planner.estimate",
-    "probe_cache_stats": "repro.planner.estimate",
-    "PlanCandidate": "repro.planner.planner",
-    "PlannerConstraints": "repro.planner.planner",
-    "RankedPlans": "repro.planner.planner",
-    "TRUST_SAFETY": "repro.planner.planner",
-    "clear_plan_cache": "repro.planner.planner",
-    "default_plan_cache": "repro.planner.planner",
-    "plan": "repro.planner.planner",
-    "plan_cache_key": "repro.planner.planner",
-    "SweepOutcome": "repro.planner.sweep",
-    "SweepPoint": "repro.planner.sweep",
-    "best_method_table": "repro.planner.sweep",
-    "default_chunk_size": "repro.planner.sweep",
-    "discard_pool": "repro.planner.sweep",
-    "get_pool": "repro.planner.sweep",
-    "grid": "repro.planner.sweep",
-    "model_for_devices": "repro.planner.sweep",
-    "plan_point": "repro.planner.sweep",
-    "plan_points": "repro.planner.sweep",
-    "shutdown_pools": "repro.planner.sweep",
-    "sweep": "repro.planner.sweep",
-    "WhatifResult": "repro.planner.whatif",
-    "clear_whatif_graphs": "repro.planner.whatif",
-    "whatif": "repro.planner.whatif",
-    "whatif_cache_key": "repro.planner.whatif",
-}
-
-__getattr__, __dir__ = deprecated_exports("repro.planner", _EXPORTS, globals())
-
-__all__ = sorted(_EXPORTS)
-
-#: Exported callables shadowed by a same-named submodule.  Importing
-#: ``repro.planner.sweep`` (the module) rebinds the parent's ``sweep``
-#: attribute to the module object, so the PEP-562 ``__getattr__`` would
-#: never fire and ``from repro.planner import sweep`` would hand old
-#: callers a module instead of the function.  A module-class override
-#: keeps the historical function binding for these two names.
-_SHADOWED = ("sweep", "whatif")
-
-
-class _ShimModule(ModuleType):
-    def __getattribute__(self, name):
-        if name in _SHADOWED:
-            value = ModuleType.__getattribute__(self, "__dict__").get(name)
-            if value is None or isinstance(value, ModuleType):
-                return __getattr__(name)
-            return value
-        return ModuleType.__getattribute__(self, name)
-
-
-sys.modules[__name__].__class__ = _ShimModule

@@ -35,8 +35,8 @@ truncated entry (a torn write from a crashed process, bit rot, a
 concurrent writer's partial state) is *quarantined* — moved into a
 ``quarantine/`` sidecar directory for post-mortem — and reported as a
 miss, so callers recompute instead of crashing or deserializing
-garbage.  Pre-checksum files (no header) are still read as legacy raw
-pickles and quarantined on any load failure.
+garbage.  A file without the header is unverifiable and quarantined
+the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from typing import Any
 
 from repro import faultinject
 
-#: Header magic of checksummed disk entries.  Files not starting with
-#: this are legacy raw pickles (still readable, not verifiable).
+#: Header magic of checksummed disk entries.
 _MAGIC = b"RPLC1\n"
 #: Name of the sidecar directory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
@@ -295,20 +294,18 @@ class PlanCache:
             blob = path.read_bytes()
         except OSError:
             return None  # missing (or unreadable): a plain miss
-        if blob.startswith(_MAGIC):
-            header_len = len(_MAGIC) + 65  # 64 hex chars + newline
-            header = blob[len(_MAGIC):header_len]
-            payload = blob[header_len:]
-            if (
-                len(blob) < header_len
-                or not header.endswith(b"\n")
-                or hashlib.sha256(payload).hexdigest().encode("ascii")
-                != header[:-1]
-            ):
-                self._quarantine(path)
-                return None
-        else:
-            payload = blob  # legacy pre-checksum entry
+        header_len = len(_MAGIC) + 65  # 64 hex chars + newline
+        header = blob[len(_MAGIC):header_len]
+        payload = blob[header_len:]
+        if (
+            not blob.startswith(_MAGIC)
+            or len(blob) < header_len
+            or not header.endswith(b"\n")
+            or hashlib.sha256(payload).hexdigest().encode("ascii")
+            != header[:-1]
+        ):
+            self._quarantine(path)
+            return None
         try:
             return pickle.loads(payload)
         except Exception:  # noqa: BLE001 - any garbage must quarantine

@@ -1,38 +1,53 @@
-"""Request layer of the planning service: validate, normalize, execute.
+"""Operation specs: one declaration per parameter, for the wire and the CLI.
 
-Every HTTP body is parsed into a frozen request dataclass
-(:class:`PlanRequest`, :class:`SweepRequest`, :class:`ScenarioRequest`,
-:class:`WhatifRequest`) with strict validation — unknown fields, wrong types and out-of-range
-values all raise :class:`RequestError`, which the HTTP layer renders as
-a 400 instead of a traceback.  A validated request *normalizes to a
-digest*: plan requests resolve to the planner's own whole-plan cache
-key (:func:`repro.planner.plan_cache_key`), so the service's LRU tier,
-the disk-backed :class:`~repro.planner.cache.PlanCache` and the
-planner's process-local cache all address the same entry; sweep and
-scenario requests digest their normalized fields (scenario identity
-enters as the full :meth:`~repro.scenarios.cluster.ClusterScenario.signature`,
+Each planning operation — plan, sweep, what-if, scenarios, optimize — is
+a frozen request dataclass built from one *spec*: a tuple of
+:class:`Param` records, each carrying a field's name, accepted JSON
+types, default, validator, CLI flag and help text.  Everything else is
+derived from that tuple, written once:
+
+* **JSON validation** — :meth:`_Request.from_payload` parses any body
+  against the spec: unknown fields, wrong types (``true`` is never an
+  int), NaN/Infinity and out-of-range values raise
+  :class:`RequestError`, which the HTTP layer renders as a 400;
+* **CLI flags** — ``repro-experiments plan|optimize|whatif|scenarios``
+  add each flagged field as an argparse option and build the same
+  request objects through :meth:`~_Request.from_payload`
+  (:mod:`repro.harness.cli`), so both surfaces share every default,
+  check and message;
+* **library objects** — :meth:`_ConfigRequest.resolve` builds the
+  model, parallel, constraint and scenario objects of a request.
+
+A validated request *normalizes to a digest*: plan requests resolve to
+the planner's own whole-plan cache key
+(:func:`repro.api.plan_cache_key`), so the service's LRU tier, the
+disk-backed :class:`~repro.planner.cache.PlanCache` and the planner's
+process-local cache all address the same entry; sweep and scenario
+requests digest their normalized fields (scenario identity enters as
+the full :meth:`~repro.scenarios.cluster.ClusterScenario.signature`,
 never just the name).
 
 The ``execute_*`` functions are the CPU-bound bodies scheduled on the
 service's worker pool.  They are top-level so a
 :class:`~concurrent.futures.ProcessPoolExecutor` can pickle them, and
-they deliberately run through the same code paths as the CLI
-(:func:`~repro.planner.plan` / :func:`~repro.planner.plan_points` /
-:func:`~repro.scenarios.method_robustness`), so per-worker structural
-and plan caches stay warm across requests.
+they run the same library calls as the CLI (:func:`repro.api.plan`,
+:func:`~repro.planner.sweep.plan_points`, :func:`repro.api.whatif`,
+:func:`repro.api.optimize`, :func:`~repro.scenarios.method_robustness`),
+so per-worker structural and plan caches stay warm across requests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Callable, ClassVar, NamedTuple
 
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness.experiments import KNOWN_METHODS
 from repro.optimize import (
     DEFAULT_BUDGET,
     STRATEGY_NAMES,
+    OptimizedPlan,
     optimize,
     optimize_cache_key,
 )
@@ -52,7 +67,7 @@ from repro.planner.sweep import (
     model_for_devices,
     plan_points,
 )
-from repro.planner.whatif import whatif, whatif_cache_key
+from repro.planner.whatif import WhatifResult, whatif, whatif_cache_key
 from repro.scenarios import (
     ClusterScenario,
     RobustnessObjective,
@@ -67,84 +82,6 @@ MAX_SWEEP_POINTS = 512
 
 class RequestError(ValueError):
     """A malformed or invalid request body (rendered as HTTP 400)."""
-
-
-_MISSING = object()
-
-
-def _field(
-    payload: dict,
-    name: str,
-    types: type | tuple[type, ...],
-    default: Any = _MISSING,
-    *,
-    convert: Any = None,
-) -> Any:
-    """One validated field: present-and-typed, or the default.
-
-    ``bool`` is a subclass of ``int``; requests reject the confusion
-    (``"devices": true``) unless bool is explicitly allowed.
-    """
-    if name not in payload:
-        if default is _MISSING:
-            raise RequestError(f"missing required field {name!r}")
-        return default
-    value = payload[name]
-    if value is None and default is not _MISSING:
-        return default
-    if not isinstance(value, types) or (
-        isinstance(value, bool)
-        and not (types is bool or (isinstance(types, tuple) and bool in types))
-    ):
-        raise RequestError(
-            f"field {name!r} must be {_type_names(types)}, "
-            f"got {type(value).__name__}"
-        )
-    if convert is not None:
-        value = convert(name, value)
-    return value
-
-
-def _type_names(types: type | tuple[type, ...]) -> str:
-    if not isinstance(types, tuple):
-        types = (types,)
-    return "/".join(t.__name__ for t in types)
-
-
-def _coerce_vocab(name: str, value: int | str) -> int:
-    """A vocabulary size: ``131072`` or ``"128k"``."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        try:
-            value = int(text[:-1]) * 1024 if text.endswith("k") else int(text)
-        except ValueError:
-            raise RequestError(
-                f"field {name!r}: invalid vocabulary size {text!r}; "
-                "use e.g. 131072 or '128k'"
-            ) from None
-    if value <= 0:
-        raise RequestError(f"field {name!r} must be positive, got {value}")
-    return value
-
-
-def _finite(name: str, value: int | float) -> int | float:
-    # json.loads accepts the NaN and Infinity tokens; neither is a
-    # value any field means, and NaN slips through every comparison.
-    if not -math.inf < value < math.inf:
-        raise RequestError(f"field {name!r} must be finite, got {value}")
-    return value
-
-
-def _positive(name: str, value: int | float) -> int | float:
-    if _finite(name, value) <= 0:
-        raise RequestError(f"field {name!r} must be positive, got {value}")
-    return value
-
-
-def _non_negative(name: str, value: int | float) -> int | float:
-    if _finite(name, value) < 0:
-        raise RequestError(f"field {name!r} must be >= 0, got {value}")
-    return value
 
 
 def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
@@ -180,222 +117,454 @@ def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
     return float(raw) / 1000.0
 
 
-def _validated(request, check):
-    """``request``, once ``check()`` has built the library objects it
-    denotes; their ``ValueError``/``KeyError`` become a
-    :class:`RequestError` (→ 400) carrying the library's message."""
-    try:
-        check()
-    except RequestError:
-        raise
-    except (ValueError, KeyError) as error:
-        message = error.args[0] if error.args else error
-        raise RequestError(str(message)) from None
-    return request
+#: Default of a field every request must carry.
+REQUIRED: Any = object()
 
 
-def _reject_unknown(payload: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(payload) - set(known))
+@dataclass(frozen=True)
+class Param:
+    """One operation parameter, declared once for the wire and the CLI.
+
+    ``types`` are the JSON types the field accepts (``bool`` is never
+    taken for an ``int``); ``None`` leaves all typing to ``check``.
+    ``check(name, value)`` validates a well-typed value and returns the
+    field's normalized value, raising :class:`RequestError`.  ``flag``
+    is the CLI option (``None``: the field is wire-only); ``many`` lets
+    it take several values, planned as a grid; ``cli_default`` replaces
+    ``default`` on the CLI, where a command needs a value the wire
+    requires from the client (or, for ``scenarios run``, a method).
+    """
+
+    name: str
+    types: type | tuple[type, ...] | None
+    default: Any = REQUIRED
+    check: Callable[[str, Any], Any] | None = None
+    flag: str | None = None
+    help: str | None = None
+    metavar: str | None = None
+    many: bool = False
+    cli_default: Any = REQUIRED
+
+    def parse(self, payload: dict) -> Any:
+        """This field of ``payload``: present and valid, or the default."""
+        value = payload.get(self.name)
+        if value is None and self.default is not REQUIRED:
+            return self.default
+        if self.name not in payload:
+            raise RequestError(f"missing required field {self.name!r}")
+        types = self.types if isinstance(self.types, tuple) else (self.types,)
+        if self.types is not None and (
+            not isinstance(value, types)
+            or (isinstance(value, bool) and bool not in types)
+        ):
+            raise RequestError(
+                f"field {self.name!r} must be "
+                f"{'/'.join(t.__name__ for t in types)}, "
+                f"got {type(value).__name__}"
+            )
+        return value if self.check is None else self.check(self.name, value)
+
+
+def _parse(spec: tuple[Param, ...], payload: dict, what: str) -> dict:
+    """Every field of ``spec`` parsed from ``payload`` (a JSON object)."""
+    unknown = sorted(set(payload) - {param.name for param in spec})
     if unknown:
         raise RequestError(
             f"unknown field(s) in {what} request: {', '.join(unknown)}; "
-            f"expected a subset of {sorted(known)}"
+            f"expected a subset of {sorted(param.name for param in spec)}"
         )
+    return {param.name: param.parse(payload) for param in spec}
 
 
-def _methods_tuple(payload: dict) -> tuple[str, ...] | None:
-    methods = _field(payload, "methods", list, None)
-    if methods is None:
-        return None
-    for method in methods:
-        if method not in KNOWN_METHODS:
+# ---------------------------------------------------------------------------
+# Field checks: (name, well-typed value) -> normalized value
+# ---------------------------------------------------------------------------
+
+
+def _finite(name: str, value: int | float) -> int | float:
+    # json.loads accepts the NaN and Infinity tokens; neither is a
+    # value any field means, and NaN slips through every comparison.
+    if not -math.inf < value < math.inf:
+        raise RequestError(f"field {name!r} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value: int | float) -> int | float:
+    if _finite(name, value) <= 0:
+        raise RequestError(f"field {name!r} must be positive, got {value}")
+    return value
+
+
+def _non_negative(name: str, value: int | float) -> int | float:
+    if _finite(name, value) < 0:
+        raise RequestError(f"field {name!r} must be >= 0, got {value}")
+    return value
+
+
+def _vocab(name: str, value: int | str) -> int:
+    """A vocabulary size: ``131072`` or ``"128k"``."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        try:
+            value = int(text[:-1]) * 1024 if text.endswith("k") else int(text)
+        except ValueError:
             raise RequestError(
-                f"unknown method {method!r}; expected one of {KNOWN_METHODS}"
-            )
-    return tuple(methods)
+                f"field {name!r}: invalid vocabulary size {text!r}; "
+                "use e.g. 131072 or '128k'"
+            ) from None
+    if value <= 0:
+        raise RequestError(f"field {name!r} must be positive, got {value}")
+    return value
 
 
-def _top_k(payload: dict) -> int | None:
-    """``simulate_top_k``: an int >= 0, or ``"all"`` to simulate everything."""
-    value = _field(payload, "simulate_top_k", (int, str), 3)
+def _factor(name: str, value: int | float) -> float:
+    return float(_positive(name, value))
+
+
+def _method(name: str, value: str) -> str:
+    if value not in KNOWN_METHODS:
+        raise RequestError(
+            f"unknown method {value!r}; expected one of {KNOWN_METHODS}"
+        )
+    return value
+
+
+def _methods(name: str, value: list) -> tuple[str, ...]:
+    return tuple(_method(name, method) for method in value)
+
+
+def _strategy(name: str, value: str) -> str:
+    if value not in STRATEGY_NAMES:
+        raise RequestError(
+            f"unknown strategy {value!r}; expected one of {STRATEGY_NAMES}"
+        )
+    return value
+
+
+def _top_k(name: str, value: int | str) -> int | None:
+    """An int >= 0, or ``"all"`` to simulate everything (``None``)."""
     if isinstance(value, str):
         if value.strip().lower() == "all":
             return None
         raise RequestError(
-            f"field 'simulate_top_k' must be an int >= 0 or 'all', got {value!r}"
+            f"field {name!r} must be an int >= 0 or 'all', got {value!r}"
         )
-    return int(_non_negative("simulate_top_k", value))
+    return int(_non_negative(name, value))
 
 
-def _scenario_name(payload: dict, field: str = "scenario") -> str | None:
-    name = _field(payload, field, str, None)
-    if name is not None:
-        try:
-            get_scenario(name)
-        except KeyError as error:
-            raise RequestError(str(error.args[0])) from None
-    return name
+def _scenario(name: str, value: str) -> str:
+    try:
+        get_scenario(value)
+    except KeyError as error:
+        raise RequestError(str(error.args[0])) from None
+    return value
 
 
-def _cost_model_name(payload: dict) -> str | None:
-    """``cost_model``: a resolvable cost-model name, or ``None``.
+def _cost_model(name: str, value: str) -> str:
+    """A resolvable cost-model name.
 
     Resolved eagerly so an unknown profile is a 400 at validation time,
     not a traceback inside a pool worker; only built-in names resolve
     there (runtime registrations are process-local).
     """
-    name = _field(payload, "cost_model", str, None)
-    if name is not None:
-        from repro.costmodel.calibrate import get_cost_model
+    from repro.costmodel.calibrate import get_cost_model
 
-        try:
-            get_cost_model(name)
-        except KeyError as error:
-            raise RequestError(str(error.args[0])) from None
-    return name
-
-
-def _robustness(payload: dict) -> RobustnessObjective | None:
-    """``robustness``: a quantile name or ``{rank_by, samples, seed}``."""
-    value = payload.get("robustness")
-    if value is None:
-        return None
     try:
-        if isinstance(value, str):
-            return RobustnessObjective(rank_by=value)
-        if isinstance(value, dict):
-            _reject_unknown(
-                value, ("rank_by", "samples", "seed"), "robustness"
-            )
-            return RobustnessObjective(
-                rank_by=_field(value, "rank_by", str, "p95"),
-                samples=_field(value, "samples", int, 256, convert=_positive),
-                seed=_field(value, "seed", int, 0),
-            )
-    except ValueError as error:
-        if isinstance(error, RequestError):
-            raise
-        raise RequestError(f"field 'robustness': {error}") from None
-    raise RequestError(
-        "field 'robustness' must be a quantile name ('p50'/'p95'/'worst'/"
-        "'mean') or an object {rank_by, samples, seed}"
-    )
+        get_cost_model(value)
+    except KeyError as error:
+        raise RequestError(str(error.args[0])) from None
+    return value
 
 
-# ---------------------------------------------------------------------------
-# /v1/plan
-# ---------------------------------------------------------------------------
-
-_PLAN_FIELDS = (
-    "devices", "vocab_size", "seq_length", "microbatches",
-    "memory_budget_gib", "pass_overhead", "scenario", "methods",
-    "simulate_top_k", "refine", "robustness", "cost_model",
+#: The object form of ``robustness``; defaults are the objective's own.
+_ROBUSTNESS = (
+    Param("rank_by", str, RobustnessObjective.rank_by),
+    Param("samples", int, RobustnessObjective.samples, _positive),
+    Param("seed", int, RobustnessObjective.seed),
 )
 
 
-@dataclass(frozen=True)
-class PlanRequest:
-    """One normalized ``POST /v1/plan`` body.
+def _robustness(name: str, value: Any) -> RobustnessObjective:
+    """A quantile name, or an object ``{rank_by, samples, seed}``."""
+    if not isinstance(value, (str, dict)):
+        raise RequestError(
+            f"field {name!r} must be a quantile name ('p50'/'p95'/'worst'/"
+            "'mean') or an object {rank_by, samples, seed}"
+        )
+    body = {"rank_by": value} if isinstance(value, str) else value
+    parsed = _parse(_ROBUSTNESS, body, name)
+    try:
+        return RobustnessObjective(**parsed)
+    except ValueError as error:
+        raise RequestError(f"field {name!r}: {error}") from None
 
-    Mirrors the ``repro-experiments plan`` surface: the model shape is
-    derived from ``devices``/``vocab_size``/``seq_length`` through
-    :func:`~repro.planner.model_for_devices`, exactly as the CLI and
-    sweep layers do, so equal queries normalize to equal digests no
-    matter which entry point produced them.
+
+def _int_axis(name: str, values: list) -> tuple[int, ...]:
+    if not values:
+        raise RequestError(f"field {name!r} must be a non-empty list")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+            raise RequestError(
+                f"field {name!r} must list positive integers, got {v!r}"
+            )
+    return tuple(values)
+
+
+def _vocab_axis(name: str, values: list) -> tuple[int, ...]:
+    if not values:
+        raise RequestError(f"field {name!r} must be a non-empty list")
+    return tuple(_vocab(name, v) for v in values)
+
+
+def _number_axis(name: str, values: list) -> tuple[float | None, ...]:
+    for v in values:
+        if v is not None and (
+            isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
+        ):
+            raise RequestError(
+                f"field {name!r} must list positive numbers or null, got {v!r}"
+            )
+    return tuple(None if v is None else float(v) for v in values)
+
+
+def _scenario_axis(name: str, values: list) -> tuple[str | None, ...]:
+    names = []
+    for v in values:
+        if v is not None and not isinstance(v, str):
+            raise RequestError(
+                f"field {name!r} must list scenario names or null, got {v!r}"
+            )
+        names.append(None if v is None else _scenario(name, v))
+    return tuple(names)
+
+
+# ---------------------------------------------------------------------------
+# Shared parameters (operations override help and defaults with replace())
+# ---------------------------------------------------------------------------
+
+_DEVICES = Param(
+    "devices", int, REQUIRED, _positive, flag="--devices",
+    help="pipeline device count",
+)
+_VOCAB = Param(
+    "vocab_size", (int, str), REQUIRED, _vocab, flag="--vocab",
+    metavar="SIZE", help="vocabulary size, e.g. 128k or 131072",
+)
+_SEQ = Param(
+    "seq_length", int, 2048, _positive, flag="--seq", metavar="SEQ",
+    help="sequence length",
+)
+_MICROBATCHES = Param(
+    "microbatches", int, 128, _positive, flag="--microbatches",
+    help="microbatches per iteration (paper: 128)",
+)
+_BUDGET = Param(
+    "memory_budget_gib", (int, float), None, _positive,
+    flag="--memory-budget", metavar="GIB",
+    help="per-device peak-memory budget in GiB (default: the A100's 80)",
+)
+_OVERHEAD = Param(
+    "pass_overhead", (int, float), None, _non_negative,
+    flag="--pass-overhead", metavar="S",
+    help="per-pass host overhead binding in seconds",
+)
+_SCENARIO = Param(
+    "scenario", str, None, _scenario, flag="--scenario", metavar="NAME"
+)
+_METHODS = Param(
+    "methods", list, None, _methods, flag="--methods", metavar="METHOD",
+    help="restrict the search to these schedule families",
+)
+_TOP_K = Param(
+    "simulate_top_k", (int, str), 3, _top_k, flag="--top-k", metavar="K",
+    help="simulate the K best-estimated candidates (0: estimates only, "
+    "'all': simulate everything; default %(default)s)",
+)
+_REFINE = Param("refine", bool, True)
+_COST_MODEL = Param(
+    "cost_model", str, None, _cost_model, flag="--cost-model",
+    metavar="NAME",
+    help="price estimates with a calibrated cost-model profile "
+    "(see 'repro-experiments calibrate'); a calibrated profile "
+    "also trust-gates the top-k simulation (default: analytic)",
+)
+
+#: Request fields that are :class:`PlannerConstraints` fields.
+_CONSTRAINT_FIELDS = (
+    "memory_budget_gib", "methods", "simulate_top_k", "refine", "cost_model",
+)
+
+
+def _operation(name: str, *spec: Param):
+    """Class decorator: ``cls`` as the frozen request dataclass of ``spec``.
+
+    Fields are declared in ``spec`` order, which is also the order a
+    body's fields are validated in: a body with several invalid fields
+    reports the first.
     """
 
-    devices: int
-    vocab_size: int
-    seq_length: int = 2048
-    microbatches: int = 128
-    memory_budget_gib: float | None = None
-    pass_overhead: float | None = None
-    scenario: str | None = None
-    methods: tuple[str, ...] | None = None
-    simulate_top_k: int | None = 3
-    refine: bool = True
-    robustness: RobustnessObjective | None = None
-    cost_model: str | None = None
+    def build(cls):
+        cls.__annotations__ = {param.name: "Any" for param in spec}
+        for param in spec:
+            if param.default is not REQUIRED:
+                setattr(cls, param.name, param.default)
+        cls.OPERATION = name
+        cls.SPEC = spec
+        return dataclass(frozen=True)(cls)
+
+    return build
+
+
+def _disk_cache(cache_dir: str | None, max_entries: int | None) -> PlanCache | None:
+    if cache_dir is None:
+        return None
+    return PlanCache(cache_dir, max_entries=max_entries)
+
+
+class Resolved(NamedTuple):
+    """The library objects one single-configuration request denotes."""
+
+    model: ModelConfig
+    parallel: ParallelConfig
+    constraints: PlannerConstraints
+    scenario: ClusterScenario | None
+
+
+class _Request:
+    """Behaviour every operation derives from its spec."""
+
+    #: The operation's name (``/v1/<name>``) and its parameters.
+    OPERATION: ClassVar[str]
+    SPEC: ClassVar[tuple[Param, ...]]
 
     @classmethod
-    def from_payload(cls, payload: Any) -> PlanRequest:
+    def from_payload(cls, payload: Any):
+        """Validate a parsed JSON body into a request, or raise
+        :class:`RequestError` carrying the reason."""
         if not isinstance(payload, dict):
             raise RequestError("request body must be a JSON object")
-        _reject_unknown(payload, _PLAN_FIELDS, "plan")
-        request = cls(
-            devices=_field(payload, "devices", int, convert=_positive),
-            vocab_size=_field(
-                payload, "vocab_size", (int, str), convert=_coerce_vocab
-            ),
-            seq_length=_field(
-                payload, "seq_length", int, 2048, convert=_positive
-            ),
-            microbatches=_field(
-                payload, "microbatches", int, 128, convert=_positive
-            ),
-            memory_budget_gib=_field(
-                payload, "memory_budget_gib", (int, float), None,
-                convert=_positive,
-            ),
-            pass_overhead=_field(
-                payload, "pass_overhead", (int, float), None,
-                convert=_non_negative,
-            ),
-            scenario=_scenario_name(payload),
-            methods=_methods_tuple(payload),
-            simulate_top_k=_top_k(payload),
-            refine=_field(payload, "refine", bool, True),
-            robustness=_robustness(payload),
-            cost_model=_cost_model_name(payload),
-        )
-        if request.robustness is not None and request.scenario is None:
-            raise RequestError(
-                "field 'robustness' requires a 'scenario' (the jitter source)"
-            )
-        return _validated(request, request.resolve)
+        request = cls(**_parse(cls.SPEC, payload, cls.OPERATION))
+        try:
+            request.validate()
+        except RequestError:
+            raise
+        except (ValueError, KeyError) as error:
+            # The library's own check on the objects the request
+            # denotes; its message is the 400's.
+            message = error.args[0] if error.args else error
+            raise RequestError(str(message)) from None
+        return request
 
-    def resolve(
-        self,
-    ) -> tuple[
-        ModelConfig,
-        ParallelConfig,
-        PlannerConstraints,
-        ClusterScenario | None,
-        RobustnessObjective | None,
-    ]:
-        """The planner-level objects this request denotes."""
+    def validate(self) -> None:
+        """Cross-field checks; library ``ValueError``/``KeyError``
+        become a :class:`RequestError` with the library's message."""
+
+    def constraints(self) -> PlannerConstraints:
+        return PlannerConstraints(
+            **{name: getattr(self, name) for name in _CONSTRAINT_FIELDS if hasattr(self, name)}
+        )
+
+
+class _ConfigRequest(_Request):
+    """A request about one model/pipeline configuration."""
+
+    def resolve(self) -> Resolved:
+        """The model, parallel, constraint and scenario objects."""
         model = model_for_devices(self.devices, self.seq_length, self.vocab_size)
         parallel = ParallelConfig(
             pipeline_size=self.devices,
             num_microbatches=self.microbatches,
             microbatch_size=1,
         )
-        constraints = PlannerConstraints(
-            memory_budget_gib=self.memory_budget_gib,
-            methods=self.methods,
-            simulate_top_k=self.simulate_top_k,
-            refine=self.refine,
-            cost_model=self.cost_model,
-        )
         scenario = None if self.scenario is None else get_scenario(self.scenario)
-        return model, parallel, constraints, scenario, self.robustness
+        return Resolved(model, parallel, self.constraints(), scenario)
+
+
+# ---------------------------------------------------------------------------
+# /v1/plan
+# ---------------------------------------------------------------------------
+
+
+@_operation(
+    "plan",
+    replace(
+        _DEVICES, many=True, cli_default=8,
+        help="pipeline device counts to plan for (several values sweep a grid)",
+    ),
+    replace(
+        _VOCAB, many=True, cli_default=128 * 1024,
+        help="vocabulary sizes, e.g. 128k or 131072",
+    ),
+    _SEQ,
+    _MICROBATCHES,
+    _BUDGET,
+    replace(
+        _OVERHEAD, many=True,
+        help="per-pass host overhead bindings in seconds (several values "
+        "sweep the §7 overhead ablation over shared schedule structures)",
+    ),
+    replace(
+        _SCENARIO,
+        help="price the plan under a registered cluster scenario "
+        "(see 'repro-experiments scenarios list')",
+    ),
+    _METHODS,
+    _TOP_K,
+    _REFINE,
+    Param("robustness", None, None, _robustness),
+    _COST_MODEL,
+)
+class PlanRequest(_ConfigRequest):
+    """One normalized ``POST /v1/plan`` body (``repro-experiments plan``).
+
+    The model shape is derived from ``devices``/``vocab_size``/
+    ``seq_length`` through :func:`~repro.planner.sweep.model_for_devices`,
+    exactly as the sweep layer does, so equal queries normalize to equal
+    digests no matter which entry point produced them.
+    """
+
+    def validate(self) -> None:
+        if self.robustness is not None and self.scenario is None:
+            raise RequestError(
+                "field 'robustness' requires a 'scenario' (the jitter source)"
+            )
+        self.resolve()
+
+    def point(self) -> SweepPoint:
+        """This request as one grid point of a CLI sweep."""
+        return SweepPoint(
+            self.devices, self.vocab_size, self.seq_length, self.microbatches,
+            self.memory_budget_gib, self.pass_overhead, self.scenario,
+        )
 
     def digest(self) -> str:
         """The planner's whole-plan cache key for this request.
 
-        Identical to the key :func:`repro.planner.plan` will store the
+        Identical to the key :func:`repro.api.plan` will store the
         result under — the property the tiered cache and the coalescer
         rely on.  Includes the resolved scenario *signature*, so two
         scenarios sharing a name but not a definition never collide.
         """
-        model, parallel, constraints, scenario, robustness = self.resolve()
+        model, parallel, constraints, scenario = self.resolve()
         return plan_cache_key(
             model,
             parallel,
             constraints,
             pass_overhead=self.pass_overhead,
             scenario=scenario,
-            robustness=robustness,
+            robustness=self.robustness,
+        )
+
+    def run(self, cache: PlanCache | None = None) -> RankedPlans:
+        model, parallel, constraints, scenario = self.resolve()
+        return plan(
+            model,
+            parallel,
+            constraints,
+            cache=cache,
+            pass_overhead=self.pass_overhead,
+            scenario=scenario,
+            robustness=self.robustness,
         )
 
 
@@ -405,132 +574,43 @@ def execute_plan_request(
     max_cache_entries: int | None = None,
 ) -> RankedPlans:
     """Worker body for one plan request (top-level: pool-picklable)."""
-    model, parallel, constraints, scenario, robustness = request.resolve()
-    cache = (
-        PlanCache(cache_dir, max_entries=max_cache_entries)
-        if cache_dir is not None
-        else None
-    )
-    return plan(
-        model,
-        parallel,
-        constraints,
-        cache=cache,
-        pass_overhead=request.pass_overhead,
-        scenario=scenario,
-        robustness=robustness,
-    )
+    return request.run(_disk_cache(cache_dir, max_cache_entries))
 
 
 # ---------------------------------------------------------------------------
 # /v1/sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_FIELDS = (
-    "devices", "vocab_sizes", "seq_lengths", "microbatches",
-    "memory_budgets_gib", "pass_overheads", "scenarios", "methods",
-    "simulate_top_k", "refine", "cost_model",
+
+@_operation(
+    "sweep",
+    Param("devices", list, REQUIRED, _int_axis),
+    Param("vocab_sizes", list, REQUIRED, _vocab_axis),
+    Param("seq_lengths", list, (_SEQ.default,), _int_axis),
+    Param("microbatches", list, (_MICROBATCHES.default,), _int_axis),
+    Param("memory_budgets_gib", list, (None,), _number_axis),
+    Param("pass_overheads", list, (None,), _number_axis),
+    Param("scenarios", list, (None,), _scenario_axis),
+    replace(_METHODS, flag=None),
+    replace(_TOP_K, flag=None),
+    _REFINE,
+    replace(_COST_MODEL, flag=None),
 )
-
-
-def _int_list(payload: dict, name: str, default: Any = _MISSING) -> tuple:
-    values = _field(payload, name, list, default)
-    if not isinstance(values, tuple):
-        if not values:
-            raise RequestError(f"field {name!r} must be a non-empty list")
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-                raise RequestError(
-                    f"field {name!r} must list positive integers, got {v!r}"
-                )
-        values = tuple(values)
-    return values
-
-
-def _optional_number_list(payload: dict, name: str) -> tuple:
-    values = _field(payload, name, list, (None,))
-    if not isinstance(values, tuple):
-        out = []
-        for v in values:
-            if v is None:
-                out.append(None)
-            elif isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise RequestError(
-                    f"field {name!r} must list positive numbers or null, "
-                    f"got {v!r}"
-                )
-            else:
-                out.append(float(v))
-        values = tuple(out)
-    return values
-
-
-@dataclass(frozen=True)
-class SweepRequest:
+class SweepRequest(_Request):
     """One normalized ``POST /v1/sweep`` body — a planning grid.
 
-    Axes mirror :func:`repro.planner.grid`; the expansion is bounded by
+    Axes mirror :func:`repro.api.grid`; the expansion is bounded by
     :data:`MAX_SWEEP_POINTS` so one request cannot monopolize the
     worker pool.
     """
 
-    devices: tuple[int, ...]
-    vocab_sizes: tuple[int, ...]
-    seq_lengths: tuple[int, ...] = (2048,)
-    microbatches: tuple[int, ...] = (128,)
-    memory_budgets_gib: tuple[float | None, ...] = (None,)
-    pass_overheads: tuple[float | None, ...] = (None,)
-    scenarios: tuple[str | None, ...] = (None,)
-    methods: tuple[str, ...] | None = None
-    simulate_top_k: int | None = 3
-    refine: bool = True
-    cost_model: str | None = None
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> SweepRequest:
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        _reject_unknown(payload, _SWEEP_FIELDS, "sweep")
-        vocab_values = _field(payload, "vocab_sizes", list)
-        if not vocab_values:
-            raise RequestError("field 'vocab_sizes' must be a non-empty list")
-        scenario_values = _field(payload, "scenarios", list, (None,))
-        if not isinstance(scenario_values, tuple):
-            names: list[str | None] = []
-            for name in scenario_values:
-                if name is None:
-                    names.append(None)
-                    continue
-                if not isinstance(name, str):
-                    raise RequestError(
-                        "field 'scenarios' must list scenario names or null, "
-                        f"got {name!r}"
-                    )
-                names.append(_scenario_name({"scenario": name}))
-            scenario_values = tuple(names)
-        request = cls(
-            devices=_int_list(payload, "devices"),
-            vocab_sizes=tuple(
-                _coerce_vocab("vocab_sizes", v) for v in vocab_values
-            ),
-            seq_lengths=_int_list(payload, "seq_lengths", (2048,)),
-            microbatches=_int_list(payload, "microbatches", (128,)),
-            memory_budgets_gib=_optional_number_list(
-                payload, "memory_budgets_gib"
-            ),
-            pass_overheads=_optional_number_list(payload, "pass_overheads"),
-            scenarios=scenario_values,
-            methods=_methods_tuple(payload),
-            simulate_top_k=_top_k(payload),
-            refine=_field(payload, "refine", bool, True),
-            cost_model=_cost_model_name(payload),
-        )
-        if len(request.points()) > MAX_SWEEP_POINTS:
+    def validate(self) -> None:
+        if len(self.points()) > MAX_SWEEP_POINTS:
             raise RequestError(
-                f"sweep expands to {len(request.points())} grid points; "
+                f"sweep expands to {len(self.points())} grid points; "
                 f"the service caps one request at {MAX_SWEEP_POINTS}"
             )
-        return _validated(request, request.constraints)
+        self.constraints()
 
     def points(self) -> list[SweepPoint]:
         return grid(
@@ -541,14 +621,6 @@ class SweepRequest:
             memory_budgets_gib=self.memory_budgets_gib,
             pass_overheads=self.pass_overheads,
             scenarios=self.scenarios,
-        )
-
-    def constraints(self) -> PlannerConstraints:
-        return PlannerConstraints(
-            methods=self.methods,
-            simulate_top_k=self.simulate_top_k,
-            refine=self.refine,
-            cost_model=self.cost_model,
         )
 
     def digest(self) -> str:
@@ -575,10 +647,10 @@ def execute_sweep_request(
     """Worker body for one sweep request (structure-grouped, serial).
 
     One pool task plans the whole grid through
-    :func:`~repro.planner.plan_points` (points pre-grouped by structure
-    axes, exactly like :func:`~repro.planner.sweep`'s chunks do), so
-    concurrent sweep *requests* parallelize across the pool while each
-    request amortizes its structural caches in one worker.
+    :func:`~repro.planner.sweep.plan_points` (points pre-grouped by
+    structure axes, exactly like :func:`repro.api.sweep`'s chunks do),
+    so concurrent sweep *requests* parallelize across the pool while
+    each request amortizes its structural caches in one worker.
     """
     points = request.points()
     order = sorted(
@@ -600,95 +672,60 @@ def execute_sweep_request(
 # /v1/whatif
 # ---------------------------------------------------------------------------
 
-_WHATIF_FIELDS = (
-    "devices", "vocab_size", "seq_length", "microbatches", "method",
-    "device", "factor", "pass_overhead", "scenario", "refine",
+
+@_operation(
+    "whatif",
+    replace(_DEVICES, cli_default=8),
+    replace(_VOCAB, cli_default=128 * 1024),
+    Param(
+        "method", str, REQUIRED, _method, flag="--method", metavar="METHOD",
+        cli_default="vocab-1",
+        help="schedule family to perturb (default %(default)s)",
+    ),
+    Param(
+        "device", int, REQUIRED, flag="--device", cli_default=-1,
+        help="device whose passes slow down; negative counts from the "
+        "end of the pipeline (default %(default)s, the last device)",
+    ),
+    Param(
+        "factor", (int, float), REQUIRED, _factor, flag="--factor",
+        cli_default=1.3,
+        help="duration multiplier for the perturbed device "
+        "(default %(default)s)",
+    ),
+    _SEQ,
+    _MICROBATCHES,
+    _OVERHEAD,
+    replace(
+        _SCENARIO,
+        help="price the baseline under a registered cluster scenario",
+    ),
+    _REFINE,
 )
-
-
-@dataclass(frozen=True)
-class WhatifRequest:
-    """One normalized ``POST /v1/whatif`` body — a what-if query.
+class WhatifRequest(_ConfigRequest):
+    """One normalized ``POST /v1/whatif`` body (``repro-experiments whatif``).
 
     Prices "what if ``device`` ran ``factor``× slower?" against
-    ``method``'s schedule via :func:`repro.planner.whatif` — one sweep
-    of the perturbed rows over a worker-resident compiled graph, not a
-    re-plan.  The model shape derives from
-    ``devices``/``vocab_size``/``seq_length`` exactly like
-    :class:`PlanRequest`, and the digest is the planner's own what-if
-    cache key, so the service tiers and the planner's ``"whatif"``
-    auxiliary cache address the same entry.
+    ``method``'s schedule via :func:`repro.api.whatif` — one sweep of
+    the perturbed rows over a worker-resident compiled graph, not a
+    re-plan.  The digest is the planner's own what-if cache key, so the
+    service tiers and the planner's ``"whatif"`` auxiliary cache address
+    the same entry.
     """
 
-    devices: int
-    vocab_size: int
-    method: str
-    device: int
-    factor: float
-    seq_length: int = 2048
-    microbatches: int = 128
-    pass_overhead: float | None = None
-    scenario: str | None = None
-    refine: bool = True
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> WhatifRequest:
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        _reject_unknown(payload, _WHATIF_FIELDS, "whatif")
-        method = _field(payload, "method", str)
-        if method not in KNOWN_METHODS:
-            raise RequestError(
-                f"unknown method {method!r}; expected one of {KNOWN_METHODS}"
-            )
-        request = cls(
-            devices=_field(payload, "devices", int, convert=_positive),
-            vocab_size=_field(
-                payload, "vocab_size", (int, str), convert=_coerce_vocab
-            ),
-            method=method,
-            device=_field(payload, "device", int),
-            factor=float(
-                _field(payload, "factor", (int, float), convert=_positive)
-            ),
-            seq_length=_field(
-                payload, "seq_length", int, 2048, convert=_positive
-            ),
-            microbatches=_field(
-                payload, "microbatches", int, 128, convert=_positive
-            ),
-            pass_overhead=_field(
-                payload, "pass_overhead", (int, float), None,
-                convert=_non_negative,
-            ),
-            scenario=_scenario_name(payload),
-            refine=_field(payload, "refine", bool, True),
-        )
-        return _validated(request, request.digest)  # device range, config validity
-
-    def resolve(
-        self,
-    ) -> tuple[ModelConfig, ParallelConfig, ClusterScenario | None]:
-        """The planner-level objects this request denotes."""
-        model = model_for_devices(self.devices, self.seq_length, self.vocab_size)
-        parallel = ParallelConfig(
-            pipeline_size=self.devices,
-            num_microbatches=self.microbatches,
-            microbatch_size=1,
-        )
-        scenario = None if self.scenario is None else get_scenario(self.scenario)
-        return model, parallel, scenario
+    def validate(self) -> None:
+        self.digest()  # device range, config validity
 
     def digest(self) -> str:
         """The planner's what-if cache key for this request.
 
-        Identical to the ``cache_key`` :func:`repro.planner.whatif`
-        stamps on its result — same normalization (scenario resolved to
-        its signature, negative device indexes wrapped), so the
-        service's LRU/disk tiers and the planner's auxiliary cache
-        never double-compute one query.
+        Identical to the ``cache_key`` :func:`repro.api.whatif` stamps
+        on its result — same normalization (scenario resolved to its
+        signature, negative device indexes wrapped), so the service's
+        LRU/disk tiers and the planner's auxiliary cache never
+        double-compute one query.
         """
-        model, parallel, scenario = self.resolve()
+        model, parallel, _, scenario = self.resolve()
         return whatif_cache_key(
             model,
             parallel,
@@ -700,6 +737,20 @@ class WhatifRequest:
             refine=self.refine,
         )
 
+    def run(self, cache: PlanCache | None = None) -> WhatifResult:
+        model, parallel, _, scenario = self.resolve()
+        return whatif(
+            model,
+            parallel,
+            method=self.method,
+            device=self.device,
+            factor=self.factor,
+            pass_overhead=self.pass_overhead,
+            scenario=scenario,
+            refine=self.refine,
+            cache=cache,
+        )
+
 
 def execute_whatif_request(
     request: WhatifRequest,
@@ -709,29 +760,18 @@ def execute_whatif_request(
     """Worker body for one what-if request (top-level: pool-picklable).
 
     Returns the JSON-ready result dict.  Besides the planner's
-    ``"whatif"`` auxiliary entry (written by :func:`repro.planner.whatif`
+    ``"whatif"`` auxiliary entry (written by :func:`repro.api.whatif`
     itself), the rendered payload is stored under the main digest so
     the service's *disk* tier can answer repeats without a worker
     round-trip — the same two-level arrangement ``/v1/plan`` gets from
-    :func:`~repro.planner.plan`.
+    :func:`repro.api.plan`.
     """
-    model, parallel, scenario = request.resolve()
-    cache = (
-        PlanCache(cache_dir, max_entries=max_cache_entries)
-        if cache_dir is not None
-        else None
-    )
-    result = whatif(
-        model,
-        parallel,
-        method=request.method,
-        device=request.device,
-        factor=request.factor,
-        pass_overhead=request.pass_overhead,
-        scenario=scenario,
-        refine=request.refine,
-        cache=cache,
-    )
+    cache = _disk_cache(cache_dir, max_cache_entries)
+    return _stored(request.run(cache), cache)
+
+
+def _stored(result: WhatifResult | OptimizedPlan, cache: PlanCache | None) -> dict:
+    """``result``'s JSON payload, stored under its digest when cached."""
     payload = result.as_dict()
     if cache is not None:
         cache.put(result.cache_key, payload)
@@ -742,62 +782,54 @@ def execute_whatif_request(
 # /v1/scenarios
 # ---------------------------------------------------------------------------
 
-_SCENARIO_FIELDS = (
-    "scenario", "method", "devices", "vocab_size", "seq_length",
-    "microbatches", "samples", "seed",
+
+@_operation(
+    "scenarios",
+    replace(
+        _SCENARIO,
+        help="registered scenario name (required for describe/run/compare)",
+    ),
+    Param(
+        "method", str, None, _method, flag="--method", metavar="METHOD",
+        cli_default="vocab-1",
+        help="schedule family for 'run' (default %(default)s)",
+    ),
+    replace(
+        _DEVICES, default=12,
+        help="pipeline device count (default %(default)s — two nodes of "
+        "8+4, so node-level scenarios like slow-node and "
+        "bandwidth-asymmetric have a real inter-node boundary to act on)",
+    ),
+    replace(_VOCAB, default=128 * 1024),
+    _SEQ,
+    replace(
+        _MICROBATCHES, default=32,
+        help="microbatches per iteration (default %(default)s — smaller "
+        "than the paper's 128 to keep Monte Carlo interactive)",
+    ),
+    Param(
+        "samples", int, 256, _positive, flag="--samples", metavar="K",
+        help="Monte Carlo jitter samples per method (default %(default)s)",
+    ),
+    Param(
+        "seed", int, 0, flag="--seed",
+        help="sample seed combined with the scenario's base seed",
+    ),
 )
-
-
-@dataclass(frozen=True)
-class ScenarioRequest:
+class ScenarioRequest(_ConfigRequest):
     """One normalized ``POST /v1/scenarios`` body.
 
-    ``method=None`` compares every implemented family (the CLI's
-    ``scenarios compare``); naming a method prices just that one
-    (``scenarios run``).  Defaults mirror the CLI: 12 devices so the
+    ``method=None`` compares every implemented family
+    (``repro-experiments scenarios compare``); naming a method prices
+    just that one (``scenarios run``).  Defaults: 12 devices so the
     two-tier node boundary is live, 32 microbatches to keep Monte Carlo
     interactive.
     """
 
-    scenario: str
-    method: str | None = None
-    devices: int = 12
-    vocab_size: int = 128 * 1024
-    seq_length: int = 2048
-    microbatches: int = 32
-    samples: int = 256
-    seed: int = 0
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> ScenarioRequest:
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        _reject_unknown(payload, _SCENARIO_FIELDS, "scenarios")
-        name = _scenario_name(payload)
-        if name is None:
+    def validate(self) -> None:
+        if self.scenario is None:
             raise RequestError("missing required field 'scenario'")
-        method = _field(payload, "method", str, None)
-        if method is not None and method not in KNOWN_METHODS:
-            raise RequestError(
-                f"unknown method {method!r}; expected one of {KNOWN_METHODS}"
-            )
-        return cls(
-            scenario=name,
-            method=method,
-            devices=_field(payload, "devices", int, 12, convert=_positive),
-            vocab_size=_field(
-                payload, "vocab_size", (int, str), 128 * 1024,
-                convert=_coerce_vocab,
-            ),
-            seq_length=_field(
-                payload, "seq_length", int, 2048, convert=_positive
-            ),
-            microbatches=_field(
-                payload, "microbatches", int, 32, convert=_positive
-            ),
-            samples=_field(payload, "samples", int, 256, convert=_positive),
-            seed=_field(payload, "seed", int, 0),
-        )
+        self.resolve()
 
     def digest(self) -> str:
         scenario = get_scenario(self.scenario)
@@ -812,19 +844,12 @@ class ScenarioRequest:
 def execute_scenario_request(request: ScenarioRequest) -> dict:
     """Worker body for one scenario request: Monte Carlo robustness.
 
-    Returns the already-JSON-safe payload (ranked statistics plus the
-    structurally skipped methods), mirroring the CLI's ``--json``
-    output so service and CLI consumers read one schema.
+    Returns the JSON-safe payload: the measured methods ranked by p95
+    (method name as tie-break) plus the structurally skipped ones —
+    the schema ``repro-experiments scenarios run|compare --format
+    json`` prints too.
     """
-    scenario = get_scenario(request.scenario)
-    model = model_for_devices(
-        request.devices, request.seq_length, request.vocab_size
-    )
-    parallel = ParallelConfig(
-        pipeline_size=request.devices,
-        num_microbatches=request.microbatches,
-        microbatch_size=1,
-    )
+    model, parallel, _, scenario = request.resolve()
     methods = [request.method] if request.method else list(KNOWN_METHODS)
     ranked = []
     skipped = []
@@ -859,111 +884,59 @@ def execute_scenario_request(request: ScenarioRequest) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering of planner results
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # /v1/optimize
 # ---------------------------------------------------------------------------
 
-_OPTIMIZE_FIELDS = (
-    "devices", "vocab_size", "seq_length", "microbatches",
-    "memory_budget_gib", "methods", "scenario", "cost_model",
-    "strategy", "seed", "budget", "pass_overhead",
+
+@_operation(
+    "optimize",
+    replace(_DEVICES, cli_default=8),
+    replace(_VOCAB, cli_default=128 * 1024),
+    _SEQ,
+    replace(
+        _MICROBATCHES, default=16,
+        help="microbatches per iteration (default %(default)s — small "
+        "enough to keep the search interactive, with token-split headroom)",
+    ),
+    _BUDGET,
+    replace(_METHODS, help="restrict the starting named families"),
+    replace(_SCENARIO, help="optimize under a registered cluster scenario's runtime"),
+    _COST_MODEL,
+    Param(
+        "strategy", str, "greedy", _strategy, flag="--strategy",
+        metavar="{" + ",".join(STRATEGY_NAMES) + "}",
+        help="search strategy (default %(default)s; anneal accepts uphill "
+        "moves on a cooling temperature)",
+    ),
+    Param(
+        "seed", int, 0, flag="--seed",
+        help="seed for the search's random decisions (default %(default)s)",
+    ),
+    Param(
+        "budget", int, DEFAULT_BUDGET, _positive, flag="--budget",
+        metavar="N",
+        help="oracle evaluations the search may spend (default %(default)s)",
+    ),
+    _OVERHEAD,
 )
-
-
-@dataclass(frozen=True)
-class OptimizeRequest:
+class OptimizeRequest(_ConfigRequest):
     """One normalized ``POST /v1/optimize`` body — a rewrite search.
 
-    Runs :func:`repro.optimize.optimize`: start from the best named
-    family for the configuration and search semantics-preserving local
+    Runs :func:`repro.api.optimize`: start from the best named family
+    for the configuration and search semantics-preserving local
     rewrites for a schedule the simulator verifies as faster.  The
-    model shape derives from ``devices``/``vocab_size``/``seq_length``
-    exactly like :class:`PlanRequest`; the digest is the optimizer's
-    own cache key, so the service tiers and the planner cache's
-    ``"optimize"`` auxiliary namespace address the same search.
+    digest is the optimizer's own cache key, so the service tiers and
+    the planner cache's ``"optimize"`` auxiliary namespace address the
+    same search.
     """
 
-    devices: int
-    vocab_size: int
-    seq_length: int = 2048
-    microbatches: int = 16
-    memory_budget_gib: float | None = None
-    methods: tuple[str, ...] | None = None
-    scenario: str | None = None
-    cost_model: str | None = None
-    strategy: str = "greedy"
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    pass_overhead: float | None = None
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> OptimizeRequest:
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        _reject_unknown(payload, _OPTIMIZE_FIELDS, "optimize")
-        strategy = _field(payload, "strategy", str, "greedy")
-        if strategy not in STRATEGY_NAMES:
-            raise RequestError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{STRATEGY_NAMES}"
-            )
-        request = cls(
-            devices=_field(payload, "devices", int, convert=_positive),
-            vocab_size=_field(
-                payload, "vocab_size", (int, str), convert=_coerce_vocab
-            ),
-            seq_length=_field(
-                payload, "seq_length", int, 2048, convert=_positive
-            ),
-            microbatches=_field(
-                payload, "microbatches", int, 16, convert=_positive
-            ),
-            memory_budget_gib=_field(
-                payload, "memory_budget_gib", (int, float), None,
-                convert=_positive,
-            ),
-            methods=_methods_tuple(payload),
-            scenario=_scenario_name(payload),
-            cost_model=_cost_model_name(payload),
-            strategy=strategy,
-            seed=_field(payload, "seed", int, 0),
-            budget=_field(
-                payload, "budget", int, DEFAULT_BUDGET, convert=_positive
-            ),
-            pass_overhead=_field(
-                payload, "pass_overhead", (int, float), None,
-                convert=_non_negative,
-            ),
-        )
-        return _validated(request, request.digest)  # config validity, strategy/budget bounds
-
-    def resolve(
-        self,
-    ) -> tuple[ModelConfig, ParallelConfig, PlannerConstraints,
-               ClusterScenario | None]:
-        """The optimizer-level objects this request denotes."""
-        model = model_for_devices(self.devices, self.seq_length, self.vocab_size)
-        parallel = ParallelConfig(
-            pipeline_size=self.devices,
-            num_microbatches=self.microbatches,
-            microbatch_size=1,
-        )
-        constraints = PlannerConstraints(
-            memory_budget_gib=self.memory_budget_gib,
-            methods=self.methods,
-            cost_model=self.cost_model,
-        )
-        scenario = None if self.scenario is None else get_scenario(self.scenario)
-        return model, parallel, constraints, scenario
+    def validate(self) -> None:
+        self.digest()  # config validity, strategy/budget bounds
 
     def digest(self) -> str:
         """The optimizer's cache key for this request.
 
-        Identical to the ``cache_key`` :func:`repro.optimize.optimize`
+        Identical to the ``cache_key`` :func:`repro.api.optimize`
         stamps on its result, so the service's LRU/disk tiers and the
         optimizer's auxiliary cache never double-compute one search.
         """
@@ -979,6 +952,20 @@ class OptimizeRequest:
             budget=self.budget,
         )
 
+    def run(self, cache: PlanCache | None = None) -> OptimizedPlan:
+        model, parallel, constraints, scenario = self.resolve()
+        return optimize(
+            model,
+            parallel,
+            constraints,
+            cache=cache,
+            pass_overhead=self.pass_overhead,
+            scenario=scenario,
+            strategy=self.strategy,
+            seed=self.seed,
+            budget=self.budget,
+        )
+
 
 def execute_optimize_request(
     request: OptimizeRequest,
@@ -987,34 +974,17 @@ def execute_optimize_request(
 ) -> dict:
     """Worker body for one optimize request (top-level: pool-picklable).
 
-    Returns the JSON-ready result dict.  Besides the optimizer's
-    ``"optimize"`` auxiliary entry (written by
-    :func:`repro.optimize.optimize` itself), the rendered payload is
-    stored under the main digest so the service's *disk* tier can
-    answer repeats without a worker round-trip — the same two-level
-    arrangement ``/v1/whatif`` uses.
+    Returns the JSON-ready result dict, stored under the main digest
+    besides the optimizer's own ``"optimize"`` auxiliary entry — the
+    same two-level arrangement ``/v1/whatif`` uses.
     """
-    model, parallel, constraints, scenario = request.resolve()
-    cache = (
-        PlanCache(cache_dir, max_entries=max_cache_entries)
-        if cache_dir is not None
-        else None
-    )
-    result = optimize(
-        model,
-        parallel,
-        constraints,
-        cache=cache,
-        pass_overhead=request.pass_overhead,
-        scenario=scenario,
-        strategy=request.strategy,
-        seed=request.seed,
-        budget=request.budget,
-    )
-    payload = result.as_dict()
-    if cache is not None:
-        cache.put(result.cache_key, payload)
-    return payload
+    cache = _disk_cache(cache_dir, max_cache_entries)
+    return _stored(request.run(cache), cache)
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering of planner results
+# ---------------------------------------------------------------------------
 
 
 def candidate_to_json(candidate) -> dict:

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (settings, runners, tables, CLI)."""
 
+import re
+
 import pytest
 
 from repro.harness import (
@@ -168,14 +170,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_run_plan_wrapper(self):
-        from repro.harness.runner import run_plan
-
-        plans = run_plan(devices=4, vocab_size=32 * 1024, num_microbatches=8,
-                         simulate_top_k=1)
-        assert plans.best.source == "sim"
-        assert plans.parallel.pipeline_size == 4
-
     def test_plan_command(self, capsys):
         from repro.harness.cli import main
 
@@ -205,15 +199,45 @@ class TestCLI:
         assert capsys.readouterr().out == first
         assert list(tmp_path.glob("*.plan.pkl"))
 
-    def test_plan_vocab_parsing(self):
-        from repro.harness.cli import _parse_top_k, _parse_vocab
+    @pytest.mark.parametrize("flag", ["--devices", "--microbatches", "--width"])
+    def test_schedules_rejects_non_positive_counts(self, capsys, flag):
+        from repro.harness.cli import main
 
-        assert _parse_vocab("128k") == 128 * 1024
-        assert _parse_vocab("131072") == 131072
-        assert _parse_top_k("all") is None
-        assert _parse_top_k("2") == 2
-        with pytest.raises(Exception):
-            _parse_vocab("huge")
+        with pytest.raises(SystemExit) as exit_:
+            main(["schedules", flag, "0"])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be positive, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "optimize", "whatif"])
+    def test_negative_pass_overhead_names_the_field(self, command):
+        from repro.harness.cli import main
+
+        message = (
+            f"repro-experiments {command}: error: "
+            "field 'pass_overhead' must be >= 0, got -1.0"
+        )
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            main([command, "--pass-overhead", "-1"])
+
+    def test_plan_vocab_parsing(self):
+        from repro.harness.cli import _request, build_parser
+        from repro.service.requests import PlanRequest, RequestError
+
+        def parse(vocab: str, top_k: str) -> PlanRequest:
+            args = build_parser().parse_args(
+                ["plan", "--vocab", vocab, "--top-k", top_k]
+            )
+            return _request(
+                PlanRequest, args, devices=8, vocab_size=args.vocab_size[0],
+                pass_overhead=None,
+            )
+
+        assert parse("128k", "3").vocab_size == 128 * 1024
+        assert parse("131072", "3").vocab_size == 131072
+        assert parse("128k", "all").simulate_top_k is None
+        assert parse("128k", "2").simulate_top_k == 2
+        with pytest.raises(RequestError, match="invalid vocabulary size"):
+            parse("huge", "3")
 
     def test_help_epilog_lists_every_subcommand(self, capsys):
         from repro.harness.cli import SUBCOMMANDS, main

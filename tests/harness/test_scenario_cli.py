@@ -1,6 +1,7 @@
 """Golden-output tests for ``repro-experiments scenarios``."""
 
 import json
+import re
 
 import pytest
 
@@ -27,7 +28,7 @@ class TestList:
             assert name in out
 
     def test_json_mode(self, capsys):
-        payload = json.loads(run_cli(capsys, "scenarios", "list", "--json"))
+        payload = json.loads(run_cli(capsys, "scenarios", "list", "--format", "json"))
         assert {entry["name"] for entry in payload} >= set(BUILTIN_SCENARIOS)
 
 
@@ -66,7 +67,7 @@ class TestCompare:
         payload = json.loads(
             run_cli(
                 capsys, "scenarios", "compare", "--scenario", "high-jitter",
-                "--json", *SMALL,
+                "--format", "json", *SMALL,
             )
         )
         assert payload["scenario"] == "high-jitter"
@@ -79,7 +80,7 @@ class TestCompare:
 
     def test_seed_changes_stats_not_structure(self, capsys):
         base = ["scenarios", "compare", "--scenario", "high-jitter",
-                "--json", *SMALL]
+                "--format", "json", *SMALL]
         a = json.loads(run_cli(capsys, *base, "--seed", "1"))
         b = json.loads(run_cli(capsys, *base, "--seed", "2"))
         assert a != b
@@ -101,3 +102,30 @@ class TestRun:
         with pytest.raises(SystemExit, match="unknown method"):
             main(["scenarios", "run", "--scenario", "mixed-sku",
                   "--method", "vocab-9", *SMALL])
+
+
+class TestInvalidNumbers:
+    """Invalid counts exit with the service's field message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["run", "--scenario", "slow-node", "--samples", "0"],
+                "scenarios run: error: field 'samples' must be positive, got 0",
+            ),
+            (
+                ["compare", "--scenario", "slow-node", "--devices", "0"],
+                "scenarios compare: error: field 'devices' must be positive, got 0",
+            ),
+            (
+                ["describe", "--scenario", "slow-node", "--microbatches", "0"],
+                "scenarios describe: error: field 'microbatches' must be "
+                "positive, got 0",
+            ),
+        ],
+        ids=["run-samples", "compare-devices", "describe-microbatches"],
+    )
+    def test_error_exit(self, argv, message):
+        with pytest.raises(SystemExit, match=re.escape(message)):
+            main(["scenarios", *argv])

@@ -42,12 +42,6 @@ class TestChecksummedFormat:
         # A fresh cache (a "restarted process") reads it back verified.
         assert PlanCache(directory=tmp_path).get("k1") == {"plan": "value"}
 
-    def test_legacy_raw_pickle_still_readable(self, tmp_path):
-        cache = PlanCache(directory=tmp_path)
-        entry_path(cache, "old").write_bytes(pickle.dumps({"plan": "legacy"}))
-        assert cache.get("old") == {"plan": "legacy"}
-        assert cache.quarantined == 0
-
 
 class TestCorruptionIsQuarantined:
     def read_misses(self, tmp_path, blob: bytes):
@@ -68,6 +62,10 @@ class TestCorruptionIsQuarantined:
 
     def test_pure_garbage(self, tmp_path):
         self.read_misses(tmp_path, b"\x00\xff\x17garbage")
+
+    def test_headerless_raw_pickle(self, tmp_path):
+        # A valid pickle without the checksum header is unverifiable.
+        self.read_misses(tmp_path, pickle.dumps({"plan": "unverified"}))
 
     def test_checksum_mismatch(self, tmp_path):
         cache = PlanCache(directory=tmp_path)

@@ -89,7 +89,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["plan", "optimize"])
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_non_finite_budget(self, command, budget):
-        with pytest.raises(SystemExit, match="memory_budget_gib must be positive and finite"):
+        with pytest.raises(SystemExit, match="field 'memory_budget_gib' must be finite"):
             main([command, *self.BASE, "--memory-budget", budget])
 
     @pytest.mark.parametrize("command", ["plan", "optimize"])

@@ -2,7 +2,7 @@
 
 These are the acceptance checks tying the planner back to the paper:
 on the Table 5 (1F1B family) and Table 6 (V-Half family) experiment
-configs, :func:`repro.planner.plan` — with its default top-k pruning —
+configs, :func:`repro.api.plan` — with its default top-k pruning —
 must pick exactly the schedule a brute-force simulation of every
 family would pick.
 """

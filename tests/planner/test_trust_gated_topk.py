@@ -1,6 +1,6 @@
 """Trust-gated top-k verification never changes the chosen plan.
 
-The calibrated cost model entitles :func:`repro.planner.plan` to skip
+The calibrated cost model entitles :func:`repro.api.plan` to skip
 simulating candidates whose error-inflated analytic estimates provably
 lose to the leader.  That is an *optimization*, not a ranking change:
 the differential tests here assert the trust-gated planner picks the

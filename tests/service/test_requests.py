@@ -275,6 +275,11 @@ class TestScenarioValidation:
                 {"scenario": "slow-node", "method": "nope"}
             )
 
+    def test_invalid_model_is_a_request_error(self):
+        # Resolved at validation time: a 400, not a failure in a worker.
+        with pytest.raises(RequestError, match="vocab_size must be > 1"):
+            ScenarioRequest.from_payload({"scenario": "slow-node", "vocab_size": 1})
+
     def test_digest_depends_on_sampling(self):
         a = ScenarioRequest.from_payload(
             {"scenario": "slow-node", "samples": 8}

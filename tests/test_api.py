@@ -1,16 +1,10 @@
-"""The unified public surface (:mod:`repro.api`) and its shims.
+"""The unified public surface (:mod:`repro.api`).
 
-Three contracts: every ``repro.api.__all__`` name resolves; the
-``repro`` top level lazily re-exports the facade subset; and the
-historical ``repro.planner`` import paths keep working behind a
-one-time :class:`DeprecationWarning` per name — including the two
-names shadowed by same-named submodules (``sweep``, ``whatif``).
+Two contracts: every ``repro.api.__all__`` name resolves, and the
+``repro`` top level lazily re-exports the facade subset.
 """
 
 import importlib
-import warnings
-
-import pytest
 
 import repro
 import repro.api
@@ -64,40 +58,3 @@ class TestTopLevelReExports:
 
         assert repro.optimize is subpackage
         assert "optimize" not in repro.__all__
-
-
-class TestPlannerDeprecationShim:
-    def test_attribute_access_warns_once_and_resolves(self):
-        planner_pkg = importlib.import_module("repro.planner")
-        planner_pkg.__dict__.pop("PlannerConstraints", None)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            value = planner_pkg.PlannerConstraints
-        assert value is repro.api.PlannerConstraints
-        # The resolved value is cached: no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert planner_pkg.PlannerConstraints is value
-
-    def test_shadowed_names_stay_callable(self):
-        # Importing the submodule rebinds the parent attribute to the
-        # module; the shim must still hand old callers the function.
-        importlib.import_module("repro.planner.sweep")
-        importlib.import_module("repro.planner.whatif")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.planner import sweep, whatif
-        assert callable(sweep)
-        assert callable(whatif)
-        assert sweep is repro.api.sweep
-        assert whatif is repro.api.whatif
-
-    def test_unknown_name_still_raises(self):
-        planner_pkg = importlib.import_module("repro.planner")
-        with pytest.raises(AttributeError):
-            planner_pkg.definitely_not_a_name
-
-    def test_dir_lists_historical_names(self):
-        planner_pkg = importlib.import_module("repro.planner")
-        listed = dir(planner_pkg)
-        for name in ("plan", "sweep", "whatif", "PlanCache", "grid"):
-            assert name in listed

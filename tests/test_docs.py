@@ -109,9 +109,32 @@ class TestCheckerCatchesDrift:
         problems = self.check_text(
             tmp_path,
             "`repro-experiments scenarios compare --scenario slow-node "
-            "--samples 64 --json`\n",
+            "--samples 64 --format json`\n",
         )
         assert problems == []
+
+    def test_flags_request_field_missing_from_service_section(self):
+        checker = load_checker()
+        fields = {"/v1/plan": ("devices", "vocab_size", "cost_model")}
+        text = (
+            "### `POST /v1/plan`\n\n"
+            '```json\n{"devices": 8, "vocab_size": "128k"}\n```\n\n'
+            "### `POST /v1/sweep`\n\nAlso `cost_model`.\n"
+        )
+        problems = checker.check_request_fields(fields, text)
+        assert problems == [
+            "docs/service.md: `POST /v1/plan` section never names field "
+            "'cost_model'"
+        ]
+        assert checker.check_request_fields(
+            fields, text.replace('"vocab_size"', '"vocab_size", "cost_model"')
+        ) == []
+
+    def test_request_fields_cover_every_planning_route(self):
+        checker = load_checker()
+        planning = {path for method, path in checker.service_routes()
+                    if path.startswith("/v1/")}
+        assert set(checker.request_fields()) == planning
 
     def test_flags_unknown_kwarg_in_python_block(self, tmp_path):
         problems = self.check_text(

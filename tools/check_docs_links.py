@@ -21,7 +21,10 @@ Checks, over ``README.md`` and every ``docs/*.md``:
 * every backticked HTTP endpoint (``POST /v1/plan``) names a live
   route of the planning service — introspected from
   :data:`repro.service.ROUTES` — and, conversely, every served route
-  is documented in ``docs/service.md``.
+  is documented in ``docs/service.md``;
+* each ``### `POST /v1/<op>``` section of ``docs/service.md`` names
+  every request field of that operation's spec
+  (:mod:`repro.service.requests`), backticked or as a JSON key.
 
 Exit code 0 when clean, 1 with a list of problems otherwise.  Run
 from the repository root (CI does)::
@@ -103,6 +106,41 @@ def check_route_coverage(routes: set[tuple[str, str]], text: str) -> list[str]:
         f"docs/service.md: served route `{method} {path}` is undocumented"
         for method, path in sorted(routes - documented)
     ]
+
+
+def request_fields() -> dict[str, tuple[str, ...]]:
+    """``/v1/<op>`` path → the request fields of that operation's spec."""
+    from repro.service import requests
+
+    operations = (
+        requests.PlanRequest,
+        requests.SweepRequest,
+        requests.WhatifRequest,
+        requests.ScenarioRequest,
+        requests.OptimizeRequest,
+    )
+    return {
+        f"/v1/{op.OPERATION}": tuple(param.name for param in op.SPEC)
+        for op in operations
+    }
+
+
+def check_request_fields(fields: dict[str, tuple[str, ...]], text: str) -> list[str]:
+    """Spec fields a ``### `POST /v1/<op>``` section never names."""
+    problems = []
+    for path, names in sorted(fields.items()):
+        heading = re.search(rf"^### `POST {re.escape(path)}`$", text, re.MULTILINE)
+        if heading is None:
+            problems.append(f"docs/service.md: no `### POST {path}` section")
+            continue
+        following = re.search(r"^##", text[heading.end():], re.MULTILINE)
+        section = text[heading.end():][: following.start() if following else None]
+        problems += [
+            f"docs/service.md: `POST {path}` section never names field {name!r}"
+            for name in names
+            if f"`{name}`" not in section and f'"{name}"' not in section
+        ]
+    return problems
 
 
 def known_callables() -> dict[str, object]:
@@ -254,6 +292,9 @@ def main() -> int:
     if service_page.exists():
         problems.extend(
             check_route_coverage(routes, service_page.read_text())
+        )
+        problems.extend(
+            check_request_fields(request_fields(), service_page.read_text())
         )
     else:
         problems.append("docs/service.md is missing (the service reference)")
