@@ -156,20 +156,6 @@ def _generation_timings(method: str, setup: SimulationSetup) -> tuple[float, ...
     return tuple(scalars)
 
 
-def _clone_schedule(schedule: Schedule) -> Schedule:
-    """Defensive copy: shared structure, private orders and metadata.
-
-    Cached schedules must never leak mutable state — callers reorder
-    ``device_orders`` in place (refinement, tests) and stash entries in
-    ``metadata``.
-    """
-    return dataclasses.replace(
-        schedule,
-        device_orders=[list(order) for order in schedule.device_orders],
-        metadata=dict(schedule.metadata),
-    )
-
-
 def generate_method_schedule(method: str, setup: SimulationSetup) -> Schedule:
     """Generate the nominal (unrefined) schedule for a method.
 
@@ -191,11 +177,11 @@ def generate_method_schedule(method: str, setup: SimulationSetup) -> Schedule:
         if cached is not None:
             _CACHE_STATS["schedule_hits"] += 1
             _SCHEDULE_CACHE.move_to_end(key)
-            return _clone_schedule(cached)
+            return cached.copy()
     schedule = _generate_method_schedule_uncached(method, setup)
     with _CACHE_LOCK:
         _CACHE_STATS["schedule_misses"] += 1
-        _SCHEDULE_CACHE[key] = _clone_schedule(schedule)
+        _SCHEDULE_CACHE[key] = schedule.copy()
         while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_LIMIT:
             _SCHEDULE_CACHE.popitem(last=False)
     return schedule

@@ -312,7 +312,11 @@ def optimize(
         peak_memory_gib=final.peak_bytes / GiB,
         memory_budget_gib=plans.memory_budget_gib,
         cache_key=key,
-        schedule=final.schedule,
+        # Cached results keep the pass lists only, not the integer
+        # encoding the search validated and lowered them through.
+        schedule=dataclasses.replace(
+            final.schedule, device_orders=final.schedule.device_orders
+        ),
     )
     cache.put_aux("optimize", key, result)
     return result

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.scheduling.passes import Pass, PassType
+from repro.scheduling.orders import MB_SHIFT, OrderTable, gather
+from repro.scheduling.passes import PassType
 
 
 @dataclass(frozen=True)
@@ -138,30 +139,47 @@ class BuildingBlock:
     # ------------------------------------------------------------------
     # Order generation.
     # ------------------------------------------------------------------
-    def unroll(self, num_microbatches: int) -> list[list[Pass]]:
+    def unroll(self, num_microbatches: int) -> OrderTable:
         """Repeat the block for every microbatch; per-device sorted orders.
 
         Sorting key is (nominal time, slot position, microbatch): the
         slot position breaks exact ties deterministically and keeps
-        streams with equal offsets in declaration order.
+        streams with equal offsets in declaration order.  The result is
+        an :class:`~repro.scheduling.orders.OrderTable` in canonical
+        numbering; no :class:`~repro.scheduling.passes.Pass` is built
+        until one is read.
         """
         if num_microbatches <= 0:
             raise ValueError(
                 f"num_microbatches must be positive, got {num_microbatches}"
             )
-        orders: list[list[Pass]] = []
+        # Each microbatch's nominal time step and code bits, shared by
+        # every slot.
+        steps = [mb * self.interval for mb in range(num_microbatches)]
+        shifted = [mb << MB_SHIFT for mb in range(num_microbatches)]
+        index: dict[tuple[PassType, int, int], int] = {}
+        streams: list[tuple[PassType, int, int]] = []
+        codes: list[tuple[int, ...]] = []
         for device in range(self.num_devices):
             slots = self.slots[device]
-            keys = [
-                (slot.offset + mb * self.interval, slot_index, mb)
-                for slot_index, slot in enumerate(slots)
-                for mb in range(num_microbatches)
-            ]
-            keys.sort()
-            orders.append(
-                [
-                    Pass(slots[slot_index].type, mb, device, slots[slot_index].chunk)
-                    for _, slot_index, mb in keys
-                ]
-            )
-        return orders
+            # A slot first appears with microbatch 0 at its offset, so
+            # (offset, slot position) numbers the streams in order of
+            # first appearance; slots sharing a stream share its id.
+            ids = [0] * len(slots)
+            for slot_index in sorted(
+                range(len(slots)), key=lambda i: (slots[i].offset, i)
+            ):
+                slot = slots[slot_index]
+                key = (slot.type, device, slot.chunk)
+                stream = index.get(key)
+                if stream is None:
+                    stream = index[key] = len(streams)
+                    streams.append(key)
+                ids[slot_index] = stream
+            # Listed in (slot position, microbatch) order, a stable sort on
+            # nominal time alone breaks ties exactly as the full key does.
+            times = [slot.offset + step for slot in slots for step in steps]
+            slot_codes = [bits | stream for stream in ids for bits in shifted]
+            order = sorted(range(len(times)), key=times.__getitem__)
+            codes.append(gather(slot_codes, order))
+        return OrderTable(streams, codes, canonical=True)

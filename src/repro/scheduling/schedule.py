@@ -6,17 +6,22 @@ layers each stage holds, and where the vocabulary layers live (on a
 single stage for the baseline/Redis schedules, or partitioned across
 all devices for Vocabulary Parallelism and the interlaced pipeline).
 
-A :class:`Schedule` adds the *temporal* side: per-device ordered pass
-lists.  ``validate()`` performs the structural checks that do not need
-timing — exact pass multiset, per-stream monotone microbatch order, and
-basic dependency sanity; the discrete-event executor catches anything
-order-related (a schedule whose order is infeasible deadlocks there).
+A :class:`Schedule` adds the *temporal* side: per-device pass orders,
+held as an :class:`~repro.scheduling.orders.OrderTable` of integer
+``(stream, microbatch)`` codes and exposed as ``Pass`` lists on demand.
+``validate()`` performs the structural checks that do not need timing —
+exact pass multiset and per-stream monotone microbatch order; the
+discrete-event executor catches anything order-related (a schedule
+whose order is infeasible deadlocks there).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 
+from repro.scheduling.orders import MB_SHIFT, STREAM_MASK, OrderTable, stream_of
 from repro.scheduling.passes import (
     Pass,
     PassType,
@@ -164,7 +169,14 @@ class Schedule:
         The spatial stage layout.
     device_orders:
         ``device_orders[d]`` is the execution order of device ``d``'s
-        compute stream.
+        compute stream, as a list of :class:`Pass`.  Pass either such
+        lists or an :class:`~repro.scheduling.orders.OrderTable` (what
+        the generators emit).  A table-backed schedule builds its lists
+        on first read, from passes its table builds once and shares with
+        every copy; from then on the lists are the source of truth, so
+        in-place edits are seen by :meth:`validate`, :meth:`structure_key`
+        and lowering.  :meth:`order_table` is the integer form those
+        run on.
     vocab_algorithm:
         ``None`` (no partitioned output passes), ``1`` or ``2`` —
         controls which barriers the executor materializes and whether
@@ -187,6 +199,49 @@ class Schedule:
     interlaced: bool = False
     metadata: dict = field(default_factory=dict)
 
+    #: The integer orders and the materialized pass lists; ``_lists``,
+    #: once set, is authoritative and ``_table`` is reused only while it
+    #: still matches them (see :meth:`order_table`).
+    _table = None
+    _lists = None
+
+    def _get_device_orders(self) -> list[list[Pass]]:
+        lists = self._lists
+        if lists is None:
+            lists = self._lists = [list(order) for order in self._table.passes()]
+        return lists
+
+    def _set_device_orders(self, orders) -> None:
+        if isinstance(orders, OrderTable):
+            self._table, self._lists = orders, None
+        else:
+            self._lists = orders
+
+    def order_table(self) -> OrderTable:
+        """The orders as an :class:`~repro.scheduling.orders.OrderTable`.
+
+        Free for a table-backed schedule; otherwise the pass lists are
+        encoded, and the encoding kept while the lists still equal it.
+        """
+        table, lists = self._table, self._lists
+        if lists is not None and (table is None or not table.matches(lists)):
+            table = self._table = OrderTable.from_passes(lists)
+        return table
+
+    def copy(self) -> Schedule:
+        """A copy with private orders and metadata.  The integer orders
+        are immutable, so the copy shares them (and the passes they
+        build) instead of copying pass lists."""
+        return dataclasses.replace(
+            self, device_orders=self.order_table(), metadata=dict(self.metadata)
+        )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        if state.get("_lists") is not None:
+            state.pop("_table", None)
+        return state
+
     @property
     def num_devices(self) -> int:
         return self.layout.num_devices
@@ -202,7 +257,10 @@ class Schedule:
         results for the same :class:`~repro.sim.runtime.SimulationSetup`
         (``name`` and ``metadata`` are cosmetic and excluded) — the
         planner uses this to deduplicate structurally identical
-        candidates across its top-k verification loop.
+        candidates across its top-k verification loop.  The orders enter
+        as the canonical integer table
+        (:meth:`~repro.scheduling.orders.OrderTable.key`), so a
+        table-backed schedule and a pass-list copy of it share a key.
         """
         return (
             self.num_microbatches,
@@ -211,7 +269,7 @@ class Schedule:
             self.has_weight_passes,
             self.has_input_passes,
             self.interlaced,
-            tuple(tuple(order) for order in self.device_orders),
+            self.order_table().key(),
         )
 
     def structure_signature(self) -> tuple:
@@ -247,21 +305,46 @@ class Schedule:
     def validate(self) -> None:
         """Structural validation; raises ``ValueError`` on any violation.
 
-        One pass over each device's order.  Per-pass faults (wrong
-        device, duplicate, microbatch or chunk out of range) raise at
-        the first offending pass; stream counts, then stream order, are
-        checked after the walk, so a device's first fault in that
-        precedence is the one reported.
+        Runs on the integer orders.  A device passes when its codes,
+        stably sorted by stream, are exactly each expected stream's
+        microbatches ``0 .. m-1`` in turn: one sort and one comparison
+        check the exact pass multiset and every stream's order at once.
+        Only a device that fails is walked pass by pass, to report its
+        first fault: per-pass faults (wrong device, duplicate, microbatch
+        or chunk out of range) at the first offending pass, then stream
+        counts, then stream order.
         """
         if self.vocab_algorithm not in (None, 1, 2):
             raise ValueError(f"vocab_algorithm must be None, 1 or 2: {self.vocab_algorithm}")
-        if len(self.device_orders) != self.num_devices:
+        table = self.order_table()
+        if len(table.codes) != self.num_devices:
             raise ValueError(
-                f"{len(self.device_orders)} device orders for {self.num_devices} devices"
+                f"{len(table.codes)} device orders for {self.num_devices} devices"
             )
         m = self.num_microbatches
-        num_chunks = self.layout.num_chunks
-        expected_types: dict[PassType, bool] = {
+        expected = [
+            (type_, chunk)
+            for type_, present in self._expected_types().items()
+            if present
+            for chunk in (
+                range(self.layout.num_chunks) if type_ in _CHUNKED_TYPES else (0,)
+            )
+        ]
+        index = table.index()
+        step = 1 << MB_SHIFT
+        stop = m << MB_SHIFT
+        for device, codes in enumerate(table.codes):
+            ids = [index.get((type_, device, chunk)) for type_, chunk in expected]
+            if None not in ids:
+                ids.sort()
+                want = list(chain.from_iterable(range(s, stop + s, step) for s in ids))
+                if sorted(codes, key=stream_of) == want:
+                    continue
+            self._explain(table, device)
+
+    def _expected_types(self) -> dict[PassType, bool]:
+        """Which pass types every device must run (once per microbatch)."""
+        return {
             PassType.F: True,
             PassType.B: True,
             PassType.W: self.has_weight_passes,
@@ -272,46 +355,72 @@ class Schedule:
             PassType.VF: self.interlaced,
             PassType.VB: self.interlaced,
         }
+
+    def _explain(self, table: OrderTable, device: int) -> None:
+        """Raise the first fault of one device's order that failed
+        :meth:`validate`'s check (passes are built only for wording)."""
+        m = self.num_microbatches
+        num_chunks = self.layout.num_chunks
         chunked = range(num_chunks)
-        for device, order in enumerate(self.device_orders):
-            # (type, chunk) -> [microbatches seen, count, last microbatch,
-            # out of order].  Earlier passes all passed the range checks,
-            # so a pass out of range can never duplicate one of them.
-            streams: dict[tuple[PassType, int], list] = {}
-            for p in order:
-                if p.device != device:
-                    raise ValueError(f"pass {p} listed on device {device}")
-                type_, mb, chunk = p.type, p.microbatch, p.chunk
-                stream = streams.get((type_, chunk))
-                if stream is not None and mb < m and stream[0][mb]:
-                    raise ValueError(f"duplicate pass {p} on device {device}")
-                if mb >= m:
-                    raise ValueError(f"pass {p} microbatch out of range [0, {m})")
-                if chunk >= num_chunks and type_ not in REPLICATED_TYPES:
-                    raise ValueError(f"pass {p} chunk out of range")
-                if stream is None:
-                    stream = streams[(type_, chunk)] = [bytearray(m), 0, -1, False]
-                stream[0][mb] = 1
-                stream[1] += 1
-                if mb < stream[2]:
-                    stream[3] = True
-                stream[2] = mb
-            # Every stream present exactly once per microbatch.
-            for type_, present in expected_types.items():
-                expected = m if present else 0
-                for chunk in chunked if type_ in _CHUNKED_TYPES else (0,):
-                    stream = streams.get((type_, chunk))
-                    count = 0 if stream is None else stream[1]
-                    if count != expected:
-                        raise ValueError(
-                            f"device {device}: {count} {type_}.{chunk} passes, "
-                            f"expected {expected}"
-                        )
-            # Microbatch order within each (type, chunk) stream is monotone.
-            for type_ in PassType:
-                for chunk in chunked:
-                    stream = streams.get((type_, chunk))
-                    if stream is not None and stream[3]:
-                        raise ValueError(
-                            f"device {device}: {type_}.{chunk} stream out of order"
-                        )
+        streams = table.streams
+        # stream id -> [microbatches seen, count, last microbatch, out of
+        # order].  Earlier passes all passed the range checks, so a pass
+        # out of range can never duplicate one of them.
+        seen: dict[int, list] = {}
+        for code in table.codes[device]:
+            s, mb = code & STREAM_MASK, code >> MB_SHIFT
+            if s >= len(streams):
+                raise ValueError(f"device {device}: stream {s} is not in the stream table")
+            type_, owner, chunk = streams[s]
+            if mb < 0:
+                raise ValueError(
+                    f"device {device}: negative microbatch {mb} in {type_}.{chunk}"
+                )
+            if owner != device:
+                raise ValueError(f"pass {table.describe(code)} listed on device {device}")
+            stream = seen.get(s)
+            if stream is not None and mb < m and stream[0][mb]:
+                raise ValueError(f"duplicate pass {table.describe(code)} on device {device}")
+            if mb >= m:
+                raise ValueError(
+                    f"pass {table.describe(code)} microbatch out of range [0, {m})"
+                )
+            if chunk >= num_chunks and type_ not in REPLICATED_TYPES:
+                raise ValueError(f"pass {table.describe(code)} chunk out of range")
+            if stream is None:
+                stream = seen[s] = [bytearray(m), 0, -1, False]
+            stream[0][mb] = 1
+            stream[1] += 1
+            if mb < stream[2]:
+                stream[3] = True
+            stream[2] = mb
+        index = table.index()
+        # Every stream present exactly once per microbatch.
+        for type_, present in self._expected_types().items():
+            expected = m if present else 0
+            for chunk in chunked if type_ in _CHUNKED_TYPES else (0,):
+                stream = seen.get(index.get((type_, device, chunk)))
+                count = 0 if stream is None else stream[1]
+                if count != expected:
+                    raise ValueError(
+                        f"device {device}: {count} {type_}.{chunk} passes, "
+                        f"expected {expected}"
+                    )
+        # Microbatch order within each (type, chunk) stream is monotone.
+        for type_ in PassType:
+            for chunk in chunked:
+                stream = seen.get(index.get((type_, device, chunk)))
+                if stream is not None and stream[3]:
+                    raise ValueError(
+                        f"device {device}: {type_}.{chunk} stream out of order"
+                    )
+        raise AssertionError(f"device {device}: order failed validation without a fault")
+
+
+# Declared after the class so the dataclass keeps ``device_orders`` as an
+# ordinary init field while reads and writes go through the order table.
+Schedule.device_orders = property(
+    Schedule._get_device_orders,
+    Schedule._set_device_orders,
+    doc="Per-device :class:`Pass` lists, built from the order table on first read.",
+)

@@ -313,21 +313,47 @@ def _int_axis(name: str, values: list) -> tuple[int, ...]:
 def _vocab_axis(name: str, values: list) -> tuple[int, ...]:
     if not values:
         raise RequestError(f"field {name!r} must be a non-empty list")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise RequestError(
+                f"field {name!r} must list vocabulary sizes (an int or e.g. "
+                f"'128k'), got {v!r}"
+            )
     return tuple(_vocab(name, v) for v in values)
 
 
-def _number_axis(name: str, values: list) -> tuple[float | None, ...]:
+def _number_axis(
+    name: str, values: list, allow_zero: bool
+) -> tuple[float | None, ...]:
+    """Numbers or nulls (the field's default), each finite like the
+    scalar field's; zero only where that field allows it."""
+    if not values:
+        raise RequestError(f"field {name!r} must be a non-empty list")
     for v in values:
-        if v is not None and (
-            isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
-        ):
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise RequestError(
                 f"field {name!r} must list positive numbers or null, got {v!r}"
             )
+        _finite(name, v)
+        if v < 0 or (v == 0 and not allow_zero):
+            wanted = "numbers >= 0" if allow_zero else "positive numbers"
+            raise RequestError(f"field {name!r} must list {wanted} or null, got {v!r}")
     return tuple(None if v is None else float(v) for v in values)
 
 
+def _budget_axis(name: str, values: list) -> tuple[float | None, ...]:
+    return _number_axis(name, values, allow_zero=False)
+
+
+def _overhead_axis(name: str, values: list) -> tuple[float | None, ...]:
+    return _number_axis(name, values, allow_zero=True)
+
+
 def _scenario_axis(name: str, values: list) -> tuple[str | None, ...]:
+    if not values:
+        raise RequestError(f"field {name!r} must be a non-empty list")
     names = []
     for v in values:
         if v is not None and not isinstance(v, str):
@@ -588,8 +614,8 @@ def execute_plan_request(
     Param("vocab_sizes", list, REQUIRED, _vocab_axis),
     Param("seq_lengths", list, (_SEQ.default,), _int_axis),
     Param("microbatches", list, (_MICROBATCHES.default,), _int_axis),
-    Param("memory_budgets_gib", list, (None,), _number_axis),
-    Param("pass_overheads", list, (None,), _number_axis),
+    Param("memory_budgets_gib", list, (None,), _budget_axis),
+    Param("pass_overheads", list, (None,), _overhead_axis),
     Param("scenarios", list, (None,), _scenario_axis),
     replace(_METHODS, flag=None),
     replace(_TOP_K, flag=None),

@@ -42,9 +42,8 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from bisect import insort
-from collections import Counter, defaultdict, deque
-from itertools import accumulate, chain, count, repeat
-from operator import itemgetter
+from collections import defaultdict, deque
+from itertools import accumulate, chain, count
 
 try:  # NumPy accelerates execute_many; the pure-Python path is exact too.
     import numpy as _np
@@ -53,6 +52,7 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
 
 from dataclasses import dataclass
 
+from repro.scheduling.orders import gather, microbatches_of, streams_of
 from repro.scheduling.passes import CollectiveKind, Pass, PassType
 from repro.scheduling.schedule import Schedule
 from repro.sim.executor import (
@@ -151,11 +151,12 @@ class ResultView(ExecutionResult):
     ``collective_times`` are built from the arrays on first access
     (pass entries in flattened stream order, as compiled results have
     always listed them), and
-    :meth:`device_rows` reads one device's rows straight off its stream
-    without building either map.  A view keeps the graph's structural
-    arrays and the two time arrays, which no engine code mutates after
-    the run, and pickles as a plain :class:`ExecutionResult` with its
-    maps materialized.
+    :meth:`device_rows` / :meth:`device_columns` read one device's rows
+    straight off its stream without building either map (the columns
+    without building a :class:`Pass` either).  A view keeps the graph's
+    structural arrays and the two time arrays, which no engine code
+    mutates after the run, and pickles as a plain
+    :class:`ExecutionResult` with its maps materialized.
     """
 
     def __init__(
@@ -166,7 +167,10 @@ class ResultView(ExecutionResult):
         iteration_time: float | None = None,
     ) -> None:
         self.schedule = graph.schedule
-        self._node_pass = graph.node_pass
+        self._table = graph._table
+        self._node_type = graph.node_type
+        self._node_chunk = graph.node_chunk
+        self._node_mb = graph.node_mb
         self._device_nodes = graph.device_nodes
         self._coll_keys = graph.coll_keys
         self._num_passes = graph.num_passes
@@ -186,7 +190,8 @@ class ResultView(ExecutionResult):
             times = zip(
                 map(self._start.__getitem__, flat), map(self._end.__getitem__, flat)
             )
-            self._pass_times = dict(zip(map(self._node_pass.__getitem__, flat), times))
+            node_pass = self._table.flat_passes()
+            self._pass_times = dict(zip(map(node_pass.__getitem__, flat), times))
         return self._pass_times
 
     @property
@@ -200,10 +205,21 @@ class ResultView(ExecutionResult):
 
     def device_rows(self, device: int):
         nodes = self._device_nodes[device]
-        if len(nodes) < 2:  # itemgetter returns a bare item for one index
-            return [(self._node_pass[i], self._start[i], self._end[i]) for i in nodes]
-        gather = itemgetter(*nodes)
-        return zip(gather(self._node_pass), gather(self._start), gather(self._end))
+        return zip(
+            gather(self._table.flat_passes(), nodes),
+            gather(self._start, nodes),
+            gather(self._end, nodes),
+        )
+
+    def device_columns(self, device: int):
+        nodes = self._device_nodes[device]
+        return (
+            gather(self._node_type, nodes),
+            gather(self._node_chunk, nodes),
+            gather(self._node_mb, nodes),
+            gather(self._start, nodes),
+            gather(self._end, nodes),
+        )
 
     def __reduce__(self):
         return (
@@ -234,10 +250,11 @@ class CompiledGraph:
         "runtime",
         "num_passes",
         "num_nodes",
-        "node_pass",
+        "_table",
         "node_device",
         "node_type",
         "node_chunk",
+        "node_mb",
         "node_flexible",
         "coll_keys",
         "coll_comm",
@@ -247,7 +264,6 @@ class CompiledGraph:
         "succ_off",
         "succ_node",
         "succ_lag",
-        "succ_p2p",
         "base_indeg",
         "device_nodes",
         "_pass_id",
@@ -266,8 +282,26 @@ class CompiledGraph:
         self._topo: list[int] | None = None
         self._inorder: ExecutionResult | None = None
         self._batch: list | None = None
-        self._pricing: tuple | None = None
+        self._pricing: _PricingPlan | None = None
         self._levelstate: LevelState | None = None
+
+    @property
+    def node_pass(self) -> list[Pass]:
+        """The :class:`Pass` of every pass node, in node order.
+
+        Built on first use by the order table the graph was lowered
+        from, and shared by every graph and schedule holding that table;
+        the lowering and the engines themselves read the integer
+        ``node_type`` / ``node_chunk`` / ``node_mb`` arrays instead.
+        """
+        return self._table.flat_passes()
+
+    @property
+    def succ_p2p(self) -> list[tuple[int, int] | None]:
+        """Per edge, the ``(src, dst)`` device pair of its P2P transfer,
+        or ``None`` when the edge carries no transfer."""
+        pairs = [None, *self._pricing.pair_list]
+        return [pairs[k] for k in self._pricing.edge_value_idx]
 
     # ------------------------------------------------------------------
     # Binding (runtime-dependent arrays)
@@ -311,12 +345,9 @@ class CompiledGraph:
         chunk)`` (the :class:`~repro.sim.runtime.RuntimeModel` contract;
         its memo key is exactly that stream).
         """
-        stream_reps, _, comm_first_kind, pair_list, _, _, _ = self._pricing
-        values = [runtime.pass_duration(p) for p in stream_reps]
-        comm_values = [
-            0.0 if kind is None else runtime.collective_duration(kind)
-            for kind in comm_first_kind
-        ]
+        plan = self._pricing
+        values = [runtime.pass_duration(p) for p in plan.stream_reps]
+        comm_values = [runtime.collective_duration(kind) for kind in plan.comm_kinds]
         for j in range(len(self.coll_keys)):
             override = self.coll_override[j]
             values.append(
@@ -324,7 +355,7 @@ class CompiledGraph:
                 else comm_values[self.coll_comm[j]]
             )
         pair_values = [0.0] + [
-            runtime.p2p_duration(*pair) for pair in pair_list
+            runtime.p2p_duration(*pair) for pair in plan.pair_list
         ]
         return values, pair_values
 
@@ -338,8 +369,8 @@ class CompiledGraph:
         cheap enough for :meth:`execute_bindings` to amortize.
         """
         plan = self._pricing
-        node_list, edge_list = plan[1], plan[4]
-        node_idx, edge_idx = plan[5], plan[6]
+        node_list, edge_list = plan.node_value_idx, plan.edge_value_idx
+        node_idx, edge_idx = plan.arrays()
         duration_rows: list = []
         lag_rows: list = []
         for runtime in runtimes:
@@ -368,8 +399,8 @@ class CompiledGraph:
         self.runtime = runtime
         plan = self._pricing
         values, pair_values = self._stream_values(runtime)
-        self.durations = [values[i] for i in plan[1]]
-        self.succ_lag = [pair_values[i] for i in plan[4]]
+        self.durations = list(gather(values, plan.node_value_idx))
+        self.succ_lag = list(gather(pair_values, plan.edge_value_idx))
         # Topology (and its cached topological order) is unaffected by a
         # rebind; the cached execution result and the resident baseline
         # (checkpoint) price the old binding and must be dropped.
@@ -394,10 +425,10 @@ class CompiledGraph:
         clone = CompiledGraph()
         clone.schedule = self.schedule if schedule is None else schedule
         for name in (
-            "num_passes", "num_nodes", "node_pass", "node_device",
-            "node_type", "node_chunk", "node_flexible", "coll_keys",
-            "coll_comm", "coll_override", "num_comms", "succ_off",
-            "succ_node", "succ_p2p", "base_indeg", "device_nodes",
+            "num_passes", "num_nodes", "_table", "node_device",
+            "node_type", "node_chunk", "node_mb", "node_flexible",
+            "coll_keys", "coll_comm", "coll_override", "num_comms",
+            "succ_off", "succ_node", "base_indeg", "device_nodes",
             "_pass_id",
         ):
             setattr(clone, name, getattr(self, name))
@@ -436,11 +467,11 @@ class CompiledGraph:
         clone = CompiledGraph()
         clone.schedule = schedule
         for name in (
-            "runtime", "num_passes", "num_nodes", "node_pass",
-            "node_device", "node_type", "node_chunk", "node_flexible",
-            "coll_keys", "coll_comm", "coll_override", "num_comms",
-            "durations", "succ_off", "succ_node", "succ_lag",
-            "succ_p2p", "base_indeg", "_pass_id",
+            "runtime", "num_passes", "num_nodes", "_table",
+            "node_device", "node_type", "node_chunk", "node_mb",
+            "node_flexible", "coll_keys", "coll_comm", "coll_override",
+            "num_comms", "durations", "succ_off", "succ_node", "succ_lag",
+            "base_indeg", "_pass_id",
         ):
             setattr(clone, name, getattr(self, name))
         clone.device_nodes = device_nodes
@@ -609,7 +640,7 @@ class CompiledGraph:
             inverse[node] = position
         levels: list[tuple] = []
         start = 0
-        lag_free = [pair is None for pair in self.succ_p2p]
+        lag_free = [pair == 0 for pair in self._pricing.edge_value_idx]
         for depth in sorted(buckets):
             nodes = buckets[depth]
             stop = start + len(nodes)
@@ -1208,9 +1239,11 @@ class CompiledGraph:
                 sorted(nodes, key=lambda i: (start[i], end[i]))
                 for nodes in self.device_nodes
             ]
-        node_pass = self.node_pass
-        new_orders = [[node_pass[i] for i in nodes] for nodes in device_nodes]
-        refined = dataclasses.replace(self.schedule, device_orders=new_orders)
+        # The refined orders are the same passes renumbered: codes gathered
+        # by node id, with the passes (if ever read) gathered likewise.
+        refined = dataclasses.replace(
+            self.schedule, device_orders=self._table.reorder(device_nodes)
+        )
         refined.validate()
         refined_graph = self._with_device_nodes(device_nodes, refined)
         # With non-negative durations and lags, a dataflow start is
@@ -1254,7 +1287,10 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     successor row is the template's destination streams read at the
     node's microbatch.  Listing the templates in the reference's edge
     order keeps every source's successors in its insertion order, which
-    the dataflow mode's tie-breaks depend on.
+    the dataflow mode's tie-breaks depend on.  The streams are the
+    schedule's :class:`~repro.scheduling.orders.OrderTable` streams, and
+    every per-node array is gathered from its integer codes: lowering
+    builds one representative :class:`Pass` per stream and no other.
 
     ``runtime`` must price passes per ``(type, device, chunk)`` stream —
     ``pass_duration`` may not depend on the microbatch index.  This is
@@ -1269,38 +1305,40 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     graph = CompiledGraph()
     graph.schedule = schedule
 
-    node_pass: list[Pass] = []
+    # Node ids are the passes in flattened device order.  Every stream of
+    # the order table gets one slot holding the node id of each
+    # microbatch's pass (the table's stream order is also the pricing
+    # plan's); collective chains append one slot each.
+    table = schedule.order_table()
+    flat = table.flat_codes()
+    num_passes = len(flat)
+    node_stream = streams_of(flat)
+    node_mb = microbatches_of(flat)
     node_device: list[int] = []
     device_nodes: list[list[int]] = []
-    for device, order in enumerate(schedule.device_orders):
-        first = len(node_pass)
-        node_pass.extend(order)
-        node_device.extend([device] * len(order))
-        device_nodes.append(list(range(first, len(node_pass))))
-    num_passes = len(node_pass)
+    for device, codes in enumerate(table.codes):
+        first = len(node_device)
+        node_device.extend([device] * len(codes))
+        device_nodes.append(list(range(first, len(node_device))))
 
-    # One slot per (type, device, chunk) stream in first-seen node order
-    # (also the pricing plan's stream order), holding the node id of each
-    # microbatch's pass; collective chains append one slot each.
-    stream_of: dict[tuple[PassType, int, int], int] = {}
-    slot_nodes: list[list[int]] = []
-    stream_reps: list[Pass] = []
-    node_stream: list[int] = []
-    for i, p in enumerate(node_pass):
-        key = (p.type, p.device, p.chunk)
-        slot = stream_of.get(key)
-        if slot is None:
-            slot = stream_of[key] = len(slot_nodes)
-            slot_nodes.append([-1] * m)
-            stream_reps.append(p)
-        slot_nodes[slot][p.microbatch] = i
-        node_stream.append(slot)
-    num_streams = len(slot_nodes)
+    stream_of_key = table.index()
+    stream_reps = table.representatives()
+    num_streams = len(stream_reps)
+    if node_mb and max(node_mb) >= m:
+        raise IndexError(f"a pass's microbatch is out of range [0, {m})")
+    # Each pass's (stream, microbatch) cell, numbered stream-major, and
+    # the pass node of each cell (-1: none).
+    pass_cells = [slot * m + mb for slot, mb in zip(node_stream, node_mb)]
+    cell_node = [-1] * (num_streams * m)
+    for i, cell in enumerate(pass_cells):
+        cell_node[cell] = i
+    slot_nodes = [cell_node[s * m:(s + 1) * m] for s in range(num_streams)]
 
     coll_keys: list[tuple[CollectiveKind, int]] = []
     coll_comm: list[int] = []
     coll_override: list[float | None] = []
     comm_index: dict[str, int] = {}
+    comm_kinds: list[CollectiveKind] = []
     # (source slot, destination slot, destination microbatch shift, P2P
     # pair), in the reference's edge insertion order.
     templates: list[tuple[int, int, int, tuple[int, int] | None]] = []
@@ -1311,6 +1349,7 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
         if kind.value in comm_index:
             raise ValueError(f"duplicate node {('coll', kind.value, 0)}")
         comm_index[kind.value] = comm = len(comm_index)
+        comm_kinds.append(kind)
         first = num_passes + len(coll_keys)
         slot = len(slot_nodes)
         slot_nodes.append(list(range(first, first + m)))
@@ -1321,7 +1360,7 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
         return slot
 
     def streams(type_: PassType, places) -> list[int]:
-        return [stream_of[(type_, device, chunk)] for device, chunk in places]
+        return [stream_of_key[(type_, device, chunk)] for device, chunk in places]
 
     # Transformer stage chains (P2P activation/gradient transfers).
     stages = layout.num_stages
@@ -1392,9 +1431,8 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     # A hole in a stream an edge touches: keep the reference executor's
     # behaviour of rejecting malformed schedules instead of silently
     # wiring the edge to the wrong node.
-    out: list[list[tuple[int, int, tuple[int, int] | None]]] = [
-        [] for _ in slot_nodes
-    ]
+    out: list[list[tuple[int, int, int]]] = [[] for _ in slot_nodes]
+    pair_index: dict[tuple[int, int] | None, int] = {None: 0}
     for src, dst, shift, pair in templates:
         for slot in (src, dst):
             if slot < num_streams and -1 in slot_nodes[slot]:
@@ -1404,100 +1442,130 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
                     "edge references unknown node: "
                     f"{Pass(rep.type, mb, rep.device, rep.chunk)}"
                 )
-        out[src].append((dst, shift, pair))
+        pair_id = pair_index.setdefault(pair, len(pair_index))
+        out[src].append((dst, shift, pair_id))
 
-    # Successor rows per node: a slot's templates read at the node's
-    # microbatch (a shifted template has no edge from the last one).
-    # Nodes no template reaches — a duplicate pass the stream table
-    # did not keep — have none, as in the reference.
-    node_succ: list[tuple[int, ...]] = [()] * num_nodes
-    node_pairs: list[tuple] = [()] * num_nodes
+    # Successor rows, and in-degrees, per (slot, microbatch) cell in
+    # slot-major order: a slot's templates read at each microbatch (a
+    # shifted template has no edge from the last ones).  Each node then
+    # reads its cell: pass nodes through their (stream, microbatch),
+    # collective nodes already sit in slot-major order after the passes.
+    cell_succ: list[tuple[int, ...]] = []
+    cell_pairs: list[tuple[int, ...]] = []
+    in_shifts: list[list[int]] = [[] for _ in slot_nodes]
     for slot, edges in enumerate(out):
         if not edges:
+            cell_succ += [()] * m
+            cell_pairs += [()] * m
             continue
         columns = [
-            slot_nodes[dst][shift:] + [-1] * shift for dst, shift, _ in edges
+            slot_nodes[dst][shift:] + [-1] * shift if shift else slot_nodes[dst]
+            for dst, shift, _ in edges
         ]
         rows = list(zip(*columns))
-        pairs = [tuple(pair for _, _, pair in edges)] * m
+        pairs = [tuple(pair_id for _, _, pair_id in edges)] * m
         for mb in range(m - max(shift for _, shift, _ in edges), m):
             keep = [mb + shift < m for _, shift, _ in edges]
             rows[mb] = tuple(node for node, kept in zip(rows[mb], keep) if kept)
             pairs[mb] = tuple(pair for pair, kept in zip(pairs[mb], keep) if kept)
-        for node, row, pair_row in zip(slot_nodes[slot], rows, pairs):
-            node_succ[node] = row
-            node_pairs[node] = pair_row
+        cell_succ += rows
+        cell_pairs += pairs
+        for dst, shift, _ in edges:
+            in_shifts[dst].append(shift)
+    # A template shifted by k reaches no destination below microbatch k.
+    indeg_cells: list[int] = []
+    for shifts in in_shifts:
+        row = [len(shifts)] * m
+        for shift in shifts:
+            for mb in range(min(shift, m)):
+                row[mb] -= 1
+        indeg_cells += row
+    first_coll = num_streams * m
+    node_succ = [*gather(cell_succ, pass_cells), *cell_succ[first_coll:]]
+    node_pairs = [*gather(cell_pairs, pass_cells), *cell_pairs[first_coll:]]
+    base_indeg = [*gather(indeg_cells, pass_cells), *indeg_cells[first_coll:]]
+    if num_passes + cell_node.count(-1) != first_coll:
+        # A duplicate pass: the stream table kept one node per cell, and
+        # the others are reached by no template and reach none, as in
+        # the reference.
+        for i, cell in enumerate(pass_cells):
+            if cell_node[cell] != i:
+                node_succ[i] = node_pairs[i] = ()
+                base_indeg[i] = 0
 
     succ_off = [0, *accumulate(map(len, node_succ))]
     succ_node = list(chain.from_iterable(node_succ))
-    succ_p2p = list(chain.from_iterable(node_pairs))
-    indeg = Counter(succ_node)
-    base_indeg = list(map(indeg.get, range(num_nodes), repeat(0, num_nodes)))
 
+    stream_type = [type_ for type_, _, _ in table.streams]
+    stream_chunk = [chunk for _, _, chunk in table.streams]
+    stream_flexible = [type_ in FLEXIBLE_TYPES for type_ in stream_type]
     graph.num_passes = num_passes
     graph.num_nodes = num_nodes
-    graph.node_pass = node_pass
+    graph._table = table
     graph.node_device = node_device
-    graph.node_type = [p.type for p in node_pass]
-    graph.node_chunk = [p.chunk for p in node_pass]
-    graph.node_flexible = [p.type in FLEXIBLE_TYPES for p in node_pass]
+    graph.node_type = gather(stream_type, node_stream)
+    graph.node_chunk = gather(stream_chunk, node_stream)
+    graph.node_mb = node_mb
+    graph.node_flexible = gather(stream_flexible, node_stream)
     graph.coll_keys = coll_keys
     graph.coll_comm = coll_comm
     graph.coll_override = coll_override
     graph.num_comms = len(comm_index)
     graph.succ_off = succ_off
     graph.succ_node = succ_node
-    graph.succ_p2p = succ_p2p
     graph.base_indeg = base_indeg
     graph.device_nodes = device_nodes
-    graph._pricing = _pricing_plan(
-        stream_reps, node_stream, coll_keys, coll_comm, len(comm_index), succ_p2p
+    graph._pricing = _PricingPlan(
+        stream_reps,
+        node_stream + list(range(num_streams, num_streams + len(coll_keys))),
+        comm_kinds,
+        list(pair_index)[1:],
+        list(chain.from_iterable(node_pairs)),
     )
     graph._bind(runtime)
     return graph
 
 
-def _pricing_plan(
-    stream_reps, node_stream, coll_keys, coll_comm, num_comms, succ_p2p
-) -> tuple:
-    """Stream-level pricing plan: durations are per *stream*, not
-    per node, so K bindings price ``O(streams)`` Python calls and a
+class _PricingPlan:
+    """Stream-level pricing plan: durations are per *stream*, not per
+    node, so K bindings price ``O(streams)`` Python calls and a
     vectorized gather instead of ``O(nodes)`` calls each.
 
-    Returns ``(stream_reps, node_value_idx, comm_first_kind,
-    pair_list, edge_value_idx, node_idx, edge_idx)``:
-
-    * ``stream_reps`` — one representative :class:`Pass` per
-      distinct ``(type, device, chunk)`` stream;
+    * ``stream_reps`` — one representative :class:`Pass` per distinct
+      ``(type, device, chunk)`` stream;
     * ``node_value_idx`` — for every node, the index into the
       per-binding value list ``stream values + collective values``;
-    * ``comm_first_kind`` — per communicator, the kind its duration
-      is priced from (matching :meth:`CompiledGraph.binding_rows`'
-      first-seen memoization exactly);
-    * ``pair_list`` / ``edge_value_idx`` — distinct P2P pairs in
-      first-seen edge order and, per edge, the index into
-      ``[0.0] + pair durations``;
-    * ``node_idx`` / ``edge_idx`` — the two index lists as NumPy
-      arrays (``None`` without NumPy).
+    * ``comm_kinds`` — per communicator, the kind its duration is
+      priced from (the kind of the chain that registered it);
+    * ``pair_list`` / ``edge_value_idx`` — distinct P2P pairs and, per
+      edge, the index into ``[0.0] + pair durations`` (0: no transfer);
+    * :meth:`arrays` — the two index lists as NumPy arrays (``None``
+      without NumPy), built on first use by the batched kernels.
     """
-    num_streams = len(stream_reps)
-    node_value_idx = node_stream + list(
-        range(num_streams, num_streams + len(coll_keys))
+
+    __slots__ = (
+        "stream_reps", "node_value_idx", "comm_kinds", "pair_list",
+        "edge_value_idx", "_arrays",
     )
-    comm_first_kind: list[CollectiveKind | None] = [None] * num_comms
-    for (kind, _mb), comm in zip(coll_keys, coll_comm):
-        if comm_first_kind[comm] is None:
-            comm_first_kind[comm] = kind
-    pair_list = [pair for pair in dict.fromkeys(succ_p2p) if pair is not None]
-    pair_index: dict = {pair: 1 + k for k, pair in enumerate(pair_list)}
-    pair_index[None] = 0
-    edge_value_idx = list(map(pair_index.__getitem__, succ_p2p))
-    node_idx = None
-    edge_idx = None
-    if _np is not None:
-        node_idx = _np.asarray(node_value_idx, dtype=_np.intp)
-        edge_idx = _np.asarray(edge_value_idx, dtype=_np.intp)
-    return (
-        stream_reps, node_value_idx, comm_first_kind, pair_list,
-        edge_value_idx, node_idx, edge_idx,
-    )
+
+    def __init__(
+        self, stream_reps, node_value_idx, comm_kinds, pair_list, edge_value_idx
+    ) -> None:
+        self.stream_reps = stream_reps
+        self.node_value_idx = node_value_idx
+        self.comm_kinds = comm_kinds
+        self.pair_list = pair_list
+        self.edge_value_idx = edge_value_idx
+        self._arrays: tuple | None = None
+
+    def arrays(self) -> tuple:
+        """``(node_idx, edge_idx)`` as NumPy ``intp`` arrays."""
+        if self._arrays is None:
+            if _np is None:
+                self._arrays = (None, None)
+            else:
+                self._arrays = (
+                    _np.asarray(self.node_value_idx, dtype=_np.intp),
+                    _np.asarray(self.edge_value_idx, dtype=_np.intp),
+                )
+        return self._arrays

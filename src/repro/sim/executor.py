@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -107,7 +107,8 @@ class ExecutionResult(BubbleFractions):
     (bit-identical to the reference engine's) only on first access —
     most callers (the planner, the optimizer's scoring) never read them.
     Consumers that walk passes device by device read
-    :meth:`device_rows`, which a view serves straight from its arrays.
+    :meth:`device_rows` or :meth:`device_columns`, which a view serves
+    straight from its arrays.
     Both kinds compare equal when every observable is equal, and a view
     pickles as a plain result holding its materialized maps.
     """
@@ -155,6 +156,26 @@ class ExecutionResult(BubbleFractions):
             self._rows = rows
         return self._rows[device]
 
+    def device_columns(self, device: int) -> tuple[Sequence, ...]:
+        """``(types, chunks, microbatches, starts, ends)`` of
+        :meth:`device_rows`, one sequence per field, in row order.
+
+        What the per-pass sweeps (memory accounting, live-forward caps)
+        read: a compiled result gathers them from its per-node arrays
+        without building a :class:`Pass`.
+        """
+        rows = self.device_rows(device)
+        if not rows:
+            return ((),) * 5
+        passes, starts, ends = zip(*rows)
+        return (
+            tuple(p.type for p in passes),
+            tuple(p.chunk for p in passes),
+            tuple(p.microbatch for p in passes),
+            starts,
+            ends,
+        )
+
     def passes_on(self, device: int) -> list[tuple[Pass, float, float]]:
         """(pass, start, end) for one device, sorted by start time.
 
@@ -196,13 +217,14 @@ def _live_f_caps(
     release_type = PassType.W if schedule.has_weight_passes else PassType.B
     forward = PassType.F
     for device in range(schedule.num_devices):
+        types, chunks, _, starts, ends = result.device_columns(device)
         # Sorting whole tuples makes the result independent of row order.
         events: list[tuple[float, int, int]] = []
-        for p, start, end in result.device_rows(device):
-            if p.type is forward:
-                events.append((start, p.chunk, +1))
-            elif p.type is release_type:
-                events.append((end, p.chunk, -1))
+        for type_, chunk, start, end in zip(types, chunks, starts, ends):
+            if type_ is forward:
+                events.append((start, chunk, +1))
+            elif type_ is release_type:
+                events.append((end, chunk, -1))
         live: dict[int, int] = defaultdict(int)
         peak: dict[int, int] = defaultdict(int)
         for _, chunk, delta in sorted(events):

@@ -143,17 +143,17 @@ def _activation_events(
             stages.append(
                 (act, -(1.0 - r_w) * act, -r_w * act, layout.hosts_output(dev, chunk))
             )
-        for p, _, end in result.device_rows(dev):
-            type_ = p.type
+        types, chunks, microbatches, _, ends = result.device_columns(dev)
+        for type_, chunk, mb, end in zip(types, chunks, microbatches, ends):
             if type_ is F:
-                stage = stages[p.chunk]
+                stage = stages[chunk]
                 at(end)
                 add(stage[0])
                 if stage[3]:
                     at(end)
                     add(logits)
             elif type_ is B:
-                stage = stages[p.chunk]
+                stage = stages[chunk]
                 at(end)
                 add(stage[1])
                 if stage[3]:
@@ -161,13 +161,13 @@ def _activation_events(
                     add(-logits)
             elif type_ is W:
                 at(end)
-                add(stages[p.chunk][2])
+                add(stages[chunk][2])
             elif type_ is S:
                 at(end)
                 add(shard_act)
                 if operands_held:
                     # A and B operands live until the C1 barrier consumes them.
-                    c1 = collective_times[(c1_stats, p.microbatch)]
+                    c1 = collective_times[(c1_stats, mb)]
                     at(end)
                     add(operand_bytes)
                     at(c1[1])
@@ -176,13 +176,13 @@ def _activation_events(
                 at(end)
                 add(-shard_act)
             elif type_ is IF:
-                iar = collective_times[(input_allreduce, p.microbatch)]
+                iar = collective_times[(input_allreduce, mb)]
                 at(end)
                 add(input_bytes)
                 at(iar[1])
                 add(-input_bytes)
             elif type_ is IB:
-                ibc = collective_times[(input_broadcast, p.microbatch)]
+                ibc = collective_times[(input_broadcast, mb)]
                 at(ibc[1])
                 add(input_bytes)
                 at(end)
@@ -247,15 +247,16 @@ def live_microbatch_peaks(
     for device in range(layout.num_devices):
         total_layers = max(1, sum(layout.transformer_layers[device]))
         events = []
-        for p, _, end in result.device_rows(device):
-            weight = layout.transformer_layers[device][p.chunk] / total_layers if (
-                p.type in (PassType.F, PassType.B, PassType.W)
+        types, chunks, _, _, ends = result.device_columns(device)
+        for type_, chunk, end in zip(types, chunks, ends):
+            weight = layout.transformer_layers[device][chunk] / total_layers if (
+                type_ in (PassType.F, PassType.B, PassType.W)
             ) else 0.0
-            if p.type is PassType.F:
+            if type_ is PassType.F:
                 events.append((end, weight))
-            elif p.type is PassType.B:
+            elif type_ is PassType.B:
                 events.append((end, -(1.0 - r_w) * weight))
-            elif p.type is PassType.W:
+            elif type_ is PassType.W:
                 events.append((end, -r_w * weight))
         level = peak = 0.0
         for _, delta in sorted(events, key=lambda e: e[0]):

@@ -120,6 +120,25 @@ CASES = [
     ("sweep/overhead-string", "POST", "/v1/sweep",
      dict(SWEEP, pass_overheads=["x"])),
     ("sweep/scenario-int", "POST", "/v1/sweep", dict(SWEEP, scenarios=[5])),
+    ("sweep/vocab-null", "POST", "/v1/sweep", dict(SWEEP, vocab_sizes=[None])),
+    ("sweep/vocab-float", "POST", "/v1/sweep", dict(SWEEP, vocab_sizes=[3.5])),
+    ("sweep/budget-nan", "POST", "/v1/sweep",
+     '{"devices": [4], "vocab_sizes": ["32k"], "memory_budgets_gib": [NaN]}'),
+    ("sweep/budget-infinity", "POST", "/v1/sweep",
+     '{"devices": [4], "vocab_sizes": ["32k"], "memory_budgets_gib": [Infinity]}'),
+    ("sweep/overhead-nan", "POST", "/v1/sweep",
+     '{"devices": [4], "vocab_sizes": ["32k"], "pass_overheads": [NaN]}'),
+    ("sweep/overhead-infinity", "POST", "/v1/sweep",
+     '{"devices": [4], "vocab_sizes": ["32k"], "pass_overheads": [Infinity]}'),
+    ("sweep/overhead-negative-infinity", "POST", "/v1/sweep",
+     '{"devices": [4], "vocab_sizes": ["32k"], "pass_overheads": [-Infinity]}'),
+    ("sweep/overhead-negative", "POST", "/v1/sweep",
+     dict(SWEEP, pass_overheads=[-1])),
+    ("sweep/overhead-zero", "POST", "/v1/sweep",
+     dict(SWEEP, simulate_top_k=0, pass_overheads=[0])),
+    ("sweep/budget-empty", "POST", "/v1/sweep", dict(SWEEP, memory_budgets_gib=[])),
+    ("sweep/overhead-empty", "POST", "/v1/sweep", dict(SWEEP, pass_overheads=[])),
+    ("sweep/scenarios-empty", "POST", "/v1/sweep", dict(SWEEP, scenarios=[])),
     ("sweep/unknown-scenario", "POST", "/v1/sweep", dict(SWEEP, scenarios=["nope"])),
     ("sweep/unknown-method", "POST", "/v1/sweep", dict(SWEEP, methods=["nope"])),
     ("sweep/unknown-cost-model", "POST", "/v1/sweep",
