@@ -26,7 +26,6 @@ remains the final legality check.
 
 from __future__ import annotations
 
-from repro.scheduling.orders import OrderTable
 from repro.scheduling.passes import CollectiveKind, Pass, PassType
 from repro.scheduling.schedule import Schedule
 
@@ -239,16 +238,11 @@ class ScheduleIR:
     __slots__ = (
         "name", "num_microbatches", "layout", "vocab_algorithm",
         "has_weight_passes", "has_input_passes", "interlaced",
-        "device_orders", "split", "handoffs", "_deps", "_table",
+        "device_orders", "split", "handoffs", "_deps",
     )
 
     def __init__(self) -> None:
         self._deps: DependenceIndex | None = None
-        #: The integer orders of the schedule the program was lowered
-        #: from, while the op set is unchanged: :meth:`emit` re-encodes
-        #: reordered ops by lookup in it (see
-        #: :meth:`~repro.scheduling.orders.OrderTable.reencode`).
-        self._table: OrderTable | None = None
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ScheduleIR":
@@ -263,7 +257,6 @@ class ScheduleIR:
         ir.device_orders = [list(order) for order in schedule.device_orders]
         ir.split = int(schedule.metadata.get(TOKEN_SPLIT_KEY, 1))
         ir.handoffs = tuple(schedule.metadata.get(HANDOFF_KEY, ()))
-        ir._table = schedule.order_table()
         return ir
 
     def copy(self) -> "ScheduleIR":
@@ -279,9 +272,8 @@ class ScheduleIR:
         ir.split = self.split
         ir.handoffs = self.handoffs
         # Dependences are order-independent, so a copy that only reorders
-        # ops may keep sharing the parent's index (and encoding).
+        # ops may keep sharing the parent's index.
         ir._deps = self._deps
-        ir._table = self._table
         return ir
 
     @property
@@ -295,10 +287,8 @@ class ScheduleIR:
         return self._deps
 
     def invalidate_deps(self) -> None:
-        """Drop the index (and the source encoding) after a rewrite that
-        changed the op set."""
+        """Drop the index after a rewrite that changed the op set."""
         self._deps = None
-        self._table = None
 
     def emit(self) -> Schedule:
         """Lower back to a plain, simulable :class:`Schedule`.
@@ -313,17 +303,11 @@ class ScheduleIR:
             metadata[TOKEN_SPLIT_KEY] = self.split
         if self.handoffs:
             metadata[HANDOFF_KEY] = list(self.handoffs)
-        orders = None if self._table is None else self._table.reencode(
-            self.device_orders
-        )
         return Schedule(
             name=self.name,
             num_microbatches=self.num_microbatches,
             layout=self.layout,
-            device_orders=(
-                orders if orders is not None
-                else [list(order) for order in self.device_orders]
-            ),
+            device_orders=[list(order) for order in self.device_orders],
             vocab_algorithm=self.vocab_algorithm,
             has_weight_passes=self.has_weight_passes,
             has_input_passes=self.has_input_passes,

@@ -312,8 +312,9 @@ def optimize(
         peak_memory_gib=final.peak_bytes / GiB,
         memory_budget_gib=plans.memory_budget_gib,
         cache_key=key,
-        # Cached results keep the pass lists only, not the integer
-        # encoding the search validated and lowered them through.
+        # The cached result keeps the pass lists only: the integer
+        # encoding validation and lowering memoized on the search's
+        # schedule is dead weight in a long-lived cache entry.
         schedule=dataclasses.replace(
             final.schedule, device_orders=final.schedule.device_orders
         ),

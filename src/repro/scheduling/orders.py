@@ -71,8 +71,8 @@ class OrderTable:
     """
 
     __slots__ = (
-        "streams", "codes", "_canonical", "_source", "_passes", "_reps",
-        "_index", "_key", "_code_of",
+        "streams", "codes", "_canonical", "_source", "_passes", "_flat",
+        "_reps", "_index", "_key",
     )
 
     def __init__(self, streams, codes, canonical: bool = False) -> None:
@@ -95,10 +95,10 @@ class OrderTable:
         #: code, not built again.
         self._source: OrderTable | None = None
         self._passes: tuple[tuple[Pass, ...], ...] | None = None
+        self._flat: list[Pass] | None = None
         self._reps: list[Pass] | None = None
         self._index: dict[tuple[PassType, int, int], int] | None = None
         self._key: tuple | None = None
-        self._code_of: dict[Pass, int] | None = None
 
     @classmethod
     def from_passes(cls, device_orders) -> OrderTable:
@@ -125,25 +125,6 @@ class OrderTable:
         flat = self.flat_codes()
         table = OrderTable(self.streams, [gather(flat, nodes) for nodes in device_nodes])
         table._source = self
-        table._index = self._index
-        return table
-
-    def reencode(self, device_orders) -> OrderTable | None:
-        """This table's passes in the order of ``device_orders`` (per-device
-        :class:`Pass` sequences), or ``None`` when they include a pass
-        the table does not hold.  The passes are looked up, not encoded
-        field by field (what :meth:`from_passes` does), through a
-        ``Pass -> code`` index built once per table."""
-        if self._code_of is None:
-            self._code_of = dict(zip(self.flat_passes(), self.flat_codes()))
-        code_of = self._code_of.__getitem__
-        orders = tuple(map(tuple, device_orders))
-        try:
-            codes = [tuple(map(code_of, order)) for order in orders]
-        except KeyError:
-            return None
-        table = OrderTable(self.streams, codes)
-        table._passes = orders
         table._index = self._index
         return table
 
@@ -212,8 +193,11 @@ class OrderTable:
         return self._passes
 
     def flat_passes(self) -> list[Pass]:
-        """:meth:`passes` concatenated in device order."""
-        return list(chain.from_iterable(self.passes()))
+        """:meth:`passes` concatenated in device order (memoized: indexed
+        by node id, so callers must not mutate it)."""
+        if self._flat is None:
+            self._flat = list(chain.from_iterable(self.passes()))
+        return self._flat
 
     def representatives(self) -> list[Pass]:
         """One microbatch-0 :class:`Pass` per stream, for per-stream pricing."""

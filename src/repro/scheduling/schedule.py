@@ -242,6 +242,15 @@ class Schedule:
             state.pop("_table", None)
         return state
 
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        # A pickle from before the integer orders (e.g. an optimizer
+        # result in the disk cache) holds the pass lists under the
+        # field's name, which the property would hide.
+        if "device_orders" in state:
+            state["_lists"] = state.pop("device_orders")
+        self.__dict__.update(state)
+
     @property
     def num_devices(self) -> int:
         return self.layout.num_devices

@@ -14,9 +14,12 @@ family at p ∈ {2, 4, 8} and m ∈ {1, 3, 8, 32}:
   Schedule.validate` with the message the equivalent ``Pass`` lists get,
   which is also the message of the reference ``Pass``-walk validator
   kept here;
-* an integer-form schedule pickles across processes.
+* an integer-form schedule pickles across processes, and a schedule
+  pickled when its orders were a plain ``device_orders`` attribute still
+  loads.
 """
 
+import copyreg
 import dataclasses
 import json
 import pickle
@@ -228,6 +231,14 @@ class TestOrderTable:
         assert list(table) == [tuple(order) for order in schedule.device_orders]
         assert table[2] == tuple(schedule.device_orders[2])
 
+    def test_flat_passes_are_built_once(self):
+        schedule = _generate_method_schedule_uncached("vocab-1", _setup(4, 8))
+        table = schedule.order_table()
+        flat = table.flat_passes()
+        assert flat == [p for order in schedule.device_orders for p in order]
+        # Result views index this list once per device; it is shared.
+        assert table.flat_passes() is flat
+
     def test_copies_share_the_built_passes(self):
         schedule = _generate_method_schedule_uncached("vocab-1", _setup(4, 8))
         copy = schedule.copy()
@@ -299,3 +310,31 @@ def test_integer_form_pickles_across_processes():
     bare = dataclasses.replace(schedule, device_orders=schedule.order_table(), metadata={})
     as_codes = len(pickle.dumps(bare))
     assert as_codes < len(pickle.dumps(_pass_list_copy(bare))) / 2
+
+
+class _LegacySchedule:
+    """Pickles as a :class:`Schedule` did while ``device_orders`` was a
+    plain instance attribute: a bare instance plus its ``__dict__``."""
+
+    def __init__(self, schedule: Schedule) -> None:
+        state = {
+            field.name: getattr(schedule, field.name)
+            for field in dataclasses.fields(schedule)
+        }
+        state["device_orders"] = [list(order) for order in schedule.device_orders]
+        self.state = state
+
+    def __reduce__(self):
+        return (copyreg._reconstructor, (Schedule, object, None), self.state)
+
+
+def test_legacy_pass_list_pickle_loads():
+    schedule = _generate_method_schedule_uncached("vhalf-vocab-1", _setup(4, 8))
+    loaded = pickle.loads(pickle.dumps(_LegacySchedule(schedule)))
+    assert type(loaded) is Schedule
+    assert "device_orders" not in vars(loaded)
+    assert loaded.device_orders == schedule.device_orders
+    assert loaded == schedule
+    assert loaded.structure_key() == schedule.structure_key()
+    loaded.validate()
+    assert repr(loaded) == repr(schedule)
