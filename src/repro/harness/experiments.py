@@ -77,20 +77,54 @@ class MethodMetrics:
 # process-wide.  A sweep whose grid points share a schedule structure
 # (same family/model/parallel shape, different memory budgets or
 # pass-overhead bindings) then builds each structure once and re-prices
-# it per binding via CompiledGraph.rebind / execute_many.
+# it per binding via CompiledGraph.rebind / execute_many.  Two memos of
+# seed-independent work on warm structures sit beside them: refined
+# schedules (build_schedule) and the optimizer's scored start states.
 # ---------------------------------------------------------------------------
 
 _CACHE_LOCK = threading.Lock()
 _SCHEDULE_CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
 _GRAPH_CACHE: OrderedDict[tuple, object] = OrderedDict()
+#: ``build_schedule(refine=True)`` results, keyed on the full runtime
+#: binding (refined orders depend on every duration, not only on the
+#: generator's timing scalars).
+_REFINED_CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
+#: The optimizer's scored start candidates (see :func:`search_start`).
+_START_CACHE: OrderedDict[tuple, object] = OrderedDict()
 _SCHEDULE_CACHE_LIMIT = 256
 _GRAPH_CACHE_LIMIT = 64
+_REFINED_CACHE_LIMIT = 64
+_START_CACHE_LIMIT = 8
 _CACHE_STATS = {
     "schedule_hits": 0,
     "schedule_misses": 0,
     "graph_hits": 0,
     "graph_misses": 0,
+    "refined_hits": 0,
+    "refined_misses": 0,
+    "start_hits": 0,
+    "start_misses": 0,
 }
+
+
+def _cache_get(cache: OrderedDict, kind: str, key):
+    """``cache[key]`` or ``None``, counting a hit as ``<kind>_hits``."""
+    with _CACHE_LOCK:
+        value = cache.get(key)
+        if value is not None:
+            _CACHE_STATS[f"{kind}_hits"] += 1
+            cache.move_to_end(key)
+    return value
+
+
+def _cache_put(cache: OrderedDict, kind: str, key, value, limit: int) -> None:
+    """Store a freshly built value, counting a ``<kind>_misses`` and
+    evicting the least recently used entries beyond ``limit``."""
+    with _CACHE_LOCK:
+        _CACHE_STATS[f"{kind}_misses"] += 1
+        cache[key] = value
+        while len(cache) > limit:
+            cache.popitem(last=False)
 
 
 def structural_cache_stats() -> dict[str, int]:
@@ -99,13 +133,47 @@ def structural_cache_stats() -> dict[str, int]:
         return dict(_CACHE_STATS)
 
 
-def clear_structural_caches() -> None:
-    """Drop all cached schedules and compiled graphs; reset counters."""
+def clear_derived_caches() -> None:
+    """Drop the memoized refined schedules and optimizer start states.
+
+    Generated schedules and compiled graphs stay, so the next refined
+    build or :func:`~repro.optimize.optimize` call pays its refinement
+    and start scoring again on warm structures.
+    """
     with _CACHE_LOCK:
-        _SCHEDULE_CACHE.clear()
-        _GRAPH_CACHE.clear()
+        _REFINED_CACHE.clear()
+        _START_CACHE.clear()
+
+
+def clear_structural_caches() -> None:
+    """Drop every process-wide structural cache and reset the counters:
+    generated schedules, compiled graphs, refined schedules
+    (:func:`build_schedule`) and optimizer start states
+    (:func:`search_start`)."""
+    with _CACHE_LOCK:
+        for cache in (_SCHEDULE_CACHE, _GRAPH_CACHE, _REFINED_CACHE, _START_CACHE):
+            cache.clear()
         for key in _CACHE_STATS:
             _CACHE_STATS[key] = 0
+
+
+def search_start(key: tuple, build):
+    """The optimizer's scored start state under ``key``, memoized.
+
+    ``build()`` makes it on a miss (a ``None`` result is not stored).
+    The start of a search is a pure function of the optimize inputs
+    without the strategy, seed and budget, so every seed searched on
+    one structure shares it.  It lives here, beside the other
+    structural caches, so that :func:`clear_structural_caches` and
+    :func:`structural_cache_stats` cover it;
+    :mod:`repro.optimize.optimizer` defines what it holds.
+    """
+    value = _cache_get(_START_CACHE, "start", key)
+    if value is None:
+        value = build()
+        if value is not None:
+            _cache_put(_START_CACHE, "start", key, value, _START_CACHE_LIMIT)
+    return value
 
 
 def _generation_timings(method: str, setup: SimulationSetup) -> tuple[float, ...]:
@@ -172,18 +240,11 @@ def generate_method_schedule(method: str, setup: SimulationSetup) -> Schedule:
         setup.parallel.microbatch_size,
         _generation_timings(method, setup),
     )
-    with _CACHE_LOCK:
-        cached = _SCHEDULE_CACHE.get(key)
-        if cached is not None:
-            _CACHE_STATS["schedule_hits"] += 1
-            _SCHEDULE_CACHE.move_to_end(key)
-            return cached.copy()
+    cached = _cache_get(_SCHEDULE_CACHE, "schedule", key)
+    if cached is not None:
+        return cached.copy()
     schedule = _generate_method_schedule_uncached(method, setup)
-    with _CACHE_LOCK:
-        _CACHE_STATS["schedule_misses"] += 1
-        _SCHEDULE_CACHE[key] = schedule.copy()
-        while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_LIMIT:
-            _SCHEDULE_CACHE.popitem(last=False)
+    _cache_put(_SCHEDULE_CACHE, "schedule", key, schedule.copy(), _SCHEDULE_CACHE_LIMIT)
     return schedule
 
 
@@ -324,19 +385,11 @@ def _compile_cached(schedule: Schedule, runtime: RuntimeModel):
     topological order — via :meth:`~repro.sim.compiled.CompiledGraph.rebind`.
     """
     key = schedule.structure_key()
-    with _CACHE_LOCK:
-        cached = _GRAPH_CACHE.get(key)
-        if cached is not None:
-            _CACHE_STATS["graph_hits"] += 1
-            _GRAPH_CACHE.move_to_end(key)
+    cached = _cache_get(_GRAPH_CACHE, "graph", key)
     if cached is not None:
         return cached.rebind(runtime, schedule=schedule)
     graph = compile_schedule(schedule, runtime)
-    with _CACHE_LOCK:
-        _CACHE_STATS["graph_misses"] += 1
-        _GRAPH_CACHE[key] = graph
-        while len(_GRAPH_CACHE) > _GRAPH_CACHE_LIMIT:
-            _GRAPH_CACHE.popitem(last=False)
+    _cache_put(_GRAPH_CACHE, "graph", key, graph, _GRAPH_CACHE_LIMIT)
     return graph
 
 
@@ -367,12 +420,25 @@ def build_schedule(
     straggler-aware refinement can legitimately choose a different
     order.  ``setup`` is the nominal setup; the scenario transform is
     applied here.
+
+    With ``refine`` the result is memoized process-wide on (method,
+    setup, scenario signature, engine) — refinement is a pure function
+    of the schedule and its full runtime binding — and hits return a
+    copy, as :func:`generate_method_schedule` does.  The planner's
+    cold path refines through :func:`_simulate` instead and never
+    touches this memo.
     """
-    setup = _scenario_setup(setup, scenario)
-    schedule = generate_method_schedule(method, setup)
+    engine = simulation_engine()
+    key = (method, setup, _scenario_signature(scenario), engine)
+    if refine:
+        cached = _cache_get(_REFINED_CACHE, "refined", key)
+        if cached is not None:
+            return cached.copy()
+    bound = _scenario_setup(setup, scenario)
+    schedule = generate_method_schedule(method, bound)
     if refine and _wants_refinement(schedule):
-        runtime = _scenario_runtime(setup, schedule, scenario)
-        if simulation_engine() == "reference":
+        runtime = _scenario_runtime(bound, schedule, scenario)
+        if engine == "reference":
             schedule = refine_schedule_order(
                 schedule, runtime, mode=_refine_mode(schedule)
             )
@@ -380,6 +446,8 @@ def build_schedule(
             schedule, _, _ = _compile_cached(schedule, runtime).refine(
                 mode=_refine_mode(schedule)
             )
+    if refine:
+        _cache_put(_REFINED_CACHE, "refined", key, schedule.copy(), _REFINED_CACHE_LIMIT)
     return schedule
 
 

@@ -29,6 +29,7 @@ from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import resolve_cost_model
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
 from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB, MemoryModel
+from repro.harness.experiments import search_start
 from repro.optimize.ir import ScheduleIR
 from repro.optimize.rewrites import RewriteStep, default_rewrites
 from repro.optimize.search import (
@@ -44,8 +45,9 @@ from repro.planner.planner import (
     plan,
 )
 from repro.scenarios import ClusterScenario, get_scenario
+from repro.scheduling.orders import OrderTable
 from repro.scheduling.schedule import Schedule
-from repro.sim import SimulationSetup
+from repro.sim import SimulationSetup, simulation_engine
 
 #: Bumped whenever optimizer semantics change (IR lowering, rewrite
 #: catalog, scoring, strategy behaviour), invalidating cached plans.
@@ -189,6 +191,26 @@ def _normalize(
     return constraints, scenario
 
 
+def _key_inputs(
+    model: ModelConfig,
+    parallel: ParallelConfig,
+    constraints: PlannerConstraints,
+    hardware: HardwareModel,
+    memory_model: MemoryModel | None,
+    pass_overhead: float | None,
+    scenario: ClusterScenario | None,
+) -> tuple:
+    """Every normalized input of a search except strategy, seed and
+    budget: what its start state is a function of."""
+    memory_model = memory_model or DEFAULT_MEMORY_MODEL
+    scenario_sig = None if scenario is None else scenario.signature()
+    cost_model_digest = resolve_cost_model(constraints.cost_model).digest()
+    return (
+        model, parallel, constraints, hardware, memory_model,
+        pass_overhead, scenario_sig, cost_model_digest,
+    )
+
+
 def optimize_cache_key(
     model: ModelConfig,
     parallel: ParallelConfig,
@@ -209,13 +231,12 @@ def optimize_cache_key(
     tiers address an optimized plan without computing it.
     """
     constraints, scenario = _normalize(constraints, scenario, strategy, budget)
-    memory_model = memory_model or DEFAULT_MEMORY_MODEL
-    scenario_sig = None if scenario is None else scenario.signature()
-    cost_model_digest = resolve_cost_model(constraints.cost_model).digest()
+    inputs = _key_inputs(
+        model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
+    )
     return config_digest(
-        "optimize", model, parallel, constraints, hardware, memory_model,
-        pass_overhead, scenario_sig, cost_model_digest, strategy, seed,
-        budget, OPTIMIZER_VERSION, PLANNER_VERSION,
+        "optimize", *inputs, strategy, seed, budget,
+        OPTIMIZER_VERSION, PLANNER_VERSION,
     )
 
 
@@ -278,24 +299,43 @@ def optimize(
         if c.iteration_time is not None
     )
 
-    schedule = plans.build_best_schedule(hardware=hardware)
     setup_kwargs = {} if pass_overhead is None else {"pass_overhead": pass_overhead}
     setup = SimulationSetup(model, parallel, hardware=hardware, **setup_kwargs)
-    ctx = ScoreContext(
-        setup,
-        scenario=scenario,
-        budget_bytes=plans.memory_budget_gib * GiB,
-        memory_model=memory_model,
+
+    def context() -> ScoreContext:
+        return ScoreContext(
+            setup,
+            scenario=scenario,
+            budget_bytes=plans.memory_budget_gib * GiB,
+            memory_model=memory_model,
+        )
+
+    def score_start():
+        schedule = plans.build_best_schedule(hardware=hardware)
+        return context().score(ScheduleIR.from_schedule(schedule), ())
+
+    # The scored start (and the sites it offers, memoized on it) depends
+    # on neither strategy, seed nor budget: every seed searched from one
+    # structure shares it.  The search still counts it as its first
+    # evaluation, exactly as when it scores the start itself.
+    inputs = _key_inputs(
+        model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
     )
-    start = ctx.score(ScheduleIR.from_schedule(schedule), ())
+    start_key = config_digest(
+        "optimize-start", *inputs, OPTIMIZER_VERSION, PLANNER_VERSION
+    )
+    start = search_start((start_key, simulation_engine()), score_start)
     if start is None:  # pragma: no cover - plan() already verified it
         raise RuntimeError(
             f"best named family {best.method!r} failed oracle verification"
         )
+    ctx = context()
+    ctx.adopt(start)
     final = get_strategy(strategy).run(
         ctx, default_rewrites(), start, budget=budget, seed=seed
     )
 
+    table = final.schedule.order_table()
     result = OptimizedPlan(
         baseline_method=best.method,
         scenario=None if scenario is None else scenario.name,
@@ -312,11 +352,13 @@ def optimize(
         peak_memory_gib=final.peak_bytes / GiB,
         memory_budget_gib=plans.memory_budget_gib,
         cache_key=key,
-        # The cached result keeps the pass lists only: the integer
-        # encoding validation and lowering memoized on the search's
-        # schedule is dead weight in a long-lived cache entry.
+        # The cached result keeps the integer orders only: the passes
+        # and encodings memoized on the search's schedule are dead
+        # weight in a long-lived cache entry, and are rebuilt on read.
         schedule=dataclasses.replace(
-            final.schedule, device_orders=final.schedule.device_orders
+            final.schedule,
+            device_orders=OrderTable(table.streams, table.codes),
+            metadata=dict(final.schedule.metadata),
         ),
     )
     cache.put_aux("optimize", key, result)

@@ -106,6 +106,11 @@ class ScoredCandidate:
     feasible: bool
     graph: CompiledGraph = dataclasses.field(repr=False, compare=False)
     rewrite_ctx: RewriteContext = dataclasses.field(repr=False, compare=False)
+    #: Applicable sites per rule name, filled by the search on first use
+    #: (a pure function of ``ir`` and ``rewrite_ctx``).
+    sites: dict[str, tuple] = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def better_than(self, other: "ScoredCandidate | None") -> bool:
         """Strict improvement order: feasibility first, then time, then
@@ -274,6 +279,13 @@ class ScoreContext:
         """Adopt an accepted candidate's graph as the re-thread base."""
         self._graphs[candidate.ir.split] = candidate.graph
 
+    def adopt(self, start: ScoredCandidate) -> None:
+        """Take a start candidate another context scored as this one's
+        first evaluation: it counts against the budget and its graph is
+        the re-thread base, exactly as if :meth:`score` had made it."""
+        self.evaluations += 1
+        self.rebase(start)
+
     def robust_stats(self, candidate: ScoredCandidate, samples: int, seed: int):
         """Monte Carlo statistics of a candidate under the scenario's
         jitter — all ``samples`` draws priced by one
@@ -305,18 +317,28 @@ class SearchStrategy:
 
     def _buckets(
         self, rewrites: tuple[Rewrite, ...], current: ScoredCandidate
-    ) -> list[tuple[Rewrite, list]]:
-        """Applicable sites grouped per rewrite rule (empty rules dropped)."""
+    ) -> list[tuple[Rewrite, tuple]]:
+        """Applicable sites grouped per rewrite rule (empty rules dropped).
+
+        Enumerated once per candidate and rule, then kept on the
+        candidate: annealing re-asks while it rejects proposals, and a
+        memoized start candidate serves every search from it.
+        """
+        memo = current.sites
         buckets = []
         for rewrite in rewrites:
-            sites = rewrite.sites(current.ir, current.rewrite_ctx)
+            sites = memo.get(rewrite.name)
+            if sites is None:
+                sites = memo[rewrite.name] = tuple(
+                    rewrite.sites(current.ir, current.rewrite_ctx)
+                )
             if sites:
                 buckets.append((rewrite, sites))
         return buckets
 
     def _stratified_sample(
         self,
-        buckets: list[tuple[Rewrite, list]],
+        buckets: list[tuple[Rewrite, tuple]],
         cap: int,
         rng: random.Random,
     ) -> list[tuple[Rewrite, object]]:

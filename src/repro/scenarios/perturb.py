@@ -469,10 +469,11 @@ def method_robustness(
     the *nominal* :class:`~repro.sim.SimulationSetup` (the scenario
     transform is applied here exactly once).  Schedule generation and
     graph lowering are cache hits when the planner simulated this
-    method first; the order-refinement pass is recomputed (refined
-    orders depend on the full runtime binding and are deliberately not
-    cached), bounding a cold robust ``plan()`` at roughly one extra
-    refinement per top-k candidate.
+    method first.  The refined orders are memoized per full runtime
+    binding (method, setup, scenario, engine) by
+    :func:`~repro.harness.experiments.build_schedule`, so a cold robust
+    ``plan()`` pays roughly one extra refinement per top-k candidate and
+    a warm one, under any Monte Carlo seed, pays none.
     """
     # Imported lazily: harness.experiments consumes scenarios through
     # duck typing, so the package dependency points this way only.

@@ -1,22 +1,27 @@
 """Process-wide structural caches: hit/cold identity and isolation.
 
-The schedule-generation and compiled-graph caches are pure performance
-features — a cache hit must be observationally identical to a cold
-build: equal schedules (but never shared mutable state) and
-bit-identical simulation metrics.
+The schedule-generation, compiled-graph and refined-schedule caches are
+pure performance features — a cache hit must be observationally
+identical to a cold build: equal schedules (but never shared mutable
+state) and bit-identical simulation metrics.
 """
 
 import pytest
 
+from repro.api import PlanCache, RobustnessObjective, plan
 from repro.config import ModelConfig, ParallelConfig
+from repro.harness import experiments
 from repro.harness.experiments import (
     KNOWN_METHODS,
+    build_schedule,
+    clear_derived_caches,
     clear_structural_caches,
     generate_method_schedule,
     run_method,
     run_method_bindings,
     structural_cache_stats,
 )
+from repro.scenarios import get_scenario
 from repro.sim import SimulationSetup
 
 MODEL = ModelConfig(
@@ -139,3 +144,108 @@ class TestRunMethodBindings:
                 "baseline", MODEL, PARALLEL,
                 [SimulationSetup(MODEL, PARALLEL), other],
             )
+
+
+#: The methods :func:`build_schedule` refines (the rest return their
+#: generated orders).
+REFINED_METHODS = (
+    "vocab-1", "vocab-2", "vhalf-baseline", "vhalf-vocab-1", "vhalf-vocab-2",
+)
+
+
+def _same_schedule(a, b) -> None:
+    assert a.name == b.name
+    assert a.metadata == b.metadata
+    assert a.device_orders == b.device_orders
+    assert a.structure_key() == b.structure_key()
+
+
+class TestRefinedScheduleMemo:
+    @pytest.mark.parametrize("scenario", [None, "slow-node"])
+    @pytest.mark.parametrize("method", REFINED_METHODS)
+    def test_hit_equals_fresh_refine(self, method, scenario, setup):
+        scenario = scenario and get_scenario(scenario)
+        cold = build_schedule(method, setup, scenario=scenario)
+        assert structural_cache_stats()["refined_misses"] == 1
+        hit = build_schedule(method, setup, scenario=scenario)
+        assert structural_cache_stats()["refined_hits"] == 1
+        assert hit is not cold
+        clear_structural_caches()
+        fresh = build_schedule(method, setup, scenario=scenario)
+        _same_schedule(hit, fresh)
+        _same_schedule(cold, fresh)
+
+    def test_mutating_a_result_leaves_the_memo_alone(self, setup):
+        first = build_schedule("vhalf-vocab-1", setup)
+        expected = [list(order) for order in first.device_orders]
+        first.device_orders[0].reverse()
+        first.metadata["poisoned"] = True
+        second = build_schedule("vhalf-vocab-1", setup)
+        second.device_orders[1].pop()
+        third = build_schedule("vhalf-vocab-1", setup)
+        assert structural_cache_stats()["refined_hits"] == 2
+        assert third.device_orders == expected
+        assert "poisoned" not in third.metadata
+        third.validate()
+
+    def test_key_separates_scenario_overhead_and_engine(self, setup, monkeypatch):
+        slow = get_scenario("slow-node")
+        slower = SimulationSetup(MODEL, PARALLEL, pass_overhead=1e-3)
+        build_schedule("vocab-1", setup)
+        build_schedule("vocab-1", setup, scenario=slow)
+        build_schedule("vocab-1", slower)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        reference = build_schedule("vocab-1", setup)
+        stats = structural_cache_stats()
+        assert (stats["refined_misses"], stats["refined_hits"]) == (4, 0)
+        monkeypatch.delenv("REPRO_SIM_ENGINE")
+        compiled = build_schedule("vocab-1", setup)
+        assert structural_cache_stats()["refined_hits"] == 1
+        # The engines refine to the same orders; the memo keeps them apart.
+        _same_schedule(reference, compiled)
+
+    def test_unrefined_builds_bypass_the_memo(self, setup):
+        build_schedule("vocab-1", setup, refine=False)
+        stats = structural_cache_stats()
+        assert stats["refined_hits"] + stats["refined_misses"] == 0
+        assert not experiments._REFINED_CACHE
+
+    def test_bounded_and_cleared(self, setup, monkeypatch):
+        monkeypatch.setattr(experiments, "_REFINED_CACHE_LIMIT", 2)
+        overheads = (1e-4, 2e-4, 3e-4)
+        for overhead in overheads:
+            build_schedule("vocab-2", SimulationSetup(MODEL, PARALLEL, pass_overhead=overhead))
+        assert len(experiments._REFINED_CACHE) == 2
+        # The least recently used binding was evicted.
+        build_schedule("vocab-2", SimulationSetup(MODEL, PARALLEL, pass_overhead=overheads[0]))
+        assert structural_cache_stats()["refined_misses"] == 4
+        clear_derived_caches()
+        assert not experiments._REFINED_CACHE
+        assert experiments._SCHEDULE_CACHE, "generated schedules stay"
+        build_schedule("vocab-2", setup)
+        clear_structural_caches()
+        assert not experiments._REFINED_CACHE
+        assert set(structural_cache_stats().values()) == {0}
+
+    def test_cold_plan_never_reaches_the_memo(self):
+        plan(MODEL, PARALLEL, cache=PlanCache())
+        stats = structural_cache_stats()
+        assert stats["refined_hits"] + stats["refined_misses"] == 0
+
+    def test_robust_plans_reuse_refined_schedules(self):
+        cache = PlanCache()
+        first = plan(MODEL, PARALLEL, cache=cache, scenario="slow-node",
+                     robustness=RobustnessObjective(seed=1))
+        misses = structural_cache_stats()["refined_misses"]
+        assert misses >= 1
+        warm = plan(MODEL, PARALLEL, cache=cache, scenario="slow-node",
+                    robustness=RobustnessObjective(seed=2))
+        stats = structural_cache_stats()
+        assert stats["refined_misses"] == misses
+        assert stats["refined_hits"] >= misses
+        clear_structural_caches()
+        cold = plan(MODEL, PARALLEL, cache=PlanCache(), scenario="slow-node",
+                    robustness=RobustnessObjective(seed=2))
+        assert [c.robust_time for c in warm.ranked] == [c.robust_time for c in cold.ranked]
+        assert [c.method for c in warm.ranked] == [c.method for c in cold.ranked]
+        assert first.ranked
