@@ -104,6 +104,8 @@ _CACHE_STATS = {
     "refined_misses": 0,
     "start_hits": 0,
     "start_misses": 0,
+    "child_hits": 0,
+    "child_misses": 0,
 }
 
 
@@ -149,7 +151,8 @@ def clear_structural_caches() -> None:
     """Drop every process-wide structural cache and reset the counters:
     generated schedules, compiled graphs, refined schedules
     (:func:`build_schedule`) and optimizer start states
-    (:func:`search_start`)."""
+    (:func:`search_start`) with the children memoized on them
+    (:func:`start_child`)."""
     with _CACHE_LOCK:
         for cache in (_SCHEDULE_CACHE, _GRAPH_CACHE, _REFINED_CACHE, _START_CACHE):
             cache.clear()
@@ -174,6 +177,29 @@ def search_start(key: tuple, build):
         if value is not None:
             _cache_put(_START_CACHE, "start", key, value, _START_CACHE_LIMIT)
     return value
+
+
+def start_child(children: dict, key, build) -> tuple[object, bool]:
+    """``(children[key], hit)``, calling ``build()`` on a miss.
+
+    ``children`` is a memoized start state's own memo of the scored
+    candidates the search derives from it identically for every seed
+    (any result, ``None`` included, is kept).  It lives and dies with
+    its :func:`search_start` entry — evicted with it, dropped by
+    :func:`clear_structural_caches` and :func:`clear_derived_caches` —
+    and :func:`structural_cache_stats` counts it as ``child_hits`` /
+    ``child_misses``.
+    """
+    with _CACHE_LOCK:
+        hit = key in children
+        if hit:
+            _CACHE_STATS["child_hits"] += 1
+            return children[key], True
+    value = build()
+    with _CACHE_LOCK:
+        _CACHE_STATS["child_misses"] += 1
+        children[key] = value
+    return value, False
 
 
 def _generation_timings(method: str, setup: SimulationSetup) -> tuple[float, ...]:

@@ -1,32 +1,37 @@
-"""A small schedule IR over the existing :class:`Schedule`/`Pass` structures.
+"""A small schedule IR over the compiled schedule graph.
 
 The optimizer searches *around* the named schedule families by applying
-local rewrites to a mutable program representation.  The representation
-deliberately reuses the existing vocabulary: IR ops **are**
-:class:`~repro.scheduling.passes.Pass` values, grouped into per-device
-streams exactly like ``Schedule.device_orders``, plus the two pieces of
-state the named generators cannot express — a token-split factor
-(TeraPipe-style sequence slicing) and a list of BPipe-style activation
-handoffs.  Every IR program lowers back to a plain :class:`Schedule`
-via :meth:`ScheduleIR.emit`, so any candidate the search produces stays
-simulable through :func:`repro.sim.compiled.compile_schedule` — the
+local rewrites to a mutable program representation.  A program's ops
+are the pass nodes of its token split's
+:class:`~repro.sim.compiled.CompiledGraph` — the integer ids
+:func:`~repro.sim.compiled.compile_schedule` assigns, passes numbered in
+the flattened device order of the :class:`~repro.scheduling.orders.OrderTable`
+the graph is lowered from — grouped into per-device orders exactly like
+the graph's ``device_nodes``.  Beside the orders the program carries the
+two pieces of state the named generators cannot express: a token-split
+factor (TeraPipe-style sequence slicing) and a list of BPipe-style
+activation handoffs.  Every program lowers back to a plain
+:class:`Schedule` via :meth:`ScheduleIR.emit` (the order table reordered
+by node id), so any candidate the search produces stays simulable — the
 compiled-graph oracle is the single source of truth for both the
 candidate's score and its legality (an order whose dependencies cycle
 deadlocks there and is rejected).
 
-Beside the streams, the IR carries explicit *dependence edges*: the
+The graph's successor CSR (``succ_off``/``succ_node``) holds exactly the
 order-independent data dependencies of the program (stage P2P chains,
-collective barriers, input-layer couplings), mirroring the edge
-enumeration of :func:`~repro.sim.compiled.compile_schedule` but without
-any runtime binding.  Rewrites consult :class:`DependenceIndex` for
-their applicability predicates — "may these two ops swap?" is "is
+collective barriers, input-layer couplings); the per-device chains are
+implicit in ``device_nodes``, and they are what the rewrites change.
+Rewrites consult :class:`DependenceIndex`, reachability over that CSR,
+for their applicability predicates — "may these two ops swap?" is "is
 there no dependence path between them?" — while the oracle replay
-remains the final legality check.
+remains the final legality check.  No rewrite builds a
+:class:`~repro.scheduling.passes.Pass` except to word its trace entry.
 """
 
 from __future__ import annotations
 
-from repro.scheduling.passes import CollectiveKind, Pass, PassType
+from repro.scheduling.orders import OrderTable
+from repro.scheduling.passes import Pass
 from repro.scheduling.schedule import Schedule
 
 #: ``Schedule.metadata`` keys the IR round-trips through :meth:`emit`.
@@ -35,184 +40,71 @@ HANDOFF_KEY = "activation_handoffs"
 
 
 class DependenceIndex:
-    """Order-independent dependence reachability over one IR program.
+    """Order-independent dependence reachability over a compiled graph.
 
-    Nodes are the program's passes plus one pseudo-node per collective
-    barrier; edges are exactly the data dependencies
-    :func:`~repro.sim.compiled.compile_schedule` materializes (stage
-    P2P chains, F→B at each stage, B→W, vocabulary/input/interlaced
-    collective couplings and per-communicator serialization chains) —
-    everything *except* the implicit per-device order chains, which are
-    what the rewrites change.  ``path(a, b)`` answers "does a dependence
-    path force ``a`` before ``b``?"; a swap or hoist that contradicts no
-    such path preserves the program's topology.
+    Nodes are the graph's nodes (passes, then one per collective
+    barrier) and edges its successor CSR — every data dependency
+    :func:`~repro.sim.compiled.compile_schedule` materializes, and
+    nothing of the implicit per-device order chains.  ``path(a, b)``
+    answers "does a dependence path force pass node ``a`` before ``b``?";
+    a swap or hoist that contradicts no such path preserves the
+    program's topology.
 
     Reachability queries are a longest-path depth filter (an edge
     strictly increases depth, so ``depth[a] >= depth[b]`` proves no
-    path) followed by a memoized BFS over the forward adjacency.
+    path) followed by a memoized BFS over the CSR.
     """
 
-    def __init__(self, ir: "ScheduleIR") -> None:
-        self._id: dict[Pass, int] = {}
-        passes: list[Pass] = []
-        for order in ir.device_orders:
-            for p in order:
-                self._id[p] = len(passes)
-                passes.append(p)
-        self._adj: list[list[int]] = [[] for _ in range(len(passes))]
-        self._build(ir, passes)
-        self._depth = self._depths()
+    def __init__(self, graph) -> None:
+        self._off = graph.succ_off
+        self._succ = graph.succ_node
+        self._depth = self._depths(graph.num_nodes)
         self._memo: dict[tuple[int, int], bool] = {}
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def _coll_node(self, kind: CollectiveKind, mb: int) -> int:
-        key = (kind, mb)
-        node = self._coll.get(key)
-        if node is None:
-            node = len(self._adj)
-            self._coll[key] = node
-            self._adj.append([])
-        return node
-
-    def _build(self, ir: "ScheduleIR", passes: list[Pass]) -> None:
-        layout = ir.layout
-        m = ir.num_microbatches
-        self._coll: dict[tuple[CollectiveKind, int], int] = {}
-        adj = self._adj
-        pid = self._id
-
-        def edge(src: int, dst: int) -> None:
-            adj[src].append(dst)
-
-        def node(type_: PassType, mb: int, device: int, chunk: int = 0) -> int:
-            return pid[Pass(type_, mb, device, chunk)]
-
-        stages = layout.num_stages
-        holders = [layout.holder_of_stage(s) for s in range(stages)]
-        for mb in range(m):
-            for s in range(1, stages):
-                src_dev, src_chunk = holders[s - 1]
-                dst_dev, dst_chunk = holders[s]
-                edge(node(PassType.F, mb, src_dev, src_chunk),
-                     node(PassType.F, mb, dst_dev, dst_chunk))
-                edge(node(PassType.B, mb, dst_dev, dst_chunk),
-                     node(PassType.B, mb, src_dev, src_chunk))
-            for s in range(stages):
-                dev, chunk = holders[s]
-                edge(node(PassType.F, mb, dev, chunk),
-                     node(PassType.B, mb, dev, chunk))
-                if ir.has_weight_passes:
-                    edge(node(PassType.B, mb, dev, chunk),
-                         node(PassType.W, mb, dev, chunk))
-
-        def chain(kind: CollectiveKind) -> None:
-            for mb in range(1, m):
-                edge(self._coll_node(kind, mb - 1), self._coll_node(kind, mb))
-
-        last_dev, last_chunk = holders[-1]
-        first_dev, first_chunk = holders[0]
-        devices = range(layout.num_devices)
-
-        if ir.vocab_algorithm is not None:
-            chain(CollectiveKind.C0_BROADCAST)
-            chain(CollectiveKind.C1_STATS)
-            if ir.vocab_algorithm == 1:
-                chain(CollectiveKind.C2_GRAD_REDUCE)
-            for mb in range(m):
-                c0 = self._coll_node(CollectiveKind.C0_BROADCAST, mb)
-                c1 = self._coll_node(CollectiveKind.C1_STATS, mb)
-                edge(node(PassType.F, mb, last_dev, last_chunk), c0)
-                for d in devices:
-                    edge(c0, node(PassType.S, mb, d))
-                    edge(node(PassType.S, mb, d), c1)
-                    edge(c1, node(PassType.T, mb, d))
-                last_b = node(PassType.B, mb, last_dev, last_chunk)
-                if ir.vocab_algorithm == 1:
-                    c2 = self._coll_node(CollectiveKind.C2_GRAD_REDUCE, mb)
-                    for d in devices:
-                        edge(node(PassType.T, mb, d), c2)
-                    edge(c2, last_b)
-                else:
-                    edge(c1, last_b)
-
-        if ir.has_input_passes:
-            chain(CollectiveKind.INPUT_ALLREDUCE)
-            chain(CollectiveKind.INPUT_BROADCAST)
-            for mb in range(m):
-                iar = self._coll_node(CollectiveKind.INPUT_ALLREDUCE, mb)
-                ibc = self._coll_node(CollectiveKind.INPUT_BROADCAST, mb)
-                for d in devices:
-                    edge(node(PassType.IF, mb, d), iar)
-                    edge(ibc, node(PassType.IB, mb, d))
-                edge(iar, node(PassType.F, mb, first_dev, first_chunk))
-                edge(node(PassType.B, mb, first_dev, first_chunk), ibc)
-
-        if ir.interlaced:
-            chain(CollectiveKind.C0_BROADCAST)
-            chain(CollectiveKind.C1_STATS)
-            chain(CollectiveKind.C2_GRAD_REDUCE)
-            for mb in range(m):
-                c0 = self._coll_node(CollectiveKind.C0_BROADCAST, mb)
-                c1 = self._coll_node(CollectiveKind.C1_STATS, mb)
-                c2 = self._coll_node(CollectiveKind.C2_GRAD_REDUCE, mb)
-                edge(node(PassType.F, mb, last_dev, last_chunk), c0)
-                for d in devices:
-                    edge(c0, node(PassType.VF, mb, d))
-                    edge(node(PassType.VF, mb, d), c1)
-                    edge(c1, node(PassType.VB, mb, d))
-                    edge(node(PassType.VB, mb, d), c2)
-                edge(c2, node(PassType.B, mb, last_dev, last_chunk))
-
-    def _depths(self) -> list[int]:
-        """Longest-path depth per node (Kahn order; the DAG is acyclic
-        by construction — device chains are excluded)."""
-        n = len(self._adj)
-        indeg = [0] * n
-        for succs in self._adj:
-            for v in succs:
-                indeg[v] += 1
-        depth = [0] * n
-        frontier = [u for u in range(n) if indeg[u] == 0]
+    def _depths(self, num_nodes: int) -> list[int]:
+        """Longest-path depth per node (Kahn order; the CSR is acyclic —
+        device chains are not in it)."""
+        off, succ = self._off, self._succ
+        indeg = [0] * num_nodes
+        for v in succ:
+            indeg[v] += 1
+        depth = [0] * num_nodes
+        frontier = [u for u in range(num_nodes) if indeg[u] == 0]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in self._adj[u]:
-                    if depth[v] < depth[u] + 1:
-                        depth[v] = depth[u] + 1
+                below = depth[u] + 1
+                for v in succ[off[u]:off[u + 1]]:
+                    if depth[v] < below:
+                        depth[v] = below
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         nxt.append(v)
             frontier = nxt
         return depth
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def path(self, a: Pass, b: Pass) -> bool:
-        """True when a dependence path forces ``a`` to run before ``b``."""
-        u, v = self._id[a], self._id[b]
-        if self._depth[u] >= self._depth[v]:
+    def path(self, a: int, b: int) -> bool:
+        """True when a dependence path forces node ``a`` to run before ``b``."""
+        depth = self._depth
+        if depth[a] >= depth[b]:
             return False
-        key = (u, v)
+        key = (a, b)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        limit = self._depth[v]
-        seen = {u}
-        frontier = [u]
+        off, succ = self._off, self._succ
+        limit = depth[b]
+        seen = {a}
+        frontier = [a]
         found = False
         while frontier and not found:
             nxt = []
             for x in frontier:
-                for y in self._adj[x]:
-                    if y == v:
+                for y in succ[off[x]:off[x + 1]]:
+                    if y == b:
                         found = True
                         break
-                    if y not in seen and self._depth[y] < limit:
+                    if y not in seen and depth[y] < limit:
                         seen.add(y)
                         nxt.append(y)
                 if found:
@@ -226,22 +118,29 @@ class ScheduleIR:
     """A mutable schedule program the rewrites operate on.
 
     Lowered from a :class:`Schedule` with :meth:`from_schedule` and
-    re-emitted with :meth:`emit`.  ``device_orders`` holds the per-device
-    op streams (plain lists of :class:`Pass`); ``split`` is the token-
-    split factor relative to the *original* microbatching (1 = none);
-    ``handoffs`` records BPipe-style activation handoffs as
-    ``(src_device, dst_device, microbatches)`` tuples.  The dependence
-    index is built lazily and rebuilt whenever a rewrite changes the op
-    set (token split) rather than just the order.
+    re-emitted with :meth:`emit`.  ``table`` numbers the program's pass
+    nodes (its flattened device order), ``device_nodes[d]`` is device
+    ``d``'s order as node ids, and ``graph`` is the compiled graph of
+    that numbering — ``None`` until the program is first scored (a fresh
+    lowering or a token split), then shared by every program reordered
+    from it.  ``split`` is the token-split factor relative to the
+    *original* microbatching (1 = none); ``handoffs`` records BPipe-style
+    activation handoffs as ``(src_device, dst_device, microbatches)``
+    tuples.  The dependence index belongs to the graph and is built
+    lazily.
+
+    :meth:`copy` shares the per-device rows: a rewrite replaces the rows
+    it changes and never edits one in place.
     """
 
     __slots__ = (
         "name", "num_microbatches", "layout", "vocab_algorithm",
         "has_weight_passes", "has_input_passes", "interlaced",
-        "device_orders", "split", "handoffs", "_deps",
+        "table", "graph", "device_nodes", "split", "handoffs", "_deps",
     )
 
     def __init__(self) -> None:
+        self.graph = None
         self._deps: DependenceIndex | None = None
 
     @classmethod
@@ -254,7 +153,7 @@ class ScheduleIR:
         ir.has_weight_passes = schedule.has_weight_passes
         ir.has_input_passes = schedule.has_input_passes
         ir.interlaced = schedule.interlaced
-        ir.device_orders = [list(order) for order in schedule.device_orders]
+        ir.renumber(schedule.order_table())
         ir.split = int(schedule.metadata.get(TOKEN_SPLIT_KEY, 1))
         ir.handoffs = tuple(schedule.metadata.get(HANDOFF_KEY, ()))
         return ir
@@ -268,27 +167,48 @@ class ScheduleIR:
         ir.has_weight_passes = self.has_weight_passes
         ir.has_input_passes = self.has_input_passes
         ir.interlaced = self.interlaced
-        ir.device_orders = [list(order) for order in self.device_orders]
+        ir.table = self.table
+        ir.graph = self.graph
+        ir.device_nodes = list(self.device_nodes)
         ir.split = self.split
         ir.handoffs = self.handoffs
         # Dependences are order-independent, so a copy that only reorders
-        # ops may keep sharing the parent's index.
+        # ops keeps sharing the index.
         ir._deps = self._deps
         return ir
+
+    def renumber(self, table: OrderTable) -> None:
+        """Make ``table``'s orders the program's, numbered afresh: node ids
+        in its flattened order, no compiled graph yet."""
+        self.table = table
+        self.graph = None
+        self._deps = None
+        nodes = []
+        first = 0
+        for codes in table.codes:
+            nodes.append(list(range(first, first + len(codes))))
+            first += len(codes)
+        self.device_nodes = nodes
 
     @property
     def num_devices(self) -> int:
         return self.layout.num_devices
 
     def deps(self) -> DependenceIndex:
-        """The program's dependence index (built on first use)."""
+        """The program's dependence index (built on first use; the program
+        must have been scored, so that its graph exists)."""
         if self._deps is None:
-            self._deps = DependenceIndex(self)
+            self._deps = DependenceIndex(self.graph)
         return self._deps
 
-    def invalidate_deps(self) -> None:
-        """Drop the index after a rewrite that changed the op set."""
-        self._deps = None
+    def op(self, node: int) -> Pass:
+        """The :class:`Pass` a node stands for (built to word a trace
+        entry; the rewrites themselves read the graph's node arrays)."""
+        graph = self.graph
+        return Pass(
+            graph.node_type[node], graph.node_mb[node],
+            graph.node_device[node], graph.node_chunk[node],
+        )
 
     def emit(self) -> Schedule:
         """Lower back to a plain, simulable :class:`Schedule`.
@@ -307,27 +227,10 @@ class ScheduleIR:
             name=self.name,
             num_microbatches=self.num_microbatches,
             layout=self.layout,
-            device_orders=[list(order) for order in self.device_orders],
+            device_orders=self.table.reorder(self.device_nodes),
             vocab_algorithm=self.vocab_algorithm,
             has_weight_passes=self.has_weight_passes,
             has_input_passes=self.has_input_passes,
             interlaced=self.interlaced,
             metadata=metadata,
-        )
-
-    def pass_multiset(self) -> tuple:
-        """Per-device multiset of ops (order-insensitive identity).
-
-        Two IR programs with equal multisets (and equal ``split``)
-        differ only in device orders — exactly the condition under which
-        a compiled graph may be re-threaded via
-        :meth:`~repro.sim.compiled.CompiledGraph.with_orders` instead of
-        re-lowered.
-        """
-        return tuple(
-            tuple(sorted(
-                order,
-                key=lambda p: (p.type.value, p.microbatch, p.chunk),
-            ))
-            for order in self.device_orders
         )

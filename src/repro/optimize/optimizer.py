@@ -312,12 +312,14 @@ def optimize(
 
     def score_start():
         schedule = plans.build_best_schedule(hardware=hardware)
-        return context().score(ScheduleIR.from_schedule(schedule), ())
+        start = context().score(ScheduleIR.from_schedule(schedule), ())
+        return None if start is None else dataclasses.replace(start, children={})
 
-    # The scored start (and the sites it offers, memoized on it) depends
-    # on neither strategy, seed nor budget: every seed searched from one
-    # structure shares it.  The search still counts it as its first
-    # evaluation, exactly as when it scores the start itself.
+    # The scored start (with the sites it offers and its token-split
+    # child, both memoized on it) depends on neither strategy, seed nor
+    # budget: every seed searched from one structure shares it.  The
+    # search still counts the start as its first evaluation and the
+    # child as one evaluation per use, exactly as when it scores them.
     inputs = _key_inputs(
         model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
     )

@@ -1,6 +1,9 @@
 """Semantics-preserving local rewrites over :class:`ScheduleIR`.
 
-Each rewrite is a :class:`Rewrite` with two halves:
+Each rewrite is a :class:`Rewrite` with two halves over the IR's node
+ids (the rewrites read the compiled graph's ``node_type``/``node_mb``/
+``node_chunk`` arrays, and build a :class:`~repro.scheduling.passes.Pass`
+only to word a trace entry):
 
 * an **applicability predicate** — :meth:`Rewrite.sites` enumerates the
   program points where the rewrite can fire, consulting the IR's
@@ -46,7 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.optimize.ir import ScheduleIR
-from repro.scheduling.passes import Pass, PassType
+from repro.scheduling.orders import MB_SHIFT, STREAM_MASK, gather
+from repro.scheduling.passes import PassType
 
 #: Maximum token-split factor (sequence sliced at most into quarters).
 MAX_SPLIT = 4
@@ -109,8 +113,12 @@ class Rewrite:
         raise NotImplementedError
 
 
-def _streams_differ(a: Pass, b: Pass) -> bool:
-    return (a.type, a.chunk) != (b.type, b.chunk)
+def _streams_differ(graph, a: int, b: int) -> bool:
+    """Whether two pass nodes of one device belong to different streams."""
+    return (
+        graph.node_type[a] is not graph.node_type[b]
+        or graph.node_chunk[a] != graph.node_chunk[b]
+    )
 
 
 class SwapAdjacent(Rewrite):
@@ -120,24 +128,27 @@ class SwapAdjacent(Rewrite):
 
     def sites(self, ir: ScheduleIR, ctx: RewriteContext) -> list:
         deps = ir.deps()
+        graph = ir.graph
         sites = []
-        for device, order in enumerate(ir.device_orders):
+        for device, order in enumerate(ir.device_nodes):
             for i in range(len(order) - 1):
                 a, b = order[i], order[i + 1]
                 # Same-stream swaps break per-stream microbatch
                 # monotonicity; dependence paths a→b pin the order.
-                if _streams_differ(a, b) and not deps.path(a, b):
+                if _streams_differ(graph, a, b) and not deps.path(a, b):
                     sites.append((device, i))
         return sites
 
     def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
         device, i = site
         out = ir.copy()
-        order = out.device_orders[device]
+        order = out.device_nodes[device] = list(ir.device_nodes[device])
         a, b = order[i], order[i + 1]
         order[i], order[i + 1] = b, a
         return out, RewriteStep(
-            rule=self.name, device=device, description=f"swap {a} <-> {b}"
+            rule=self.name,
+            device=device,
+            description=f"swap {ir.op(a)} <-> {ir.op(b)}",
         )
 
 
@@ -148,23 +159,25 @@ class HoistCollective(Rewrite):
 
     def sites(self, ir: ScheduleIR, ctx: RewriteContext) -> list:
         deps = ir.deps()
+        graph = ir.graph
+        node_type = graph.node_type
         sites = []
-        for device, order in enumerate(ir.device_orders):
+        for device, order in enumerate(ir.device_nodes):
             for i, op in enumerate(order):
-                if op.type not in (PassType.S, PassType.T):
+                if node_type[op] is not PassType.S and node_type[op] is not PassType.T:
                     continue
                 # Earlier placements: jump ops one at a time while no
                 # jumped op feeds this one and streams stay monotone.
                 for j in range(i - 1, max(i - 1 - HOIST_WINDOW, -1), -1):
                     jumped = order[j]
-                    if not _streams_differ(jumped, op) or deps.path(jumped, op):
+                    if not _streams_differ(graph, jumped, op) or deps.path(jumped, op):
                         break
                     sites.append((device, i, j))
                 # Later placements: symmetric, no jumped op may depend
                 # on this one.
                 for j in range(i + 1, min(i + 1 + HOIST_WINDOW, len(order))):
                     jumped = order[j]
-                    if not _streams_differ(jumped, op) or deps.path(op, jumped):
+                    if not _streams_differ(graph, jumped, op) or deps.path(op, jumped):
                         break
                     sites.append((device, i, j))
         return sites
@@ -172,14 +185,14 @@ class HoistCollective(Rewrite):
     def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
         device, i, j = site
         out = ir.copy()
-        order = out.device_orders[device]
+        order = out.device_nodes[device] = list(ir.device_nodes[device])
         op = order.pop(i)
         order.insert(j, op)
         direction = "earlier" if j < i else "later"
         return out, RewriteStep(
             rule=self.name,
             device=device,
-            description=f"hoist {op} {direction} by {abs(i - j)} slots",
+            description=f"hoist {ir.op(op)} {direction} by {abs(i - j)} slots",
         )
 
 
@@ -231,14 +244,24 @@ class ActivationHandoff(Rewrite):
         )
 
 
-#: Order of the two slices a pass splits into, per type: forward-side
-#: work streams slices in sequence order; every stream must stay
-#: microbatch-monotone after renumbering, so both slices keep ascending
-#: order (TeraPipe's reverse backward-slice order is a dependence the
-#: simulator does not model — ascending order is the conservative legal
-#: choice).
+def _split_codes(codes) -> list[int]:
+    """Each ``(stream, mb)`` code followed by its two slices' codes,
+    ``(stream, 2mb)`` then ``(stream, 2mb + 1)``."""
+    out = []
+    for code in codes:
+        first = code + (code & ~STREAM_MASK)  # the microbatch doubled
+        out += (first, first + (1 << MB_SHIFT))
+    return out
+
+
 class TokenSplit(Rewrite):
-    """Split every microbatch's passes in two along the token dimension."""
+    """Split every microbatch's passes in two along the token dimension.
+
+    Both slices of a pass take its place, in ascending order: every
+    stream must stay microbatch-monotone after renumbering (TeraPipe's
+    reverse backward-slice order is a dependence the simulator does not
+    model — ascending order is the conservative legal choice).
+    """
 
     name = "token-split"
 
@@ -253,17 +276,12 @@ class TokenSplit(Rewrite):
 
     def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
         out = ir.copy()
-        out.device_orders = [
-            [
-                Pass(p.type, 2 * p.microbatch + half, p.device, p.chunk)
-                for p in order
-                for half in (0, 1)
-            ]
-            for order in ir.device_orders
-        ]
+        flat = ir.table.flat_codes()
+        out.renumber(ir.table.with_codes(
+            [_split_codes(gather(flat, nodes)) for nodes in ir.device_nodes]
+        ))
         out.num_microbatches = ir.num_microbatches * 2
         out.split = ir.split * 2
-        out.invalidate_deps()
         return out, RewriteStep(
             rule=self.name,
             device=-1,

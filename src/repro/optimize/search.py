@@ -1,17 +1,14 @@
 """Seeded search over the rewrite space, scored by the compiled oracle.
 
 :class:`ScoreContext` turns an IR program into a verified
-:class:`ScoredCandidate`: emit → ``Schedule.validate`` → compile (or
-re-thread an existing graph via
-:meth:`~repro.sim.compiled.CompiledGraph.with_orders` when only the
-orders changed) → in-order execute → memory report.  A program that
+:class:`ScoredCandidate`: emit → ``Schedule.validate`` → compile (or,
+for a program reordered from a scored one, re-thread that program's
+graph with its node-id orders, sharing every structural array and the
+priced durations) → in-order execute → memory report.  A program that
 fails validation or deadlocks scores as ``None`` — the oracle is the
 final legality check behind every rewrite's applicability predicate.
-
-Candidates that share a compiled structure are scored in batches:
-re-order rewrites re-thread one lowered graph (``with_orders`` shares
-every structural array and the priced durations), and when a candidate
-must be ranked under scenario jitter the Monte Carlo draws go through
+Only a token split lowers a new graph.  When a candidate must be ranked
+under scenario jitter the Monte Carlo draws go through
 :meth:`~repro.sim.compiled.CompiledGraph.execute_many_summary` — one
 batched kernel call for all samples — via
 :func:`repro.scenarios.perturb.robustness_stats`.
@@ -38,8 +35,9 @@ import random
 from dataclasses import dataclass
 
 from repro.costmodel.memory import MemoryModel
+from repro.harness.experiments import start_child
 from repro.optimize.ir import ScheduleIR
-from repro.optimize.rewrites import Rewrite, RewriteContext, RewriteStep
+from repro.optimize.rewrites import Rewrite, RewriteContext, RewriteStep, TokenSplit
 from repro.scenarios import ClusterScenario
 from repro.scheduling.schedule import Schedule
 from repro.sim.compiled import CompiledGraph, compile_schedule
@@ -111,6 +109,12 @@ class ScoredCandidate:
     sites: dict[str, tuple] = dataclasses.field(
         default_factory=dict, repr=False, compare=False
     )
+    #: Scored token-split children per ``(rule, site)``; a dict only on
+    #: a memoized search start, ``None`` elsewhere (see
+    #: :meth:`ScoreContext.score_rewrite`).
+    children: dict | None = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def better_than(self, other: "ScoredCandidate | None") -> bool:
         """Strict improvement order: feasibility first, then time, then
@@ -130,8 +134,9 @@ class ScoreContext:
     """Scores IR programs against the compiled-graph oracle.
 
     One context is bound to a (setup, scenario, memory budget) triple;
-    ``evaluations`` counts oracle replays, which is the budget the
-    search strategies spend.
+    ``evaluations`` counts scored candidates, which is the budget the
+    search strategies spend — a candidate served from a memo counts as
+    one evaluation exactly like one the oracle replays.
     """
 
     def __init__(
@@ -146,9 +151,6 @@ class ScoreContext:
         self.budget_bytes = budget_bytes
         self.memory_model = memory_model or MemoryModel()
         self.evaluations = 0
-        #: Compiled graph per token-split factor; candidates with the
-        #: same split and op multiset re-thread it via ``with_orders``.
-        self._graphs: dict[int, CompiledGraph] = {}
 
     # ------------------------------------------------------------------
     # Bindings
@@ -207,24 +209,19 @@ class ScoreContext:
             schedule.validate()
         except ValueError:
             return None
-        runtime = self._runtime(schedule, ir.split)
         try:
-            graph = self._graphs.get(ir.split)
-            if graph is not None:
-                try:
-                    # Same op multiset, different order: share every
-                    # structural array and the priced durations.
-                    graph = graph.with_orders(
-                        schedule.device_orders, schedule=schedule
-                    )
-                except KeyError:
-                    graph = compile_schedule(schedule, runtime)
+            if ir.graph is None:
+                graph = ir.graph = compile_schedule(
+                    schedule, self._runtime(schedule, ir.split)
+                )
             else:
-                graph = compile_schedule(schedule, runtime)
-                self._graphs[ir.split] = graph
+                # The same nodes in another order: share every structural
+                # array and the priced durations.
+                graph = ir.graph._with_device_nodes(ir.device_nodes, schedule)
             result = graph.execute()
         except DeadlockError:
             return None
+        runtime = graph.runtime
         mem_setup = self._memory_setup(ir.split)
         report = memory_report(result, mem_setup, self.memory_model)
         peaks = list(report.per_device_peak)
@@ -264,27 +261,36 @@ class ScoreContext:
             rewrite_ctx=rewrite_ctx,
         )
 
-    def score_batch(
-        self, programs: list[tuple[ScheduleIR, tuple[RewriteStep, ...]]]
-    ) -> list[ScoredCandidate | None]:
-        """Score a batch of candidate programs.
+    def score_rewrite(
+        self, current: ScoredCandidate, rewrite: Rewrite, site
+    ) -> ScoredCandidate | None:
+        """Score the program ``rewrite`` makes of ``current`` at ``site``.
 
-        Re-order candidates all re-thread the same lowered graph (the
-        per-split entry of the graph cache), so the batch pays one
-        lowering and one pricing no matter how many orders it tries.
+        A memoized start (``current.children`` is a dict) keeps its
+        token-split child: the rule's one site is sampled by every
+        search from the start, and the child does not depend on the
+        seed, so it is scored once per start.  Swap and hoist children
+        rarely repeat across seeds and are not kept.  A child served
+        from the memo counts as one evaluation, exactly as when it is
+        scored afresh.
         """
-        return [self.score(ir, trace) for ir, trace in programs]
 
-    def rebase(self, candidate: ScoredCandidate) -> None:
-        """Adopt an accepted candidate's graph as the re-thread base."""
-        self._graphs[candidate.ir.split] = candidate.graph
+        def build() -> ScoredCandidate | None:
+            ir, step = rewrite.apply(current.ir, site)
+            return self.score(ir, current.trace + (step,))
+
+        if current.children is None or not isinstance(rewrite, TokenSplit):
+            return build()
+        child, hit = start_child(current.children, (rewrite.name, site), build)
+        if hit:
+            self.evaluations += 1
+        return child
 
     def adopt(self, start: ScoredCandidate) -> None:
         """Take a start candidate another context scored as this one's
-        first evaluation: it counts against the budget and its graph is
-        the re-thread base, exactly as if :meth:`score` had made it."""
+        first evaluation: it counts against the budget exactly as if
+        :meth:`score` had made it."""
         self.evaluations += 1
-        self.rebase(start)
 
     def robust_stats(self, candidate: ScoredCandidate, samples: int, seed: int):
         """Monte Carlo statistics of a candidate under the scenario's
@@ -388,19 +394,14 @@ class GreedyStrategy(SearchStrategy):
                 break
             total = sum(len(sites) for _, sites in buckets)
             cap = min(total, max(16, budget // 4), budget - ctx.evaluations)
-            sample = self._stratified_sample(buckets, cap, rng)
-            programs = []
-            for rewrite, site in sample:
-                new_ir, step = rewrite.apply(current.ir, site)
-                programs.append((new_ir, current.trace + (step,)))
             best = None
-            for candidate in ctx.score_batch(programs):
+            for rewrite, site in self._stratified_sample(buckets, cap, rng):
+                candidate = ctx.score_rewrite(current, rewrite, site)
                 if candidate is not None and candidate.better_than(best):
                     best = candidate
             if best is None or not best.better_than(current):
                 break
             current = best
-            ctx.rebase(current)
         return current
 
 
@@ -434,8 +435,7 @@ class AnnealingStrategy(SearchStrategy):
             # one-site rule (token-split) a vanishing proposal mass.
             rewrite, sites = buckets[rng.randrange(len(buckets))]
             site = sites[rng.randrange(len(sites))]
-            new_ir, step = rewrite.apply(current.ir, site)
-            candidate = ctx.score(new_ir, current.trace + (step,))
+            candidate = ctx.score_rewrite(current, rewrite, site)
             temperature = max(temperature * self.ALPHA, 1e-15)
             if candidate is None:
                 continue
@@ -448,7 +448,6 @@ class AnnealingStrategy(SearchStrategy):
             )
             if accept:
                 current = candidate
-                ctx.rebase(current)
                 if current.better_than(best):
                     best = current
         return best

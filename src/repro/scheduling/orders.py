@@ -128,6 +128,15 @@ class OrderTable:
         table._index = self._index
         return table
 
+    def with_codes(self, codes) -> OrderTable:
+        """Other orders over the same streams (e.g. a token split's
+        renumbered microbatches), sharing the stream index and the
+        representatives."""
+        table = OrderTable(self.streams, codes)
+        table._index = self.index()
+        table._reps = self.representatives()
+        return table
+
     # ------------------------------------------------------------------
     # Integer views
     # ------------------------------------------------------------------
@@ -200,11 +209,15 @@ class OrderTable:
         return self._flat
 
     def representatives(self) -> list[Pass]:
-        """One microbatch-0 :class:`Pass` per stream, for per-stream pricing."""
+        """One microbatch-0 :class:`Pass` per stream, for per-stream pricing
+        (a reordered table's are its parent's)."""
         if self._reps is None:
-            self._reps = [
-                Pass(type_, 0, device, chunk) for type_, device, chunk in self.streams
-            ]
+            if self._source is not None:
+                self._reps = self._source.representatives()
+            else:
+                self._reps = [
+                    Pass(type_, 0, device, chunk) for type_, device, chunk in self.streams
+                ]
         return self._reps
 
     def describe(self, code: int) -> Pass:

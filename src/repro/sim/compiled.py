@@ -24,10 +24,11 @@ systems (TeraPipe, BaPipe) use to keep their search loops affordable:
   every device per event;
 * :meth:`CompiledGraph.rebind` re-prices durations and transfer lags
   for a different runtime **without re-lowering the topology**, and
-  :meth:`CompiledGraph.with_orders` re-threads the device chains for a
-  reordered schedule while sharing every structural array — which is
-  how :meth:`CompiledGraph.refine` builds the refined graph, whose
-  in-order result it reads off the dataflow run.
+  :meth:`CompiledGraph._with_device_nodes` re-threads the device chains
+  for a reordered schedule while sharing every structural array — which
+  is how :meth:`CompiledGraph.refine` builds the refined graph, whose
+  in-order result it reads off the dataflow run, and how the optimizer
+  scores its reordered candidates.
 
 Results are bit-identical to the reference executor
 (:mod:`repro.sim.reference_executor`): the same floating-point
@@ -266,7 +267,6 @@ class CompiledGraph:
         "succ_lag",
         "base_indeg",
         "device_nodes",
-        "_pass_id",
         "_chain_next",
         "_topo",
         "_inorder",
@@ -276,8 +276,7 @@ class CompiledGraph:
     )
 
     def __init__(self) -> None:
-        # Populated by compile_schedule / rebind / with_orders.
-        self._pass_id: dict[Pass, int] | None = None
+        # Populated by compile_schedule / rebind / _with_device_nodes.
         self._chain_next: list[int] | None = None
         self._topo: list[int] | None = None
         self._inorder: ExecutionResult | None = None
@@ -429,7 +428,6 @@ class CompiledGraph:
             "node_type", "node_chunk", "node_mb", "node_flexible",
             "coll_keys", "coll_comm", "coll_override", "num_comms",
             "succ_off", "succ_node", "base_indeg", "device_nodes",
-            "_pass_id",
         ):
             setattr(clone, name, getattr(self, name))
         clone._chain_next = self._chain_next
@@ -447,15 +445,14 @@ class CompiledGraph:
         Only the per-device streams (and therefore the implicit device
         chains of the in-order mode) change; every structural array and
         the bound durations are shared.  ``schedule`` defaults to this
-        graph's schedule with the new orders substituted.
+        graph's schedule with the new orders substituted.  Orders given
+        as node ids skip the pass lookup (:meth:`_with_device_nodes`).
         """
         if schedule is None:
             schedule = dataclasses.replace(
                 self.schedule, device_orders=[list(o) for o in device_orders]
             )
-        if self._pass_id is None:
-            self._pass_id = {p: i for i, p in enumerate(self.node_pass)}
-        pass_id = self._pass_id
+        pass_id = {p: i for i, p in enumerate(self.node_pass)}
         return self._with_device_nodes(
             [[pass_id[p] for p in order] for order in device_orders], schedule
         )
@@ -471,7 +468,7 @@ class CompiledGraph:
             "node_device", "node_type", "node_chunk", "node_mb",
             "node_flexible", "coll_keys", "coll_comm", "coll_override",
             "num_comms", "durations", "succ_off", "succ_node", "succ_lag",
-            "base_indeg", "_pass_id",
+            "base_indeg",
         ):
             setattr(clone, name, getattr(self, name))
         clone.device_nodes = device_nodes
@@ -1276,8 +1273,9 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     serialized per communicator, input-layer and interlaced couplings),
     but emits integer ids and flat arrays instead of dict-of-tuple
     graphs.  Device-chain edges are *implicit* (consecutive entries of
-    ``device_nodes``), which is what lets :meth:`CompiledGraph.with_orders`
-    reorder a schedule without touching the CSR.
+    ``device_nodes``), which is what lets
+    :meth:`CompiledGraph._with_device_nodes` reorder a schedule without
+    touching the CSR.
 
     Lowering is by tiling: a schedule repeats the paper's §5.2 building
     block once per microbatch, so every edge belongs to one microbatch

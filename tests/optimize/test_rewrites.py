@@ -57,6 +57,11 @@ def start(model, parallel, tmp_path):
     return ctx, candidate
 
 
+def node_multiset(ir):
+    """Per-device multiset of pass nodes (order-insensitive identity)."""
+    return [sorted(order) for order in ir.device_nodes]
+
+
 def apply_some_sites(rewrite, candidate, limit=6):
     sites = rewrite.sites(candidate.ir, candidate.rewrite_ctx)
     return sites, [rewrite.apply(candidate.ir, s) for s in sites[:limit]]
@@ -70,7 +75,7 @@ class TestSwapAdjacent:
         for new_ir, step in applied:
             assert step.rule == "swap-adjacent"
             # Reorders conserve the per-device pass multiset.
-            assert new_ir.pass_multiset() == candidate.ir.pass_multiset()
+            assert node_multiset(new_ir) == node_multiset(candidate.ir)
             assert new_ir.split == candidate.ir.split
             new_ir.emit().validate()
             scored = ctx.score(new_ir, (step,))
@@ -79,10 +84,10 @@ class TestSwapAdjacent:
 
     def test_input_program_is_not_mutated(self, start):
         _, candidate = start
-        before = [list(order) for order in candidate.ir.device_orders]
+        before = [list(order) for order in candidate.ir.device_nodes]
         sites = SwapAdjacent().sites(candidate.ir, candidate.rewrite_ctx)
         SwapAdjacent().apply(candidate.ir, sites[0])
-        assert candidate.ir.device_orders == before
+        assert candidate.ir.device_nodes == before
 
 
 class TestHoistCollective:
@@ -99,7 +104,7 @@ class TestHoistCollective:
         assert sites, "vocab-1 must expose hoistable S/T passes"
         for new_ir, step in applied:
             assert step.rule == "hoist-collective"
-            assert new_ir.pass_multiset() == candidate.ir.pass_multiset()
+            assert node_multiset(new_ir) == node_multiset(candidate.ir)
             new_ir.emit().validate()
             assert ctx.score(new_ir, (step,)) is not None
 
@@ -114,7 +119,7 @@ class TestTokenSplit:
         assert step.rule == "token-split"
         assert new_ir.num_microbatches == 2 * candidate.ir.num_microbatches
         assert new_ir.split == 2 * candidate.ir.split
-        for old, new in zip(candidate.ir.device_orders, new_ir.device_orders):
+        for old, new in zip(candidate.ir.device_nodes, new_ir.device_nodes):
             assert len(new) == 2 * len(old)
         new_ir.emit().validate()
         scored = ctx.score(new_ir, (step,))
@@ -154,7 +159,7 @@ class TestActivationHandoff:
         new_ir, step = ActivationHandoff().apply(candidate.ir, (0, 1, 1))
         assert step.rule == "activation-handoff"
         assert new_ir.handoffs == candidate.ir.handoffs + ((0, 1, 1),)
-        assert new_ir.device_orders == candidate.ir.device_orders
+        assert new_ir.device_nodes == candidate.ir.device_nodes
 
     def test_scoring_prices_the_handoff(self, start):
         ctx, candidate = start

@@ -1,12 +1,13 @@
-"""Warm :func:`repro.api.optimize`: the memoized start state and the
-cached result's schedule.
+"""Warm :func:`repro.api.optimize`: the memoized start state, its
+memoized token-split child and the cached result's schedule.
 
 A search's start — the best named family's refined schedule, scored by
-the oracle, and the rewrite sites it offers — does not depend on the
-strategy, seed or budget, so it is memoized beside the structural
-caches.  A warm search must equal a cold one in every output, including
-its ``evaluations`` count (the start is still one evaluation).  The
-result cached per seed holds its schedule as integer orders only.
+the oracle, the rewrite sites it offers and its scored token-split
+child — does not depend on the strategy, seed or budget, so it is
+memoized beside the structural caches.  A warm search must equal a cold
+one in every output, including its ``evaluations`` count (the start and
+every use of the child are one evaluation each).  The result cached per
+seed holds its schedule as integer orders only.
 """
 
 import dataclasses
@@ -99,6 +100,10 @@ class TestStartStateMemo:
         assert warm.optimized_time == cold.optimized_time
         assert warm.evaluations == cold.evaluations
         assert outputs(warm) == outputs(cold)
+        if strategy == "greedy":
+            # Each first round samples the token split: the warm search
+            # was served the child its warm-up search scored.
+            assert child_stats() == (1, 1)
         evaluations, final = search_scoring_its_own_start(
             "slow-node", strategy, seed, 24
         )
@@ -149,6 +154,62 @@ class TestStartStateMemo:
         assert len(experiments._START_CACHE) == 1
         run(seed=0, budget=2)
         assert structural_cache_stats()["start_misses"] == 3
+
+
+def child_stats() -> tuple[int, int]:
+    stats = structural_cache_stats()
+    return stats["child_misses"], stats["child_hits"]
+
+
+class TestSplitChildMemo:
+    """Every greedy round from the start samples its one token-split
+    site, so the scored split child is kept on the memoized start
+    (warm equals cold with it: ``TestStartStateMemo``)."""
+
+    def test_counter_rises_and_child_is_shared(self):
+        for seed in range(4):
+            run(seed=seed, budget=24)
+            assert child_stats() == (1, seed)
+        (start,) = experiments._START_CACHE.values()
+        (key,) = start.children
+        assert key == ("token-split", ())
+        child = start.children[key]
+        assert child.ir.split == 2 and child.trace[0].rule == "token-split"
+        assert child.children is None, "only the start memoizes children"
+
+    def test_every_use_counts_as_one_evaluation(self):
+        # Budget 4: the start, then one swap, one hoist and the split
+        # child, the last served cold and then warm.
+        for seed, expected in ((0, (1, 0)), (1, (1, 1))):
+            result = run(seed=seed, budget=4)
+            assert child_stats() == expected
+            assert result.evaluations == 4
+
+    @pytest.mark.parametrize("clear", [clear_structural_caches, experiments.clear_derived_caches])
+    def test_dropped_on_clear(self, clear):
+        run(seed=0, budget=24)
+        (start,) = experiments._START_CACHE.values()
+        assert start.children
+        clear()
+        assert not experiments._START_CACHE
+        run(seed=1, budget=24)
+        (fresh,) = experiments._START_CACHE.values()
+        assert fresh is not start and fresh.children
+        misses, hits = child_stats()
+        assert hits == 0
+        assert misses == (1 if clear is clear_structural_caches else 2)
+
+    def test_anneal_proposals_from_the_start_use_it(self):
+        # Seeds 5 and 6 both propose the token split from the start.
+        clear_structural_caches()
+        cold = run(strategy="anneal", seed=5, budget=24)
+        assert child_stats() == (1, 0)
+        clear_structural_caches()
+        run(strategy="anneal", seed=6, budget=24)
+        warm = run(strategy="anneal", seed=5, budget=24)
+        assert child_stats() == (1, 1)
+        assert outputs(warm) == outputs(cold)
+        assert warm.evaluations == cold.evaluations
 
 
 @pytest.fixture

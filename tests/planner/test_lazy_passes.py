@@ -6,8 +6,9 @@ refinement and memory accounting read those.  A cold ``plan()`` or
 ``run_method`` may build one microbatch-0 representative per stream
 (runtimes price passes per stream) and the passes of the m=1 probes the
 estimator prices — nothing for microbatches >= 1.  A warm ``optimize()``
-reads the generated schedule's passes, but the second one on a structure
-reuses those its first one built.
+builds no pass of the unrolled schedule either: the optimizer's programs
+are node ids of the compiled graph, and scoring a rewrite candidate
+(swap, hoist or token split) builds no ``Pass`` at all.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.api import PlanCache, PlannerConstraints, optimize, plan
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness import experiments
 from repro.harness.experiments import KNOWN_METHODS, clear_structural_caches, run_method
+from repro.optimize import HoistCollective, ScheduleIR, ScoreContext, SwapAdjacent, TokenSplit
 from repro.planner.estimate import clear_probe_cache
 from repro.scheduling.orders import OrderTable
 from repro.scheduling.passes import Pass
@@ -108,3 +110,29 @@ def test_second_warm_optimize_reuses_built_passes(built, monkeypatch):
         after is before
         for after, before in zip((table._passes for table in generated), built_before)
     )
+
+
+@pytest.mark.parametrize("rule", [SwapAdjacent, HoistCollective, TokenSplit])
+def test_scoring_rewrite_candidates_builds_no_pass(built, rule):
+    setup = SimulationSetup(MODEL, PARALLEL)
+    ctx = ScoreContext(setup)
+    start = ctx.score(
+        ScheduleIR.from_schedule(experiments.build_schedule("vocab-1", setup)), ()
+    )
+    rewrite = rule()
+    sites = rewrite.sites(start.ir, start.rewrite_ctx)
+    assert sites
+    # Applying may build the passes a trace entry names; scoring builds none.
+    programs = [rewrite.apply(start.ir, site) for site in sites[:8]]
+    built.clear()
+    scored = [ctx.score(ir, (step,)) for ir, step in programs]
+    assert all(candidate is not None for candidate in scored)
+    assert built == []
+    if rule is TokenSplit:
+        # The split program's own rewrites read its new graph, not passes.
+        split = scored[0]
+        swaps = SwapAdjacent().sites(split.ir, split.rewrite_ctx)
+        ir, step = SwapAdjacent().apply(split.ir, swaps[0])
+        built.clear()
+        assert ctx.score(ir, (step,)) is not None
+        assert built == []
