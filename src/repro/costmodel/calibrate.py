@@ -46,7 +46,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro._lazy import optional_numpy
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
+
+#: The ``numpy`` fit engine's array handle, imported on its first fit
+#: (see :mod:`repro._lazy`).
+_np = optional_numpy(globals(), "_np")
 
 #: Bumped whenever the estimator's feature extraction or the simulator's
 #: pricing semantics change: a profile fitted under another version is
@@ -699,13 +704,9 @@ def _resolve_engine(engine: str) -> str:
             f"unknown fit engine {engine!r}; expected 'auto', 'numpy' or 'python'"
         )
     if engine == "auto":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            return "python"
-        return "numpy"
-    if engine == "numpy":
-        import numpy  # noqa: F401  (raises if unavailable, as requested)
+        return "python" if _np is None else "numpy"
+    if engine == "numpy" and _np is None:
+        raise ImportError("the 'numpy' fit engine needs NumPy, which is not installed")
     return engine
 
 
@@ -720,10 +721,8 @@ def _scaled_rows_python(
 def _scaled_rows_numpy(
     vectors: list[tuple[float, ...]], targets: list[float]
 ) -> list[list[float]]:
-    import numpy as np
-
-    rows = np.asarray(vectors, dtype=np.float64) / np.asarray(
-        targets, dtype=np.float64
+    rows = _np.asarray(vectors, dtype=_np.float64) / _np.asarray(
+        targets, dtype=_np.float64
     ).reshape(-1, 1)
     # IEEE elementwise division is identical to the scalar path; every
     # *reduction* below goes through math.fsum either way, so the two

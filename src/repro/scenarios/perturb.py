@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:  # NumPy vectorizes factor generation; pure Python is bit-identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
-
+from repro._lazy import optional_numpy
 from repro.scenarios.cluster import ClusterScenario
 from repro.sim.compiled import CompiledGraph
+
+#: NumPy vectorizes factor generation; pure Python is bit-identical.
+#: Imported on the first jitter draw (see :mod:`repro._lazy`).
+_np = optional_numpy(globals(), "_np")
 
 #: SplitMix64 constants (Steele, Lea & Flood 2014).
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -44,15 +44,10 @@ import dataclasses
 import heapq
 from bisect import insort
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from itertools import accumulate, chain, count
 
-try:  # NumPy accelerates execute_many; the pure-Python path is exact too.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
-
-from dataclasses import dataclass
-
+from repro._lazy import is_ndarray, optional_numpy
 from repro.scheduling.orders import gather, microbatches_of, streams_of
 from repro.scheduling.passes import CollectiveKind, Pass, PassType
 from repro.scheduling.schedule import Schedule
@@ -64,8 +59,14 @@ from repro.sim.executor import (
     _live_f_caps,
 )
 
-#: Binding matrices used as given; other iterables are listed first.
-_MATRIX_TYPES = (list,) if _np is None else (list, _np.ndarray)
+#: NumPy accelerates execute_many; the pure-Python path is exact too.
+#: Imported on the first batched call (see :mod:`repro._lazy`).
+_np = optional_numpy(globals(), "_np")
+
+
+def _as_matrix(rows):
+    """Binding matrices (lists, NumPy arrays) as given; other iterables listed."""
+    return rows if isinstance(rows, list) or is_ndarray(rows) else list(rows)
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,25 @@ class ResultView(ExecutionResult):
         )
 
 
+class _ChainPlan:
+    """What a graph derives from its device chains, built on first use.
+
+    The topological order (device chains included) and the level plan
+    of the batched kernel depend only on the structure and the device
+    chains, which :meth:`CompiledGraph.rebind` keeps: a graph and all
+    its rebinds share one holder, so whichever builds an entry first
+    builds it for every other.  Graphs re-threaded by
+    :meth:`CompiledGraph._with_device_nodes` start a holder of their own.
+    """
+
+    __slots__ = ("chain_next", "topo", "batch")
+
+    def __init__(self) -> None:
+        self.chain_next: list[int] | None = None
+        self.topo: list[int] | None = None
+        self.batch: tuple | None = None
+
+
 class CompiledGraph:
     """A schedule's dependency DAG lowered to flat arrays.
 
@@ -267,20 +287,16 @@ class CompiledGraph:
         "succ_lag",
         "base_indeg",
         "device_nodes",
-        "_chain_next",
-        "_topo",
+        "_chains",
         "_inorder",
-        "_batch",
         "_pricing",
         "_levelstate",
     )
 
     def __init__(self) -> None:
         # Populated by compile_schedule / rebind / _with_device_nodes.
-        self._chain_next: list[int] | None = None
-        self._topo: list[int] | None = None
+        self._chains = _ChainPlan()
         self._inorder: ExecutionResult | None = None
-        self._batch: list | None = None
         self._pricing: _PricingPlan | None = None
         self._levelstate: LevelState | None = None
 
@@ -411,8 +427,10 @@ class CompiledGraph:
 
         The expensive lowering (node numbering, edge CSR, device
         streams) is reused; only the duration and lag arrays are
-        recomputed.  The cached topological order survives, so a
-        rebound graph replays at full speed immediately.
+        recomputed.  The topological order and the batched kernel's
+        level plan are shared with this graph (built by whichever graph
+        needs them first), so a rebound graph replays at full speed
+        immediately.
 
         ``schedule`` optionally re-attaches the clone (and therefore its
         execution results) to a structurally identical
@@ -430,9 +448,7 @@ class CompiledGraph:
             "succ_off", "succ_node", "base_indeg", "device_nodes",
         ):
             setattr(clone, name, getattr(self, name))
-        clone._chain_next = self._chain_next
-        clone._topo = self._topo
-        clone._batch = self._batch
+        clone._chains = self._chains
         clone._pricing = self._pricing
         clone._bind(runtime)
         return clone
@@ -472,8 +488,8 @@ class CompiledGraph:
         ):
             setattr(clone, name, getattr(self, name))
         clone.device_nodes = device_nodes
-        # Pricing is order-independent and can be shared; the batch
-        # plan depends on the device chains and must rebuild.
+        # Pricing is order-independent and can be shared; the chain plan
+        # (topological order, level plan) must rebuild.
         clone._pricing = self._pricing
         return clone
 
@@ -491,9 +507,10 @@ class CompiledGraph:
 
     def _topology(self) -> tuple[list[int], list[int]]:
         """Topological order including device chains; cached."""
-        if self._topo is None:
+        chains = self._chains
+        if chains.topo is None:
             self._ordered_sweep(self.durations, self.succ_lag)
-        return self._topo, self._chain_next
+        return chains.topo, chains.chain_next
 
     def _ordered_sweep(
         self, dur: list[float], lag: list[float]
@@ -544,8 +561,8 @@ class CompiledGraph:
                 f"schedule '{self.schedule.name}' deadlocked; "
                 f"{len(blocked)} nodes blocked, e.g. {blocked[:5]}"
             )
-        self._chain_next = chain_next
-        self._topo = topo
+        self._chains.chain_next = chain_next
+        self._chains.topo = topo
         return ready, end
 
     def _sweep(self, dur: list[float], lag: list[float]) -> tuple[list[float], list[float]]:
@@ -555,9 +572,10 @@ class CompiledGraph:
         predecessors precede it in topological order), so the ready
         array doubles as the start-time array.
         """
-        if self._topo is None:
+        chains = self._chains
+        if chains.topo is None:
             return self._ordered_sweep(dur, lag)
-        topo, chain_next = self._topo, self._chain_next
+        topo, chain_next = chains.topo, chains.chain_next
         off, nxt = self.succ_off, self.succ_node
         ready = [0.0] * self.num_nodes
         end = [0.0] * self.num_nodes
@@ -611,8 +629,8 @@ class CompiledGraph:
           bit-identical to the scalar sweep;
         * ``dst_unique`` — the distinct destinations, in permuted ids.
         """
-        if self._batch is not None:
-            return self._batch
+        if self._chains.batch is not None:
+            return self._chains.batch
         topo, chain_next = self._topology()
         off, nxt = self.succ_off, self.succ_node
         num_edges = len(nxt)
@@ -678,7 +696,7 @@ class CompiledGraph:
                 )
             )
             start = stop
-        self._batch = (
+        self._chains.batch = (
             _np.asarray(perm, dtype=_np.intp),
             _np.asarray(inverse, dtype=_np.intp),
             # Edges whose structural lag is always zero (non-P2P): the
@@ -691,7 +709,7 @@ class CompiledGraph:
             ),
             levels,
         )
-        return self._batch
+        return self._chains.batch
 
     def _execute_rows(self, durations, lags, collect_row, collect_batch):
         """Shared K-binding sweep behind :meth:`execute_many` and
@@ -705,10 +723,10 @@ class CompiledGraph:
         and returns the K results.  Both see exactly the values the
         corresponding single-binding :meth:`replay` would have produced.
         """
-        rows = durations if isinstance(durations, _MATRIX_TYPES) else list(durations)
+        rows = _as_matrix(durations)
         k_rows = len(rows)
         if lags is not None:
-            lag_rows = lags if isinstance(lags, _MATRIX_TYPES) else list(lags)
+            lag_rows = _as_matrix(lags)
             if len(lag_rows) != k_rows:
                 raise ValueError(
                     f"{k_rows} duration rows but {len(lag_rows)} lag rows"

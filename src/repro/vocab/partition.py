@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # The scalar sharding math (shard_size, bounds) is numpy-free;
-    # only the weight/label array helpers need numpy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised in numpy-less installs
-    np = None
+from repro._lazy import optional_numpy
+
+#: The scalar sharding math (shard_size, bounds) is NumPy-free; only the
+#: weight/label array helpers need NumPy, imported on their first call.
+np = optional_numpy(globals(), "np")
 
 
 def _require_numpy():

@@ -8,6 +8,7 @@ state) and bit-identical simulation metrics.
 
 import pytest
 
+import repro.sim.compiled as compiled
 from repro.api import PlanCache, RobustnessObjective, plan
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness import experiments
@@ -16,13 +17,14 @@ from repro.harness.experiments import (
     build_schedule,
     clear_derived_caches,
     clear_structural_caches,
+    compiled_graph_for,
     generate_method_schedule,
     run_method,
     run_method_bindings,
     structural_cache_stats,
 )
 from repro.scenarios import get_scenario
-from repro.sim import SimulationSetup
+from repro.sim import RuntimeModel, SimulationSetup
 
 MODEL = ModelConfig(
     num_layers=16,
@@ -107,6 +109,60 @@ class TestCompiledGraphCache:
         cold = run_method("vocab-2", MODEL, PARALLEL, setup=slower)
         assert warm.iteration_time == cold.iteration_time
         assert warm.per_device_peak_gb == cold.per_device_peak_gb
+
+
+class TestChainPlanSharing:
+    """A cached graph and its rebinds share the topological order and
+    the batched kernel's level plan, whichever graph builds them first."""
+
+    @pytest.fixture
+    def level_plan_builds(self, monkeypatch):
+        if compiled._np is None:
+            pytest.skip("the level plan is built only with numpy")
+        builds = []
+        build = compiled.CompiledGraph._batch_plan
+
+        def spy(graph):
+            if graph._chains.batch is None:
+                builds.append(graph)
+            return build(graph)
+
+        monkeypatch.setattr(compiled.CompiledGraph, "_batch_plan", spy)
+        return builds
+
+    def test_rebinds_see_a_plan_built_after_they_were_made(self, setup, level_plan_builds):
+        bound = self._bound("interlaced", setup)
+        compiled_graph_for(*bound)
+        first, second = compiled_graph_for(*bound), compiled_graph_for(*bound)
+        rows = [first.durations, first.durations]
+        assert first.execute_many(rows) and second.execute_many(rows)
+        assert len(level_plan_builds) == 1
+        assert first._chains is second._chains
+
+    def test_reordered_graphs_keep_their_own_chains(self, setup):
+        graph = compiled_graph_for(*self._bound("vocab-1", setup))
+        graph.replay()
+        reordered = graph._with_device_nodes(
+            [list(reversed(nodes)) for nodes in graph.device_nodes], graph.schedule
+        )
+        assert reordered._chains is not graph._chains
+        assert reordered._chains.topo is None
+
+    def test_second_robust_plan_builds_no_level_plan(self, level_plan_builds):
+        robust = {"scenario": "slow-node", "robustness": RobustnessObjective(seed=1)}
+        plan(MODEL, PARALLEL, cache=PlanCache(), **robust)
+        assert level_plan_builds
+        level_plan_builds.clear()
+        warm = plan(MODEL, PARALLEL, cache=PlanCache(), **robust)
+        assert level_plan_builds == []
+        clear_structural_caches()
+        cold = plan(MODEL, PARALLEL, cache=PlanCache(), **robust)
+        assert [c.robust_stats for c in warm.ranked] == [c.robust_stats for c in cold.ranked]
+
+    @staticmethod
+    def _bound(method, setup):
+        schedule = generate_method_schedule(method, setup)
+        return schedule, RuntimeModel(setup, schedule)
 
 
 class TestRunMethodBindings:
