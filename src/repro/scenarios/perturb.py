@@ -233,13 +233,16 @@ def _jittered(scenario, seed, start, samples, width, base, columns, sigma):
     """``samples`` copies of the row ``base``, ``columns`` multiplied by
     their factors; with NumPy, a transposed view of a ``width × samples``
     array."""
-    factors = _factor_matrix(scenario, seed, start, samples, width, columns, sigma)
     if _np is not None:
         base = _np.asarray(base, dtype=_np.float64)
-        block = _np.empty((width, samples))
-        block[:] = base[:, None]
-        block[columns] = base[columns][:, None] * factors.T
+        block = _factors_np(scenario, seed, start, samples, width, columns, sigma)
+        block *= base[columns][:, None]
+        if len(columns) < width:
+            drawn, block = block, _np.empty((width, samples))
+            block[:] = base[:, None]
+            block[columns] = drawn
         return block.T
+    factors = _factors_py(scenario, seed, start, samples, width, columns, sigma)
     rows = [list(base) for _ in range(samples)]
     for row, values in zip(rows, factors):
         for j, f in zip(columns, values):
@@ -263,9 +266,9 @@ def perturbed_rows(
     :func:`perturbation_factors` onto the base, but only the slots a
     factor can change are drawn: a zero-sigma factor is exactly 1.0 and
     ``0.0 × f`` is exactly ``0.0``, so a node with zero sigma or zero
-    duration, and every zero-lag edge, keeps its base value.  (Zero-lag
-    structural edges therefore stay exactly zero, and the batched
-    kernel's lag-free level skips remain valid.)  The counter-based
+    duration, and every zero-lag edge, keeps its base value.  (Edges
+    without a P2P transfer therefore stay exactly zero, and the batched
+    kernel adds only its compact block of P2P lags.)  The counter-based
     stream draws each remaining slot at its own position.
 
     With NumPy the matrices are transposed views of node-major
@@ -397,6 +400,24 @@ class RobustnessObjective:
         }
 
 
+def _mean_bubble_fractions(summaries) -> list[float]:
+    """Every summary's ``mean_bubble_fraction()``, computed as K-vectors.
+
+    Device by device, each sample's bubble fraction (``0.0`` when its
+    iteration time is not positive) is added to a running total from
+    ``0.0`` and the total divided by the device count: per sample, the
+    scalar method's IEEE operations in its order.
+    """
+    iteration = _np.array([s.iteration_time for s in summaries])
+    busy = _np.array([s.device_busy for s in summaries])
+    idle = iteration <= 0
+    total = _np.zeros(len(summaries))
+    with _np.errstate(divide="ignore", invalid="ignore"):
+        for device_busy in busy.T:
+            total += _np.where(idle, 0.0, 1.0 - device_busy / iteration)
+    return (total / busy.shape[1]).tolist()
+
+
 def robustness_stats(
     graph: CompiledGraph,
     scenario: ClusterScenario,
@@ -407,10 +428,11 @@ def robustness_stats(
 
     One :meth:`~repro.sim.compiled.CompiledGraph.execute_many_summary`
     call prices all ``samples`` jitter draws; statistics are computed
-    in pure Python from the resulting iteration times so they are
-    identical whichever kernel backend ran the sweep.  A jitter-free
-    scenario degenerates to the nominal execution (every quantile
-    equals ``nominal_time`` exactly).
+    in pure Python from the resulting iteration times (the bubble
+    fractions as NumPy K-vectors, with the scalar operations in the
+    scalar order) so they are identical whichever kernel backend ran
+    the sweep.  A jitter-free scenario degenerates to the nominal
+    execution (every quantile equals ``nominal_time`` exactly).
     """
     nominal = graph.execute()
     nominal_time = nominal.iteration_time
@@ -432,7 +454,10 @@ def robustness_stats(
     durations, lags = perturbed_rows(graph, scenario, samples, seed)
     summaries = graph.execute_many_summary(durations, lags)
     times = sorted(s.iteration_time for s in summaries)
-    bubbles = sorted(s.mean_bubble_fraction() for s in summaries)
+    if _np is not None:
+        bubbles = sorted(_mean_bubble_fractions(summaries))
+    else:
+        bubbles = sorted(s.mean_bubble_fraction() for s in summaries)
     mean = sum(times) / len(times)
     variance = sum((t - mean) ** 2 for t in times) / len(times)
     return RobustnessStats(

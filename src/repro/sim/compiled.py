@@ -239,20 +239,20 @@ class ResultView(ExecutionResult):
 class _ChainPlan:
     """What a graph derives from its device chains, built on first use.
 
-    The topological order (device chains included) and the level plan
-    of the batched kernel depend only on the structure and the device
-    chains, which :meth:`CompiledGraph.rebind` keeps: a graph and all
-    its rebinds share one holder, so whichever builds an entry first
+    The topological order (device chains included) and the batched
+    kernel's :class:`_LevelPlan` depend only on the structure and the
+    device chains, which :meth:`CompiledGraph.rebind` keeps: a graph and
+    all its rebinds share one holder, so whichever builds an entry first
     builds it for every other.  Graphs re-threaded by
     :meth:`CompiledGraph._with_device_nodes` start a holder of their own.
     """
 
-    __slots__ = ("chain_next", "topo", "batch")
+    __slots__ = ("chain_next", "topo", "level_plan")
 
     def __init__(self) -> None:
         self.chain_next: list[int] | None = None
         self.topo: list[int] | None = None
-        self.batch: tuple | None = None
+        self.level_plan: _LevelPlan | None = None
 
 
 class CompiledGraph:
@@ -604,112 +604,13 @@ class CompiledGraph:
         self._inorder = result
         return result
 
-    def _batch_plan(self) -> tuple:
-        """Level-parallel relaxation plan for the vectorized kernel.
-
-        The topological order is grouped into *depth levels* (every
-        edge, including the implicit device-chain edges, crosses from a
-        lower to a strictly higher level), so all K bindings of a whole
-        level relax in a handful of NumPy calls instead of per-node
-        Python steps.  Nodes are renumbered level-contiguously (the
-        ``perm`` / ``inverse`` arrays translate), which turns the
-        per-level gathers into slices.  Per level the plan precomputes:
-
-        * the ``(start, stop)`` slice of the level in permuted space;
-        * ``src_pos`` — for each outgoing edge, the source's position
-          within the level slice (``None`` when that's the identity);
-        * ``edge_idx`` — the lag column of each edge (chain edges map
-          to a sentinel zero-lag column ``num_edges``), or ``None``
-          when every edge of the level is lag-free;
-        * ``seg_starts`` — the edges sorted by destination and
-          segmented, so ``np.maximum.reduceat`` collapses barrier
-          fan-in (several edges, one destination) to a per-destination
-          max before the scatter (``None`` when destinations are
-          already unique) — max-relaxations commute, keeping results
-          bit-identical to the scalar sweep;
-        * ``dst_unique`` — the distinct destinations, in permuted ids.
-        """
-        if self._chains.batch is not None:
-            return self._chains.batch
-        topo, chain_next = self._topology()
-        off, nxt = self.succ_off, self.succ_node
-        num_edges = len(nxt)
-        level = [0] * self.num_nodes
-        for i in topo:
-            nxt_level = level[i] + 1
-            for k in range(off[i], off[i + 1]):
-                j = nxt[k]
-                if nxt_level > level[j]:
-                    level[j] = nxt_level
-            j = chain_next[i] if i < self.num_passes else -1
-            if j >= 0 and nxt_level > level[j]:
-                level[j] = nxt_level
-        buckets: dict[int, list[int]] = {}
-        for i in topo:
-            buckets.setdefault(level[i], []).append(i)
-        perm: list[int] = []
-        for depth in sorted(buckets):
-            perm.extend(buckets[depth])
-        inverse = [0] * self.num_nodes
-        for position, node in enumerate(perm):
-            inverse[node] = position
-        levels: list[tuple] = []
-        start = 0
-        lag_free = [pair == 0 for pair in self._pricing.edge_value_idx]
-        for depth in sorted(buckets):
-            nodes = buckets[depth]
-            stop = start + len(nodes)
-            edges: list[tuple[int, int, int]] = []  # (dst_perm, edge_idx, src_pos)
-            for q, node in enumerate(nodes):
-                for k in range(off[node], off[node + 1]):
-                    edges.append((inverse[nxt[k]], k, q))
-                j = chain_next[node] if node < self.num_passes else -1
-                if j >= 0:
-                    edges.append((inverse[j], num_edges, q))
-            edges.sort(key=lambda e: e[0])
-            src_pos = [e[2] for e in edges]
-            seg_starts = [
-                k for k, edge in enumerate(edges)
-                if k == 0 or edge[0] != edges[k - 1][0]
-            ]
-            structurally_lag_free = all(
-                e[1] == num_edges or lag_free[e[1]] for e in edges
-            )
-            levels.append(
-                (
-                    start,
-                    stop,
-                    None
-                    if (
-                        len(edges) == stop - start
-                        and src_pos == list(range(len(edges)))
-                    )
-                    else _np.asarray(src_pos, dtype=_np.intp),
-                    _np.asarray([e[1] for e in edges], dtype=_np.intp)
-                    if edges else _np.asarray([], dtype=_np.intp),
-                    structurally_lag_free,
-                    None if len(seg_starts) == len(edges)
-                    else _np.asarray(seg_starts, dtype=_np.intp),
-                    _np.asarray(
-                        [edges[k][0] for k in seg_starts], dtype=_np.intp
-                    ),
-                )
-            )
-            start = stop
-        self._chains.batch = (
-            _np.asarray(perm, dtype=_np.intp),
-            _np.asarray(inverse, dtype=_np.intp),
-            # Edges whose structural lag is always zero (non-P2P): the
-            # lag-free level skip is only valid when the bound lag rows
-            # are actually zero there (binding_rows always is; explicit
-            # caller lags are checked per execute_many call).
-            _np.asarray(
-                [k for k, free in enumerate(lag_free) if free],
-                dtype=_np.intp,
-            ),
-            levels,
-        )
-        return self._chains.batch
+    def _level_plan(self) -> _LevelPlan:
+        """The batched kernel's level plan (see :class:`_LevelPlan`);
+        built on first use and shared through the chain holder."""
+        chains = self._chains
+        if chains.level_plan is None:
+            chains.level_plan = _LevelPlan(self)
+        return chains.level_plan
 
     def _execute_rows(self, durations, lags, collect_row, collect_batch):
         """Shared K-binding sweep behind :meth:`execute_many` and
@@ -717,11 +618,12 @@ class CompiledGraph:
 
         ``collect_row(start, end)`` consumes one scalar-path sweep
         (plain lists in node-id space) and returns one result;
-        ``collect_batch(start, end, position)`` consumes the whole
-        batched sweep — ``(nodes, K)`` NumPy arrays in the level plan's
-        permuted node order, ``position[i]`` being node ``i``'s row —
-        and returns the K results.  Both see exactly the values the
-        corresponding single-binding :meth:`replay` would have produced.
+        ``collect_batch(start, end, plan)`` consumes the whole batched
+        sweep — ``(nodes, K)`` NumPy arrays in the :class:`_LevelPlan`'s
+        level-major node order (``plan.position[i]`` is node ``i``'s
+        row) — and returns the K results.  Both see exactly the values
+        the corresponding single-binding :meth:`replay` would have
+        produced.
         """
         rows = _as_matrix(durations)
         k_rows = len(rows)
@@ -758,45 +660,45 @@ class CompiledGraph:
             raise ValueError(
                 f"durations must be K×{self.num_nodes}, got {dur.shape}"
             )
-        dur = _np.ascontiguousarray(dur.T)  # (nodes, K): level rows contiguous
-        # One extra all-zero row holds the device-chain edges' lag.
-        lag_cols = _np.zeros((num_edges + 1, k_rows), dtype=_np.float64)
         if lags is None:
-            lag_cols[:num_edges, :] = _np.asarray(
-                self.succ_lag, dtype=_np.float64
-            )[:, None]
+            # One column, broadcast over the K bindings.
+            edge_lags = _np.asarray(self.succ_lag, dtype=_np.float64)[:, None]
         else:
-            lag_block = _np.asarray(lag_rows, dtype=_np.float64)
-            if lag_block.shape != (k_rows, num_edges):
+            edge_lags = _np.asarray(lag_rows, dtype=_np.float64)
+            if edge_lags.shape != (k_rows, num_edges):
                 raise ValueError(
-                    f"lags must be K×{num_edges}, got {lag_block.shape}"
+                    f"lags must be K×{num_edges}, got {edge_lags.shape}"
                 )
-            lag_cols[:num_edges, :] = lag_block.T
-        perm, inverse_perm, structural_zero_edges, levels = self._batch_plan()
-        # Zero-lag level skips are structural; verify the bound lags
-        # honour them (binding_rows/binding_matrix always do — only
-        # hand-built lag matrices can put weight on a non-P2P edge).
-        lag_skip_valid = (
-            structural_zero_edges.size == 0
-            or not lag_cols[structural_zero_edges].any()
-        )
-        dur = dur[perm]
+            edge_lags = edge_lags.T  # (edges, K); perturbed_rows' own block, uncopied
+        plan = self._level_plan()
+        # Only P2P edges carry a lag in a priced binding (binding_rows
+        # and perturbed_rows keep every other edge exactly zero), so the
+        # sweep adds a compact block of their rows.  A hand-built matrix
+        # with weight on any other edge is swept over all edges' rows.
+        weighted = edge_lags.any(axis=1)
+        every_edge = bool(weighted[plan.zero_edges].any())
+        lag_block = None
+        if weighted.any():
+            lagged = edge_lags if every_edge else edge_lags[plan.p2p_edges]
+            # The lagged rows, then the zero row padding and chain edges read.
+            lag_block = _np.concatenate((lagged, _np.zeros((1, lagged.shape[1]))))
+        dur = _np.take(dur.T, plan.perm, axis=0)  # (nodes, K), level-major
         ready = _np.zeros((self.num_nodes, k_rows), dtype=_np.float64)
-        end = _np.empty((self.num_nodes, k_rows), dtype=_np.float64)
-        maximum = _np.maximum
-        reduceat = _np.maximum.reduceat
-        for start, stop, src_pos, edge_idx, lag_free, seg_starts, dst_unique in levels:
-            finished = ready[start:stop] + dur[start:stop]
-            end[start:stop] = finished
-            if edge_idx.size == 0:
-                continue
-            candidate = finished if src_pos is None else finished[src_pos]
-            if not (lag_free and lag_skip_valid):
-                candidate = candidate + lag_cols[edge_idx]
-            if seg_starts is not None:
-                candidate = reduceat(candidate, seg_starts, axis=0)
-            ready[dst_unique] = maximum(ready[dst_unique], candidate)
-        return collect_batch(ready, end, inverse_perm)
+        # end's extra last row is the zero every padding index reads.
+        end = _np.empty((self.num_nodes + 1, k_rows), dtype=_np.float64)
+        end[-1] = 0.0
+        add, maximum = _np.add, _np.maximum.reduce
+        for start, stop, src, p2p_idx, edge_idx in plan.levels:
+            if src is not None:
+                # (level nodes, fan-in, K): each predecessor's end ...
+                candidate = end[src]
+                lag_idx = edge_idx if every_edge else p2p_idx
+                if lag_block is not None and lag_idx is not None:
+                    candidate += lag_block[lag_idx]  # ... plus its edge's lag
+                # ready = max(0.0, every candidate), as the scalar sweep.
+                maximum(candidate, axis=1, initial=0.0, out=ready[start:stop])
+            add(ready[start:stop], dur[start:stop], out=end[start:stop])
+        return collect_batch(ready, end[:-1], plan)
 
     def execute_many(
         self,
@@ -811,13 +713,14 @@ class CompiledGraph:
         K×num_edges matrix of per-edge transfer lags; when omitted,
         every binding reuses this graph's currently bound lags.
 
-        With NumPy available the longest-path relaxation runs once over
-        the shared precomputed topological order with all K bindings
-        relaxed per vectorized step; otherwise a pure-Python loop sweeps
-        each row.  Both paths are bit-identical to calling
-        :meth:`replay` per binding — max-relaxations commute and the
-        per-element float operations are the same IEEE ops in the same
-        order.
+        With NumPy available all K bindings sweep together, one depth
+        level of the graph's :class:`_LevelPlan` at a time: each node's
+        ready time is pulled as the max of ``0.0`` and its predecessors'
+        ``end + lag``, four NumPy calls per level (gather, lag add, max,
+        add).  Otherwise a pure-Python loop sweeps each row.  Both paths
+        are bit-identical to calling :meth:`replay` per binding — max is
+        exact and order-free, and every other float operation is the
+        scalar sweep's IEEE op on the same operands.
         """
         return self._execute_rows(
             durations, lags, self._collect, self._collect_batch
@@ -850,34 +753,36 @@ class CompiledGraph:
             device_busy=tuple(_stream_busy(self.device_nodes, start, end)),
         )
 
-    def _summarize_batch(self, start, end, position) -> list[ExecutionSummary]:
+    def _summarize_batch(self, start, end, plan) -> list[ExecutionSummary]:
         """:meth:`_summarize` for all K columns of the batched sweep.
 
         The iteration time is ``max(end) − min(start)`` per column (exact
-        whatever the reduction order).  Busy time adds each pass's
-        ``end − start`` as a K-vector in stream order from ``0.0`` — per
-        column, the scalar loop's IEEE adds in the scalar loop's order.
+        whatever the reduction order).  Busy time adds each device's
+        ``end − start`` rows in stream order from ``0.0``, in one
+        reduction over its ``(passes, K)`` block: along a non-contiguous
+        axis NumPy adds row after row (its pairwise summation runs only
+        along a contiguous one, and K ≥ 2 here), so each column gets the
+        scalar loop's IEEE adds in the scalar loop's order.
         """
         iteration = (end.max(axis=0) - start.min(axis=0)).tolist()
         span = end - start
-        busy = []
-        for nodes in self.device_nodes:
-            total = _np.zeros(span.shape[1])
-            for row in span[position[nodes]]:
-                total += row
-            busy.append(total.tolist())
+        reduce = _np.add.reduce
+        busy = [
+            reduce(span[rows], axis=0, initial=0.0).tolist()
+            for rows in plan.device_rows
+        ]
         return [
             ExecutionSummary(iteration_time=t, device_busy=b)
             for t, b in zip(iteration, zip(*busy))
         ]
 
-    def _collect_batch(self, start, end, position) -> list[ExecutionResult]:
+    def _collect_batch(self, start, end, plan) -> list[ExecutionResult]:
         """:meth:`_collect` for all K columns of the batched sweep: one
         gather back to node-id space, then one view per binding over
         that binding's row.  The iteration times are reduced in NumPy;
         ``max``/``min`` are exact, so they equal the scalar reductions."""
-        start = _np.ascontiguousarray(start[position].T)
-        end = _np.ascontiguousarray(end[position].T)
+        start = _np.ascontiguousarray(start[plan.position].T)
+        end = _np.ascontiguousarray(end[plan.position].T)
         iteration = (end.max(axis=1) - start.min(axis=1)).tolist()
         return [
             ResultView(self, s, e, t)
@@ -1540,6 +1445,132 @@ def compile_schedule(schedule: Schedule, runtime) -> CompiledGraph:
     )
     graph._bind(runtime)
     return graph
+
+
+class _LevelPlan:
+    """The batched kernel's pull-form sweep plan for one set of chains.
+
+    The topological order is grouped into *depth levels*: every edge,
+    the implicit device-chain edges included, runs from a lower level to
+    a strictly higher one, so a level's nodes depend only on earlier
+    levels and all K bindings of a whole level are swept together.
+    Nodes are renumbered level-contiguously, which makes each level a
+    row slice of the kernel's ``(nodes, K)`` arrays.  A node's ready
+    time is *pulled*: the max over its predecessors of ``end + lag``.
+    Each level pads its predecessor lists to its largest fan-in, the
+    padding pointing at an all-zero row (row ``num_nodes`` of the
+    kernel's ``end``, the last row of its lag block), so a level costs
+    one gather, an optional lag add, one ``max`` and one ``add``.
+
+    * ``perm`` / ``position`` — the level-major node order and its
+      inverse (``position[i]`` is node ``i``'s row);
+    * ``levels`` — per level ``(start, stop, src, p2p_idx, edge_idx)``:
+      the row slice; ``src``, a ``(nodes, fan-in)`` array of predecessor
+      rows (``None`` for the sources at level 0); ``p2p_idx``, each
+      entry's row in the compact block of P2P lags (``None`` when no
+      entry crosses a P2P edge); ``edge_idx``, each entry's row over
+      all edges, read only when a caller's lags weigh a non-P2P edge
+      (``None`` when the level's entries are all chain edges or
+      padding).  Chain edges and padding index the block's zero row;
+    * ``p2p_edges`` / ``zero_edges`` — the edges a priced binding can
+      give a lag (those with a P2P pair) and the rest;
+    * ``device_rows`` — each device's pass rows in stream order, for
+      the per-device busy sums.
+
+    Max is exact and order-free, and ``0.0`` starts every reduction as
+    ``ready = 0.0`` starts the scalar sweep, so the batched sweep is bit
+    for bit the scalar :meth:`CompiledGraph._sweep`, negative lags
+    included.
+    """
+
+    __slots__ = ("perm", "position", "levels", "p2p_edges", "zero_edges", "device_rows")
+
+    def __init__(self, graph: CompiledGraph) -> None:
+        topo, chain_next = graph._topology()
+        num_nodes = graph.num_nodes
+        off, nxt = graph.succ_off, graph.succ_node
+        num_edges = len(nxt)
+        # Predecessors as (node, edge); edge -1 is a device-chain edge.
+        preds: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+        level = [0] * num_nodes
+        for i in topo:
+            depth = level[i] + 1
+            for k in range(off[i], off[i + 1]):
+                j = nxt[k]
+                preds[j].append((i, k))
+                if depth > level[j]:
+                    level[j] = depth
+            j = chain_next[i]
+            if j >= 0:
+                preds[j].append((i, -1))
+                if depth > level[j]:
+                    level[j] = depth
+        buckets: dict[int, list[int]] = {}
+        for i in topo:
+            buckets.setdefault(level[i], []).append(i)
+        perm = list(chain.from_iterable(buckets[d] for d in sorted(buckets)))
+        position = [0] * num_nodes
+        for row, node in enumerate(perm):
+            position[node] = row
+        edge_pair = graph._pricing.edge_value_idx
+        p2p_edges = [k for k in range(num_edges) if edge_pair[k]]
+        zero_edges = [k for k in range(num_edges) if not edge_pair[k]]
+        p2p_row = [-1] * num_edges
+        for row, k in enumerate(p2p_edges):
+            p2p_row[k] = row
+        p2p_zero = len(p2p_edges)
+        # Flat index lists; each level's arrays are reshaped slices.
+        src: list[int] = []
+        p2p_idx: list[int] = []
+        edge_idx: list[int] = []
+        shapes = []
+        for depth in sorted(buckets):
+            nodes = buckets[depth]
+            fan_in = max(len(preds[i]) for i in nodes)
+            has_p2p = has_edge = False
+            for i in nodes:
+                pad = fan_in - len(preds[i])
+                for node, k in preds[i]:
+                    src.append(position[node])
+                    if k < 0:
+                        p2p_idx.append(p2p_zero)
+                        edge_idx.append(num_edges)
+                    else:
+                        has_edge = True
+                        row = p2p_row[k]
+                        has_p2p |= row >= 0
+                        p2p_idx.append(row if row >= 0 else p2p_zero)
+                        edge_idx.append(k)
+                src += [num_nodes] * pad
+                p2p_idx += [p2p_zero] * pad
+                edge_idx += [num_edges] * pad
+            shapes.append((len(nodes), fan_in, has_p2p, has_edge))
+        arrays = [_np.asarray(a, dtype=_np.intp) for a in (src, p2p_idx, edge_idx)]
+        levels = []
+        first = cursor = 0
+        for count, fan_in, has_p2p, has_edge in shapes:
+            size = count * fan_in
+            src_a, p2p_a, edge_a = (
+                a[cursor:cursor + size].reshape(count, fan_in) for a in arrays
+            )
+            levels.append((
+                first,
+                first + count,
+                src_a if fan_in else None,
+                p2p_a if has_p2p else None,
+                edge_a if has_edge else None,
+            ))
+            first += count
+            cursor += size
+        self.perm = _np.asarray(perm, dtype=_np.intp)
+        self.position = _np.asarray(position, dtype=_np.intp)
+        self.levels = levels
+        self.p2p_edges = _np.asarray(p2p_edges, dtype=_np.intp)
+        self.zero_edges = _np.asarray(zero_edges, dtype=_np.intp)
+        self.device_rows = [
+            _np.asarray([position[i] for i in nodes], dtype=_np.intp)
+            for nodes in graph.device_nodes
+        ]
 
 
 class _PricingPlan:

@@ -120,14 +120,13 @@ class TestChainPlanSharing:
         if compiled._np is None:
             pytest.skip("the level plan is built only with numpy")
         builds = []
-        build = compiled.CompiledGraph._batch_plan
+        build = compiled._LevelPlan.__init__
 
-        def spy(graph):
-            if graph._chains.batch is None:
-                builds.append(graph)
-            return build(graph)
+        def spy(plan, graph):
+            builds.append(graph)
+            build(plan, graph)
 
-        monkeypatch.setattr(compiled.CompiledGraph, "_batch_plan", spy)
+        monkeypatch.setattr(compiled._LevelPlan, "__init__", spy)
         return builds
 
     def test_rebinds_see_a_plan_built_after_they_were_made(self, setup, level_plan_builds):

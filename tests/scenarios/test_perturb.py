@@ -159,6 +159,34 @@ class TestPurePythonParity:
         assert batched == fallback
         assert len(batched) == samples
 
+    def test_every_column_drawn_parity(self, monkeypatch):
+        """Every node jitters (all durations positive, every sigma
+        non-zero): the NumPy path scales the factor block in place and
+        fills in no base value."""
+        graph = tiny_graph()
+        assert min(graph.durations) > 0.0
+        assert all(perturb._node_sigma(graph, JITTERY))
+        with_numpy = perturbed_rows(graph, JITTERY, samples=5, seed=2)
+        monkeypatch.setattr(perturb, "_np", None)
+        without_numpy = perturbed_rows(graph, JITTERY, samples=5, seed=2)
+        assert as_rows(with_numpy[0]) == as_rows(without_numpy[0])
+        assert as_rows(with_numpy[1]) == as_rows(without_numpy[1])
+
+    def test_bubble_vectors_match_scalar(self):
+        """The K-vector bubble statistic equals each summary's
+        mean_bubble_fraction(), a non-positive iteration time included."""
+        if perturb._np is None:
+            pytest.skip("the K-vector path runs only with numpy")
+        graph = tiny_graph("vhalf-vocab-1")
+        durations, lags = perturbed_rows(graph, JITTERY, samples=9, seed=5)
+        summaries = graph.execute_many_summary(durations, lags)
+        summaries.append(
+            compiled.ExecutionSummary(iteration_time=0.0, device_busy=(0.0,) * 4)
+        )
+        assert perturb._mean_bubble_fractions(summaries) == [
+            s.mean_bubble_fraction() for s in summaries
+        ]
+
 
 def _splitmix_uniform(seed: int, counter: int) -> float:
     """The uniform at ``counter`` of the stream, straight from the

@@ -30,7 +30,9 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
   "reference" side executes the perturbed bindings one at a time, the
   "compiled" side is one batched
   :meth:`~repro.sim.compiled.CompiledGraph.execute_many_summary` pass
-  over the same matrices;
+  over the same matrices; ``stats_s`` records one end-to-end
+  :func:`~repro.scenarios.perturb.robustness_stats` call (jitter
+  draws, the batched sweep and the statistics; not gated);
 * ``incremental_whatif_*`` — one single-device what-if (the last
   device 1.25× slower): the "reference" side is the reference engine
   fully re-relaxing the perturbed binding from scratch, the "compiled"
@@ -376,7 +378,7 @@ def measure_class(
         # same perturbed duration/lag matrices one binding at a time
         # (the natural pre-batch Monte Carlo loop); the compiled side
         # is one execute_many_summary pass.
-        from repro.scenarios import get_scenario, perturbed_rows
+        from repro.scenarios import get_scenario, perturbed_rows, robustness_stats
 
         scenario = get_scenario(MC_SCENARIO)
         scenario_setup = scenario.setup_for(setup)
@@ -402,6 +404,12 @@ def measure_class(
             best_of(batched_robustness, rounds),
             samples=MC_SAMPLES,
             scenario=MC_SCENARIO,
+            stats_s=best_of(
+                lambda: robustness_stats(
+                    scenario_graph, scenario, MC_SAMPLES, seed=0
+                ),
+                rounds,
+            ),
         )
 
         # What-if: one single-device perturbation (the last device 1.25x
