@@ -12,8 +12,11 @@ Programmatic entry points:
   blocks (CLI), :class:`ServiceThread` hosts it on a thread (tests,
   benchmarks, the load generator);
 * :class:`PlanRequest` / :class:`SweepRequest` /
-  :class:`ScenarioRequest` / :class:`WhatifRequest` — validated
-  request bodies, each normalizing to a cache digest;
+  :class:`ScenarioRequest` / :class:`WhatifRequest` /
+  :class:`OptimizeRequest` — validated request bodies, each
+  normalizing to a cache digest;
+* :data:`OPERATIONS` — the operation table: each ``POST /v1/*``
+  route's request class, worker body, renderer and disk tier;
 * :class:`~repro.service.lru.LRUPlanTier` — the bounded in-process hot
   tier;
 * :class:`~repro.service.resilience.AdmissionController` /
@@ -35,6 +38,8 @@ from repro.service.app import (
 from repro.service.lru import LRUPlanTier
 from repro.service.requests import (
     MAX_SWEEP_POINTS,
+    OPERATIONS,
+    OptimizeRequest,
     PlanRequest,
     RequestError,
     ScenarioRequest,
@@ -60,6 +65,8 @@ __all__ = [
     "CircuitBreaker",
     "LRUPlanTier",
     "MAX_SWEEP_POINTS",
+    "OPERATIONS",
+    "OptimizeRequest",
     "PlanRequest",
     "PlanningService",
     "RequestError",

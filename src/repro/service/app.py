@@ -59,22 +59,7 @@ from repro.planner.sweep import (
     shutdown_pools,
 )
 from repro.service.lru import LRUPlanTier
-from repro.service.requests import (
-    OptimizeRequest,
-    PlanRequest,
-    RequestError,
-    ScenarioRequest,
-    SweepRequest,
-    WhatifRequest,
-    execute_optimize_request,
-    execute_plan_request,
-    execute_scenario_request,
-    execute_sweep_request,
-    execute_whatif_request,
-    plans_to_json,
-    pop_deadline,
-    sweep_to_json,
-)
+from repro.service.requests import OPERATIONS, RequestError, pop_deadline
 from repro.service.resilience import AdmissionController, CircuitBreaker, Shed
 
 logger = logging.getLogger(__name__)
@@ -114,24 +99,15 @@ class Route:
     description: str
 
 
-#: The service's full route table, in documentation order.  ``tools/
+#: The service's full route table, in documentation order; the
+#: ``POST /v1/*`` routes are the operation table's.  ``tools/
 #: check_docs_links.py`` verifies ``docs/service.md`` against this.
 ROUTES: tuple[Route, ...] = (
     Route("GET", "/healthz", "liveness/readiness probe"),
     Route("GET", "/stats", "cache, coalescing and executor counters"),
-    Route("POST", "/v1/plan", "rank schedule families for one configuration"),
-    Route("POST", "/v1/sweep", "plan a grid of configurations"),
-    Route(
-        "POST", "/v1/scenarios",
-        "Monte Carlo robustness under a cluster scenario",
-    ),
-    Route(
-        "POST", "/v1/whatif",
-        "price a single-device slowdown on a resident compiled graph",
-    ),
-    Route(
-        "POST", "/v1/optimize",
-        "rewrite-based search for a schedule beating the named families",
+    *(
+        Route("POST", path, operation.description)
+        for path, operation in OPERATIONS.items()
     ),
     Route("POST", "/shutdown", "graceful shutdown (drains in-flight work)"),
 )
@@ -228,9 +204,11 @@ class PlanningService:
             raise ValueError(
                 f"executor must be 'process' or 'thread', got {executor!r}"
             )
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
+        # Checked here, not per request: a NaN default would otherwise
+        # answer every body without deadline_ms with a 400.
+        if default_deadline_ms is not None and not 0 < default_deadline_ms < math.inf:
             raise ValueError(
-                "default_deadline_ms must be > 0, "
+                "default_deadline_ms must be a positive finite number, "
                 f"got {default_deadline_ms}"
             )
         self.host = host
@@ -400,91 +378,25 @@ class PlanningService:
 
     # -- endpoint handlers ----------------------------------------------
 
-    async def _post_plan(self, payload, tenant: str = "") -> dict:
+    async def _post(self, path: str, payload, tenant: str = "") -> dict:
+        """One ``POST /v1/*`` body, through the operation ``path`` names:
+        validate, digest, resolve through the tiers, wrap the result."""
         started = time.monotonic()
-        request = PlanRequest.from_payload(payload)
-        key = request.digest()
-        tier, plans = await self._resolve(
-            key,
-            functools.partial(
-                execute_plan_request, request, self.cache_dir,
-                self.max_cache_entries,
-            ),
-            disk=True,
-            klass="/v1/plan",
-            tenant=tenant,
-        )
-        return envelope(
-            plans_to_json(plans), digest=key, cache=tier, started=started
-        )
-
-    async def _post_sweep(self, payload, tenant: str = "") -> dict:
-        started = time.monotonic()
-        request = SweepRequest.from_payload(payload)
-        key = request.digest()
-        # No whole-request disk tier: the per-point plans inside the
-        # worker hit the disk-backed PlanCache individually.
-        tier, outcomes = await self._resolve(
-            key,
-            functools.partial(
-                execute_sweep_request, request, self.cache_dir,
-                self.max_cache_entries,
-            ),
-            disk=False,
-            klass="/v1/sweep",
-            tenant=tenant,
-        )
-        return envelope(
-            sweep_to_json(outcomes), digest=key, cache=tier, started=started
-        )
-
-    async def _post_scenarios(self, payload, tenant: str = "") -> dict:
-        started = time.monotonic()
-        request = ScenarioRequest.from_payload(payload)
+        operation = OPERATIONS[path]
+        request = operation.request.from_payload(payload)
         key = request.digest()
         tier, result = await self._resolve(
             key,
-            functools.partial(execute_scenario_request, request),
-            disk=False,
-            klass="/v1/scenarios",
-            tenant=tenant,
-        )
-        return envelope(result, digest=key, cache=tier, started=started)
-
-    async def _post_whatif(self, payload, tenant: str = "") -> dict:
-        started = time.monotonic()
-        request = WhatifRequest.from_payload(payload)
-        key = request.digest()
-        # Same tiering as /v1/plan: the worker stores the rendered
-        # payload under the same digest, so the disk probe can hit.
-        tier, result = await self._resolve(
-            key,
             functools.partial(
-                execute_whatif_request, request, self.cache_dir,
+                operation.execute, request, self.cache_dir,
                 self.max_cache_entries,
             ),
-            disk=True,
-            klass="/v1/whatif",
+            disk=operation.disk,
+            klass=path,
             tenant=tenant,
         )
-        return envelope(result, digest=key, cache=tier, started=started)
-
-    async def _post_optimize(self, payload, tenant: str = "") -> dict:
-        started = time.monotonic()
-        request = OptimizeRequest.from_payload(payload)
-        key = request.digest()
-        # Same tiering as /v1/whatif: the worker stores the rendered
-        # payload under the same digest, so the disk probe can hit.
-        tier, result = await self._resolve(
-            key,
-            functools.partial(
-                execute_optimize_request, request, self.cache_dir,
-                self.max_cache_entries,
-            ),
-            disk=True,
-            klass="/v1/optimize",
-            tenant=tenant,
-        )
+        if operation.render is not None:
+            result = operation.render(result)
         return envelope(result, digest=key, cache=tier, started=started)
 
     def _healthz_payload(self) -> dict:
@@ -602,16 +514,9 @@ class PlanningService:
                 f"request body is not valid JSON: {error}",
                 hint="send a JSON object with the endpoint's fields",
             ), {}
-        handler = {
-            "/v1/plan": self._post_plan,
-            "/v1/sweep": self._post_sweep,
-            "/v1/scenarios": self._post_scenarios,
-            "/v1/whatif": self._post_whatif,
-            "/v1/optimize": self._post_optimize,
-        }[path]
         try:
             deadline_s = pop_deadline(payload, self.default_deadline_ms)
-            work = handler(payload, tenant)
+            work = self._post(path, payload, tenant)
             if deadline_s is not None:
                 result = await asyncio.wait_for(work, deadline_s)
             else:

@@ -34,6 +34,8 @@ they run the same library calls as the CLI (:func:`repro.api.plan`,
 :func:`~repro.planner.sweep.plan_points`, :func:`repro.api.whatif`,
 :func:`repro.api.optimize`, :func:`~repro.scenarios.method_robustness`),
 so per-worker structural and plan caches stay warm across requests.
+:data:`OPERATIONS` ties each ``POST /v1/*`` route to its request class,
+worker body and JSON renderer; the service serves it as data.
 """
 
 from __future__ import annotations
@@ -84,39 +86,6 @@ class RequestError(ValueError):
     """A malformed or invalid request body (rendered as HTTP 400)."""
 
 
-def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
-    """Extract ``deadline_ms`` from a parsed body → deadline in *seconds*.
-
-    Every ``POST /v1/*`` body may carry ``deadline_ms`` (a positive
-    number of milliseconds the client is willing to wait); the HTTP
-    layer enforces it with a 504 on expiry.  The field is **popped**
-    before the request dataclass ever sees the payload, so a deadline
-    never changes a request's digest — two clients asking the same
-    question with different patience share one cache entry and one
-    coalesced computation.  Returns ``default_ms`` (converted) when the
-    field is absent; raises :class:`RequestError` (→ 400) on a
-    non-positive, non-finite or non-numeric value.
-    """
-    if not isinstance(payload, dict) or "deadline_ms" not in payload:
-        raw = default_ms
-    else:
-        raw = payload.pop("deadline_ms")
-        if raw is None:
-            raw = default_ms
-    if raw is None:
-        return None
-    if (
-        isinstance(raw, bool)
-        or not isinstance(raw, (int, float))
-        or not 0 < raw < math.inf
-    ):
-        raise RequestError(
-            f"field 'deadline_ms' must be a positive number of "
-            f"milliseconds, got {raw!r}"
-        )
-    return float(raw) / 1000.0
-
-
 #: Default of a field every request must carry.
 REQUIRED: Any = object()
 
@@ -152,17 +121,21 @@ class Param:
             return self.default
         if self.name not in payload:
             raise RequestError(f"missing required field {self.name!r}")
+        return self.accept(self.name, value)
+
+    def accept(self, name: str, value: Any) -> Any:
+        """``value`` typed and checked as this field, reported as ``name``."""
         types = self.types if isinstance(self.types, tuple) else (self.types,)
         if self.types is not None and (
             not isinstance(value, types)
             or (isinstance(value, bool) and bool not in types)
         ):
             raise RequestError(
-                f"field {self.name!r} must be "
+                f"field {name!r} must be "
                 f"{'/'.join(t.__name__ for t in types)}, "
                 f"got {type(value).__name__}"
             )
-        return value if self.check is None else self.check(self.name, value)
+        return value if self.check is None else self.check(name, value)
 
 
 def _parse(spec: tuple[Param, ...], payload: dict, what: str) -> dict:
@@ -299,69 +272,32 @@ def _robustness(name: str, value: Any) -> RobustnessObjective:
         raise RequestError(f"field {name!r}: {error}") from None
 
 
-def _int_axis(name: str, values: list) -> tuple[int, ...]:
-    if not values:
-        raise RequestError(f"field {name!r} must be a non-empty list")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-            raise RequestError(
-                f"field {name!r} must list positive integers, got {v!r}"
-            )
-    return tuple(values)
+def axis(scalar: Param, name: str) -> Param:
+    """The sweep axis ``name``: a non-empty list of ``scalar`` values.
 
+    Each element is typed and checked by the scalar field itself, so an
+    element's error is the scalar field's message under the axis's
+    name.  ``null`` is an element only where the scalar default is
+    ``None``; the axis defaults to ``[scalar default]``.  Numbers of a
+    field that accepts floats are stored as floats, as grid points
+    always have been.
+    """
+    nullable = scalar.default is None
+    as_float = isinstance(scalar.types, tuple) and float in scalar.types
 
-def _vocab_axis(name: str, values: list) -> tuple[int, ...]:
-    if not values:
-        raise RequestError(f"field {name!r} must be a non-empty list")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, str)):
-            raise RequestError(
-                f"field {name!r} must list vocabulary sizes (an int or e.g. "
-                f"'128k'), got {v!r}"
-            )
-    return tuple(_vocab(name, v) for v in values)
+    def element(name: str, value: Any) -> Any:
+        if value is None and nullable:
+            return None
+        value = scalar.accept(name, value)
+        return float(value) if as_float else value
 
+    def check(name: str, values: list) -> tuple:
+        if not values:
+            raise RequestError(f"field {name!r} must be a non-empty list")
+        return tuple(element(name, value) for value in values)
 
-def _number_axis(
-    name: str, values: list, allow_zero: bool
-) -> tuple[float | None, ...]:
-    """Numbers or nulls (the field's default), each finite like the
-    scalar field's; zero only where that field allows it."""
-    if not values:
-        raise RequestError(f"field {name!r} must be a non-empty list")
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise RequestError(
-                f"field {name!r} must list positive numbers or null, got {v!r}"
-            )
-        _finite(name, v)
-        if v < 0 or (v == 0 and not allow_zero):
-            wanted = "numbers >= 0" if allow_zero else "positive numbers"
-            raise RequestError(f"field {name!r} must list {wanted} or null, got {v!r}")
-    return tuple(None if v is None else float(v) for v in values)
-
-
-def _budget_axis(name: str, values: list) -> tuple[float | None, ...]:
-    return _number_axis(name, values, allow_zero=False)
-
-
-def _overhead_axis(name: str, values: list) -> tuple[float | None, ...]:
-    return _number_axis(name, values, allow_zero=True)
-
-
-def _scenario_axis(name: str, values: list) -> tuple[str | None, ...]:
-    if not values:
-        raise RequestError(f"field {name!r} must be a non-empty list")
-    names = []
-    for v in values:
-        if v is not None and not isinstance(v, str):
-            raise RequestError(
-                f"field {name!r} must list scenario names or null, got {v!r}"
-            )
-        names.append(None if v is None else _scenario(name, v))
-    return tuple(names)
+    default = REQUIRED if scalar.default is REQUIRED else (scalar.default,)
+    return Param(name, list, default, check)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +350,27 @@ _COST_MODEL = Param(
     "(see 'repro-experiments calibrate'); a calibrated profile "
     "also trust-gates the top-k simulation (default: analytic)",
 )
+
+_DEADLINE = Param("deadline_ms", (int, float), None, _positive)
+
+
+def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
+    """Extract ``deadline_ms`` from a parsed body → deadline in *seconds*.
+
+    Every ``POST /v1/*`` body may carry ``deadline_ms`` (a positive
+    number of milliseconds the client is willing to wait); the HTTP
+    layer enforces it with a 504 on expiry.  The field is **popped**
+    before the request dataclass ever sees the payload, so a deadline
+    never changes a request's digest — two clients asking the same
+    question with different patience share one cache entry and one
+    coalesced computation.  Returns ``default_ms`` (converted) when the
+    field is absent or null; raises :class:`RequestError` (→ 400) on a
+    value the ``deadline_ms`` field rejects.
+    """
+    raw = payload.pop(_DEADLINE.name, None) if isinstance(payload, dict) else None
+    ms = _DEADLINE.parse({_DEADLINE.name: default_ms if raw is None else raw})
+    return None if ms is None else float(ms) / 1000.0
+
 
 #: Request fields that are :class:`PlannerConstraints` fields.
 _CONSTRAINT_FIELDS = (
@@ -610,13 +567,13 @@ def execute_plan_request(
 
 @_operation(
     "sweep",
-    Param("devices", list, REQUIRED, _int_axis),
-    Param("vocab_sizes", list, REQUIRED, _vocab_axis),
-    Param("seq_lengths", list, (_SEQ.default,), _int_axis),
-    Param("microbatches", list, (_MICROBATCHES.default,), _int_axis),
-    Param("memory_budgets_gib", list, (None,), _budget_axis),
-    Param("pass_overheads", list, (None,), _overhead_axis),
-    Param("scenarios", list, (None,), _scenario_axis),
+    axis(_DEVICES, "devices"),
+    axis(_VOCAB, "vocab_sizes"),
+    axis(_SEQ, "seq_lengths"),
+    axis(_MICROBATCHES, "microbatches"),
+    axis(_BUDGET, "memory_budgets_gib"),
+    axis(_OVERHEAD, "pass_overheads"),
+    axis(_SCENARIO, "scenarios"),
     replace(_METHODS, flag=None),
     replace(_TOP_K, flag=None),
     _REFINE,
@@ -778,30 +735,31 @@ class WhatifRequest(_ConfigRequest):
         )
 
 
-def execute_whatif_request(
-    request: WhatifRequest,
+def execute_stored_request(
+    request: WhatifRequest | OptimizeRequest,
     cache_dir: str | None = None,
     max_cache_entries: int | None = None,
 ) -> dict:
-    """Worker body for one what-if request (top-level: pool-picklable).
+    """Worker body for one what-if or optimize request (pool-picklable).
 
-    Returns the JSON-ready result dict.  Besides the planner's
-    ``"whatif"`` auxiliary entry (written by :func:`repro.api.whatif`
-    itself), the rendered payload is stored under the main digest so
-    the service's *disk* tier can answer repeats without a worker
-    round-trip — the same two-level arrangement ``/v1/plan`` gets from
+    Returns the JSON-ready result dict.  Besides the library's own
+    auxiliary entry (``"whatif"``/``"optimize"``, written by
+    :func:`repro.api.whatif`/:func:`repro.api.optimize` themselves), the
+    rendered payload is stored under the main digest so the service's
+    *disk* tier can answer repeats without a worker round-trip — the
+    same two-level arrangement ``/v1/plan`` gets from
     :func:`repro.api.plan`.
     """
     cache = _disk_cache(cache_dir, max_cache_entries)
-    return _stored(request.run(cache), cache)
-
-
-def _stored(result: WhatifResult | OptimizedPlan, cache: PlanCache | None) -> dict:
-    """``result``'s JSON payload, stored under its digest when cached."""
+    result = request.run(cache)
     payload = result.as_dict()
     if cache is not None:
         cache.put(result.cache_key, payload)
     return payload
+
+
+#: The what-if worker body under its operation's name.
+execute_whatif_request = execute_stored_request
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +825,18 @@ class ScenarioRequest(_ConfigRequest):
         )
 
 
-def execute_scenario_request(request: ScenarioRequest) -> dict:
+def execute_scenario_request(
+    request: ScenarioRequest,
+    cache_dir: str | None = None,
+    max_cache_entries: int | None = None,
+) -> dict:
     """Worker body for one scenario request: Monte Carlo robustness.
 
     Returns the JSON-safe payload: the measured methods ranked by p95
     (method name as tie-break) plus the structurally skipped ones —
     the schema ``repro-experiments scenarios run|compare --format
-    json`` prints too.
+    json`` prints too.  The cache arguments only keep every worker
+    body's signature alike: Monte Carlo results are never disk-cached.
     """
     model, parallel, _, scenario = request.resolve()
     methods = [request.method] if request.method else list(KNOWN_METHODS)
@@ -993,21 +956,6 @@ class OptimizeRequest(_ConfigRequest):
         )
 
 
-def execute_optimize_request(
-    request: OptimizeRequest,
-    cache_dir: str | None = None,
-    max_cache_entries: int | None = None,
-) -> dict:
-    """Worker body for one optimize request (top-level: pool-picklable).
-
-    Returns the JSON-ready result dict, stored under the main digest
-    besides the optimizer's own ``"optimize"`` auxiliary entry — the
-    same two-level arrangement ``/v1/whatif`` uses.
-    """
-    cache = _disk_cache(cache_dir, max_cache_entries)
-    return _stored(request.run(cache), cache)
-
-
 # ---------------------------------------------------------------------------
 # JSON rendering of planner results
 # ---------------------------------------------------------------------------
@@ -1084,3 +1032,58 @@ def sweep_to_json(outcomes: list[SweepOutcome]) -> dict:
             }
         )
     return {"points": points}
+
+
+# ---------------------------------------------------------------------------
+# The operation table
+# ---------------------------------------------------------------------------
+
+
+class Operation(NamedTuple):
+    """One ``POST /v1/<OPERATION>`` endpoint of the service, as data."""
+
+    #: The request dataclass a body validates into.
+    request: type[_Request]
+    #: Worker body ``(request, cache_dir, max_cache_entries)``, run on
+    #: the pool on a full cache miss (top-level: pool-picklable).
+    execute: Callable[..., Any]
+    #: Whether the leader probes the disk tier for the whole result
+    #: (the worker stored it under the request digest).
+    disk: bool
+    #: The route's one-line description.
+    description: str
+    #: The worker's result as the envelope's JSON ``result`` (``None``:
+    #: the worker already returns JSON data).
+    render: Callable[[Any], dict] | None = None
+
+
+#: Every planning operation by its route, in documentation order: the
+#: service's handler, admission classes and ``POST /v1/*`` routes, and
+#: the docs check's request fields, all come from this table.
+OPERATIONS: dict[str, Operation] = {
+    f"/v1/{operation.request.OPERATION}": operation
+    for operation in (
+        Operation(
+            PlanRequest, execute_plan_request, True,
+            "rank schedule families for one configuration", plans_to_json,
+        ),
+        # No whole-request disk tier: the per-point plans inside the
+        # worker hit the disk-backed PlanCache individually.
+        Operation(
+            SweepRequest, execute_sweep_request, False,
+            "plan a grid of configurations", sweep_to_json,
+        ),
+        Operation(
+            ScenarioRequest, execute_scenario_request, False,
+            "Monte Carlo robustness under a cluster scenario",
+        ),
+        Operation(
+            WhatifRequest, execute_stored_request, True,
+            "price a single-device slowdown on a resident compiled graph",
+        ),
+        Operation(
+            OptimizeRequest, execute_stored_request, True,
+            "rewrite-based search for a schedule beating the named families",
+        ),
+    )
+}

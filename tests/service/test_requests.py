@@ -1,6 +1,7 @@
 """Request validation and digest normalization of the service layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import (
     MAX_SWEEP_POINTS,
@@ -172,7 +173,7 @@ class TestSweepValidation:
             )
 
     def test_bad_axis_values(self):
-        with pytest.raises(RequestError, match="positive integers"):
+        with pytest.raises(RequestError, match="'devices' must be positive"):
             SweepRequest.from_payload(
                 {"devices": [4, -1], "vocab_sizes": ["32k"]}
             )
@@ -190,6 +191,62 @@ class TestSweepValidation:
             {"devices": [4], "vocab_sizes": ["32k"], "simulate_top_k": 0}
         )
         assert len({a.digest(), b.digest(), c.digest()}) == 3
+
+
+#: Each ``/v1/sweep`` axis and the ``/v1/plan`` field its elements obey.
+AXES = {
+    "devices": "devices",
+    "vocab_sizes": "vocab_size",
+    "seq_lengths": "seq_length",
+    "microbatches": "microbatches",
+    "memory_budgets_gib": "memory_budget_gib",
+    "pass_overheads": "pass_overhead",
+    "scenarios": "scenario",
+}
+
+#: One JSON value of every kind a client can put in an axis list.
+ELEMENTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(1 << 20), max_value=1 << 20),
+    st.sampled_from([0, -1, 1, float("nan"), float("inf"), float("-inf"), 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["128k", "x", "slow-node"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _outcome(param, name, value):
+    """``(True, parsed)`` or ``(False, message)`` of one field parse."""
+    try:
+        return True, param.parse({name: value})
+    except RequestError as error:
+        return False, str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=st.sampled_from(sorted(AXES)), value=ELEMENTS)
+def test_axis_elements_obey_their_plan_field(axis, value):
+    scalar = {param.name: param for param in PlanRequest.SPEC}[AXES[axis]]
+    grid_axis = {param.name: param for param in SweepRequest.SPEC}[axis]
+    scalar_ok, scalar_out = _outcome(scalar, scalar.name, value)
+    axis_ok, axis_out = _outcome(grid_axis, axis, [value])
+    if value is None:
+        # null is an axis element only where the scalar default is None.
+        assert axis_ok == (scalar.default is None)
+    else:
+        assert axis_ok == scalar_ok, (scalar_out, axis_out)
+    if axis_ok:
+        assert axis_out == (scalar_out,)
+    elif not scalar_ok:
+        assert axis_out.replace(repr(axis), repr(scalar.name)) == scalar_out
+    # A whole body with that element is a request or a 400, never a 500.
+    body = {"devices": [4], "vocab_sizes": ["32k"], axis: [value]}
+    try:
+        SweepRequest.from_payload(body)
+    except RequestError:
+        pass
 
 
 class TestCostModelField:

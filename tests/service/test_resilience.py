@@ -303,6 +303,11 @@ class TestPopDeadline:
         with pytest.raises(RequestError):
             pop_deadline({"deadline_ms": bad})
 
+    @pytest.mark.parametrize("bad", [0, -5, math.nan, math.inf])
+    def test_invalid_service_default_refused_at_start(self, bad):
+        with pytest.raises(ValueError, match="default_deadline_ms"):
+            PlanningService(port=0, executor="thread", default_deadline_ms=bad)
+
 
 class TestDeadlinesOverHttp:
     def test_expiry_is_504_and_leader_survives(self):

@@ -182,7 +182,7 @@ class TestCoalescing:
         """Dispatch N identical requests on one event loop."""
 
         async def one():
-            return await service._post_plan(payload)
+            return await service._post("/v1/plan", payload)
 
         async def gather():
             return await asyncio.gather(*[one() for _ in range(copies)])
@@ -237,7 +237,7 @@ class TestCoalescing:
 
         async def gather():
             return await asyncio.gather(
-                service._post_plan(a), service._post_plan(b)
+                service._post("/v1/plan", a), service._post("/v1/plan", b)
             )
 
         results = asyncio.run(gather())
@@ -252,19 +252,19 @@ class TestDiskTier:
         first = PlanningService(
             port=0, executor="thread", cache_dir=cache_dir
         )
-        result = asyncio.run(first._post_plan(SMALL_PLAN))
+        result = asyncio.run(first._post("/v1/plan", SMALL_PLAN))
         assert result["meta"]["cache"] == "computed"
 
         # A fresh service instance (cold LRU) finds the entry on disk.
         second = PlanningService(
             port=0, executor="thread", cache_dir=cache_dir
         )
-        again = asyncio.run(second._post_plan(SMALL_PLAN))
+        again = asyncio.run(second._post("/v1/plan", SMALL_PLAN))
         assert again["meta"]["cache"] == "disk"
         assert again["result"] == result["result"]
         assert second.stats.computed == 0
         # And the LRU now fronts the disk entry.
-        third = asyncio.run(second._post_plan(SMALL_PLAN))
+        third = asyncio.run(second._post("/v1/plan", SMALL_PLAN))
         assert third["meta"]["cache"] == "lru"
 
 

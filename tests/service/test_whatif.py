@@ -239,7 +239,7 @@ class TestWhatifCoalescing:
 
         async def gather():
             return await asyncio.gather(
-                *[service._post_whatif(payload) for _ in range(5)]
+                *[service._post("/v1/whatif", payload) for _ in range(5)]
             )
 
         results = asyncio.run(gather())
@@ -284,7 +284,7 @@ class TestWhatifCoalescing:
 
         async def gather():
             return await asyncio.gather(
-                service._post_whatif(a), service._post_whatif(b)
+                service._post("/v1/whatif", a), service._post("/v1/whatif", b)
             )
 
         results = asyncio.run(gather())
@@ -298,16 +298,16 @@ class TestWhatifDiskTier:
         cache_dir = str(tmp_path / "plans")
         payload = small_whatif_payload()
         first = PlanningService(port=0, executor="thread", cache_dir=cache_dir)
-        result = asyncio.run(first._post_whatif(payload))
+        result = asyncio.run(first._post("/v1/whatif", payload))
         assert result["meta"]["cache"] == "computed"
 
         # A fresh service instance (cold LRU) finds the entry on disk.
         second = PlanningService(
             port=0, executor="thread", cache_dir=cache_dir
         )
-        again = asyncio.run(second._post_whatif(payload))
+        again = asyncio.run(second._post("/v1/whatif", payload))
         assert again["meta"]["cache"] == "disk"
         assert again["result"] == result["result"]
         assert second.stats.computed == 0
-        third = asyncio.run(second._post_whatif(payload))
+        third = asyncio.run(second._post("/v1/whatif", payload))
         assert third["meta"]["cache"] == "lru"

@@ -23,8 +23,9 @@ Checks, over ``README.md`` and every ``docs/*.md``:
   :data:`repro.service.ROUTES` — and, conversely, every served route
   is documented in ``docs/service.md``;
 * each ``### `POST /v1/<op>``` section of ``docs/service.md`` names
-  every request field of that operation's spec
-  (:mod:`repro.service.requests`), backticked or as a JSON key.
+  every request field of that operation's spec, read from the
+  service's operation table (:data:`repro.service.OPERATIONS`),
+  backticked or as a JSON key.
 
 Exit code 0 when clean, 1 with a list of problems otherwise.  Run
 from the repository root (CI does)::
@@ -110,18 +111,11 @@ def check_route_coverage(routes: set[tuple[str, str]], text: str) -> list[str]:
 
 def request_fields() -> dict[str, tuple[str, ...]]:
     """``/v1/<op>`` path → the request fields of that operation's spec."""
-    from repro.service import requests
+    from repro.service import OPERATIONS
 
-    operations = (
-        requests.PlanRequest,
-        requests.SweepRequest,
-        requests.WhatifRequest,
-        requests.ScenarioRequest,
-        requests.OptimizeRequest,
-    )
     return {
-        f"/v1/{op.OPERATION}": tuple(param.name for param in op.SPEC)
-        for op in operations
+        path: tuple(param.name for param in operation.request.SPEC)
+        for path, operation in OPERATIONS.items()
     }
 
 
