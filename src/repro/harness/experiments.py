@@ -77,9 +77,10 @@ class MethodMetrics:
 # process-wide.  A sweep whose grid points share a schedule structure
 # (same family/model/parallel shape, different memory budgets or
 # pass-overhead bindings) then builds each structure once and re-prices
-# it per binding via CompiledGraph.rebind / execute_many.  Two memos of
-# seed-independent work on warm structures sit beside them: refined
-# schedules (build_schedule) and the optimizer's scored start states.
+# it per binding via CompiledGraph.rebind / execute_many.  Three memos
+# of seed-independent work on warm structures sit beside them: refined
+# schedules (build_schedule), robust plans' nominal bindings
+# (robust_nominal) and the optimizer's scored start states.
 # ---------------------------------------------------------------------------
 
 _CACHE_LOCK = threading.Lock()
@@ -89,11 +90,14 @@ _GRAPH_CACHE: OrderedDict[tuple, object] = OrderedDict()
 #: binding (refined orders depend on every duration, not only on the
 #: generator's timing scalars).
 _REFINED_CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
+#: ``method_robustness``'s seed-independent half (see :func:`robust_nominal`).
+_ROBUST_CACHE: OrderedDict[tuple, object] = OrderedDict()
 #: The optimizer's scored start candidates (see :func:`search_start`).
 _START_CACHE: OrderedDict[tuple, object] = OrderedDict()
 _SCHEDULE_CACHE_LIMIT = 256
 _GRAPH_CACHE_LIMIT = 64
 _REFINED_CACHE_LIMIT = 64
+_ROBUST_CACHE_LIMIT = 64
 _START_CACHE_LIMIT = 8
 _CACHE_STATS = {
     "schedule_hits": 0,
@@ -102,6 +106,8 @@ _CACHE_STATS = {
     "graph_misses": 0,
     "refined_hits": 0,
     "refined_misses": 0,
+    "robust_hits": 0,
+    "robust_misses": 0,
     "start_hits": 0,
     "start_misses": 0,
     "child_hits": 0,
@@ -136,25 +142,30 @@ def structural_cache_stats() -> dict[str, int]:
 
 
 def clear_derived_caches() -> None:
-    """Drop the memoized refined schedules and optimizer start states.
+    """Drop the memoized refined schedules, robust nominal bindings and
+    optimizer start states.
 
     Generated schedules and compiled graphs stay, so the next refined
-    build or :func:`~repro.optimize.optimize` call pays its refinement
-    and start scoring again on warm structures.
+    build, robust plan or :func:`~repro.optimize.optimize` call pays its
+    refinement, nominal binding and start scoring again on warm
+    structures.
     """
     with _CACHE_LOCK:
         _REFINED_CACHE.clear()
+        _ROBUST_CACHE.clear()
         _START_CACHE.clear()
 
 
 def clear_structural_caches() -> None:
     """Drop every process-wide structural cache and reset the counters:
     generated schedules, compiled graphs, refined schedules
-    (:func:`build_schedule`) and optimizer start states
+    (:func:`build_schedule`), robust nominal bindings
+    (:func:`robust_nominal`) and optimizer start states
     (:func:`search_start`) with the children memoized on them
     (:func:`start_child`)."""
     with _CACHE_LOCK:
-        for cache in (_SCHEDULE_CACHE, _GRAPH_CACHE, _REFINED_CACHE, _START_CACHE):
+        caches = (_SCHEDULE_CACHE, _GRAPH_CACHE, _REFINED_CACHE, _ROBUST_CACHE, _START_CACHE)
+        for cache in caches:
             cache.clear()
         for key in _CACHE_STATS:
             _CACHE_STATS[key] = 0
@@ -475,6 +486,26 @@ def build_schedule(
     if refine:
         _cache_put(_REFINED_CACHE, "refined", key, schedule.copy(), _REFINED_CACHE_LIMIT)
     return schedule
+
+
+def robust_nominal(method: str, setup: SimulationSetup, scenario, refine: bool, build):
+    """The seed-independent half of
+    :func:`~repro.scenarios.perturb.method_robustness`, memoized.
+
+    ``build()`` makes it on a miss: the method's scenario-bound graph,
+    its nominal time and bubble fraction, and which slots jitter.  It
+    is keyed on (method, nominal setup, scenario signature, refine,
+    engine) — everything the binding depends on, and not the Monte
+    Carlo seed or sample count — so a warm robust plan under any seed
+    re-binds and re-sweeps nothing.  Entries are never mutated by their
+    readers.
+    """
+    key = (method, setup, _scenario_signature(scenario), refine, simulation_engine())
+    value = _cache_get(_ROBUST_CACHE, "robust", key)
+    if value is None:
+        value = build()
+        _cache_put(_ROBUST_CACHE, "robust", key, value, _ROBUST_CACHE_LIMIT)
+    return value
 
 
 def _simulate(

@@ -45,6 +45,7 @@ from repro.scenarios import (
     get_scenario,
     method_robustness,
 )
+from repro.scenarios.perturb import DrawStream
 from repro.scheduling import Schedule
 from repro.sim import SimulationSetup
 
@@ -663,6 +664,9 @@ def plan(
     # the metrics reused; ``run_method`` also shares one compiled graph
     # across refinement and measurement within each simulation.
     sim_cache: dict = {}
+    # One jitter stream per robust ranking: every candidate reads the
+    # same counter-based values, so each is drawn once (DrawStream).
+    draws = None if robustness is None else DrawStream(scenario, robustness.seed)
     for index, (candidate, _) in enumerate(priced):
         if needs_simulation(index, candidate):
             signature = generate_method_schedule(
@@ -714,6 +718,7 @@ def plan(
                         samples=robustness.samples,
                         seed=robustness.seed,
                         refine=constraints.refine,
+                        _draws=draws,
                     )
                     cache.put_aux("robust", rob_key, robust_stats)
                 robust_time = robust_stats.quantile_time(robustness.rank_by)
@@ -750,6 +755,8 @@ def plan(
                 )
             else:
                 estimated.append(candidate)
+    if draws is not None:
+        draws.release()
 
     # Robust mode ranks simulated candidates by the Monte Carlo
     # quantile; nominal mode (and estimate-only candidates) by the

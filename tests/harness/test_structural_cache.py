@@ -23,7 +23,7 @@ from repro.harness.experiments import (
     run_method_bindings,
     structural_cache_stats,
 )
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, method_robustness
 from repro.sim import RuntimeModel, SimulationSetup
 
 MODEL = ModelConfig(
@@ -201,6 +201,13 @@ class TestRunMethodBindings:
             )
 
 
+#: Every counter :func:`structural_cache_stats` reports.
+STATS_KEYS = {
+    f"{kind}_{outcome}"
+    for kind in ("schedule", "graph", "refined", "robust", "start", "child")
+    for outcome in ("hits", "misses")
+}
+
 #: The methods :func:`build_schedule` refines (the rest return their
 #: generated orders).
 REFINED_METHODS = (
@@ -263,6 +270,7 @@ class TestRefinedScheduleMemo:
         build_schedule("vocab-1", setup, refine=False)
         stats = structural_cache_stats()
         assert stats["refined_hits"] + stats["refined_misses"] == 0
+        assert stats["robust_hits"] + stats["robust_misses"] == 0
         assert not experiments._REFINED_CACHE
 
     def test_bounded_and_cleared(self, setup, monkeypatch):
@@ -280,12 +288,14 @@ class TestRefinedScheduleMemo:
         build_schedule("vocab-2", setup)
         clear_structural_caches()
         assert not experiments._REFINED_CACHE
+        assert set(structural_cache_stats()) == STATS_KEYS
         assert set(structural_cache_stats().values()) == {0}
 
     def test_cold_plan_never_reaches_the_memo(self):
         plan(MODEL, PARALLEL, cache=PlanCache())
         stats = structural_cache_stats()
         assert stats["refined_hits"] + stats["refined_misses"] == 0
+        assert stats["robust_hits"] + stats["robust_misses"] == 0
 
     def test_robust_plans_reuse_refined_schedules(self):
         cache = PlanCache()
@@ -297,10 +307,126 @@ class TestRefinedScheduleMemo:
                     robustness=RobustnessObjective(seed=2))
         stats = structural_cache_stats()
         assert stats["refined_misses"] == misses
-        assert stats["refined_hits"] >= misses
+        # The warm plan reaches no refined schedule at all: each
+        # candidate's whole nominal binding is a robust-memo hit.
+        assert stats["robust_hits"] >= misses
         clear_structural_caches()
         cold = plan(MODEL, PARALLEL, cache=PlanCache(), scenario="slow-node",
                     robustness=RobustnessObjective(seed=2))
         assert [c.robust_time for c in warm.ranked] == [c.robust_time for c in cold.ranked]
         assert [c.method for c in warm.ranked] == [c.method for c in cold.ranked]
         assert first.ranked
+
+
+class TestRobustNominalMemo:
+    """``method_robustness`` memoizes its seed-independent half: the
+    scenario-bound graph, its nominal time and bubble, its column plan."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"rebind": 0, "execute": 0}
+        for name in calls:
+            original = getattr(compiled.CompiledGraph, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(compiled.CompiledGraph, name, spy)
+        return calls
+
+    def test_warm_robust_plan_rebinds_and_sweeps_nothing(self, spies):
+        cache = PlanCache()
+        plan(MODEL, PARALLEL, cache=cache, scenario="slow-node",
+             robustness=RobustnessObjective(samples=16, seed=1))
+        assert spies["rebind"] and spies["execute"]
+        misses = structural_cache_stats()["robust_misses"]
+        spies.update(rebind=0, execute=0)
+        warm = plan(MODEL, PARALLEL, cache=cache, scenario="slow-node",
+                    robustness=RobustnessObjective(samples=16, seed=2))
+        assert spies == {"rebind": 0, "execute": 0}
+        stats = structural_cache_stats()
+        assert stats["robust_misses"] == misses
+        assert stats["robust_hits"] == misses
+        clear_structural_caches()
+        cold = plan(MODEL, PARALLEL, cache=PlanCache(), scenario="slow-node",
+                    robustness=RobustnessObjective(samples=16, seed=2))
+        assert [c.robust_stats for c in warm.ranked] == [
+            c.robust_stats for c in cold.ranked
+        ]
+
+    def test_key_separates_scenario_overhead_refine_and_engine(self, monkeypatch):
+        slow, jitter = get_scenario("slow-node"), get_scenario("high-jitter")
+        slower = SimulationSetup(MODEL, PARALLEL, pass_overhead=1e-3)
+
+        def stats(scenario=slow, samples=8, **kwargs):
+            return method_robustness(
+                "vocab-1", MODEL, PARALLEL, scenario, samples=samples, **kwargs
+            )
+
+        first = stats()
+        stats(scenario=jitter)
+        stats(setup=slower)
+        stats(refine=False)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
+        stats()
+        counts = structural_cache_stats()
+        assert (counts["robust_misses"], counts["robust_hits"]) == (5, 0)
+        monkeypatch.delenv("REPRO_SIM_ENGINE")
+        # Another seed or sample count is the same nominal binding.
+        assert stats(seed=3).nominal_time == first.nominal_time
+        stats(samples=4)
+        counts = structural_cache_stats()
+        assert (counts["robust_misses"], counts["robust_hits"]) == (5, 2)
+
+    def test_bounded_lru_and_cleared(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_ROBUST_CACHE_LIMIT", 2)
+        slow = get_scenario("slow-node")
+        setups = [
+            SimulationSetup(MODEL, PARALLEL, pass_overhead=o)
+            for o in (1e-4, 2e-4, 3e-4)
+        ]
+
+        def stats(setup):
+            method_robustness(
+                "vocab-2", MODEL, PARALLEL, slow, setup=setup, samples=4
+            )
+
+        stats(setups[0])
+        stats(setups[1])
+        stats(setups[0])  # refreshes setups[0]: setups[1] is now oldest
+        stats(setups[2])
+        assert len(experiments._ROBUST_CACHE) == 2
+        stats(setups[0])
+        counts = structural_cache_stats()
+        assert (counts["robust_misses"], counts["robust_hits"]) == (3, 2)
+        stats(setups[1])
+        assert structural_cache_stats()["robust_misses"] == 4
+        clear_derived_caches()
+        assert not experiments._ROBUST_CACHE
+        assert experiments._GRAPH_CACHE, "compiled graphs stay"
+        stats(setups[0])
+        clear_structural_caches()
+        assert not experiments._ROBUST_CACHE
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        from repro.scenarios import perturb
+
+        slow = get_scenario("slow-node")
+        first = method_robustness("vocab-1", MODEL, PARALLEL, slow, samples=8)
+        (nominal,) = experiments._ROBUST_CACHE.values()
+        durations, lags = perturb.perturbed_rows(
+            nominal.graph, slow, 8, 0, _columns=nominal.columns
+        )
+        base = list(nominal.graph.durations)
+        for rows in (durations, lags):
+            if isinstance(rows, list):
+                for row in rows:
+                    row[:] = [-1.0] * len(row)
+            else:
+                rows[:] = -1.0
+        assert nominal.graph.durations == base
+        again = method_robustness("vocab-1", MODEL, PARALLEL, slow, samples=8)
+        assert again == first
+        assert structural_cache_stats()["robust_hits"] == 1
+

@@ -25,6 +25,10 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
   schedule structure: the "reference" side plans each point with all
   process-wide caches cleared (the pre-structural-cache behaviour),
   the "compiled" side is one structure-grouped ``sweep()``;
+* ``robust_plan_*`` — one warm robust :func:`repro.planner.planner.plan`
+  (``slow-node``, K=256, a fresh Monte Carlo seed every round, so
+  nothing but the plan cache misses): the candidates' jitter draws from
+  one shared stream, the batched sweeps and the ranking, compiled only;
 * ``scenario_robustness_*`` — Monte Carlo robustness (K=256 seeded
   jitter samples of the ``slow-node`` cluster scenario): the
   "reference" side executes the perturbed bindings one at a time, the
@@ -68,11 +72,15 @@ written to ``BENCH_service.json``), driving a live in-process
 
 Every entry records reference seconds, compiled seconds and the
 speedup (for the two sweep-era classes, "reference" means the
-unbatched/uncached equivalent path, not the reference *engine*).  A ``calibration_s`` scalar (a fixed pure-Python workload)
-makes the numbers comparable across machines: regression checks use
-times *normalized by calibration*, so a slower CI box does not fail
-the perf-smoke job.  The host's ``python`` version, ``nproc`` and
-``numpy`` version (``null`` without NumPy) are recorded beside it.
+unbatched/uncached equivalent path, not the reference *engine*).  A
+calibration sample (a fixed pure-Python workload) is taken before the
+first entry and after every entry, and each entry records the median of
+the samples on either side of it as its ``calibration_s``: regression
+checks use times *normalized by calibration*, so a slower CI box does
+not fail the perf-smoke job, and a host whose speed drifts during the
+run is measured around each entry, not once before them all.  The
+host's ``python`` version, ``nproc`` and ``numpy`` version (``null``
+without NumPy) are recorded beside it.
 
 Usage::
 
@@ -90,9 +98,11 @@ calibration normalization — the CI perf-smoke gate (both baselines).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -172,6 +182,37 @@ def calibration() -> float:
     return best_of(workload, rounds=3)
 
 
+class Entries(dict):
+    """The trajectory entries of one class, each normalized by the host
+    speed around it: a calibration sample is taken when the recorder is
+    made and after every entry, and an entry's ``calibration_s`` is the
+    median of the samples before and after it."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+        self.sample = calibration()
+
+    def add(self, name: str, reference_s: float | None, compiled_s: float, **extra) -> None:
+        before, self.sample = self.sample, calibration()
+        entry = self[name] = {
+            "compiled_s": compiled_s,
+            "calibration_s": statistics.median((before, self.sample)),
+            **extra,
+        }
+        label = f"{name:{self.width}s}"
+        if reference_s is None:
+            print(f"  {label} compiled {compiled_s * 1e3:9.2f} ms")
+            return
+        entry["reference_s"] = reference_s
+        entry["speedup"] = reference_s / compiled_s if compiled_s > 0 else 0.0
+        print(
+            f"  {label} reference {reference_s * 1e3:9.2f} ms   "
+            f"compiled {compiled_s * 1e3:9.2f} ms   "
+            f"{entry['speedup']:5.1f}x"
+        )
+
+
 class _ScaledRuntime:
     """Deterministic runtime variations for the execute_many batch."""
 
@@ -237,22 +278,8 @@ def measure_class(
 
     m = MICROBATCHES[klass]
     rounds = ROUNDS[klass]
-    entries: dict[str, dict[str, float]] = {}
-
-    def add(name: str, reference_s: float | None, compiled_s: float, **extra) -> None:
-        entries[name] = {"compiled_s": compiled_s, **extra}
-        if reference_s is None:
-            print(f"  {name:22s} compiled {compiled_s * 1e3:9.2f} ms")
-            return
-        entries[name]["reference_s"] = reference_s
-        entries[name]["speedup"] = (
-            reference_s / compiled_s if compiled_s > 0 else 0.0
-        )
-        print(
-            f"  {name:22s} reference {reference_s * 1e3:9.2f} ms   "
-            f"compiled {compiled_s * 1e3:9.2f} ms   "
-            f"{entries[name]['speedup']:5.1f}x"
-        )
+    entries = Entries(22)
+    add = entries.add
 
     for tag, gpus, method, methods, model_for in PANELS:
         model = model_for(gpus, 2048, 256 * 1024)
@@ -412,6 +439,32 @@ def measure_class(
             ),
         )
 
+        # Warm robust plan: the panel's families ranked by the p95 of
+        # MC_SAMPLES jitter draws, every structure, metric and nominal
+        # binding warm; a fresh seed each round misses only the plan
+        # cache, so the round pays the candidates' draws (one shared
+        # stream), their batched sweeps and the ranking.
+        from repro.scenarios import RobustnessObjective
+
+        robust_cache = PlanCache()
+        seeds = itertools.count()
+
+        def robust_plan() -> None:
+            plan(
+                model, parallel, constraints, cache=robust_cache,
+                scenario=MC_SCENARIO,
+                robustness=RobustnessObjective(samples=MC_SAMPLES, seed=next(seeds)),
+            )
+
+        robust_plan()
+        add(
+            f"robust_plan_{tag}",
+            None,
+            best_of(robust_plan, rounds),
+            samples=MC_SAMPLES,
+            scenario=MC_SCENARIO,
+        )
+
         # What-if: one single-device perturbation (the last device 1.25x
         # slower) priced by one sweep of the perturbed rows on the
         # resident graph, vs the reference engine fully re-relaxing the
@@ -554,24 +607,10 @@ def measure_service_class(
 
     m = MICROBATCHES[klass]
     rounds = ROUNDS[klass]
-    entries: dict[str, dict[str, float]] = {}
     devices, vocab = 8, 256 * 1024
     tag = "tab5_8gpu"
-
-    def add(name: str, reference_s: float | None, compiled_s: float, **extra) -> None:
-        entries[name] = {"compiled_s": compiled_s, **extra}
-        if reference_s is None:
-            print(f"  {name:28s} compiled {compiled_s * 1e3:9.2f} ms")
-            return
-        entries[name]["reference_s"] = reference_s
-        entries[name]["speedup"] = (
-            reference_s / compiled_s if compiled_s > 0 else 0.0
-        )
-        print(
-            f"  {name:28s} reference {reference_s * 1e3:9.2f} ms   "
-            f"compiled {compiled_s * 1e3:9.2f} ms   "
-            f"{entries[name]['speedup']:5.1f}x"
-        )
+    entries = Entries(28)
+    add = entries.add
 
     point = SweepPoint(devices, vocab, 2048, m)
     constraints = PlannerConstraints()
@@ -714,8 +753,10 @@ def check(current: dict, baseline: dict, threshold: float) -> list[str]:
         base = base_entries.get(name)
         if base is None:
             continue
-        cur_norm = entry["compiled_s"] / cur_cal
-        base_norm = base["compiled_s"] / base_cal
+        # Baselines recorded before per-entry samples fall back to the
+        # single file-level one.
+        cur_norm = entry["compiled_s"] / entry.get("calibration_s", cur_cal)
+        base_norm = base["compiled_s"] / base.get("calibration_s", base_cal)
         ratio = cur_norm / base_norm if base_norm > 0 else float("inf")
         status = "OK" if ratio <= threshold else "REGRESSION"
         print(
