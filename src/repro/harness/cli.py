@@ -14,8 +14,7 @@ Subcommands:
   values and sweeps the grid in parallel;
 * ``optimize`` — rewrite-based schedule search
   (:mod:`repro.optimize`): start from the best named family and search
-  semantics-preserving local rewrites (pass swaps, collective hoists,
-  activation handoffs, token splits) for a schedule the simulator
+  token splits and activation handoffs for a schedule the simulator
   verifies as faster;
 * ``scenarios`` — cluster scenarios (:mod:`repro.scenarios`): list and
   describe the registry, and price schedule robustness on non-ideal
@@ -55,7 +54,7 @@ Examples::
     repro-experiments plan --devices 8 16 --vocab 64k 256k --memory-budget 40
     repro-experiments plan --devices 8 --scenario slow-node
     repro-experiments optimize --scenario slow-node --seed 0
-    repro-experiments optimize --devices 8 --strategy anneal --budget 128
+    repro-experiments optimize --devices 8 --seed 3 --budget 8
     repro-experiments scenarios list
     repro-experiments scenarios describe --scenario slow-node
     repro-experiments scenarios run --scenario high-jitter --method vocab-1
@@ -585,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     Public so tooling (``tools/check_docs_links.py``) can introspect
     every subcommand and option instead of pattern-matching source.
     """
+    from repro.planner.cache import DEFAULT_MAX_ENTRIES
     from repro.service.requests import (
         OptimizeRequest,
         PlanRequest,
@@ -752,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="entries in the in-process LRU tier (default 256)",
     )
     sv.add_argument(
-        "--max-cache-entries", type=int, default=1024, metavar="N",
-        help="per-kind bound on the disk cache tier (default 1024)",
+        "--max-cache-entries", type=int, default=DEFAULT_MAX_ENTRIES, metavar="N",
+        help="per-kind bound on the disk cache tier (default %(default)s)",
     )
     sv.add_argument(
         "--max-inflight", type=int, default=64, metavar="N",

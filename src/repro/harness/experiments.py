@@ -176,7 +176,7 @@ def search_start(key: tuple, build):
 
     ``build()`` makes it on a miss (a ``None`` result is not stored).
     The start of a search is a pure function of the optimize inputs
-    without the strategy, seed and budget, so every seed searched on
+    without the seed and budget, so every seed searched on
     one structure shares it.  It lives here, beside the other
     structural caches, so that :func:`clear_structural_caches` and
     :func:`structural_cache_stats` cover it;

@@ -1,14 +1,13 @@
 """Rewrite-based schedule search beyond the named families.
 
 Public surface: :func:`optimize` / :class:`OptimizedPlan` (the entry
-point and its result), the IR (:class:`ScheduleIR`,
-:class:`DependenceIndex`), the rewrite catalog
-(:func:`default_rewrites` and the concrete :class:`Rewrite` classes)
-and the search strategies (:func:`get_strategy`,
-:data:`STRATEGY_NAMES`).
+point and its result), the IR (:class:`ScheduleIR`), the two rewrites
+(:func:`default_rewrites`, :class:`ActivationHandoff` and
+:class:`TokenSplit`) and the search (:func:`greedy_search` over a
+:class:`ScoreContext`).
 """
 
-from repro.optimize.ir import DependenceIndex, ScheduleIR
+from repro.optimize.ir import ScheduleIR
 from repro.optimize.optimizer import (
     DEFAULT_BUDGET,
     OPTIMIZER_VERSION,
@@ -18,47 +17,34 @@ from repro.optimize.optimizer import (
 )
 from repro.optimize.rewrites import (
     ActivationHandoff,
-    HoistCollective,
     Rewrite,
     RewriteContext,
     RewriteStep,
-    SwapAdjacent,
     TokenSplit,
     default_rewrites,
 )
 from repro.optimize.search import (
-    STRATEGY_NAMES,
-    AnnealingStrategy,
-    GreedyStrategy,
     ScoreContext,
     ScoredCandidate,
-    SearchStrategy,
     TokenSplitRuntime,
-    get_strategy,
+    greedy_search,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
     "OPTIMIZER_VERSION",
     "ActivationHandoff",
-    "AnnealingStrategy",
-    "DependenceIndex",
-    "GreedyStrategy",
-    "HoistCollective",
     "OptimizedPlan",
     "Rewrite",
     "RewriteContext",
     "RewriteStep",
-    "STRATEGY_NAMES",
     "ScheduleIR",
     "ScoreContext",
     "ScoredCandidate",
-    "SearchStrategy",
-    "SwapAdjacent",
     "TokenSplit",
     "TokenSplitRuntime",
     "default_rewrites",
-    "get_strategy",
+    "greedy_search",
     "optimize",
     "optimize_cache_key",
 ]

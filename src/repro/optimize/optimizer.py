@@ -4,9 +4,9 @@
 :func:`repro.planner.planner.plan` ranks the paper's fixed schedule
 families, ``optimize`` starts from the best named family, lowers it
 into the rewrite IR (:mod:`repro.optimize.ir`) and searches the local
-rewrite space (:mod:`repro.optimize.rewrites`) with a seeded strategy
-(:mod:`repro.optimize.search`), scoring every candidate against the
-compiled-graph oracle.  The result is an :class:`OptimizedPlan`: the
+rewrite space (:mod:`repro.optimize.rewrites`) with a seeded greedy
+search (:mod:`repro.optimize.search`), scoring every candidate against
+the compiled-graph oracle.  The result is an :class:`OptimizedPlan`: the
 discovered schedule, the rewrite trace that produced it, and its
 verified speedup over the best named family.
 
@@ -15,8 +15,8 @@ Caching follows the planner's discipline exactly: results live in the
 :class:`~repro.planner.cache.PlanCache` under
 :func:`optimize_cache_key`, which normalizes inputs the same way
 :func:`~repro.planner.planner.plan_cache_key` does and folds in the
-scenario signature, the cost model's *content* digest, the strategy
-name, the seed and the evaluation budget — plus
+scenario signature, the cost model's *content* digest, the seed and
+the evaluation budget — plus
 :data:`OPTIMIZER_VERSION` so semantic changes invalidate stale entries.
 """
 
@@ -32,11 +32,7 @@ from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB, MemoryModel
 from repro.harness.experiments import search_start
 from repro.optimize.ir import ScheduleIR
 from repro.optimize.rewrites import RewriteStep, default_rewrites
-from repro.optimize.search import (
-    STRATEGY_NAMES,
-    ScoreContext,
-    get_strategy,
-)
+from repro.optimize.search import ScoreContext, greedy_search
 from repro.planner.cache import PlanCache, config_digest
 from repro.planner.planner import (
     PLANNER_VERSION,
@@ -50,8 +46,8 @@ from repro.scheduling.schedule import Schedule
 from repro.sim import SimulationSetup, simulation_engine
 
 #: Bumped whenever optimizer semantics change (IR lowering, rewrite
-#: catalog, scoring, strategy behaviour), invalidating cached plans.
-OPTIMIZER_VERSION = 1
+#: catalog, scoring, search behaviour), invalidating cached plans.
+OPTIMIZER_VERSION = 2
 
 #: Default number of oracle evaluations a search may spend.
 DEFAULT_BUDGET = 96
@@ -73,7 +69,6 @@ class OptimizedPlan:
 
     baseline_method: str
     scenario: str | None
-    strategy: str
     seed: int
     budget: int
     evaluations: int
@@ -109,7 +104,6 @@ class OptimizedPlan:
         return {
             "baseline_method": self.baseline_method,
             "scenario": self.scenario,
-            "strategy": self.strategy,
             "seed": self.seed,
             "budget": self.budget,
             "evaluations": self.evaluations,
@@ -136,7 +130,7 @@ class OptimizedPlan:
             (
                 f"optimize — start {self.baseline_method}"
                 + (f", scenario {self.scenario}" if self.scenario else "")
-                + f", strategy {self.strategy}, seed {self.seed}"
+                + f", seed {self.seed}"
             ),
             (
                 f"  baseline (best named family): {self.baseline_time:.6f}s"
@@ -176,16 +170,11 @@ class OptimizedPlan:
 def _normalize(
     constraints: PlannerConstraints | None,
     scenario: ClusterScenario | str | None,
-    strategy: str,
     budget: int,
 ) -> tuple[PlannerConstraints, ClusterScenario | None]:
     constraints = constraints or PlannerConstraints()
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if strategy not in STRATEGY_NAMES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}"
-        )
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     return constraints, scenario
@@ -200,8 +189,8 @@ def _key_inputs(
     pass_overhead: float | None,
     scenario: ClusterScenario | None,
 ) -> tuple:
-    """Every normalized input of a search except strategy, seed and
-    budget: what its start state is a function of."""
+    """Every normalized input of a search except seed and budget: what
+    its start state is a function of."""
     memory_model = memory_model or DEFAULT_MEMORY_MODEL
     scenario_sig = None if scenario is None else scenario.signature()
     cost_model_digest = resolve_cost_model(constraints.cost_model).digest()
@@ -220,7 +209,6 @@ def optimize_cache_key(
     memory_model: MemoryModel | None = None,
     pass_overhead: float | None = None,
     scenario: ClusterScenario | str | None = None,
-    strategy: str = "greedy",
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> str:
@@ -230,12 +218,12 @@ def optimize_cache_key(
     :func:`~repro.planner.planner.plan_cache_key`: serving-layer cache
     tiers address an optimized plan without computing it.
     """
-    constraints, scenario = _normalize(constraints, scenario, strategy, budget)
+    constraints, scenario = _normalize(constraints, scenario, budget)
     inputs = _key_inputs(
         model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
     )
     return config_digest(
-        "optimize", *inputs, strategy, seed, budget,
+        "optimize", *inputs, seed, budget,
         OPTIMIZER_VERSION, PLANNER_VERSION,
     )
 
@@ -250,7 +238,6 @@ def optimize(
     cache: PlanCache | None = None,
     pass_overhead: float | None = None,
     scenario: ClusterScenario | str | None = None,
-    strategy: str = "greedy",
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> OptimizedPlan:
@@ -259,12 +246,12 @@ def optimize(
     Runs :func:`~repro.planner.planner.plan` with full verification
     (every feasible family simulated, so the baseline comparison is
     oracle-verified, not estimated), lowers the winner into the rewrite
-    IR and spends ``budget`` oracle evaluations on the chosen seeded
-    strategy.  Deterministic for fixed inputs: the plan, the site
-    enumeration and every random decision (drawn from
-    ``random.Random(seed)``) are pure functions of the arguments, and
-    the oracle replay is bit-identical across the NumPy and pure-Python
-    engines.
+    IR and spends at most ``budget`` oracle evaluations on a greedy
+    search over token splits and activation handoffs.  Deterministic
+    for fixed inputs: the plan, the site enumeration and every random
+    decision (drawn from ``random.Random(seed)``) are pure functions of
+    the arguments, and the oracle replay is bit-identical across the
+    NumPy and pure-Python engines.
 
     ``constraints`` are respected throughout: the memory budget bounds
     every candidate's simulated peak (including BPipe handoff
@@ -272,13 +259,13 @@ def optimize(
     cost model prices the underlying plan (its content digest keys the
     cache entry).
     """
-    constraints, scenario = _normalize(constraints, scenario, strategy, budget)
+    constraints, scenario = _normalize(constraints, scenario, budget)
     memory_model = memory_model or DEFAULT_MEMORY_MODEL
     cache = cache if cache is not None else default_plan_cache()
     key = optimize_cache_key(
         model, parallel, constraints, hardware=hardware,
         memory_model=memory_model, pass_overhead=pass_overhead,
-        scenario=scenario, strategy=strategy, seed=seed, budget=budget,
+        scenario=scenario, seed=seed, budget=budget,
     )
     cached = cache.get_aux("optimize", key)
     if cached is not None:
@@ -315,11 +302,11 @@ def optimize(
         start = context().score(ScheduleIR.from_schedule(schedule), ())
         return None if start is None else dataclasses.replace(start, children={})
 
-    # The scored start (with the sites it offers and its token-split
-    # child, both memoized on it) depends on neither strategy, seed nor
-    # budget: every seed searched from one structure shares it.  The
-    # search still counts the start as its first evaluation and the
-    # child as one evaluation per use, exactly as when it scores them.
+    # The scored start (with its token-split child memoized on it)
+    # depends on neither seed nor budget: every seed searched from one
+    # structure shares it.  The search still counts the start as its
+    # first evaluation and the child as one evaluation per use, exactly
+    # as when it scores them.
     inputs = _key_inputs(
         model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
     )
@@ -333,15 +320,12 @@ def optimize(
         )
     ctx = context()
     ctx.adopt(start)
-    final = get_strategy(strategy).run(
-        ctx, default_rewrites(), start, budget=budget, seed=seed
-    )
+    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
 
     table = final.schedule.order_table()
     result = OptimizedPlan(
         baseline_method=best.method,
         scenario=None if scenario is None else scenario.name,
-        strategy=strategy,
         seed=seed,
         budget=budget,
         evaluations=ctx.evaluations,

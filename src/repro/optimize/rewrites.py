@@ -1,14 +1,11 @@
-"""Semantics-preserving local rewrites over :class:`ScheduleIR`.
+"""The two rewrites :func:`~repro.optimize.optimizer.optimize` searches.
 
-Each rewrite is a :class:`Rewrite` with two halves over the IR's node
-ids (the rewrites read the compiled graph's ``node_type``/``node_mb``/
-``node_chunk`` arrays, and build a :class:`~repro.scheduling.passes.Pass`
-only to word a trace entry):
+Each rewrite is a :class:`Rewrite` with two halves:
 
 * an **applicability predicate** — :meth:`Rewrite.sites` enumerates the
-  program points where the rewrite can fire, consulting the IR's
-  dependence index and the current candidate's measured execution
-  (bubbles, memory peaks) from the :class:`RewriteContext`;
+  program points where the rewrite can fire, consulting the current
+  candidate's measured execution (bubbles, memory peaks) from the
+  :class:`RewriteContext`;
 * an **application** — :meth:`Rewrite.apply` returns a rewritten copy
   of the program plus a :class:`RewriteStep` trace entry.
 
@@ -18,17 +15,11 @@ against the compiled-graph oracle (``Schedule.validate`` + compile +
 execute + memory report), so a site that slipped through a predicate is
 caught there, never silently mis-scored.
 
-The catalog:
+Neither rewrite reorders a device's passes.  Reordering rewrites
+(adjacent swaps, collective hoists) beat the best named family at
+token-split factor 1, 2 or 4 by at most 0.9% and were removed
+(``docs/optimizer.md``, "What the search adds").  The catalog:
 
-``swap-adjacent``
-    Exchange two adjacent passes of different streams on one device
-    when no dependence path orders them.  The micro-move the greedy
-    refinement pass cannot make: it also applies to F/B passes, which
-    refinement deliberately pins.
-``hoist-collective``
-    Relocate a vocabulary S/T pass within its legal window — between
-    its same-stream neighbors, past only dependence-free ops — to land
-    it in a pipeline bubble elsewhere in the device's order.
 ``activation-handoff``
     BPipe-style memory rebalancing: park one microbatch's transformer
     activation on a pipeline neighbor between its F and B.  Changes no
@@ -49,15 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.optimize.ir import ScheduleIR
-from repro.scheduling.orders import MB_SHIFT, STREAM_MASK, gather
-from repro.scheduling.passes import PassType
+from repro.scheduling.orders import MB_SHIFT, STREAM_MASK
 
 #: Maximum token-split factor (sequence sliced at most into quarters).
 MAX_SPLIT = 4
 #: Maximum microbatch count a token split may produce.
 MAX_SPLIT_MICROBATCHES = 1024
-#: How far (in order slots) a hoist may move an S/T pass per step.
-HOIST_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -111,89 +99,6 @@ class Rewrite:
     def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
         """A rewritten copy of ``ir`` plus the trace entry."""
         raise NotImplementedError
-
-
-def _streams_differ(graph, a: int, b: int) -> bool:
-    """Whether two pass nodes of one device belong to different streams."""
-    return (
-        graph.node_type[a] is not graph.node_type[b]
-        or graph.node_chunk[a] != graph.node_chunk[b]
-    )
-
-
-class SwapAdjacent(Rewrite):
-    """Swap two adjacent, dependence-free passes on one device."""
-
-    name = "swap-adjacent"
-
-    def sites(self, ir: ScheduleIR, ctx: RewriteContext) -> list:
-        deps = ir.deps()
-        graph = ir.graph
-        sites = []
-        for device, order in enumerate(ir.device_nodes):
-            for i in range(len(order) - 1):
-                a, b = order[i], order[i + 1]
-                # Same-stream swaps break per-stream microbatch
-                # monotonicity; dependence paths a→b pin the order.
-                if _streams_differ(graph, a, b) and not deps.path(a, b):
-                    sites.append((device, i))
-        return sites
-
-    def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
-        device, i = site
-        out = ir.copy()
-        order = out.device_nodes[device] = list(ir.device_nodes[device])
-        a, b = order[i], order[i + 1]
-        order[i], order[i + 1] = b, a
-        return out, RewriteStep(
-            rule=self.name,
-            device=device,
-            description=f"swap {ir.op(a)} <-> {ir.op(b)}",
-        )
-
-
-class HoistCollective(Rewrite):
-    """Move a vocabulary S/T pass into a bubble elsewhere in its window."""
-
-    name = "hoist-collective"
-
-    def sites(self, ir: ScheduleIR, ctx: RewriteContext) -> list:
-        deps = ir.deps()
-        graph = ir.graph
-        node_type = graph.node_type
-        sites = []
-        for device, order in enumerate(ir.device_nodes):
-            for i, op in enumerate(order):
-                if node_type[op] is not PassType.S and node_type[op] is not PassType.T:
-                    continue
-                # Earlier placements: jump ops one at a time while no
-                # jumped op feeds this one and streams stay monotone.
-                for j in range(i - 1, max(i - 1 - HOIST_WINDOW, -1), -1):
-                    jumped = order[j]
-                    if not _streams_differ(graph, jumped, op) or deps.path(jumped, op):
-                        break
-                    sites.append((device, i, j))
-                # Later placements: symmetric, no jumped op may depend
-                # on this one.
-                for j in range(i + 1, min(i + 1 + HOIST_WINDOW, len(order))):
-                    jumped = order[j]
-                    if not _streams_differ(graph, jumped, op) or deps.path(op, jumped):
-                        break
-                    sites.append((device, i, j))
-        return sites
-
-    def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
-        device, i, j = site
-        out = ir.copy()
-        order = out.device_nodes[device] = list(ir.device_nodes[device])
-        op = order.pop(i)
-        order.insert(j, op)
-        direction = "earlier" if j < i else "later"
-        return out, RewriteStep(
-            rule=self.name,
-            device=device,
-            description=f"hoist {ir.op(op)} {direction} by {abs(i - j)} slots",
-        )
 
 
 class ActivationHandoff(Rewrite):
@@ -276,10 +181,7 @@ class TokenSplit(Rewrite):
 
     def apply(self, ir: ScheduleIR, site) -> tuple[ScheduleIR, RewriteStep]:
         out = ir.copy()
-        flat = ir.table.flat_codes()
-        out.renumber(ir.table.with_codes(
-            [_split_codes(gather(flat, nodes)) for nodes in ir.device_nodes]
-        ))
+        out.renumber(ir.table.with_codes([_split_codes(codes) for codes in ir.table.codes]))
         out.num_microbatches = ir.num_microbatches * 2
         out.split = ir.split * 2
         return out, RewriteStep(
@@ -295,4 +197,4 @@ class TokenSplit(Rewrite):
 
 def default_rewrites() -> tuple[Rewrite, ...]:
     """The full rewrite catalog, in deterministic order."""
-    return (SwapAdjacent(), HoistCollective(), ActivationHandoff(), TokenSplit())
+    return (ActivationHandoff(), TokenSplit())

@@ -1,36 +1,24 @@
-"""Seeded search over the rewrite space, scored by the compiled oracle.
+"""Seeded greedy search over the rewrites, scored by the compiled oracle.
 
 :class:`ScoreContext` turns an IR program into a verified
-:class:`ScoredCandidate`: emit → ``Schedule.validate`` → compile (or,
-for a program reordered from a scored one, re-thread that program's
-graph with its node-id orders, sharing every structural array and the
-priced durations) → in-order execute → memory report.  A program that
-fails validation or deadlocks scores as ``None`` — the oracle is the
-final legality check behind every rewrite's applicability predicate.
-Only a token split lowers a new graph.  When a candidate must be ranked
-under scenario jitter the Monte Carlo draws go through
-:meth:`~repro.sim.compiled.CompiledGraph.execute_many_summary` — one
-batched kernel call for all samples — via
-:func:`repro.scenarios.perturb.robustness_stats`.
+:class:`ScoredCandidate`: emit → ``Schedule.validate`` → compile (only
+for a fresh lowering or a token split; a handoff child shares its
+parent's graph, since no rewrite reorders passes) → in-order execute →
+memory report.  A program that fails validation or deadlocks scores as
+``None`` — the oracle is the final legality check behind every
+rewrite's applicability predicate.
 
-Two :class:`SearchStrategy` implementations ship behind one interface:
-
-* :class:`GreedyStrategy` — rounds of "enumerate sites, score a seeded
-  sample of them, take the best strict improvement";
-* :class:`AnnealingStrategy` — simulated annealing with a geometric
-  temperature ladder; uphill moves are accepted with the Metropolis
-  probability, and the best candidate ever seen is returned.
-
-Both draw every random decision from ``random.Random(seed)`` and score
-through the same deterministic oracle, so a fixed seed reproduces the
-search bit-for-bit on either simulation engine (the NumPy and
-pure-Python replay kernels are bit-identical by construction).
+:func:`greedy_search` runs rounds of "score every applicable site, take
+the best strict improvement".  A round has at most ``2p`` handoff sites
+plus one token split; when the remaining budget cannot score them all,
+a ``random.Random(seed)`` sample of them is scored instead, so a fixed
+seed reproduces the search bit-for-bit on either simulation engine (the
+NumPy and pure-Python replay kernels are bit-identical by construction).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from dataclasses import dataclass
 
@@ -104,11 +92,6 @@ class ScoredCandidate:
     feasible: bool
     graph: CompiledGraph = dataclasses.field(repr=False, compare=False)
     rewrite_ctx: RewriteContext = dataclasses.field(repr=False, compare=False)
-    #: Applicable sites per rule name, filled by the search on first use
-    #: (a pure function of ``ir`` and ``rewrite_ctx``).
-    sites: dict[str, tuple] = dataclasses.field(
-        default_factory=dict, repr=False, compare=False
-    )
     #: Scored token-split children per ``(rule, site)``; a dict only on
     #: a memoized search start, ``None`` elsewhere (see
     #: :meth:`ScoreContext.score_rewrite`).
@@ -135,7 +118,7 @@ class ScoreContext:
 
     One context is bound to a (setup, scenario, memory budget) triple;
     ``evaluations`` counts scored candidates, which is the budget the
-    search strategies spend — a candidate served from a memo counts as
+    search spends — a candidate served from a memo counts as
     one evaluation exactly like one the oracle replays.
     """
 
@@ -211,13 +194,8 @@ class ScoreContext:
             return None
         try:
             if ir.graph is None:
-                graph = ir.graph = compile_schedule(
-                    schedule, self._runtime(schedule, ir.split)
-                )
-            else:
-                # The same nodes in another order: share every structural
-                # array and the priced durations.
-                graph = ir.graph._with_device_nodes(ir.device_nodes, schedule)
+                ir.graph = compile_schedule(schedule, self._runtime(schedule, ir.split))
+            graph = ir.graph
             result = graph.execute()
         except DeadlockError:
             return None
@@ -267,12 +245,12 @@ class ScoreContext:
         """Score the program ``rewrite`` makes of ``current`` at ``site``.
 
         A memoized start (``current.children`` is a dict) keeps its
-        token-split child: the rule's one site is sampled by every
+        token-split child: the rule's one site is scored by every
         search from the start, and the child does not depend on the
-        seed, so it is scored once per start.  Swap and hoist children
-        rarely repeat across seeds and are not kept.  A child served
-        from the memo counts as one evaluation, exactly as when it is
-        scored afresh.
+        seed, so it is scored once per start.  Handoff children share
+        their parent's graph and are not kept.  A child served from the
+        memo counts as one evaluation, exactly as when it is scored
+        afresh.
         """
 
         def build() -> ScoredCandidate | None:
@@ -292,181 +270,39 @@ class ScoreContext:
         :meth:`score` had made it."""
         self.evaluations += 1
 
-    def robust_stats(self, candidate: ScoredCandidate, samples: int, seed: int):
-        """Monte Carlo statistics of a candidate under the scenario's
-        jitter — all ``samples`` draws priced by one
-        ``execute_many_summary`` batch."""
-        from repro.scenarios.perturb import robustness_stats
 
-        if self.scenario is None:
-            raise ValueError("robust_stats requires a scenario")
-        return robustness_stats(
-            candidate.graph, self.scenario, samples=samples, seed=seed
-        )
+def greedy_search(
+    ctx: ScoreContext,
+    rewrites: tuple[Rewrite, ...],
+    start: ScoredCandidate,
+    *,
+    budget: int,
+    seed: int,
+) -> ScoredCandidate:
+    """Steepest descent from ``start`` until no site improves or
+    ``ctx.evaluations`` reaches ``budget``.
 
-
-class SearchStrategy:
-    """One search policy over the rewrite space."""
-
-    name: str = ""
-
-    def run(
-        self,
-        ctx: ScoreContext,
-        rewrites: tuple[Rewrite, ...],
-        start: ScoredCandidate,
-        *,
-        budget: int,
-        seed: int,
-    ) -> ScoredCandidate:
-        raise NotImplementedError
-
-    def _buckets(
-        self, rewrites: tuple[Rewrite, ...], current: ScoredCandidate
-    ) -> list[tuple[Rewrite, tuple]]:
-        """Applicable sites grouped per rewrite rule (empty rules dropped).
-
-        Enumerated once per candidate and rule, then kept on the
-        candidate: annealing re-asks while it rejects proposals, and a
-        memoized start candidate serves every search from it.
-        """
-        memo = current.sites
-        buckets = []
-        for rewrite in rewrites:
-            sites = memo.get(rewrite.name)
-            if sites is None:
-                sites = memo[rewrite.name] = tuple(
-                    rewrite.sites(current.ir, current.rewrite_ctx)
-                )
-            if sites:
-                buckets.append((rewrite, sites))
-        return buckets
-
-    def _stratified_sample(
-        self,
-        buckets: list[tuple[Rewrite, tuple]],
-        cap: int,
-        rng: random.Random,
-    ) -> list[tuple[Rewrite, object]]:
-        """Up to ``cap`` sites, round-robin across rules.
-
-        Uniform sampling over the union starves low-cardinality rules —
-        token-split has one site against thousands of swaps — so the
-        sample cycles through the rules instead, drawing one seeded-
-        random site per rule per cycle.  Every rule with any applicable
-        site is guaranteed representation whenever ``cap`` ≥ the number
-        of rules.
-        """
-        pools = []
-        for rewrite, sites in buckets:
-            sites = list(sites)
-            rng.shuffle(sites)
-            pools.append((rewrite, sites))
-        chosen: list[tuple[Rewrite, object]] = []
-        while len(chosen) < cap and pools:
-            for rewrite, sites in list(pools):
-                if len(chosen) >= cap:
-                    break
-                chosen.append((rewrite, sites.pop()))
-                if not sites:
-                    pools.remove((rewrite, sites))
-        return chosen
-
-
-class GreedyStrategy(SearchStrategy):
-    """Steepest-descent over a seeded sample of applicable sites.
-
-    Each round enumerates every applicable site, scores a deterministic
-    sample of them (the sample keeps rounds affordable on programs with
-    thousands of sites; ``random.Random(seed)`` makes it reproducible),
-    and moves to the best strictly-improving neighbor.  Stops when no
-    sampled neighbor improves or the evaluation budget is spent.
+    Each round scores every applicable site — or, when fewer
+    evaluations remain than there are sites, a ``random.Random(seed)``
+    sample of them — and moves to the best strict improvement.
     """
-
-    name = "greedy"
-
-    def run(self, ctx, rewrites, start, *, budget, seed):
-        rng = random.Random(seed)
-        current = start
-        while ctx.evaluations < budget:
-            buckets = self._buckets(rewrites, current)
-            if not buckets:
-                break
-            total = sum(len(sites) for _, sites in buckets)
-            cap = min(total, max(16, budget // 4), budget - ctx.evaluations)
-            best = None
-            for rewrite, site in self._stratified_sample(buckets, cap, rng):
-                candidate = ctx.score_rewrite(current, rewrite, site)
-                if candidate is not None and candidate.better_than(best):
-                    best = candidate
-            if best is None or not best.better_than(current):
-                break
-            current = best
-        return current
-
-
-class AnnealingStrategy(SearchStrategy):
-    """Simulated annealing with a geometric cooling ladder.
-
-    Proposes one uniformly-drawn applicable site per step; downhill
-    moves are always taken, uphill moves with probability
-    ``exp(-Δ/T)`` where ``T`` decays geometrically from 2 % of the
-    start time.  A feasible candidate never anneals into an infeasible
-    one.  Returns the best candidate ever scored.
-    """
-
-    name = "anneal"
-
-    #: Initial temperature as a fraction of the start iteration time.
-    T0_FRACTION = 0.02
-    #: Geometric decay per evaluation.
-    ALPHA = 0.97
-
-    def run(self, ctx, rewrites, start, *, budget, seed):
-        rng = random.Random(seed)
-        current = start
-        best = start
-        temperature = self.T0_FRACTION * max(start.time, 1e-12)
-        while ctx.evaluations < budget:
-            buckets = self._buckets(rewrites, current)
-            if not buckets:
-                break
-            # Rule first, then site: uniform over the union would give a
-            # one-site rule (token-split) a vanishing proposal mass.
-            rewrite, sites = buckets[rng.randrange(len(buckets))]
-            site = sites[rng.randrange(len(sites))]
+    rng = random.Random(seed)
+    current = start
+    while ctx.evaluations < budget:
+        sites = [
+            (rewrite, site)
+            for rewrite in rewrites
+            for site in rewrite.sites(current.ir, current.rewrite_ctx)
+        ]
+        room = budget - ctx.evaluations
+        if len(sites) > room:
+            sites = rng.sample(sites, room)
+        best = None
+        for rewrite, site in sites:
             candidate = ctx.score_rewrite(current, rewrite, site)
-            temperature = max(temperature * self.ALPHA, 1e-15)
-            if candidate is None:
-                continue
-            if current.feasible and not candidate.feasible:
-                continue
-            delta = candidate.time - current.time
-            accept = (
-                candidate.better_than(current)
-                or rng.random() < math.exp(-delta / temperature)
-            )
-            if accept:
-                current = candidate
-                if current.better_than(best):
-                    best = current
-        return best
-
-
-_STRATEGIES: dict[str, type[SearchStrategy]] = {
-    GreedyStrategy.name: GreedyStrategy,
-    AnnealingStrategy.name: AnnealingStrategy,
-}
-
-#: Names of the built-in search strategies.
-STRATEGY_NAMES: tuple[str, ...] = tuple(sorted(_STRATEGIES))
-
-
-def get_strategy(name: str) -> SearchStrategy:
-    """Instantiate a search strategy by name."""
-    try:
-        return _STRATEGIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}"
-        ) from None
+            if candidate is not None and candidate.better_than(best):
+                best = candidate
+        if best is None or not best.better_than(current):
+            break
+        current = best
+    return current

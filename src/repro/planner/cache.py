@@ -47,6 +47,7 @@ import json
 import os
 import pickle
 import weakref
+from collections import OrderedDict, defaultdict
 from pathlib import Path
 from typing import Any
 
@@ -56,6 +57,8 @@ from repro import faultinject
 _MAGIC = b"RPLC1\n"
 #: Name of the sidecar directory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
+#: Default per-kind entry bound of a :class:`PlanCache`.
+DEFAULT_MAX_ENTRIES = 1024
 
 
 def _canonical(obj: Any) -> Any:
@@ -207,26 +210,28 @@ class PlanCache:
     Hits return the stored object itself (plans are treated as
     immutable once ranked).  ``hits``/``misses`` counters make cache
     behaviour observable in tests and sweeps.  ``max_entries`` bounds
-    each entry kind (whole-plan and every aux namespace separately),
-    evicting oldest-first in memory and on disk.
+    each entry kind (whole-plan and every aux namespace separately):
+    in memory the least recently used entry is evicted, on disk the
+    oldest file.
     """
 
     def __init__(
         self,
         directory: str | Path | None = None,
-        max_entries: int | None = None,
+        max_entries: int | None = DEFAULT_MAX_ENTRIES,
     ):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._store: dict[str, Any] = {}
-        self._aux_store: dict[str, Any] = {}
+        #: Per-kind in-memory entries (``"plan"`` for whole plans), least
+        #: recently used first: a hit or a write moves its entry to the
+        #: end, and eviction pops the front.
+        self._memory: defaultdict[str, OrderedDict[str, Any]] = defaultdict(OrderedDict)
         self.directory = Path(directory) if directory is not None else None
         #: Per-kind entry bound (``None`` = unbounded): whole-plan
         #: entries and each auxiliary kind (``estimate``, ``metrics``,
-        #: ``robust``) are capped separately, oldest entry evicted
-        #: first, both in memory and on disk.  Long-running processes
-        #: (the planning service) set this so the cache directory
-        #: cannot grow without limit.
+        #: ``robust``) are capped separately, both in memory and on
+        #: disk, so neither a long-running process nor its cache
+        #: directory grows without limit.
         self.max_entries = max_entries
         #: Per-kind estimate of this writer's disk file count (files
         #: seen at the last directory scan plus writes since): lets
@@ -245,7 +250,7 @@ class PlanCache:
 
     def __len__(self) -> int:
         """Number of whole-plan entries (aux entries are not counted)."""
-        return len(self._store)
+        return len(self._memory["plan"])
 
     def _path(self, key: str, kind: str = "plan") -> Path:
         assert self.directory is not None
@@ -312,30 +317,36 @@ class PlanCache:
             self._quarantine(path)
             return None
 
-    def _fetch(
-        self, store: dict[str, Any], store_key: str, key: str, kind: str
-    ) -> Any | None:
+    def _fetch(self, kind: str, key: str) -> Any | None:
         """Shared lookup: in-memory first, then the disk file (if any)."""
-        if store_key in store:
-            return store[store_key]
+        store = self._memory[kind]
+        value = store.get(key)
+        if value is not None:
+            try:
+                store.move_to_end(key)
+            except KeyError:  # evicted by another thread since the get
+                pass
+            return value
         if self.directory is not None:
             value = self._read_entry(self._path(key, kind))
             if value is not None:
-                store[store_key] = value
-                if self.max_entries is not None:
-                    # Reads must not grow a bounded cache either: a
-                    # read-mostly process (the service's disk tier)
-                    # would otherwise accumulate every digest it ever
-                    # loaded.
-                    prefix = "" if store is self._store else f"{kind}:"
-                    self._evict_memory(store, prefix)
+                # Reads must not grow a bounded cache either: a
+                # read-mostly process (the service's disk tier) would
+                # otherwise accumulate every digest it ever loaded.
+                self._remember(store, key, value)
                 return value
         return None
 
-    def _write(
-        self, store: dict[str, Any], store_key: str, key: str, kind: str,
-        value: Any,
-    ) -> None:
+    def _remember(self, store: OrderedDict, key: str, value: Any) -> None:
+        """Keep ``value`` as ``store``'s newest entry, within the bound."""
+        store[key] = value
+        store.move_to_end(key)
+        if self.max_entries is not None:
+            while len(store) > self.max_entries:
+                store.popitem(last=False)
+                self.evictions += 1
+
+    def _write(self, kind: str, key: str, value: Any) -> None:
         """Shared store: in-memory plus an atomic disk write (if any).
 
         Disk writes go to a temp file first and are renamed into place,
@@ -344,7 +355,7 @@ class PlanCache:
         *rename target* (a crashed writer, injected via the
         ``torn-cache-write`` fault site) detectable on read.
         """
-        store[store_key] = value
+        self._remember(self._memory[kind], key, value)
         if self.directory is not None:
             path = self._path(key, kind)
             temp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -376,39 +387,26 @@ class PlanCache:
                     )
                 except OSError:
                     pass
-            # Unknown kinds stay unknown so the next _evict scans and
+            # Unknown kinds stay unknown so the next _evict_disk scans and
             # establishes the real count (overwrites may overcount; the
             # error is in the safe direction — an extra scan).
-            if self.max_entries is not None and kind in self._disk_counts:
-                self._disk_counts[kind] += 1
-        if self.max_entries is not None:
-            self._evict(store, kind)
+            if self.max_entries is not None:
+                if kind in self._disk_counts:
+                    self._disk_counts[kind] += 1
+                self._evict_disk(kind)
 
-    def _evict_memory(self, store: dict[str, Any], prefix: str) -> None:
-        """Drop oldest in-memory entries with ``prefix`` beyond the bound."""
-        matching = [key for key in store if key.startswith(prefix)]
-        for key in matching[: max(0, len(matching) - self.max_entries)]:
-            del store[key]
-            self.evictions += 1
+    def _evict_disk(self, kind: str) -> None:
+        """Drop the oldest disk files of one ``kind`` beyond ``max_entries``.
 
-    def _evict(self, store: dict[str, Any], kind: str) -> None:
-        """Drop oldest entries of one ``kind`` beyond ``max_entries``.
-
-        In-memory stores evict in insertion order (dicts preserve it);
-        the disk directory evicts the same kind's oldest files by
-        modification time, so a long-running writer keeps the directory
-        bounded even across restarts (ties broken by name for
-        determinism).  The directory is only scanned once this writer's
-        running count for the kind could exceed the bound — safely
-        under it, a write costs no extra syscalls.  Concurrent writers
+        Files are ordered by modification time, so a long-running writer
+        keeps the directory bounded even across restarts (ties broken by
+        name for determinism).  The directory is only scanned once this
+        writer's running count for the kind could exceed the bound —
+        safely under it, a write costs no extra syscalls.  Concurrent writers
         may race an unlink; a file already removed by a sibling is
         simply skipped, and each writer's own bound keeps a shared
         directory bounded regardless.
         """
-        prefix = "" if store is self._store else f"{kind}:"
-        self._evict_memory(store, prefix)
-        if self.directory is None:
-            return
         count = self._disk_counts.get(kind)
         if count is not None and count <= self.max_entries:
             return
@@ -435,7 +433,7 @@ class PlanCache:
 
     def get(self, key: str) -> Any | None:
         """Stored plans for ``key``, or ``None`` (counts hit/miss)."""
-        value = self._fetch(self._store, key, key, "plan")
+        value = self._fetch("plan", key)
         if value is not None:
             self.hits += 1
         else:
@@ -444,7 +442,7 @@ class PlanCache:
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` (and on disk when configured)."""
-        self._write(self._store, key, key, "plan", value)
+        self._write("plan", key, value)
 
     def get_aux(self, kind: str, key: str) -> Any | None:
         """Namespaced auxiliary entry (estimate, metrics, …) or ``None``.
@@ -454,7 +452,7 @@ class PlanCache:
         suffixed ``.{kind}.pkl``), with separate ``aux_hits`` /
         ``aux_misses`` counters, and do not count towards ``len()``.
         """
-        value = self._fetch(self._aux_store, f"{kind}:{key}", key, kind)
+        value = self._fetch(kind, key)
         if value is not None:
             self.aux_hits += 1
         else:
@@ -463,12 +461,11 @@ class PlanCache:
 
     def put_aux(self, kind: str, key: str, value: Any) -> None:
         """Store an auxiliary entry under (kind, key)."""
-        self._write(self._aux_store, f"{kind}:{key}", key, kind, value)
+        self._write(kind, key, value)
 
     def clear(self) -> None:
         """Drop all in-memory entries (disk files are left alone)."""
-        self._store.clear()
-        self._aux_store.clear()
+        self._memory.clear()
         self._disk_counts.clear()
         self.hits = 0
         self.misses = 0

@@ -10,7 +10,7 @@ device, a tuple of integer codes ``microbatch << MB_SHIFT | stream``.
 Validation, structural keys, cloning and lowering all run on these
 integers.  :class:`~repro.scheduling.passes.Pass` objects are built from
 them only when a consumer asks (:meth:`OrderTable.passes`: the reference
-engine, the optimizer IR, trace rendering), once per table, and every
+engine, trace rendering), once per table, and every
 schedule holding the table shares them.  The table is immutable, so
 copies of a schedule share it for free.
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from repro import faultinject
 from repro.api import API_VERSION
-from repro.planner.cache import PlanCache
+from repro.planner.cache import DEFAULT_MAX_ENTRIES, PlanCache
 from repro.planner.sweep import (
     discard_pool,
     get_pool,
@@ -192,7 +192,7 @@ class PlanningService:
         max_workers: int | None = None,
         cache_dir: str | None = None,
         lru_size: int = 256,
-        max_cache_entries: int | None = 1024,
+        max_cache_entries: int | None = DEFAULT_MAX_ENTRIES,
         max_inflight: int = 64,
         tenant_rate: float | None = None,
         tenant_burst: float | None = None,

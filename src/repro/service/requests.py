@@ -48,7 +48,6 @@ from repro.config import ModelConfig, ParallelConfig
 from repro.harness.experiments import KNOWN_METHODS
 from repro.optimize import (
     DEFAULT_BUDGET,
-    STRATEGY_NAMES,
     OptimizedPlan,
     optimize,
     optimize_cache_key,
@@ -204,14 +203,6 @@ def _method(name: str, value: str) -> str:
 
 def _methods(name: str, value: list) -> tuple[str, ...]:
     return tuple(_method(name, method) for method in value)
-
-
-def _strategy(name: str, value: str) -> str:
-    if value not in STRATEGY_NAMES:
-        raise RequestError(
-            f"unknown strategy {value!r}; expected one of {STRATEGY_NAMES}"
-        )
-    return value
 
 
 def _top_k(name: str, value: int | str) -> int | None:
@@ -892,14 +883,9 @@ def execute_scenario_request(
     replace(_SCENARIO, help="optimize under a registered cluster scenario's runtime"),
     _COST_MODEL,
     Param(
-        "strategy", str, "greedy", _strategy, flag="--strategy",
-        metavar="{" + ",".join(STRATEGY_NAMES) + "}",
-        help="search strategy (default %(default)s; anneal accepts uphill "
-        "moves on a cooling temperature)",
-    ),
-    Param(
         "seed", int, 0, flag="--seed",
-        help="seed for the search's random decisions (default %(default)s)",
+        help="seed of the site sample a round draws when the budget cannot "
+        "score every site (default %(default)s)",
     ),
     Param(
         "budget", int, DEFAULT_BUDGET, _positive, flag="--budget",
@@ -920,7 +906,7 @@ class OptimizeRequest(_ConfigRequest):
     """
 
     def validate(self) -> None:
-        self.digest()  # config validity, strategy/budget bounds
+        self.digest()  # config validity, budget bound
 
     def digest(self) -> str:
         """The optimizer's cache key for this request.
@@ -936,7 +922,6 @@ class OptimizeRequest(_ConfigRequest):
             constraints,
             pass_overhead=self.pass_overhead,
             scenario=scenario,
-            strategy=self.strategy,
             seed=self.seed,
             budget=self.budget,
         )
@@ -950,7 +935,6 @@ class OptimizeRequest(_ConfigRequest):
             cache=cache,
             pass_overhead=self.pass_overhead,
             scenario=scenario,
-            strategy=self.strategy,
             seed=self.seed,
             budget=self.budget,
         )

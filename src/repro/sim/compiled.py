@@ -27,8 +27,7 @@ systems (TeraPipe, BaPipe) use to keep their search loops affordable:
   :meth:`CompiledGraph._with_device_nodes` re-threads the device chains
   for a reordered schedule while sharing every structural array — which
   is how :meth:`CompiledGraph.refine` builds the refined graph, whose
-  in-order result it reads off the dataflow run, and how the optimizer
-  scores its reordered candidates.
+  in-order result it reads off the dataflow run.
 
 Results are bit-identical to the reference executor
 (:mod:`repro.sim.reference_executor`): the same floating-point

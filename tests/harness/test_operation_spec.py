@@ -82,7 +82,6 @@ SAMPLES = {
     "factor": (["1.5"], 1.5),
     "samples": (["16"], 16),
     "seed": (["7"], 7),
-    "strategy": (["anneal"], "anneal"),
     "budget": (["12"], 12),
 }
 

@@ -5,10 +5,10 @@
 spent, every trace step, the peak memory, the emitted schedule's metadata
 and a sha256 digest of its canonical integer orders
 (:meth:`~repro.scheduling.orders.OrderTable.key`).  The cases cover
-greedy and annealing searches from vocab-1, vhalf-vocab-1, interlaced and
-baseline starts, nominal and ``slow-node``, a greedy search that splits
-twice (split 4, a second round), and searches under a memory budget
-tighter than the start's peak, which fire ``activation-handoff``.
+searches from vocab-1, vhalf-vocab-1, interlaced and baseline starts,
+nominal and ``slow-node``, a search that splits twice (split 4, a second
+round), one that does not split, and a search under a memory budget
+tighter than the start's peak, which fires ``activation-handoff``.
 
 A change to the optimizer's internals must leave every case unchanged.
 Re-record only for an intended change to the search::
@@ -31,7 +31,7 @@ from repro.config import ParallelConfig
 from repro.costmodel.memory import GiB
 from repro.harness.experiments import clear_structural_caches
 from repro.harness.settings import model_for_1f1b, parallel_for
-from repro.optimize import ScheduleIR, ScoreContext, default_rewrites, get_strategy
+from repro.optimize import ScheduleIR, ScoreContext, default_rewrites, greedy_search
 from repro.planner.sweep import model_for_devices
 from repro.service.requests import OptimizeRequest
 from repro.sim import SimulationSetup
@@ -51,29 +51,22 @@ def _config(name: str):
     )
 
 
-#: name -> (config, start family or None for the best, scenario,
-#: strategy, seed, budget).
+#: name -> (config, start family or None for the best, scenario, seed,
+#: budget).
 OPTIMIZE_CASES = {
-    "cli-slow-node-greedy": ("cli", None, "slow-node", "greedy", 0, 96),
-    "tab-slow-node-anneal": ("tab", None, "slow-node", "anneal", 0, 24),
-    "tab-nominal-greedy": ("tab", None, None, "greedy", 1, 48),
-    "tab-nominal-anneal": ("tab", None, None, "anneal", 0, 48),
-    "vocab-1-nominal-greedy": ("small", "vocab-1", None, "greedy", 0, 48),
-    "vocab-1-slow-node-anneal": ("small", "vocab-1", "slow-node", "anneal", 0, 48),
-    "vhalf-vocab-1-slow-node-greedy": ("small", "vhalf-vocab-1", "slow-node", "greedy", 0, 48),
-    "vhalf-vocab-1-nominal-anneal": ("small", "vhalf-vocab-1", None, "anneal", 3, 48),
-    "interlaced-nominal-greedy": ("small", "interlaced", None, "greedy", 0, 48),
-    "interlaced-slow-node-anneal": ("small", "interlaced", "slow-node", "anneal", 0, 48),
-    "baseline-slow-node-greedy-split-4": ("small", "baseline", "slow-node", "greedy", 0, 48),
-    "baseline-slow-node-anneal-split-4": ("small", "baseline", "slow-node", "anneal", 0, 48),
+    "cli-slow-node-greedy": ("cli", None, "slow-node", 0, 96),
+    "tab-nominal-greedy": ("tab", None, None, 1, 48),
+    "vocab-1-nominal-greedy": ("small", "vocab-1", None, 0, 48),
+    "vhalf-vocab-1-slow-node-greedy": ("small", "vhalf-vocab-1", "slow-node", 0, 48),
+    "interlaced-nominal-greedy": ("small", "interlaced", None, 0, 48),
+    "baseline-slow-node-greedy-split-4": ("small", "baseline", "slow-node", 0, 48),
 }
 
-#: name -> (start family, memory budget in GiB, strategy, seed, budget):
-#: searches scored under a budget below the start's 6.96 GiB peak, so the
-#: start is infeasible and a handoff from device 0 to device 1 can fix it.
+#: name -> (start family, memory budget in GiB, seed, budget): a search
+#: scored under a budget below the start's 6.96 GiB peak, so the start is
+#: infeasible and a handoff from device 0 to device 1 can fix it.
 HANDOFF_CASES = {
-    "handoff-greedy": ("baseline", 6.9, "greedy", 0, 48),
-    "handoff-anneal": ("baseline", 6.9, "anneal", 0, 48),
+    "handoff-greedy": ("baseline", 6.9, 0, 48),
 }
 
 CASES = sorted([*OPTIMIZE_CASES, *HANDOFF_CASES])
@@ -108,18 +101,18 @@ def _schedule_fields(schedule) -> dict:
 
 
 def _optimize_case(name: str) -> dict:
-    config, method, scenario, strategy, seed, budget = OPTIMIZE_CASES[name]
+    config, method, scenario, seed, budget = OPTIMIZE_CASES[name]
     model, parallel = _config(config)
     constraints = PlannerConstraints(methods=None if method is None else (method,))
     result = optimize(
         model, parallel, constraints, cache=PlanCache(), scenario=scenario,
-        strategy=strategy, seed=seed, budget=budget,
+        seed=seed, budget=budget,
     )
     return _encode({**result.as_dict(), **_schedule_fields(result.schedule)})
 
 
 def _handoff_case(name: str) -> dict:
-    method, budget_gib, strategy, seed, budget = HANDOFF_CASES[name]
+    method, budget_gib, seed, budget = HANDOFF_CASES[name]
     model, parallel = _config("small")
     plans = plan(
         model, parallel,
@@ -128,9 +121,7 @@ def _handoff_case(name: str) -> dict:
     )
     ctx = ScoreContext(SimulationSetup(model, parallel), budget_bytes=budget_gib * GiB)
     start = ctx.score(ScheduleIR.from_schedule(plans.build_best_schedule()), ())
-    final = get_strategy(strategy).run(
-        ctx, default_rewrites(), start, budget=budget, seed=seed
-    )
+    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
     return _encode({
         "start_time": start.time,
         "start_feasible": start.feasible,
@@ -176,7 +167,7 @@ def test_matches_golden_without_numpy(name, golden, monkeypatch):
 
 def test_cases_cover_the_rules(golden):
     rules = {step["rule"] for case in golden.values() for step in case["trace"]}
-    assert rules == {"swap-adjacent", "hoist-collective", "activation-handoff", "token-split"}
+    assert rules == {"activation-handoff", "token-split"}
     assert {case["metadata"].get("token_split", 1) for case in golden.values()} == {1, 2, 4}
 
 

@@ -11,7 +11,6 @@ from repro.api import (
     optimize_cache_key,
 )
 from repro.harness.settings import model_for_1f1b, parallel_for
-from repro.optimize import get_strategy
 
 
 @pytest.fixture
@@ -113,7 +112,6 @@ class TestCacheKey:
         base = optimize_cache_key(model, parallel)
         assert optimize_cache_key(model, parallel) == base
         assert optimize_cache_key(model, parallel, seed=1) != base
-        assert optimize_cache_key(model, parallel, strategy="anneal") != base
         assert optimize_cache_key(model, parallel, budget=7) != base
         assert optimize_cache_key(
             model, parallel, scenario="slow-node"
@@ -124,12 +122,6 @@ class TestCacheKey:
 
 
 class TestValidation:
-    def test_unknown_strategy_rejected(self, model, parallel):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            optimize(model, parallel, strategy="magic")
-        with pytest.raises(ValueError, match="unknown strategy"):
-            get_strategy("magic")
-
     def test_non_positive_budget_rejected(self, model, parallel):
         with pytest.raises(ValueError, match="budget"):
             optimize(model, parallel, budget=0)
@@ -138,12 +130,3 @@ class TestValidation:
         with pytest.raises(KeyError):
             optimize(model, parallel, scenario="not-a-scenario")
 
-
-class TestAnnealing:
-    def test_anneal_returns_a_verified_plan(self, model, parallel, tmp_path):
-        result = run(
-            model, parallel, tmp_path, strategy="anneal", seed=0, budget=32
-        )
-        assert result.strategy == "anneal"
-        assert result.optimized_time <= result.baseline_time
-        assert result.evaluations <= result.budget + 1

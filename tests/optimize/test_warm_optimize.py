@@ -2,9 +2,8 @@
 memoized token-split child and the cached result's schedule.
 
 A search's start — the best named family's refined schedule, scored by
-the oracle, the rewrite sites it offers and its scored token-split
-child — does not depend on the strategy, seed or budget, so it is
-memoized beside the structural caches.  A warm search must equal a cold
+the oracle, and its scored token-split child — does not depend on the
+seed or budget, so it is memoized beside the structural caches.  A warm search must equal a cold
 one in every output, including its ``evaluations`` count (the start and
 every use of the child are one evaluation each).  The result cached per
 seed holds its schedule as integer orders only.
@@ -20,10 +19,10 @@ from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB
 from repro.harness import experiments
 from repro.harness.experiments import clear_structural_caches, structural_cache_stats
 from repro.harness.settings import model_for_1f1b, parallel_for
-from repro.optimize import get_strategy, optimizer
+from repro.optimize import optimizer
 from repro.optimize.ir import ScheduleIR
 from repro.optimize.rewrites import default_rewrites
-from repro.optimize.search import ScoreContext
+from repro.optimize.search import ScoreContext, greedy_search
 from repro.scenarios import get_scenario
 from repro.scheduling.schedule import Schedule
 from repro.sim import SimulationSetup
@@ -55,7 +54,7 @@ def outputs(result) -> tuple:
     )
 
 
-def search_scoring_its_own_start(scenario, strategy, seed, budget):
+def search_scoring_its_own_start(scenario, seed, budget):
     """The search without any memo: one context scores the start itself
     and then spends the rest of the budget.  Returns its evaluation
     count and final candidate."""
@@ -71,9 +70,7 @@ def search_scoring_its_own_start(scenario, strategy, seed, budget):
         memory_model=DEFAULT_MEMORY_MODEL,
     )
     start = ctx.score(ScheduleIR.from_schedule(plans.build_best_schedule()), ())
-    final = get_strategy(strategy).run(
-        ctx, default_rewrites(), start, budget=budget, seed=seed
-    )
+    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
     return ctx.evaluations, final
 
 
@@ -91,34 +88,29 @@ def cold_and_warm(**kwargs):
 
 
 class TestStartStateMemo:
-    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_warm_equals_cold(self, seed, strategy):
-        cold, warm = cold_and_warm(
-            scenario="slow-node", strategy=strategy, seed=seed, budget=24
-        )
+    def test_warm_equals_cold(self, seed):
+        cold, warm = cold_and_warm(scenario="slow-node", seed=seed, budget=24)
         assert warm.optimized_time == cold.optimized_time
         assert warm.evaluations == cold.evaluations
         assert outputs(warm) == outputs(cold)
-        if strategy == "greedy":
-            # Each first round samples the token split: the warm search
-            # was served the child its warm-up search scored.
-            assert child_stats() == (1, 1)
-        evaluations, final = search_scoring_its_own_start(
-            "slow-node", strategy, seed, 24
-        )
+        # Each first round scores the token split: the warm search was
+        # served the child its warm-up search scored.
+        assert child_stats() == (1, 1)
+        evaluations, final = search_scoring_its_own_start("slow-node", seed, 24)
         assert warm.evaluations == evaluations
         assert (warm.optimized_time, warm.trace) == (final.time, final.trace)
         assert warm.schedule.device_orders == final.schedule.device_orders
 
     def test_multi_round_greedy_warm_equals_cold(self):
         cold, warm = cold_and_warm(scenario="slow-node", seed=0, budget=40)
-        # More than one greedy round (a round scores at most 16
-        # candidates after the start), stopped before the budget ran
-        # out, so the count shows whether the start was counted.
-        assert 17 < cold.evaluations < 40
+        # Two rounds (the split child improves, its own split does not),
+        # stopped before the budget ran out, so the count shows whether
+        # the start was counted.
+        assert cold.evaluations == 3
+        assert [step.rule for step in cold.trace] == ["token-split"]
         assert outputs(warm) == outputs(cold)
-        evaluations, final = search_scoring_its_own_start("slow-node", "greedy", 0, 40)
+        evaluations, final = search_scoring_its_own_start("slow-node", 0, 40)
         assert warm.evaluations == evaluations
         assert warm.trace == final.trace
 
@@ -128,9 +120,9 @@ class TestStartStateMemo:
         assert warm.trace == ()
         assert warm.optimized_time == warm.baseline_time
 
-    def test_key_leaves_out_strategy_seed_and_budget_only(self):
+    def test_key_leaves_out_seed_and_budget_only(self):
         run(seed=0, budget=2)
-        run(strategy="anneal", seed=5, budget=3)
+        run(seed=5, budget=3)
         assert structural_cache_stats()["start_hits"] == 1
         run(seed=0, budget=2, scenario="slow-node")
         run(seed=0, budget=2, pass_overhead=1e-3)
@@ -162,7 +154,7 @@ def child_stats() -> tuple[int, int]:
 
 
 class TestSplitChildMemo:
-    """Every greedy round from the start samples its one token-split
+    """Every greedy round from the start scores its one token-split
     site, so the scored split child is kept on the memoized start
     (warm equals cold with it: ``TestStartStateMemo``)."""
 
@@ -178,12 +170,12 @@ class TestSplitChildMemo:
         assert child.children is None, "only the start memoizes children"
 
     def test_every_use_counts_as_one_evaluation(self):
-        # Budget 4: the start, then one swap, one hoist and the split
-        # child, the last served cold and then warm.
+        # Budget 2: the start, then the split child, served cold and
+        # then warm.
         for seed, expected in ((0, (1, 0)), (1, (1, 1))):
-            result = run(seed=seed, budget=4)
+            result = run(seed=seed, budget=2)
             assert child_stats() == expected
-            assert result.evaluations == 4
+            assert result.evaluations == 2
 
     @pytest.mark.parametrize("clear", [clear_structural_caches, experiments.clear_derived_caches])
     def test_dropped_on_clear(self, clear):
@@ -199,38 +191,18 @@ class TestSplitChildMemo:
         assert hits == 0
         assert misses == (1 if clear is clear_structural_caches else 2)
 
-    def test_anneal_proposals_from_the_start_use_it(self):
-        # Seeds 5 and 6 both propose the token split from the start.
-        clear_structural_caches()
-        cold = run(strategy="anneal", seed=5, budget=24)
-        assert child_stats() == (1, 0)
-        clear_structural_caches()
-        run(strategy="anneal", seed=6, budget=24)
-        warm = run(strategy="anneal", seed=5, budget=24)
-        assert child_stats() == (1, 1)
-        assert outputs(warm) == outputs(cold)
-        assert warm.evaluations == cold.evaluations
-
 
 @pytest.fixture
 def searched(monkeypatch):
     """An improving slow-node search (it token-splits) and the schedule
-    its strategy returned, captured before the result trims it."""
+    its search returned, captured before the result trims it."""
     finals = []
-    get_strategy = optimizer.get_strategy
 
-    def capturing(name):
-        strategy = get_strategy(name)
-        run_search = strategy.run
+    def capturing(*args, **kwargs):
+        finals.append(greedy_search(*args, **kwargs))
+        return finals[-1]
 
-        def run_and_capture(*args, **kwargs):
-            finals.append(run_search(*args, **kwargs))
-            return finals[-1]
-
-        strategy.run = run_and_capture
-        return strategy
-
-    monkeypatch.setattr(optimizer, "get_strategy", capturing)
+    monkeypatch.setattr(optimizer, "greedy_search", capturing)
     result = run(scenario="slow-node", seed=0, budget=24)
     assert result.token_split > 1
     return result, finals[0].schedule

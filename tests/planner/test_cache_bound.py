@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.api import PlanCache
+from repro.planner.cache import DEFAULT_MAX_ENTRIES
 
 
 def put_n(cache: PlanCache, n: int, *, start: int = 0) -> list[str]:
@@ -20,11 +21,55 @@ def put_n(cache: PlanCache, n: int, *, start: int = 0) -> list[str]:
 
 
 class TestMemoryBound:
-    def test_unbounded_by_default(self):
+    def test_bounded_by_default(self):
         cache = PlanCache()
-        put_n(cache, 50)
-        assert len(cache) == 50
+        assert cache.max_entries == DEFAULT_MAX_ENTRIES == 1024
+        keys = put_n(cache, DEFAULT_MAX_ENTRIES + 2)
+        assert len(cache) == DEFAULT_MAX_ENTRIES
+        assert cache.evictions == 2
+        assert cache.get(keys[1]) is None
+        assert cache.get(keys[2]) == {"plan": keys[2]}
+
+    def test_none_is_unbounded(self):
+        cache = PlanCache(max_entries=None)
+        put_n(cache, DEFAULT_MAX_ENTRIES + 2)
+        assert len(cache) == DEFAULT_MAX_ENTRIES + 2
         assert cache.evictions == 0
+
+    def test_eviction_pops_the_oldest_key_of_its_kind(self):
+        cache = PlanCache(max_entries=3)
+        for i in range(3):
+            cache.put_aux("estimate", f"e{i}", i)
+        keys = put_n(cache, 3)
+        cache.put_aux("estimate", "e3", 3)
+        assert list(cache._memory["estimate"]) == ["e1", "e2", "e3"]
+        assert list(cache._memory["plan"]) == keys
+        assert cache.evictions == 1
+
+    def test_hit_refreshes_its_entry(self):
+        cache = PlanCache(max_entries=3)
+        keys = put_n(cache, 3)
+        cache.put_aux("metrics", "m0", 0)
+        cache.put_aux("metrics", "m1", 1)
+        assert cache.get(keys[0]) == {"plan": keys[0]}
+        assert cache.get_aux("metrics", "m0") == 0
+        put_n(cache, 1, start=3)
+        cache.put_aux("metrics", "m2", 2)
+        cache.put_aux("metrics", "m3", 3)
+        # The least recently used entry goes, not the first stored.
+        assert cache.get(keys[1]) is None
+        assert cache.get(keys[0]) == {"plan": keys[0]}
+        assert cache.get_aux("metrics", "m1") is None
+        assert cache.get_aux("metrics", "m0") == 0
+
+    def test_overwrite_refreshes_its_entry(self):
+        cache = PlanCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)
+        cache.put("c", 4)
+        assert cache.get("b") is None
+        assert cache.get("a") == 3
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):

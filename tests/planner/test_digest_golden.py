@@ -178,7 +178,7 @@ CASES = {
     "optimize/nominal": lambda o: optimize_cache_key(o.model, o.parallel),
     "optimize/budget-int": lambda o: optimize_cache_key(
         o.model, o.parallel, o.budget_int, memory_model=o.memory_int,
-        scenario="slow-node", strategy="anneal", seed=3, budget=40,
+        scenario="slow-node", seed=3, budget=40,
     ),
     "optimize/budget-float": lambda o: optimize_cache_key(
         o.model, o.parallel, o.budget_float, hardware=o.hardware_two_tier,
@@ -215,7 +215,7 @@ CASES = {
     ).digest(),
     "request/optimize": lambda o: OptimizeRequest.from_payload(
         {"devices": 4, "vocab_size": "64k", "memory_budget_gib": 40,
-         "scenario": "slow-node", "strategy": "anneal", "seed": 2,
+         "scenario": "slow-node", "seed": 2,
          "budget": 20, "pass_overhead": 0}
     ).digest(),
 }

@@ -5,9 +5,9 @@ service answered when the corpus was recorded, minus ``meta.timings``
 (wall-clock, never reproducible).  The corpus covers every
 ``400 bad_request`` rule of the request layer (unknown field, wrong
 type, ``true`` as an int, NaN/Infinity, non-positive numbers, unknown
-method/scenario/cost model/strategy, robustness without a scenario, the
-sweep point cap, a what-if device out of range, a bad ``deadline_ms``),
-the ``payload_too_large``/``not_found``/``method_not_allowed`` codes,
+method/scenario/cost model, the removed ``strategy`` field, robustness
+without a scenario, the sweep point cap, a what-if device out of range,
+a bad ``deadline_ms``), the ``payload_too_large``/``not_found``/``method_not_allowed`` codes,
 and one success per endpoint on a tiny configuration.  It holds the
 service's validation messages and result schemas byte-for-byte while
 the request layer changes underneath.

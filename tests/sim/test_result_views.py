@@ -255,7 +255,8 @@ class TestNoPassTimesOnHotPaths:
             scenario="slow-node",
             budget=4,
         )
-        assert result.evaluations == 4
+        # The start, its token split and the split's own split.
+        assert result.evaluations == 3
 
     def test_guard_trips(self, setup):
         schedule, runtime = _graph("vocab-1", setup)

@@ -46,7 +46,7 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
   K=1 ``execute_many_summary`` (no resident graph);
 * ``optimize_*`` — one fixed-seed, budget-bounded rewrite search
   (:func:`repro.optimize.optimize`: full-verify named-family baseline
-  + 16 oracle evaluations, a ``/v1/optimize`` cache miss) on a cold
+  + at most 16 oracle evaluations, a ``/v1/optimize`` cache miss) on a cold
   cache; the "reference" side is the identical search on the
   reference engine (the discovered speedup is asserted bit-equal
   across engines every run).
@@ -138,10 +138,10 @@ SWEEP_BUDGETS = (24.0, 32.0, 40.0, 48.0, 56.0, 64.0, 72.0, 80.0)
 #: Best-of rounds: the quick class gates CI on millisecond timings, so
 #: it takes more rounds to suppress shared-runner noise.
 ROUNDS = {"full": 3, "quick": 5}
-#: Oracle-evaluation budget of the optimize_* classes — small enough
-#: to bench.  At the quick m=32 the seeded greedy search finds its
-#: token-split improvement on both panels within it; at the full m=128
-#: it does not (those entries record ``improved: 0``).
+#: Oracle-evaluation budget of the optimize_* classes.  The greedy
+#: search stops well inside it (``evaluations`` records where): at the
+#: quick m=32 it finds its token-split improvement on both panels; at
+#: the full m=128 it does not (those entries record ``improved: 0``).
 OPTIMIZE_BUDGET = 16
 #: Seed of the optimize_* classes (the search is bit-reproducible).
 OPTIMIZE_SEED = 0
@@ -542,7 +542,7 @@ def measure_class(
 
         # Rewrite-based optimizer search: one fixed-seed, budget-bounded
         # optimize() call on a cold cache — the full-verify named-family
-        # baseline plus OPTIMIZE_BUDGET oracle evaluations (what the CLI
+        # baseline plus at most OPTIMIZE_BUDGET oracle evaluations (what the CLI
         # `optimize` subcommand and /v1/optimize pay on a cache miss).
         # The engines are bit-identical by construction, so "reference"
         # is the same search on the reference engine; the discovered
