@@ -6,9 +6,10 @@ spent, every trace step, the peak memory, the emitted schedule's metadata
 and a sha256 digest of its canonical integer orders
 (:meth:`~repro.scheduling.orders.OrderTable.key`).  The cases cover
 searches from vocab-1, vhalf-vocab-1, interlaced and baseline starts,
-nominal and ``slow-node``, a search that splits twice (split 4, a second
-round), one that does not split, and a search under a memory budget
-tighter than the start's peak, which fires ``activation-handoff``.
+each nominal and under ``slow-node``, a search that splits twice (split
+4, a second round), one that does not split, and searches under a memory
+budget tighter than the start's peak, which fire ``activation-handoff``:
+one that goes on to split and one whose evaluation budget runs out first.
 
 A change to the optimizer's internals must leave every case unchanged.
 Re-record only for an intended change to the search::
@@ -55,18 +56,24 @@ def _config(name: str):
 #: budget).
 OPTIMIZE_CASES = {
     "cli-slow-node-greedy": ("cli", None, "slow-node", 0, 96),
+    "tab-slow-node-greedy": ("tab", None, "slow-node", 0, 24),
     "tab-nominal-greedy": ("tab", None, None, 1, 48),
     "vocab-1-nominal-greedy": ("small", "vocab-1", None, 0, 48),
+    "vocab-1-slow-node-greedy": ("small", "vocab-1", "slow-node", 0, 48),
+    "vhalf-vocab-1-nominal-greedy": ("small", "vhalf-vocab-1", None, 3, 48),
     "vhalf-vocab-1-slow-node-greedy": ("small", "vhalf-vocab-1", "slow-node", 0, 48),
     "interlaced-nominal-greedy": ("small", "interlaced", None, 0, 48),
+    "interlaced-slow-node-greedy": ("small", "interlaced", "slow-node", 0, 48),
     "baseline-slow-node-greedy-split-4": ("small", "baseline", "slow-node", 0, 48),
 }
 
-#: name -> (start family, memory budget in GiB, seed, budget): a search
+#: name -> (start family, memory budget in GiB, seed, budget): searches
 #: scored under a budget below the start's 6.96 GiB peak, so the start is
-#: infeasible and a handoff from device 0 to device 1 can fix it.
+#: infeasible and a handoff from device 0 to device 1 can fix it.  With 3
+#: evaluations the search stops after the handoff, before the split.
 HANDOFF_CASES = {
     "handoff-greedy": ("baseline", 6.9, 0, 48),
+    "handoff-greedy-budget-3": ("baseline", 6.9, 0, 3),
 }
 
 CASES = sorted([*OPTIMIZE_CASES, *HANDOFF_CASES])

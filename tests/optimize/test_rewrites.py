@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.memory import GiB
+from repro.harness.experiments import KNOWN_METHODS, build_schedule
 from repro.optimize import (
     ActivationHandoff,
     ScheduleIR,
@@ -21,6 +22,9 @@ from repro.optimize import (
 )
 from repro.planner.planner import PlannerConstraints, plan
 from repro.planner.cache import PlanCache
+from repro.planner.sweep import model_for_devices
+from repro.scheduling.orders import OrderTable
+from repro.scheduling.passes import Pass
 from repro.sim import SimulationSetup
 
 
@@ -111,6 +115,40 @@ class TestTokenSplit:
         for _ in range(2):  # split -> 2 -> 4 (MAX_SPLIT)
             ir, _ = TokenSplit().apply(ir, ())
         assert TokenSplit().sites(ir, candidate.rewrite_ctx) == []
+
+
+@pytest.mark.parametrize("method", KNOWN_METHODS)
+def test_split_equals_splitting_every_pass(method):
+    """:meth:`TokenSplit.apply` splits the order table's integer codes
+    directly.  For every named family, at split 2 and 4, the result must
+    be the pass-level definition — each ``(type, mb, device, chunk)``
+    followed by its slices ``2mb`` then ``2mb + 1`` — and score exactly
+    as that definition's schedule lowered afresh."""
+    setup = SimulationSetup(
+        model_for_devices(4, 256, 4096),
+        ParallelConfig(pipeline_size=4, num_microbatches=2, microbatch_size=1),
+    )
+    ctx = ScoreContext(setup)
+    scored = ctx.score(ScheduleIR.from_schedule(build_schedule(method, setup)), ())
+    for split in (2, 4):
+        expected = [
+            [Pass(p.type, 2 * p.microbatch + half, p.device, p.chunk)
+             for p in order for half in (0, 1)]
+            for order in scored.ir.table.passes()
+        ]
+        ir, step = TokenSplit().apply(scored.ir, ())
+        assert ir.split == split
+        assert [list(order) for order in ir.table.passes()] == expected
+        scored = ctx.score(ir, scored.trace + (step,))
+        assert scored is not None
+        reference = ScheduleIR.from_schedule(
+            replace(ir.emit(), device_orders=OrderTable.from_passes(expected))
+        )
+        fresh = ctx.score(reference, scored.trace)
+        assert fresh.ir.table.key() == ir.table.key()
+        assert (fresh.time, fresh.peak_bytes, fresh.feasible) == (
+            scored.time, scored.peak_bytes, scored.feasible
+        )
 
 
 class TestActivationHandoff:

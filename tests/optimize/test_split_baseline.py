@@ -4,9 +4,9 @@ The baseline scores every feasible named family at token-split factor
 1, 2 and 4 with the search's own oracle (:class:`ScoreContext`) and
 rewrite (:class:`TokenSplit`), and searches nothing.  Without memory
 pressure the search must land exactly on the baseline's best time for
-every golden case, and for the configurations the golden once searched
-with annealing.  Under a budget that no split satisfies, the handoff
-repair is what the search adds.
+every golden case (they include every configuration the golden once
+searched with annealing).  Under a budget that no split satisfies, the
+handoff repair is what the search adds.
 """
 
 import pytest
@@ -18,17 +18,6 @@ from repro.optimize import ScheduleIR, ScoreContext, TokenSplit, default_rewrite
 from repro.scenarios import get_scenario
 from repro.sim import SimulationSetup
 from tests.optimize.test_optimize_golden import HANDOFF_CASES, OPTIMIZE_CASES, _config
-
-#: name -> (config, start family or None, scenario, seed, budget).
-FORMER_ANNEAL_CASES = {
-    "tab-slow-node": ("tab", None, "slow-node", 0, 24),
-    "tab-nominal": ("tab", None, None, 0, 48),
-    "vocab-1-slow-node": ("small", "vocab-1", "slow-node", 0, 48),
-    "vhalf-vocab-1-nominal": ("small", "vhalf-vocab-1", None, 3, 48),
-    "interlaced-slow-node": ("small", "interlaced", "slow-node", 0, 48),
-    "baseline-slow-node-split-4": ("small", "baseline", "slow-node", 0, 48),
-}
-CASES = {**OPTIMIZE_CASES, **FORMER_ANNEAL_CASES}
 
 
 def split_baseline(model, parallel, methods, scenario, budget_gib=None) -> list[float]:
@@ -53,9 +42,9 @@ def split_baseline(model, parallel, methods, scenario, budget_gib=None) -> list[
     return times
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(OPTIMIZE_CASES))
 def test_search_equals_the_split_baseline(name):
-    config, method, scenario, seed, budget = CASES[name]
+    config, method, scenario, seed, budget = OPTIMIZE_CASES[name]
     model, parallel = _config(config)
     methods = None if method is None else (method,)
     result = optimize(

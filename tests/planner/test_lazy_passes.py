@@ -113,7 +113,10 @@ def test_second_warm_optimize_reuses_built_passes(built, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("rule, site", [(TokenSplit, ()), (ActivationHandoff, (0, 1, 1))])
+@pytest.mark.parametrize(
+    "rule, site", [(TokenSplit, ()), (ActivationHandoff, (0, 1, 1))],
+    ids=["TokenSplit", "ActivationHandoff"],
+)
 def test_scoring_rewrite_candidates_builds_no_pass(built, rule, site):
     setup = SimulationSetup(MODEL, PARALLEL)
     ctx = ScoreContext(setup)
