@@ -11,8 +11,7 @@ imported.  A cold ``plan()``, ``whatif()``, ``optimize()`` or service
 worker never runs a vectorized path, so NumPy's import, a large share
 of a process's start-up time and resident memory, happens only when a
 batched kernel first needs it: ``execute_many`` over several bindings,
-Monte Carlo jitter factors, ``VocabPartition``'s array helpers or a
-calibration fit.
+Monte Carlo jitter factors or ``VocabPartition``'s array helpers.
 """
 
 from __future__ import annotations

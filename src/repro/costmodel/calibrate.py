@@ -18,11 +18,8 @@ regressed from measured vs theoretical cycles):
   (steady-state compute, ramp, per-pass overhead, collective α/β,
   stage-to-stage latency, fixed cost) against simulator ground truth
   over a seeded config grid.  The least-squares solve is deterministic
-  pure Python; an optional NumPy engine vectorizes feature assembly and
-  returns **bit-identical** parameters (every reduction goes through
-  :func:`math.fsum`, which is exactly rounded and therefore
-  order-independent — the same engine-parity discipline the compiled
-  simulator uses).
+  pure Python: every reduction goes through :func:`math.fsum`, which is
+  exactly rounded and therefore order-independent.
 * :class:`CalibrationReport` — predicted-vs-simulated error per
   schedule family, embedded in the profile; the planner's trust-gated
   verification reads these bounds (``repro-experiments calibrate
@@ -46,12 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro._lazy import optional_numpy
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
-
-#: The ``numpy`` fit engine's array handle, imported on its first fit
-#: (see :mod:`repro._lazy`).
-_np = optional_numpy(globals(), "_np")
 
 #: Bumped whenever the estimator's feature extraction or the simulator's
 #: pricing semantics change: a profile fitted under another version is
@@ -694,40 +686,8 @@ def collect_points(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic least squares (pure Python; optional NumPy assembly)
+# Deterministic least squares (pure Python)
 # ---------------------------------------------------------------------------
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in ("auto", "numpy", "python"):
-        raise ValueError(
-            f"unknown fit engine {engine!r}; expected 'auto', 'numpy' or 'python'"
-        )
-    if engine == "auto":
-        return "python" if _np is None else "numpy"
-    if engine == "numpy" and _np is None:
-        raise ImportError("the 'numpy' fit engine needs NumPy, which is not installed")
-    return engine
-
-
-def _scaled_rows_python(
-    vectors: list[tuple[float, ...]], targets: list[float]
-) -> list[list[float]]:
-    return [
-        [x / y for x in vector] for vector, y in zip(vectors, targets)
-    ]
-
-
-def _scaled_rows_numpy(
-    vectors: list[tuple[float, ...]], targets: list[float]
-) -> list[list[float]]:
-    rows = _np.asarray(vectors, dtype=_np.float64) / _np.asarray(
-        targets, dtype=_np.float64
-    ).reshape(-1, 1)
-    # IEEE elementwise division is identical to the scalar path; every
-    # *reduction* below goes through math.fsum either way, so the two
-    # engines produce bit-identical normal equations.
-    return [[float(v) for v in row] for row in rows]
 
 
 def _solve_linear(matrix: list[list[float]], rhs: list[float]) -> list[float]:
@@ -762,7 +722,6 @@ def _analytic_identity() -> tuple[float, ...]:
 def fit_family(
     points: Sequence[CalibrationPoint],
     *,
-    engine: str = "auto",
     ridge: float = RIDGE_LAMBDA,
 ) -> tuple[float, ...]:
     """Fit one family's parameter vector against simulated ground truth.
@@ -773,20 +732,15 @@ def fit_family(
     analytic identity.  Since ``θ0`` is feasible, the fit's summed
     squared relative error can never exceed the uncalibrated model's on
     the same points.  Deterministic: fsum reductions + partial-pivot
-    elimination, identical bits under either engine.
+    elimination.
     """
     if not points:
         raise ValueError("cannot fit a family with no calibration points")
-    mode = _resolve_engine(engine)
     vectors = [p.features.vector() for p in points]
     targets = [p.simulated for p in points]
     if any(y <= 0.0 for y in targets):
         raise ValueError("simulated iteration times must be positive")
-    scaled = (
-        _scaled_rows_numpy(vectors, targets)
-        if mode == "numpy"
-        else _scaled_rows_python(vectors, targets)
-    )
+    scaled = [[x / y for x in vector] for vector, y in zip(vectors, targets)]
     k = len(FEATURE_NAMES)
     gram = [
         [math.fsum(row[a] * row[b] for row in scaled) for b in range(k)]
@@ -837,7 +791,6 @@ def fit_points(
     name: str = BUILTIN_PROFILE,
     grid: str = "full",
     seed: int = 0,
-    engine: str = "auto",
     sku: str = A100_SXM_80G.name,
 ) -> HardwareProfile:
     """Fit a :class:`HardwareProfile` from pre-collected points."""
@@ -848,7 +801,7 @@ def fit_points(
     rows: list[FamilyAccuracy] = []
     for method in sorted(by_family):
         family_points = by_family[method]
-        params = fit_family(family_points, engine=engine)
+        params = fit_family(family_points)
         mean_err, max_err = _errors(family_points, params)
         base_mean, base_max = _errors(family_points, None)
         fits.append(
@@ -884,7 +837,6 @@ def fit_profile(
     *,
     quick: bool = False,
     seed: int = 0,
-    engine: str = "auto",
     hardware: HardwareModel = A100_SXM_80G,
 ) -> HardwareProfile:
     """The full fitting loop: seeded grid → simulate → regress → report."""
@@ -895,7 +847,6 @@ def fit_profile(
         name=name,
         grid="quick" if quick else "full",
         seed=seed,
-        engine=engine,
         sku=hardware.name,
     )
 

@@ -425,7 +425,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int | None:
                 args.name,
                 quick=args.quick,
                 seed=0 if args.seed is None else args.seed,
-                engine=args.engine,
             )
         except ValueError as error:
             raise SystemExit(
@@ -533,7 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             cache_dir=args.cache_dir,
             lru_size=args.lru_size,
-            max_cache_entries=args.max_cache_entries,
             max_inflight=args.max_inflight,
             tenant_rate=args.tenant_rate,
             tenant_burst=args.tenant_burst,
@@ -584,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     Public so tooling (``tools/check_docs_links.py``) can introspect
     every subcommand and option instead of pattern-matching source.
     """
-    from repro.planner.cache import DEFAULT_MAX_ENTRIES
     from repro.service.requests import (
         OptimizeRequest,
         PlanRequest,
@@ -696,11 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for 'report')",
     )
     cb.add_argument(
-        "--engine", choices=["auto", "python", "numpy"], default="auto",
-        help="least-squares engine; both produce bit-identical fits "
-        "(default auto: numpy when installed)",
-    )
-    cb.add_argument(
         "--check", action="store_true",
         help="'report': exit non-zero when the profile is stale or the "
         "re-measured error exceeds the stored bounds by > --tolerance x",
@@ -750,10 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--lru-size", type=int, default=256, metavar="N",
         help="entries in the in-process LRU tier (default 256)",
-    )
-    sv.add_argument(
-        "--max-cache-entries", type=int, default=DEFAULT_MAX_ENTRIES, metavar="N",
-        help="per-kind bound on the disk cache tier (default %(default)s)",
     )
     sv.add_argument(
         "--max-inflight", type=int, default=64, metavar="N",

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig, layers_per_stage
 from repro.costmodel.memory import GiB, MemoryModel
 from repro.costmodel.mfu import mfu
+from repro.lru import LRU
 from repro.scheduling import (
     Schedule,
     generate_1f1b,
@@ -83,77 +83,55 @@ class MethodMetrics:
 # (robust_nominal) and the optimizer's scored start states.
 # ---------------------------------------------------------------------------
 
-_CACHE_LOCK = threading.Lock()
-_SCHEDULE_CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
-_GRAPH_CACHE: OrderedDict[tuple, object] = OrderedDict()
+_SCHEDULE_CACHE = LRU(256)
+_GRAPH_CACHE = LRU(64)
 #: ``build_schedule(refine=True)`` results, keyed on the full runtime
 #: binding (refined orders depend on every duration, not only on the
 #: generator's timing scalars).
-_REFINED_CACHE: OrderedDict[tuple, Schedule] = OrderedDict()
+_REFINED_CACHE = LRU(64)
 #: ``method_robustness``'s seed-independent half (see :func:`robust_nominal`).
-_ROBUST_CACHE: OrderedDict[tuple, object] = OrderedDict()
+_ROBUST_CACHE = LRU(64)
 #: The optimizer's scored start candidates (see :func:`search_start`).
-_START_CACHE: OrderedDict[tuple, object] = OrderedDict()
-_SCHEDULE_CACHE_LIMIT = 256
-_GRAPH_CACHE_LIMIT = 64
-_REFINED_CACHE_LIMIT = 64
-_ROBUST_CACHE_LIMIT = 64
-_START_CACHE_LIMIT = 8
-_CACHE_STATS = {
-    "schedule_hits": 0,
-    "schedule_misses": 0,
-    "graph_hits": 0,
-    "graph_misses": 0,
-    "refined_hits": 0,
-    "refined_misses": 0,
-    "robust_hits": 0,
-    "robust_misses": 0,
-    "start_hits": 0,
-    "start_misses": 0,
-    "child_hits": 0,
-    "child_misses": 0,
+_START_CACHE = LRU(8)
+_STRUCTURAL_CACHES = {
+    "schedule": _SCHEDULE_CACHE,
+    "graph": _GRAPH_CACHE,
+    "refined": _REFINED_CACHE,
+    "robust": _ROBUST_CACHE,
+    "start": _START_CACHE,
 }
-
-
-def _cache_get(cache: OrderedDict, kind: str, key):
-    """``cache[key]`` or ``None``, counting a hit as ``<kind>_hits``."""
-    with _CACHE_LOCK:
-        value = cache.get(key)
-        if value is not None:
-            _CACHE_STATS[f"{kind}_hits"] += 1
-            cache.move_to_end(key)
-    return value
-
-
-def _cache_put(cache: OrderedDict, kind: str, key, value, limit: int) -> None:
-    """Store a freshly built value, counting a ``<kind>_misses`` and
-    evicting the least recently used entries beyond ``limit``."""
-    with _CACHE_LOCK:
-        _CACHE_STATS[f"{kind}_misses"] += 1
-        cache[key] = value
-        while len(cache) > limit:
-            cache.popitem(last=False)
+#: Hit/miss counters of the start states' children memos (see
+#: :func:`start_child`), which are plain dicts, not LRUs: each holds a
+#: handful of entries, ``None`` results included, and dies with its
+#: start.  The lock guards those dicts and these counters.
+_CHILD_LOCK = threading.Lock()
+_CHILD_STATS = {"child_hits": 0, "child_misses": 0}
 
 
 def structural_cache_stats() -> dict[str, int]:
     """Hit/miss counters of the process-wide structural caches (a copy)."""
-    with _CACHE_LOCK:
-        return dict(_CACHE_STATS)
+    stats = {}
+    for kind, cache in _STRUCTURAL_CACHES.items():
+        counts = cache.stats()
+        stats[f"{kind}_hits"] = counts["hits"]
+        stats[f"{kind}_misses"] = counts["misses"]
+    with _CHILD_LOCK:
+        stats.update(_CHILD_STATS)
+    return stats
 
 
 def clear_derived_caches() -> None:
     """Drop the memoized refined schedules, robust nominal bindings and
-    optimizer start states.
+    optimizer start states, and zero their counters.
 
     Generated schedules and compiled graphs stay, so the next refined
     build, robust plan or :func:`~repro.optimize.optimize` call pays its
     refinement, nominal binding and start scoring again on warm
     structures.
     """
-    with _CACHE_LOCK:
-        _REFINED_CACHE.clear()
-        _ROBUST_CACHE.clear()
-        _START_CACHE.clear()
+    _REFINED_CACHE.clear()
+    _ROBUST_CACHE.clear()
+    _START_CACHE.clear()
 
 
 def clear_structural_caches() -> None:
@@ -163,12 +141,11 @@ def clear_structural_caches() -> None:
     (:func:`robust_nominal`) and optimizer start states
     (:func:`search_start`) with the children memoized on them
     (:func:`start_child`)."""
-    with _CACHE_LOCK:
-        caches = (_SCHEDULE_CACHE, _GRAPH_CACHE, _REFINED_CACHE, _ROBUST_CACHE, _START_CACHE)
-        for cache in caches:
-            cache.clear()
-        for key in _CACHE_STATS:
-            _CACHE_STATS[key] = 0
+    for cache in _STRUCTURAL_CACHES.values():
+        cache.clear()
+    with _CHILD_LOCK:
+        for key in _CHILD_STATS:
+            _CHILD_STATS[key] = 0
 
 
 def search_start(key: tuple, build):
@@ -182,11 +159,11 @@ def search_start(key: tuple, build):
     :func:`structural_cache_stats` cover it;
     :mod:`repro.optimize.optimizer` defines what it holds.
     """
-    value = _cache_get(_START_CACHE, "start", key)
+    value = _START_CACHE.get(key)
     if value is None:
         value = build()
         if value is not None:
-            _cache_put(_START_CACHE, "start", key, value, _START_CACHE_LIMIT)
+            _START_CACHE.put(key, value)
     return value
 
 
@@ -201,14 +178,14 @@ def start_child(children: dict, key, build) -> tuple[object, bool]:
     and :func:`structural_cache_stats` counts it as ``child_hits`` /
     ``child_misses``.
     """
-    with _CACHE_LOCK:
+    with _CHILD_LOCK:
         hit = key in children
         if hit:
-            _CACHE_STATS["child_hits"] += 1
+            _CHILD_STATS["child_hits"] += 1
             return children[key], True
     value = build()
-    with _CACHE_LOCK:
-        _CACHE_STATS["child_misses"] += 1
+    with _CHILD_LOCK:
+        _CHILD_STATS["child_misses"] += 1
         children[key] = value
     return value, False
 
@@ -277,11 +254,11 @@ def generate_method_schedule(method: str, setup: SimulationSetup) -> Schedule:
         setup.parallel.microbatch_size,
         _generation_timings(method, setup),
     )
-    cached = _cache_get(_SCHEDULE_CACHE, "schedule", key)
+    cached = _SCHEDULE_CACHE.get(key)
     if cached is not None:
         return cached.copy()
     schedule = _generate_method_schedule_uncached(method, setup)
-    _cache_put(_SCHEDULE_CACHE, "schedule", key, schedule.copy(), _SCHEDULE_CACHE_LIMIT)
+    _SCHEDULE_CACHE.put(key, schedule.copy())
     return schedule
 
 
@@ -422,11 +399,11 @@ def _compile_cached(schedule: Schedule, runtime: RuntimeModel):
     topological order — via :meth:`~repro.sim.compiled.CompiledGraph.rebind`.
     """
     key = schedule.structure_key()
-    cached = _cache_get(_GRAPH_CACHE, "graph", key)
+    cached = _GRAPH_CACHE.get(key)
     if cached is not None:
         return cached.rebind(runtime, schedule=schedule)
     graph = compile_schedule(schedule, runtime)
-    _cache_put(_GRAPH_CACHE, "graph", key, graph, _GRAPH_CACHE_LIMIT)
+    _GRAPH_CACHE.put(key, graph)
     return graph
 
 
@@ -468,7 +445,7 @@ def build_schedule(
     engine = simulation_engine()
     key = (method, setup, _scenario_signature(scenario), engine)
     if refine:
-        cached = _cache_get(_REFINED_CACHE, "refined", key)
+        cached = _REFINED_CACHE.get(key)
         if cached is not None:
             return cached.copy()
     bound = _scenario_setup(setup, scenario)
@@ -484,7 +461,7 @@ def build_schedule(
                 mode=_refine_mode(schedule)
             )
     if refine:
-        _cache_put(_REFINED_CACHE, "refined", key, schedule.copy(), _REFINED_CACHE_LIMIT)
+        _REFINED_CACHE.put(key, schedule.copy())
     return schedule
 
 
@@ -501,10 +478,10 @@ def robust_nominal(method: str, setup: SimulationSetup, scenario, refine: bool, 
     readers.
     """
     key = (method, setup, _scenario_signature(scenario), refine, simulation_engine())
-    value = _cache_get(_ROBUST_CACHE, "robust", key)
+    value = _ROBUST_CACHE.get(key)
     if value is None:
         value = build()
-        _cache_put(_ROBUST_CACHE, "robust", key, value, _ROBUST_CACHE_LIMIT)
+        _ROBUST_CACHE.put(key, value)
     return value
 
 

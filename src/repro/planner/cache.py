@@ -47,11 +47,11 @@ import json
 import os
 import pickle
 import weakref
-from collections import OrderedDict, defaultdict
 from pathlib import Path
 from typing import Any
 
 from repro import faultinject
+from repro.lru import LRU
 
 #: Header magic of checksummed disk entries.
 _MAGIC = b"RPLC1\n"
@@ -218,20 +218,18 @@ class PlanCache:
     def __init__(
         self,
         directory: str | Path | None = None,
-        max_entries: int | None = DEFAULT_MAX_ENTRIES,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ):
-        if max_entries is not None and max_entries < 1:
+        if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        #: Per-kind in-memory entries (``"plan"`` for whole plans), least
-        #: recently used first: a hit or a write moves its entry to the
-        #: end, and eviction pops the front.
-        self._memory: defaultdict[str, OrderedDict[str, Any]] = defaultdict(OrderedDict)
+        #: Per-kind in-memory entries (``"plan"`` for whole plans).
+        self._memory: dict[str, LRU] = {}
         self.directory = Path(directory) if directory is not None else None
-        #: Per-kind entry bound (``None`` = unbounded): whole-plan
-        #: entries and each auxiliary kind (``estimate``, ``metrics``,
-        #: ``robust``) are capped separately, both in memory and on
-        #: disk, so neither a long-running process nor its cache
-        #: directory grows without limit.
+        #: Per-kind entry bound: whole-plan entries and each auxiliary
+        #: kind (``estimate``, ``metrics``, ``robust``) are capped
+        #: separately, both in memory and on disk, so neither a
+        #: long-running process nor its cache directory grows without
+        #: limit.
         self.max_entries = max_entries
         #: Per-kind estimate of this writer's disk file count (files
         #: seen at the last directory scan plus writes since): lets
@@ -244,13 +242,25 @@ class PlanCache:
         self.misses = 0
         self.aux_hits = 0
         self.aux_misses = 0
-        self.evictions = 0
         #: Corrupt/truncated disk entries moved aside (never served).
         self.quarantined = 0
 
     def __len__(self) -> int:
         """Number of whole-plan entries (aux entries are not counted)."""
-        return len(self._memory["plan"])
+        return len(self._store("plan"))
+
+    @property
+    def evictions(self) -> int:
+        """In-memory entries evicted over every kind since :meth:`clear`."""
+        return sum(store.evictions for store in list(self._memory.values()))
+
+    def _store(self, kind: str) -> LRU:
+        """The in-memory entries of one kind (threads racing to create a
+        kind's table share whichever ``setdefault`` stored first)."""
+        store = self._memory.get(kind)
+        if store is None:
+            store = self._memory.setdefault(kind, LRU(self.max_entries))
+        return store
 
     def _path(self, key: str, kind: str = "plan") -> Path:
         assert self.directory is not None
@@ -319,13 +329,9 @@ class PlanCache:
 
     def _fetch(self, kind: str, key: str) -> Any | None:
         """Shared lookup: in-memory first, then the disk file (if any)."""
-        store = self._memory[kind]
+        store = self._store(kind)
         value = store.get(key)
         if value is not None:
-            try:
-                store.move_to_end(key)
-            except KeyError:  # evicted by another thread since the get
-                pass
             return value
         if self.directory is not None:
             value = self._read_entry(self._path(key, kind))
@@ -333,18 +339,9 @@ class PlanCache:
                 # Reads must not grow a bounded cache either: a
                 # read-mostly process (the service's disk tier) would
                 # otherwise accumulate every digest it ever loaded.
-                self._remember(store, key, value)
+                store.put(key, value)
                 return value
         return None
-
-    def _remember(self, store: OrderedDict, key: str, value: Any) -> None:
-        """Keep ``value`` as ``store``'s newest entry, within the bound."""
-        store[key] = value
-        store.move_to_end(key)
-        if self.max_entries is not None:
-            while len(store) > self.max_entries:
-                store.popitem(last=False)
-                self.evictions += 1
 
     def _write(self, kind: str, key: str, value: Any) -> None:
         """Shared store: in-memory plus an atomic disk write (if any).
@@ -355,7 +352,7 @@ class PlanCache:
         *rename target* (a crashed writer, injected via the
         ``torn-cache-write`` fault site) detectable on read.
         """
-        self._remember(self._memory[kind], key, value)
+        self._store(kind).put(key, value)
         if self.directory is not None:
             path = self._path(key, kind)
             temp = path.with_suffix(f".tmp.{os.getpid()}")
@@ -390,10 +387,9 @@ class PlanCache:
             # Unknown kinds stay unknown so the next _evict_disk scans and
             # establishes the real count (overwrites may overcount; the
             # error is in the safe direction — an extra scan).
-            if self.max_entries is not None:
-                if kind in self._disk_counts:
-                    self._disk_counts[kind] += 1
-                self._evict_disk(kind)
+            if kind in self._disk_counts:
+                self._disk_counts[kind] += 1
+            self._evict_disk(kind)
 
     def _evict_disk(self, kind: str) -> None:
         """Drop the oldest disk files of one ``kind`` beyond ``max_entries``.
@@ -471,5 +467,4 @@ class PlanCache:
         self.misses = 0
         self.aux_hits = 0
         self.aux_misses = 0
-        self.evictions = 0
         self.quarantined = 0

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import CostModel, PhaseFeatures, get_cost_model
 from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.harness.experiments import KNOWN_METHODS, build_schedule
+from repro.lru import LRU
 from repro.scheduling.passes import CollectiveKind
 from repro.scheduling.schedule import Schedule
 from repro.sim.memory import device_param_bytes
@@ -71,23 +70,17 @@ class ProbeComponents:
 #: the probe schedule and re-summing pass durations on every call.
 #: The cost-model digest is part of the key because a pluggable model
 #: may reprice probe passes: two profiles must never share entries.
-_PROBE_LOCK = threading.Lock()
-_PROBE_CACHE: OrderedDict[
-    tuple[str, SimulationSetup, str], ProbeComponents
-] = OrderedDict()
-_PROBE_CACHE_LIMIT = 512
+_PROBE_CACHE = LRU(512)
 
 
 def clear_probe_cache() -> None:
     """Drop all memoized m=1 probe schedules (tests, benchmarks)."""
-    with _PROBE_LOCK:
-        _PROBE_CACHE.clear()
+    _PROBE_CACHE.clear()
 
 
 def probe_cache_stats() -> dict[str, int]:
     """Size of the probe memo (tests assert on keying behaviour)."""
-    with _PROBE_LOCK:
-        return {"entries": len(_PROBE_CACHE)}
+    return {"entries": len(_PROBE_CACHE)}
 
 
 def _collective_kinds(probe: Schedule) -> tuple[CollectiveKind, ...]:
@@ -123,11 +116,9 @@ def _probe(
     digest pins the pricing model's identity.
     """
     key = (method, probe_setup, cost_model.digest())
-    with _PROBE_LOCK:
-        cached = _PROBE_CACHE.get(key)
-        if cached is not None:
-            _PROBE_CACHE.move_to_end(key)
-            return cached
+    cached = _PROBE_CACHE.get(key)
+    if cached is not None:
+        return cached
     probe = build_schedule(method, probe_setup, refine=False)
     runtime = RuntimeModel(probe_setup, probe)
     compute = tuple(
@@ -166,10 +157,7 @@ def _probe(
         coll_beta=coll_beta,
         p2p=p2p,
     )
-    with _PROBE_LOCK:
-        _PROBE_CACHE[key] = components
-        while len(_PROBE_CACHE) > _PROBE_CACHE_LIMIT:
-            _PROBE_CACHE.popitem(last=False)
+    _PROBE_CACHE.put(key, components)
     return components
 
 

@@ -207,15 +207,12 @@ def plan_point(
     point: SweepPoint,
     constraints: PlannerConstraints | None = None,
     cache_dir: str | None = None,
-    cache_max_entries: int | None = None,
 ) -> SweepOutcome:
     """Plan one grid point (top-level so process pools can pickle it).
 
     ``cache_dir`` names a disk-backed :class:`~repro.planner.cache.PlanCache`
     directory, letting repeated CLI invocations and pool workers share
-    results across processes; ``cache_max_entries`` bounds it (the
-    planning service's knob — long-running writers must not grow the
-    directory without limit).
+    results across processes.
     """
     base = constraints or PlannerConstraints()
     model, parallel = _point_configs(point)
@@ -223,11 +220,7 @@ def plan_point(
         base = dataclasses.replace(
             base, memory_budget_gib=point.memory_budget_gib
         )
-    cache = (
-        PlanCache(cache_dir, max_entries=cache_max_entries)
-        if cache_dir is not None
-        else None
-    )
+    cache = PlanCache(cache_dir) if cache_dir is not None else None
     return SweepOutcome(
         point=point,
         plans=plan(
@@ -245,7 +238,6 @@ def _warm_binding_groups(
     points: Sequence[SweepPoint],
     constraints: PlannerConstraints | None,
     cache_dir: str | None,
-    cache_max_entries: int | None = None,
 ) -> None:
     """Batch-price structure groups that span several runtime bindings.
 
@@ -266,11 +258,7 @@ def _warm_binding_groups(
     base = constraints or PlannerConstraints()
     if base.simulate_top_k == 0:
         return
-    cache = (
-        PlanCache(cache_dir, max_entries=cache_max_entries)
-        if cache_dir is not None
-        else default_plan_cache()
-    )
+    cache = PlanCache(cache_dir) if cache_dir is not None else default_plan_cache()
     groups: dict[tuple, list[SweepPoint]] = {}
     for point in points:
         groups.setdefault(point.structure_axes(), []).append(point)
@@ -348,7 +336,6 @@ def plan_points(
     points: Sequence[SweepPoint],
     constraints: PlannerConstraints | None = None,
     cache_dir: str | None = None,
-    cache_max_entries: int | None = None,
 ) -> list[SweepOutcome]:
     """Plan a chunk of grid points serially (one pool task per chunk).
 
@@ -359,11 +346,8 @@ def plan_points(
     (:func:`_warm_binding_groups`), then every point is planned against
     the warmed caches.
     """
-    _warm_binding_groups(points, constraints, cache_dir, cache_max_entries)
-    return [
-        plan_point(point, constraints, cache_dir, cache_max_entries)
-        for point in points
-    ]
+    _warm_binding_groups(points, constraints, cache_dir)
+    return [plan_point(point, constraints, cache_dir) for point in points]
 
 
 def default_chunk_size(num_points: int, workers: int) -> int:
@@ -501,7 +485,6 @@ def sweep(
     executor: str = "process",
     max_workers: int | None = None,
     cache_dir: str | None = None,
-    cache_max_entries: int | None = None,
     chunk_size: int | None = None,
 ) -> list[SweepOutcome]:
     """Plan every grid point, in parallel, preserving input order.
@@ -547,9 +530,7 @@ def sweep(
         return by_input  # type: ignore[return-value]
 
     if executor == "serial" or len(points) <= 1:
-        return restore(
-            plan_points(grouped, constraints, cache_dir, cache_max_entries)
-        )
+        return restore(plan_points(grouped, constraints, cache_dir))
     if chunk_size is None:
         cpus = os.cpu_count() or 1
         # Match each pool's actual default sizing so chunks balance:
@@ -561,8 +542,7 @@ def sweep(
         grouped[i : i + chunk_size] for i in range(0, len(grouped), chunk_size)
     ]
     chunk_worker = functools.partial(
-        plan_points, constraints=constraints, cache_dir=cache_dir,
-        cache_max_entries=cache_max_entries,
+        plan_points, constraints=constraints, cache_dir=cache_dir
     )
     pool = _get_pool(executor, max_workers)
     failure: BaseException | None = None
@@ -604,9 +584,7 @@ def sweep(
         )
     for index, chunk in enumerate(chunks):
         if index not in completed:
-            outcomes = plan_points(
-                chunk, constraints, cache_dir, cache_max_entries
-            )
+            outcomes = plan_points(chunk, constraints, cache_dir)
             for outcome in outcomes:
                 outcome.fallback_reason = fallback_reason
             completed[index] = outcomes

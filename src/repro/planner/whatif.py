@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
@@ -33,6 +32,7 @@ from repro.harness.experiments import (
     build_schedule,
     compiled_graph_for,
 )
+from repro.lru import LRU
 from repro.planner.cache import PlanCache, config_digest
 from repro.planner.planner import PLANNER_VERSION, default_plan_cache
 from repro.scenarios import ClusterScenario, get_scenario
@@ -42,8 +42,7 @@ from repro.sim import RuntimeModel, SimulationSetup
 #: binding digest.  Small on purpose: each entry pins a full graph plus
 #: its LevelState; the serving layer's request mix concentrates on a
 #: handful of (model, method) bindings at a time.
-_RESIDENT_LIMIT = 8
-_RESIDENT: OrderedDict[str, object] = OrderedDict()
+_RESIDENT = LRU(8)
 #: One lock guards the resident table and each query against a resident
 #: graph: the graph's lazily built caches (topological order, the
 #: baseline checkpoint) are filled on first use, so two threads sharing
@@ -181,7 +180,6 @@ def _resident_graph(
     """
     graph = _RESIDENT.get(graph_key)
     if graph is not None:
-        _RESIDENT.move_to_end(graph_key)
         return graph
     schedule = build_schedule(method, setup, refine=refine, scenario=scenario)
     if scenario is None:
@@ -192,9 +190,7 @@ def _resident_graph(
         runtime = scenario.runtime_for(scenario.setup_for(setup), schedule)
     graph = compiled_graph_for(schedule, runtime)
     graph.checkpoint()
-    _RESIDENT[graph_key] = graph
-    while len(_RESIDENT) > _RESIDENT_LIMIT:
-        _RESIDENT.popitem(last=False)
+    _RESIDENT.put(graph_key, graph)
     return graph
 
 

@@ -17,8 +17,6 @@ Programmatic entry points:
   normalizing to a cache digest;
 * :data:`OPERATIONS` — the operation table: each ``POST /v1/*``
   route's request class, worker body, renderer and disk tier;
-* :class:`~repro.service.lru.LRUPlanTier` — the bounded in-process hot
-  tier;
 * :class:`~repro.service.resilience.AdmissionController` /
   :class:`~repro.service.resilience.CircuitBreaker` — the resilience
   machinery (deadlines, load shedding, supervised pool recovery; see
@@ -35,7 +33,6 @@ from repro.service.app import (
     ServiceThread,
     shutdown_and_check_workers,
 )
-from repro.service.lru import LRUPlanTier
 from repro.service.requests import (
     MAX_SWEEP_POINTS,
     OPERATIONS,
@@ -63,7 +60,6 @@ from repro.service.resilience import (
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
-    "LRUPlanTier",
     "MAX_SWEEP_POINTS",
     "OPERATIONS",
     "OptimizeRequest",

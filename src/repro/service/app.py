@@ -20,8 +20,8 @@ systems batch and share state across concurrent queries:
   a handful of popular configurations — cost one plan instead of N.
 
 * **Tiered caches** — lookups go LRU → disk → compute: a bounded
-  in-process :class:`~repro.service.lru.LRUPlanTier` of finished
-  results in front of the disk-backed (and entry-bounded)
+  in-process :class:`~repro.lru.LRU` of finished results, keyed by
+  digest, in front of the disk-backed (and entry-bounded)
   :class:`~repro.planner.cache.PlanCache`, in front of the worker
   pool.  Hit/miss/coalesce counters for every tier are exported on
   ``GET /stats``.
@@ -51,14 +51,14 @@ from dataclasses import dataclass, field
 
 from repro import faultinject
 from repro.api import API_VERSION
-from repro.planner.cache import DEFAULT_MAX_ENTRIES, PlanCache
+from repro.lru import LRU
+from repro.planner.cache import PlanCache
 from repro.planner.sweep import (
     discard_pool,
     get_pool,
     respawn_pool,
     shutdown_pools,
 )
-from repro.service.lru import LRUPlanTier
 from repro.service.requests import OPERATIONS, RequestError, pop_deadline
 from repro.service.resilience import AdmissionController, CircuitBreaker, Shed
 
@@ -192,7 +192,6 @@ class PlanningService:
         max_workers: int | None = None,
         cache_dir: str | None = None,
         lru_size: int = 256,
-        max_cache_entries: int | None = DEFAULT_MAX_ENTRIES,
         max_inflight: int = 64,
         tenant_rate: float | None = None,
         tenant_burst: float | None = None,
@@ -216,13 +215,8 @@ class PlanningService:
         self.executor = executor
         self.max_workers = max_workers
         self.cache_dir = cache_dir
-        self.max_cache_entries = max_cache_entries
-        self.lru = LRUPlanTier(lru_size)
-        self.disk = (
-            PlanCache(cache_dir, max_entries=max_cache_entries)
-            if cache_dir is not None
-            else None
-        )
+        self.lru = LRU(lru_size)
+        self.disk = PlanCache(cache_dir) if cache_dir is not None else None
         self.stats = ServiceStats()
         self.admission = AdmissionController(
             max_inflight=max_inflight,
@@ -387,10 +381,7 @@ class PlanningService:
         key = request.digest()
         tier, result = await self._resolve(
             key,
-            functools.partial(
-                operation.execute, request, self.cache_dir,
-                self.max_cache_entries,
-            ),
+            functools.partial(operation.execute, request, self.cache_dir),
             disk=operation.disk,
             klass=path,
             tenant=tenant,

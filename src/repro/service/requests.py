@@ -31,7 +31,7 @@ The ``execute_*`` functions are the CPU-bound bodies scheduled on the
 service's worker pool.  They are top-level so a
 :class:`~concurrent.futures.ProcessPoolExecutor` can pickle them, and
 they run the same library calls as the CLI (:func:`repro.api.plan`,
-:func:`~repro.planner.sweep.plan_points`, :func:`repro.api.whatif`,
+:func:`~repro.planner.sweep.sweep`, :func:`repro.api.whatif`,
 :func:`repro.api.optimize`, :func:`~repro.scenarios.method_robustness`),
 so per-worker structural and plan caches stay warm across requests.
 :data:`OPERATIONS` ties each ``POST /v1/*`` route to its request class,
@@ -66,7 +66,7 @@ from repro.planner.sweep import (
     SweepPoint,
     grid,
     model_for_devices,
-    plan_points,
+    sweep,
 )
 from repro.planner.whatif import WhatifResult, whatif, whatif_cache_key
 from repro.scenarios import (
@@ -389,10 +389,8 @@ def _operation(name: str, *spec: Param):
     return build
 
 
-def _disk_cache(cache_dir: str | None, max_entries: int | None) -> PlanCache | None:
-    if cache_dir is None:
-        return None
-    return PlanCache(cache_dir, max_entries=max_entries)
+def _disk_cache(cache_dir: str | None) -> PlanCache | None:
+    return None if cache_dir is None else PlanCache(cache_dir)
 
 
 class Resolved(NamedTuple):
@@ -543,12 +541,10 @@ class PlanRequest(_ConfigRequest):
 
 
 def execute_plan_request(
-    request: PlanRequest,
-    cache_dir: str | None = None,
-    max_cache_entries: int | None = None,
+    request: PlanRequest, cache_dir: str | None = None
 ) -> RankedPlans:
     """Worker body for one plan request (top-level: pool-picklable)."""
-    return request.run(_disk_cache(cache_dir, max_cache_entries))
+    return request.run(_disk_cache(cache_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -614,32 +610,19 @@ class SweepRequest(_Request):
 
 
 def execute_sweep_request(
-    request: SweepRequest,
-    cache_dir: str | None = None,
-    max_cache_entries: int | None = None,
+    request: SweepRequest, cache_dir: str | None = None
 ) -> list[SweepOutcome]:
     """Worker body for one sweep request (structure-grouped, serial).
 
-    One pool task plans the whole grid through
-    :func:`~repro.planner.sweep.plan_points` (points pre-grouped by
-    structure axes, exactly like :func:`repro.api.sweep`'s chunks do),
-    so concurrent sweep *requests* parallelize across the pool while
-    each request amortizes its structural caches in one worker.
+    One pool task plans the whole grid through a serial
+    :func:`~repro.planner.sweep.sweep`, so concurrent sweep *requests*
+    parallelize across the pool while each request amortizes its
+    structural caches in one worker.
     """
-    points = request.points()
-    order = sorted(
-        range(len(points)), key=lambda i: points[i].structure_axes() + (i,)
+    return sweep(
+        request.points(), request.constraints(), executor="serial",
+        cache_dir=cache_dir,
     )
-    outcomes = plan_points(
-        [points[i] for i in order],
-        request.constraints(),
-        cache_dir,
-        max_cache_entries,
-    )
-    by_input: list[SweepOutcome] = [None] * len(points)  # type: ignore[list-item]
-    for position, outcome in zip(order, outcomes):
-        by_input[position] = outcome
-    return by_input
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +710,7 @@ class WhatifRequest(_ConfigRequest):
 
 
 def execute_stored_request(
-    request: WhatifRequest | OptimizeRequest,
-    cache_dir: str | None = None,
-    max_cache_entries: int | None = None,
+    request: WhatifRequest | OptimizeRequest, cache_dir: str | None = None
 ) -> dict:
     """Worker body for one what-if or optimize request (pool-picklable).
 
@@ -741,7 +722,7 @@ def execute_stored_request(
     same two-level arrangement ``/v1/plan`` gets from
     :func:`repro.api.plan`.
     """
-    cache = _disk_cache(cache_dir, max_cache_entries)
+    cache = _disk_cache(cache_dir)
     result = request.run(cache)
     payload = result.as_dict()
     if cache is not None:
@@ -817,16 +798,14 @@ class ScenarioRequest(_ConfigRequest):
 
 
 def execute_scenario_request(
-    request: ScenarioRequest,
-    cache_dir: str | None = None,
-    max_cache_entries: int | None = None,
+    request: ScenarioRequest, cache_dir: str | None = None
 ) -> dict:
     """Worker body for one scenario request: Monte Carlo robustness.
 
     Returns the JSON-safe payload: the measured methods ranked by p95
     (method name as tie-break) plus the structurally skipped ones —
     the schema ``repro-experiments scenarios run|compare --format
-    json`` prints too.  The cache arguments only keep every worker
+    json`` prints too.  The cache argument only keeps every worker
     body's signature alike: Monte Carlo results are never disk-cached.
     """
     model, parallel, _, scenario = request.resolve()
@@ -1028,7 +1007,7 @@ class Operation(NamedTuple):
 
     #: The request dataclass a body validates into.
     request: type[_Request]
-    #: Worker body ``(request, cache_dir, max_cache_entries)``, run on
+    #: Worker body ``(request, cache_dir)``, run on
     #: the pool on a full cache miss (top-level: pool-picklable).
     execute: Callable[..., Any]
     #: Whether the leader probes the disk tier for the whole result

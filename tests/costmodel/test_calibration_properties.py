@@ -1,8 +1,8 @@
 """Property tests for the cost-model fitting loop.
 
-Four properties the calibration layer promises:
+Three properties the calibration layer promises:
 
-* **determinism** — same seed, same grid, same engine → bit-identical
+* **determinism** — same seed, same grid → bit-identical
   fitted parameters (the whole digest-keyed caching story depends on
   this);
 * **convergence** — on synthetic ground truth generated *by* the model
@@ -12,9 +12,7 @@ Four properties the calibration layer promises:
   *relative* error never exceeds the uncalibrated analytic model's on
   the fitting points (the analytic identity is feasible in the ridge
   objective, so this holds by construction, not luck), and the
-  committed report's aggregate MARE improves too;
-* **engine parity** — pure-Python and NumPy fitters produce
-  bit-identical parameters (both reduce through ``math.fsum``).
+  committed report's aggregate MARE improves too.
 
 Collection simulates a few dozen small configs; everything here uses
 the deterministic quick grid to stay in tier-1 time.
@@ -36,14 +34,6 @@ from repro.costmodel.calibrate import (
     predict_time,
     sum_squared_relative_error,
 )
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # the no-numpy CI leg
-    HAVE_NUMPY = False
-
 
 @pytest.fixture(scope="module")
 def quick_points():
@@ -84,8 +74,8 @@ class TestDeterminism:
 
     def test_fit_is_bit_identical_across_runs(self, quick_points):
         points = family(quick_points, "vocab-1")
-        first = fit_family(points, engine="python")
-        second = fit_family(points, engine="python")
+        first = fit_family(points)
+        second = fit_family(points)
         assert first == second  # exact float equality, not approx
 
     def test_collection_is_deterministic(self, quick_points):
@@ -130,7 +120,7 @@ class TestConvergence:
                     simulated=predict_time(truth, features.vector()),
                 )
             )
-        fitted = fit_family(synthetic, engine="python")
+        fitted = fit_family(synthetic)
         for name, got, want in zip(FEATURE_NAMES, fitted, truth):
             assert got == pytest.approx(want, rel=1e-4, abs=1e-4), name
 
@@ -149,7 +139,7 @@ class TestConvergence:
             )
             for p in family(quick_points, "vocab-2")
         ]
-        fitted = fit_family(synthetic, engine="python")
+        fitted = fit_family(synthetic)
         for point in synthetic:
             predicted = predict_time(fitted, point.features.vector())
             assert predicted == pytest.approx(point.simulated, rel=1e-3)
@@ -161,7 +151,7 @@ class TestConvergence:
         # regularization disabled.
         points = family(quick_points, "baseline")[:1] * 3
         with pytest.raises(ValueError, match="singular"):
-            fit_family(points, engine="python", ridge=0.0)
+            fit_family(points, ridge=0.0)
 
 
 class TestMonotoneImprovement:
@@ -170,41 +160,19 @@ class TestMonotoneImprovement:
 
         for method in KNOWN_METHODS:
             points = family(quick_points, method)
-            params = fit_family(points, engine="python")
+            params = fit_family(points)
             assert sum_squared_relative_error(
                 points, params
             ) <= sum_squared_relative_error(points, None), method
 
     def test_report_aggregate_error_improves(self, quick_points):
         profile = fit_points(
-            quick_points, name="t", grid="quick", seed=0, engine="python"
+            quick_points, name="t", grid="quick", seed=0
         )
         report = profile.report
         assert report.mean_abs_rel_error < report.baseline_mean_abs_rel_error
         for row in report.families:
             assert row.mean_abs_rel_error <= row.baseline_mean_abs_rel_error * 1.5
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
-class TestEngineParity:
-    def test_fitters_are_bit_identical(self, quick_points):
-        from repro.harness.experiments import KNOWN_METHODS
-
-        for method in KNOWN_METHODS:
-            points = family(quick_points, method)
-            assert fit_family(points, engine="python") == fit_family(
-                points, engine="numpy"
-            ), method
-
-    def test_whole_profile_parity(self, quick_points):
-        py = fit_points(
-            quick_points, name="t", grid="quick", seed=0, engine="python"
-        )
-        np_ = fit_points(
-            quick_points, name="t", grid="quick", seed=0, engine="numpy"
-        )
-        assert py.as_dict() == np_.as_dict()
-        assert py.digest() == np_.digest()
 
 
 class TestPredict:

@@ -274,7 +274,7 @@ class TestRefinedScheduleMemo:
         assert not experiments._REFINED_CACHE
 
     def test_bounded_and_cleared(self, setup, monkeypatch):
-        monkeypatch.setattr(experiments, "_REFINED_CACHE_LIMIT", 2)
+        monkeypatch.setattr(experiments._REFINED_CACHE, "capacity", 2)
         overheads = (1e-4, 2e-4, 3e-4)
         for overhead in overheads:
             build_schedule("vocab-2", SimulationSetup(MODEL, PARALLEL, pass_overhead=overhead))
@@ -380,7 +380,7 @@ class TestRobustNominalMemo:
         assert (counts["robust_misses"], counts["robust_hits"]) == (5, 2)
 
     def test_bounded_lru_and_cleared(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_ROBUST_CACHE_LIMIT", 2)
+        monkeypatch.setattr(experiments._ROBUST_CACHE, "capacity", 2)
         slow = get_scenario("slow-node")
         setups = [
             SimulationSetup(MODEL, PARALLEL, pass_overhead=o)

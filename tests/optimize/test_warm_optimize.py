@@ -140,7 +140,7 @@ class TestStartStateMemo:
         second.schedule.validate()
 
     def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_START_CACHE_LIMIT", 1)
+        monkeypatch.setattr(experiments._START_CACHE, "capacity", 1)
         run(seed=0, budget=2)
         run(seed=0, budget=2, scenario="slow-node")
         assert len(experiments._START_CACHE) == 1

@@ -30,20 +30,14 @@ class TestMemoryBound:
         assert cache.get(keys[1]) is None
         assert cache.get(keys[2]) == {"plan": keys[2]}
 
-    def test_none_is_unbounded(self):
-        cache = PlanCache(max_entries=None)
-        put_n(cache, DEFAULT_MAX_ENTRIES + 2)
-        assert len(cache) == DEFAULT_MAX_ENTRIES + 2
-        assert cache.evictions == 0
-
     def test_eviction_pops_the_oldest_key_of_its_kind(self):
         cache = PlanCache(max_entries=3)
         for i in range(3):
             cache.put_aux("estimate", f"e{i}", i)
         keys = put_n(cache, 3)
         cache.put_aux("estimate", "e3", 3)
-        assert list(cache._memory["estimate"]) == ["e1", "e2", "e3"]
-        assert list(cache._memory["plan"]) == keys
+        assert cache._memory["estimate"].values() == [1, 2, 3]
+        assert cache._memory["plan"].values() == [{"plan": key} for key in keys]
         assert cache.evictions == 1
 
     def test_hit_refreshes_its_entry(self):
@@ -159,3 +153,38 @@ class TestDiskBound:
         assert len(list(tmp_path.glob("*.plan.pkl"))) <= 16
         assert len(cache) == 16
         assert cache.get("0199") == 199
+
+
+SMALL = ["--devices", "4", "--seq", "1024", "--microbatches", "8"]
+#: Each CLI verb taking ``--cache-dir``, as the invocations one test runs.
+CACHE_DIR_VERBS = {
+    "plan-point": [["plan", *SMALL, "--vocab", "32k"]],
+    "plan-grid": [["plan", *SMALL, "--vocab", "32k", "64k", "--executor", "serial"]],
+    "whatif": [
+        ["whatif", *SMALL, "--vocab", "32k", "--factor", str(factor)]
+        for factor in (1.2, 1.5, 2.0)
+    ],
+    "optimize": [
+        ["optimize", *SMALL, "--vocab", vocab, "--budget", "2"]
+        for vocab in ("32k", "64k", "128k")
+    ],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(CACHE_DIR_VERBS))
+def test_cli_cache_dir_bounded_per_kind(verb, tmp_path, monkeypatch, capsys):
+    """Every CLI verb that takes ``--cache-dir`` leaves a directory
+    bounded per entry kind, at the one default bound every
+    :class:`PlanCache` has (shrunk to 2 here so a few plans exceed it)."""
+    from repro.harness.cli import main
+
+    monkeypatch.setattr(PlanCache.__init__, "__defaults__", (None, 2))
+    for argv in CACHE_DIR_VERBS[verb]:
+        main([*argv, "--cache-dir", str(tmp_path)])
+    capsys.readouterr()
+    kinds: dict[str, int] = {}
+    for path in tmp_path.glob("*.pkl"):
+        kind = path.name.split(".")[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds, "the verb wrote no cache entries"
+    assert max(kinds.values()) <= 2, kinds
