@@ -85,7 +85,6 @@ def calibrate(
     *,
     quick: bool = False,
     seed: int = 0,
-    engine: str = "auto",
     hardware: HardwareModel = A100_SXM_80G,
 ) -> HardwareProfile:
     """Fit a simulator-calibrated cost-model profile.
@@ -93,9 +92,7 @@ def calibrate(
     Facade alias for :func:`repro.costmodel.calibrate.fit_profile`,
     named for the CLI verb (``repro-experiments calibrate fit``).
     """
-    return fit_profile(
-        name, quick=quick, seed=seed, engine=engine, hardware=hardware
-    )
+    return fit_profile(name, quick=quick, seed=seed, hardware=hardware)
 
 
 __all__ = [

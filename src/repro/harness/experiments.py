@@ -122,16 +122,15 @@ def structural_cache_stats() -> dict[str, int]:
 
 def clear_derived_caches() -> None:
     """Drop the memoized refined schedules, robust nominal bindings and
-    optimizer start states, and zero their counters.
+    optimizer start states (their counters keep counting).
 
     Generated schedules and compiled graphs stay, so the next refined
     build, robust plan or :func:`~repro.optimize.optimize` call pays its
     refinement, nominal binding and start scoring again on warm
     structures.
     """
-    _REFINED_CACHE.clear()
-    _ROBUST_CACHE.clear()
-    _START_CACHE.clear()
+    for cache in (_REFINED_CACHE, _ROBUST_CACHE, _START_CACHE):
+        cache.clear(reset_counters=False)
 
 
 def clear_structural_caches() -> None:

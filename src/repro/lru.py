@@ -65,13 +65,14 @@ class LRU:
         with self._lock:
             return list(self._entries.values())
 
-    def clear(self) -> None:
-        """Drop every entry and zero the counters."""
+    def clear(self, reset_counters: bool = True) -> None:
+        """Drop every entry and, unless told not to, zero the counters."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
+            if reset_counters:
+                self.hits = 0
+                self.misses = 0
+                self.evictions = 0
 
     def stats(self) -> dict[str, int]:
         """Capacity, size and counters (the service's ``/stats`` ``lru``)."""

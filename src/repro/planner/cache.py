@@ -57,7 +57,8 @@ from repro.lru import LRU
 _MAGIC = b"RPLC1\n"
 #: Name of the sidecar directory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
-#: Default per-kind entry bound of a :class:`PlanCache`.
+#: Per-kind entry bound of every :class:`PlanCache`, read when one is
+#: constructed.
 DEFAULT_MAX_ENTRIES = 1024
 
 
@@ -209,19 +210,13 @@ class PlanCache:
 
     Hits return the stored object itself (plans are treated as
     immutable once ranked).  ``hits``/``misses`` counters make cache
-    behaviour observable in tests and sweeps.  ``max_entries`` bounds
-    each entry kind (whole-plan and every aux namespace separately):
-    in memory the least recently used entry is evicted, on disk the
-    oldest file.
+    behaviour observable in tests and sweeps.  ``max_entries``
+    (:data:`DEFAULT_MAX_ENTRIES`) bounds each entry kind (whole-plan
+    and every aux namespace separately): in memory the least recently
+    used entry is evicted, on disk the oldest files.
     """
 
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-    ):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, directory: str | Path | None = None):
         #: Per-kind in-memory entries (``"plan"`` for whole plans).
         self._memory: dict[str, LRU] = {}
         self.directory = Path(directory) if directory is not None else None
@@ -230,7 +225,7 @@ class PlanCache:
         #: separately, both in memory and on disk, so neither a
         #: long-running process nor its cache directory grows without
         #: limit.
-        self.max_entries = max_entries
+        self.max_entries = DEFAULT_MAX_ENTRIES
         #: Per-kind estimate of this writer's disk file count (files
         #: seen at the last directory scan plus writes since): lets
         #: writes skip the O(entries) eviction scan while safely under
@@ -392,40 +387,48 @@ class PlanCache:
             self._evict_disk(kind)
 
     def _evict_disk(self, kind: str) -> None:
-        """Drop the oldest disk files of one ``kind`` beyond ``max_entries``.
+        """Keep at most ``max_entries`` disk files of one ``kind``.
 
-        Files are ordered by modification time, so a long-running writer
-        keeps the directory bounded even across restarts (ties broken by
-        name for determinism).  The directory is only scanned once this
-        writer's running count for the kind could exceed the bound —
-        safely under it, a write costs no extra syscalls.  Concurrent writers
-        may race an unlink; a file already removed by a sibling is
-        simply skipped, and each writer's own bound keeps a shared
-        directory bounded regardless.
+        The directory is listed only once this writer's running count
+        for the kind could exceed the bound — safely under it, a write
+        costs no extra syscalls — and the listing reads names only.
+        Past the bound, the oldest files by modification time (ties
+        broken by name) are dropped down to seven eighths of it, so the
+        next listing waits for another ``max_entries // 8`` writes
+        rather than coming with every write; the bound holds across
+        restarts too.  Concurrent writers may race an unlink; a file
+        already removed by a sibling is simply skipped, and each
+        writer's own bound keeps a shared directory bounded regardless.
         """
         count = self._disk_counts.get(kind)
         if count is not None and count <= self.max_entries:
             return
-        stamped = []
+        suffix = f".{kind}.pkl"
         try:
             # Two processes bounding one directory race each other
             # freely: every step of the scan-and-unlink below must
             # tolerate a sibling having removed the file (ENOENT) — or
             # the directory itself — between syscalls.
-            for path in self.directory.glob(f"*.{kind}.pkl"):
-                try:
-                    stamped.append((path.stat().st_mtime_ns, path.name, path))
-                except OSError:
-                    continue
+            with os.scandir(self.directory) as listing:
+                entries = [e for e in listing if e.name.endswith(suffix)]
         except OSError:
             return
-        stamped.sort()
-        for _, _, path in stamped[: max(0, len(stamped) - self.max_entries)]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self._disk_counts[kind] = min(len(stamped), self.max_entries)
+        if len(entries) > self.max_entries:
+            stamped = []
+            for entry in entries:
+                try:
+                    stamped.append((entry.stat().st_mtime_ns, entry.name))
+                except OSError:
+                    continue
+            stamped.sort()
+            keep = self.max_entries - self.max_entries // 8
+            for _, name in stamped[: max(0, len(stamped) - keep)]:
+                try:
+                    (self.directory / name).unlink()
+                except OSError:
+                    pass
+            entries = stamped[-keep:]
+        self._disk_counts[kind] = len(entries)
 
     def get(self, key: str) -> Any | None:
         """Stored plans for ``key``, or ``None`` (counts hit/miss)."""

@@ -214,13 +214,21 @@ def plan_point(
     directory, letting repeated CLI invocations and pool workers share
     results across processes.
     """
+    cache = PlanCache(cache_dir) if cache_dir is not None else None
+    return _plan_point(point, constraints, cache)
+
+
+def _plan_point(
+    point: SweepPoint,
+    constraints: PlannerConstraints | None,
+    cache: PlanCache | None,
+) -> SweepOutcome:
     base = constraints or PlannerConstraints()
     model, parallel = _point_configs(point)
     if point.memory_budget_gib is not None:
         base = dataclasses.replace(
             base, memory_budget_gib=point.memory_budget_gib
         )
-    cache = PlanCache(cache_dir) if cache_dir is not None else None
     return SweepOutcome(
         point=point,
         plans=plan(
@@ -237,7 +245,7 @@ def plan_point(
 def _warm_binding_groups(
     points: Sequence[SweepPoint],
     constraints: PlannerConstraints | None,
-    cache_dir: str | None,
+    cache: PlanCache | None,
 ) -> None:
     """Batch-price structure groups that span several runtime bindings.
 
@@ -258,7 +266,8 @@ def _warm_binding_groups(
     base = constraints or PlannerConstraints()
     if base.simulate_top_k == 0:
         return
-    cache = PlanCache(cache_dir) if cache_dir is not None else default_plan_cache()
+    if cache is None:
+        cache = default_plan_cache()
     groups: dict[tuple, list[SweepPoint]] = {}
     for point in points:
         groups.setdefault(point.structure_axes(), []).append(point)
@@ -344,10 +353,12 @@ def plan_points(
     instead of once per point.  Structure groups spanning several
     runtime bindings inside the chunk are batch-priced first
     (:func:`_warm_binding_groups`), then every point is planned against
-    the warmed caches.
+    the warmed caches, all through one disk-backed cache when
+    ``cache_dir`` is given.
     """
-    _warm_binding_groups(points, constraints, cache_dir)
-    return [plan_point(point, constraints, cache_dir) for point in points]
+    cache = PlanCache(cache_dir) if cache_dir is not None else None
+    _warm_binding_groups(points, constraints, cache)
+    return [_plan_point(point, constraints, cache) for point in points]
 
 
 def default_chunk_size(num_points: int, workers: int) -> int:

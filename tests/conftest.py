@@ -15,6 +15,7 @@ try:
 except ImportError:  # the no-numpy CI leg
     np = None
 
+import repro.planner.cache
 from repro.config import ModelConfig, ParallelConfig
 
 
@@ -23,6 +24,17 @@ def rng():
     if np is None:
         pytest.skip("numpy is not installed")
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def bound(monkeypatch):
+    """``bound(n)`` caps every :class:`~repro.planner.cache.PlanCache`
+    constructed afterwards at ``n`` entries per kind."""
+
+    def shrink(n: int) -> None:
+        monkeypatch.setattr(repro.planner.cache, "DEFAULT_MAX_ENTRIES", n)
+
+    return shrink
 
 
 @pytest.fixture

@@ -284,6 +284,7 @@ class TestRefinedScheduleMemo:
         assert structural_cache_stats()["refined_misses"] == 4
         clear_derived_caches()
         assert not experiments._REFINED_CACHE
+        assert structural_cache_stats()["refined_misses"] == 4, "counters stay"
         assert experiments._SCHEDULE_CACHE, "generated schedules stay"
         build_schedule("vocab-2", setup)
         clear_structural_caches()

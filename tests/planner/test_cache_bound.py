@@ -30,8 +30,9 @@ class TestMemoryBound:
         assert cache.get(keys[1]) is None
         assert cache.get(keys[2]) == {"plan": keys[2]}
 
-    def test_eviction_pops_the_oldest_key_of_its_kind(self):
-        cache = PlanCache(max_entries=3)
+    def test_eviction_pops_the_oldest_key_of_its_kind(self, bound):
+        bound(3)
+        cache = PlanCache()
         for i in range(3):
             cache.put_aux("estimate", f"e{i}", i)
         keys = put_n(cache, 3)
@@ -40,8 +41,9 @@ class TestMemoryBound:
         assert cache._memory["plan"].values() == [{"plan": key} for key in keys]
         assert cache.evictions == 1
 
-    def test_hit_refreshes_its_entry(self):
-        cache = PlanCache(max_entries=3)
+    def test_hit_refreshes_its_entry(self, bound):
+        bound(3)
+        cache = PlanCache()
         keys = put_n(cache, 3)
         cache.put_aux("metrics", "m0", 0)
         cache.put_aux("metrics", "m1", 1)
@@ -56,8 +58,9 @@ class TestMemoryBound:
         assert cache.get_aux("metrics", "m1") is None
         assert cache.get_aux("metrics", "m0") == 0
 
-    def test_overwrite_refreshes_its_entry(self):
-        cache = PlanCache(max_entries=2)
+    def test_overwrite_refreshes_its_entry(self, bound):
+        bound(2)
+        cache = PlanCache()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 3)
@@ -65,12 +68,14 @@ class TestMemoryBound:
         assert cache.get("b") is None
         assert cache.get("a") == 3
 
-    def test_max_entries_validation(self):
+    def test_max_entries_validation(self, bound):
+        bound(0)
         with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
+            PlanCache().put("a", 1)
 
-    def test_oldest_entry_evicted_first(self):
-        cache = PlanCache(max_entries=3)
+    def test_oldest_entry_evicted_first(self, bound):
+        bound(3)
+        cache = PlanCache()
         keys = put_n(cache, 5)
         assert len(cache) == 3
         assert cache.evictions == 2
@@ -78,8 +83,9 @@ class TestMemoryBound:
         assert cache.get(keys[1]) is None
         assert cache.get(keys[4]) == {"plan": keys[4]}
 
-    def test_aux_kinds_bounded_separately(self):
-        cache = PlanCache(max_entries=2)
+    def test_aux_kinds_bounded_separately(self, bound):
+        bound(2)
+        cache = PlanCache()
         for i in range(4):
             cache.put_aux("estimate", f"e{i}", i)
             cache.put_aux("metrics", f"m{i}", i)
@@ -90,16 +96,18 @@ class TestMemoryBound:
         assert cache.get_aux("estimate", "e0") is None
         assert cache.get_aux("metrics", "m0") is None
 
-    def test_plan_bound_does_not_touch_aux(self):
-        cache = PlanCache(max_entries=2)
+    def test_plan_bound_does_not_touch_aux(self, bound):
+        bound(2)
+        cache = PlanCache()
         cache.put_aux("estimate", "keepme", 1)
         put_n(cache, 5)
         assert cache.get_aux("estimate", "keepme") == 1
 
 
 class TestDiskBound:
-    def test_disk_directory_stays_bounded(self, tmp_path):
-        cache = PlanCache(tmp_path, max_entries=3)
+    def test_disk_directory_stays_bounded(self, tmp_path, bound):
+        bound(3)
+        cache = PlanCache(tmp_path)
         for i in range(8):
             cache.put(f"k{i}", i)
             # mtime must order the writes on coarse-clock filesystems.
@@ -109,13 +117,38 @@ class TestDiskBound:
         files = sorted(p.name for p in tmp_path.glob("*.plan.pkl"))
         assert files == ["k5.plan.pkl", "k6.plan.pkl", "k7.plan.pkl"]
 
+    def test_full_directory_is_trimmed_to_seven_eighths(
+        self, tmp_path, bound, monkeypatch
+    ):
+        """Past the bound the oldest files go down to seven eighths of
+        it, so a writer at the bound lists the directory once per
+        ``max_entries // 8`` writes, not on every write."""
+        bound(16)
+        cache = PlanCache(tmp_path)
+        for i in range(17):
+            cache.put(f"k{i:02d}", i)
+            os.utime(cache._path(f"k{i:02d}"), ns=(i * 1_000_000, i * 1_000_000))
+        files = sorted(p.name for p in tmp_path.glob("*.plan.pkl"))
+        assert files == [f"k{i:02d}.plan.pkl" for i in range(3, 17)]
+        listings = []
+        real_scandir = os.scandir
+        monkeypatch.setattr(
+            os, "scandir", lambda path: listings.append(path) or real_scandir(path)
+        )
+        put_n(cache, 2)
+        assert listings == [], "14 + 2 files are within the bound"
+        put_n(cache, 1, start=2)
+        assert listings == [tmp_path]
+        assert len(list(tmp_path.glob("*.plan.pkl"))) == 14
+
     def test_unbounded_disk_unchanged(self, tmp_path):
         cache = PlanCache(tmp_path)
         put_n(cache, 10)
         assert len(list(tmp_path.glob("*.plan.pkl"))) == 10
 
-    def test_evicted_disk_entry_is_a_miss_for_fresh_process(self, tmp_path):
-        writer = PlanCache(tmp_path, max_entries=2)
+    def test_evicted_disk_entry_is_a_miss_for_fresh_process(self, tmp_path, bound):
+        bound(2)
+        writer = PlanCache(tmp_path)
         for i in range(4):
             writer.put(f"k{i}", i)
             os.utime(
@@ -126,28 +159,31 @@ class TestDiskBound:
         assert reader.get("k0") is None
         assert reader.get("k3") == 3
 
-    def test_disk_aux_kinds_bounded_separately(self, tmp_path):
-        cache = PlanCache(tmp_path, max_entries=2)
+    def test_disk_aux_kinds_bounded_separately(self, tmp_path, bound):
+        bound(2)
+        cache = PlanCache(tmp_path)
         for i in range(4):
             cache.put_aux("estimate", f"e{i}", i)
             cache.put_aux("metrics", f"m{i}", i)
         assert len(list(tmp_path.glob("*.estimate.pkl"))) == 2
         assert len(list(tmp_path.glob("*.metrics.pkl"))) == 2
 
-    def test_read_only_process_memory_stays_bounded(self, tmp_path):
+    def test_read_only_process_memory_stays_bounded(self, tmp_path, bound):
         """The service's disk tier never writes — reads alone must not
         grow a bounded cache's in-memory store without limit."""
         writer = PlanCache(tmp_path)
         put_n(writer, 20)
-        reader = PlanCache(tmp_path, max_entries=4)
+        bound(4)
+        reader = PlanCache(tmp_path)
         for i in range(20):
             assert reader.get(f"{'k%04d' % i}") == {"plan": "k%04d" % i}
         assert len(reader) <= 4
 
-    def test_long_running_writer_stays_bounded(self, tmp_path):
+    def test_long_running_writer_stays_bounded(self, tmp_path, bound):
         """The service-lifetime property: thousands of writes, fixed
         directory size, newest entries always retrievable."""
-        cache = PlanCache(tmp_path, max_entries=16)
+        bound(16)
+        cache = PlanCache(tmp_path)
         for i in range(200):
             cache.put(f"{i:04d}", i)
         assert len(list(tmp_path.glob("*.plan.pkl"))) <= 16
@@ -172,13 +208,13 @@ CACHE_DIR_VERBS = {
 
 
 @pytest.mark.parametrize("verb", sorted(CACHE_DIR_VERBS))
-def test_cli_cache_dir_bounded_per_kind(verb, tmp_path, monkeypatch, capsys):
+def test_cli_cache_dir_bounded_per_kind(verb, tmp_path, bound, capsys):
     """Every CLI verb that takes ``--cache-dir`` leaves a directory
     bounded per entry kind, at the one default bound every
     :class:`PlanCache` has (shrunk to 2 here so a few plans exceed it)."""
     from repro.harness.cli import main
 
-    monkeypatch.setattr(PlanCache.__init__, "__defaults__", (None, 2))
+    bound(2)
     for argv in CACHE_DIR_VERBS[verb]:
         main([*argv, "--cache-dir", str(tmp_path)])
     capsys.readouterr()

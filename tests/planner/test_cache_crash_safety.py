@@ -7,9 +7,10 @@ restarts.  Also the regression test for the eviction race between two
 caches bounding one shared directory.
 """
 
+import contextlib
 import hashlib
+import os
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestInjectedWriteFaults:
 
 
 class TestSharedDirectoryEvictionRace:
-    def test_two_caches_bounding_one_directory(self, tmp_path):
+    def test_two_caches_bounding_one_directory(self, tmp_path, bound):
         """Regression: racing evictors must tolerate vanished files.
 
         Two bounded caches over one directory each scan-and-unlink on
@@ -134,8 +135,9 @@ class TestSharedDirectoryEvictionRace:
         heavily and require both writers to finish, the directory to
         stay bounded, and fresh entries to remain readable.
         """
-        a = PlanCache(directory=tmp_path, max_entries=3)
-        b = PlanCache(directory=tmp_path, max_entries=3)
+        bound(3)
+        a = PlanCache(directory=tmp_path)
+        b = PlanCache(directory=tmp_path)
         for i in range(40):
             a.put(f"ka{i:03d}", {"plan": i})
             b.put(f"kb{i:03d}", {"plan": i})
@@ -148,34 +150,39 @@ class TestSharedDirectoryEvictionRace:
         fresh = PlanCache(directory=tmp_path)
         assert fresh.get("kb039") == {"plan": 39}
 
-    def test_file_vanishing_mid_scan_is_skipped(self, tmp_path, monkeypatch):
-        """Deterministic ENOENT: a sibling unlinks between glob and stat."""
-        cache = PlanCache(directory=tmp_path, max_entries=2)
+    def test_file_vanishing_mid_scan_is_skipped(self, tmp_path, monkeypatch, bound):
+        """Deterministic ENOENT: a sibling unlinks between the listing
+        and the stat."""
+        bound(2)
+        cache = PlanCache(directory=tmp_path)
         for i in range(4):
             cache.put(f"k{i}", {"plan": i})
-        real_stat = Path.stat
+        real_scandir = os.scandir
 
-        def sibling_unlinked(self, *args, **kwargs):
-            if self.name == "k3.plan.pkl":
-                raise FileNotFoundError(self)
-            return real_stat(self, *args, **kwargs)
+        @contextlib.contextmanager
+        def sibling_unlinked(path):
+            with real_scandir(path) as listing:
+                entries = list(listing)
+            entry_path(cache, "k3").unlink()
+            yield iter(entries)
 
-        monkeypatch.setattr(Path, "stat", sibling_unlinked)
+        monkeypatch.setattr(os, "scandir", sibling_unlinked)
         cache._disk_counts.clear()
         cache.put("k9", {"plan": 9})  # scans; must skip, not raise
         monkeypatch.undo()
         assert PlanCache(directory=tmp_path).get("k9") == {"plan": 9}
 
-    def test_eviction_tolerates_scan_failure(self, tmp_path, monkeypatch):
+    def test_eviction_tolerates_scan_failure(self, tmp_path, monkeypatch, bound):
         """A directory that vanishes mid-scan aborts eviction, not put."""
-        cache = PlanCache(directory=tmp_path, max_entries=2)
+        bound(2)
+        cache = PlanCache(directory=tmp_path)
         for i in range(3):
             cache.put(f"k{i}", {"plan": i})
 
-        def directory_vanished(self, pattern):
+        def directory_vanished(path):
             raise OSError("directory removed by a sibling")
 
-        monkeypatch.setattr(Path, "glob", directory_vanished)
+        monkeypatch.setattr(os, "scandir", directory_vanished)
         cache._disk_counts.clear()
         cache.put("k9", {"plan": 9})  # eviction scan fails; put must not
         monkeypatch.undo()

@@ -5,6 +5,7 @@ Two contracts: every ``repro.api.__all__`` name resolves, and the
 """
 
 import importlib
+import inspect
 
 import repro
 import repro.api
@@ -35,6 +36,18 @@ class TestFacade:
         )
 
         assert callable(plan) and callable(optimize)
+
+    def test_calibrate_takes_fit_profiles_arguments(self):
+        from repro.costmodel.calibrate import fit_profile
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters.values())
+
+        assert params(repro.api.calibrate) == params(fit_profile)
+
+    def test_calibrate_fits_a_profile(self):
+        profile = repro.api.calibrate(quick=True)
+        assert profile.name == repro.api.BUILTIN_PROFILE
 
     def test_facade_names_match_defining_modules(self):
         from repro.api import PlanCache, optimize, plan, sweep, whatif

@@ -120,6 +120,22 @@ class TestCounters:
             "evictions": 0,
         }
 
+    def test_clear_can_keep_the_counters(self):
+        lru = LRU(capacity=1)
+        lru.put("a", 1)
+        lru.get("a")
+        lru.get("zz")
+        lru.put("b", 2)
+        lru.clear(reset_counters=False)
+        assert lru.stats() == {
+            "capacity": 1,
+            "size": 0,
+            "hits": 1,
+            "misses": 1,
+            "evictions": 1,
+        }
+
+
 
 def test_threads_share_one_lru():
     """Concurrent get/put keep the bound and lose no counted lookup.
