@@ -9,8 +9,8 @@ defining module under one stable namespace:
   slowdown against a resident compiled graph;
 * :func:`sweep` / :func:`grid` / :class:`SweepOutcome` — plan whole
   (devices, vocab, microbatches, budget) grids in parallel;
-* :func:`optimize` / :class:`OptimizedPlan` — rewrite-based search for
-  a schedule beating every named family;
+* :func:`optimize` / :class:`OptimizedPlan` — token-split the best
+  named family's schedule while that is verifiably faster;
 * :func:`calibrate` / :func:`fit_profile` / :func:`evaluate_profile` —
   fit and check simulator-calibrated cost models;
 * :func:`list_scenarios` / :func:`get_scenario` /

@@ -12,10 +12,10 @@ Subcommands:
 * ``plan`` — rank all schedule families for a configuration
   (:mod:`repro.planner`); accepts multiple ``--devices``/``--vocab``
   values and sweeps the grid in parallel;
-* ``optimize`` — rewrite-based schedule search
-  (:mod:`repro.optimize`): start from the best named family and search
-  token splits and activation handoffs for a schedule the simulator
-  verifies as faster;
+* ``optimize`` — token-split schedule search (:mod:`repro.optimize`):
+  take the best named family's schedule and split its microbatches
+  along tokens at factors 2 and 4 while the simulator verifies each
+  split as fitting and faster;
 * ``scenarios`` — cluster scenarios (:mod:`repro.scenarios`): list and
   describe the registry, and price schedule robustness on non-ideal
   clusters with seeded Monte Carlo jitter;
@@ -53,8 +53,8 @@ Examples::
     repro-experiments plan --devices 8 --vocab 128k
     repro-experiments plan --devices 8 16 --vocab 64k 256k --memory-budget 40
     repro-experiments plan --devices 8 --scenario slow-node
-    repro-experiments optimize --scenario slow-node --seed 0
-    repro-experiments optimize --devices 8 --seed 3 --budget 8
+    repro-experiments optimize --scenario slow-node
+    repro-experiments optimize --devices 8 --budget 2
     repro-experiments scenarios list
     repro-experiments scenarios describe --scenario slow-node
     repro-experiments scenarios run --scenario high-jitter --method vocab-1
@@ -83,7 +83,7 @@ SUBCOMMANDS = {
     "appendix-b": "Appendix B: interlaced ablation",
     "schedules": "ASCII schedule timelines (Figures 1/10)",
     "plan": "rank schedule families for a config (planner)",
-    "optimize": "rewrite-based search for a schedule beating the families",
+    "optimize": "token-split the best family's schedule while that is faster",
     "scenarios": "cluster scenarios: robustness on non-ideal clusters",
     "calibrate": "fit/inspect calibrated cost-model profiles",
     "whatif": "single-device what-if on a resident compiled graph",
@@ -779,6 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.planner.planner import NoFeasibleSchedule
     from repro.service.requests import RequestError
 
     args = build_parser().parse_args(argv)
@@ -800,9 +801,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         result = handlers[args.command](args)
-    except RequestError as error:
-        # An invalid flag value: the same message the service's 400
-        # carries, as an argparse-style error.
+    except (RequestError, NoFeasibleSchedule) as error:
+        # An invalid flag value, or a config no schedule family fits:
+        # the message the service's 400/422 carries, as an
+        # argparse-style error.
         command = " ".join([args.command, *([args.action] if "action" in args else [])])
         raise SystemExit(f"repro-experiments {command}: error: {error}") from None
     except BrokenPipeError:

@@ -12,7 +12,6 @@ mark them the way the paper's figures do.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig, layers_per_stage
@@ -80,7 +79,7 @@ class MethodMetrics:
 # it per binding via CompiledGraph.rebind / execute_many.  Three memos
 # of seed-independent work on warm structures sit beside them: refined
 # schedules (build_schedule), robust plans' nominal bindings
-# (robust_nominal) and the optimizer's scored start states.
+# (robust_nominal) and the optimizer's scored split chains.
 # ---------------------------------------------------------------------------
 
 _SCHEDULE_CACHE = LRU(256)
@@ -91,21 +90,15 @@ _GRAPH_CACHE = LRU(64)
 _REFINED_CACHE = LRU(64)
 #: ``method_robustness``'s seed-independent half (see :func:`robust_nominal`).
 _ROBUST_CACHE = LRU(64)
-#: The optimizer's scored start candidates (see :func:`search_start`).
-_START_CACHE = LRU(8)
+#: The optimizer's scored split chains (see :func:`scored_chain`).
+_CHAIN_CACHE = LRU(8)
 _STRUCTURAL_CACHES = {
     "schedule": _SCHEDULE_CACHE,
     "graph": _GRAPH_CACHE,
     "refined": _REFINED_CACHE,
     "robust": _ROBUST_CACHE,
-    "start": _START_CACHE,
+    "chain": _CHAIN_CACHE,
 }
-#: Hit/miss counters of the start states' children memos (see
-#: :func:`start_child`), which are plain dicts, not LRUs: each holds a
-#: handful of entries, ``None`` results included, and dies with its
-#: start.  The lock guards those dicts and these counters.
-_CHILD_LOCK = threading.Lock()
-_CHILD_STATS = {"child_hits": 0, "child_misses": 0}
 
 
 def structural_cache_stats() -> dict[str, int]:
@@ -115,21 +108,19 @@ def structural_cache_stats() -> dict[str, int]:
         counts = cache.stats()
         stats[f"{kind}_hits"] = counts["hits"]
         stats[f"{kind}_misses"] = counts["misses"]
-    with _CHILD_LOCK:
-        stats.update(_CHILD_STATS)
     return stats
 
 
 def clear_derived_caches() -> None:
     """Drop the memoized refined schedules, robust nominal bindings and
-    optimizer start states (their counters keep counting).
+    optimizer split chains (their counters keep counting).
 
     Generated schedules and compiled graphs stay, so the next refined
     build, robust plan or :func:`~repro.optimize.optimize` call pays its
-    refinement, nominal binding and start scoring again on warm
+    refinement, nominal binding and chain scoring again on warm
     structures.
     """
-    for cache in (_REFINED_CACHE, _ROBUST_CACHE, _START_CACHE):
+    for cache in (_REFINED_CACHE, _ROBUST_CACHE, _CHAIN_CACHE):
         cache.clear(reset_counters=False)
 
 
@@ -137,56 +128,27 @@ def clear_structural_caches() -> None:
     """Drop every process-wide structural cache and reset the counters:
     generated schedules, compiled graphs, refined schedules
     (:func:`build_schedule`), robust nominal bindings
-    (:func:`robust_nominal`) and optimizer start states
-    (:func:`search_start`) with the children memoized on them
-    (:func:`start_child`)."""
+    (:func:`robust_nominal`) and optimizer split chains
+    (:func:`scored_chain`)."""
     for cache in _STRUCTURAL_CACHES.values():
         cache.clear()
-    with _CHILD_LOCK:
-        for key in _CHILD_STATS:
-            _CHILD_STATS[key] = 0
 
 
-def search_start(key: tuple, build):
-    """The optimizer's scored start state under ``key``, memoized.
+def scored_chain(key: tuple, build):
+    """The optimizer's scored split chain under ``key``, memoized.
 
-    ``build()`` makes it on a miss (a ``None`` result is not stored).
-    The start of a search is a pure function of the optimize inputs
-    without the seed and budget, so every seed searched on
-    one structure shares it.  It lives here, beside the other
+    ``build()`` makes it on a miss.  The chain is a pure function of
+    the optimize inputs without the seed and budget, so every search on
+    one structure replays it.  It lives here, beside the other
     structural caches, so that :func:`clear_structural_caches` and
     :func:`structural_cache_stats` cover it;
     :mod:`repro.optimize.optimizer` defines what it holds.
     """
-    value = _START_CACHE.get(key)
+    value = _CHAIN_CACHE.get(key)
     if value is None:
         value = build()
-        if value is not None:
-            _START_CACHE.put(key, value)
+        _CHAIN_CACHE.put(key, value)
     return value
-
-
-def start_child(children: dict, key, build) -> tuple[object, bool]:
-    """``(children[key], hit)``, calling ``build()`` on a miss.
-
-    ``children`` is a memoized start state's own memo of the scored
-    candidates the search derives from it identically for every seed
-    (any result, ``None`` included, is kept).  It lives and dies with
-    its :func:`search_start` entry — evicted with it, dropped by
-    :func:`clear_structural_caches` and :func:`clear_derived_caches` —
-    and :func:`structural_cache_stats` counts it as ``child_hits`` /
-    ``child_misses``.
-    """
-    with _CHILD_LOCK:
-        hit = key in children
-        if hit:
-            _CHILD_STATS["child_hits"] += 1
-            return children[key], True
-    value = build()
-    with _CHILD_LOCK:
-        _CHILD_STATS["child_misses"] += 1
-        children[key] = value
-    return value, False
 
 
 def _generation_timings(method: str, setup: SimulationSetup) -> tuple[float, ...]:

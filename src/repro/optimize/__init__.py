@@ -1,13 +1,11 @@
-"""Rewrite-based schedule search beyond the named families.
+"""Token-split search beyond the named families.
 
 Public surface: :func:`optimize` / :class:`OptimizedPlan` (the entry
-point and its result), the IR (:class:`ScheduleIR`), the two rewrites
-(:func:`default_rewrites`, :class:`ActivationHandoff` and
-:class:`TokenSplit`) and the search (:func:`greedy_search` over a
-:class:`ScoreContext`).
+point and its result), the rewrite (:class:`TokenSplit`, the whole
+:func:`default_rewrites` catalog) and the scored chain
+(:func:`split_chain` over a :class:`ScoreContext`, and :func:`replay`).
 """
 
-from repro.optimize.ir import ScheduleIR
 from repro.optimize.optimizer import (
     DEFAULT_BUDGET,
     OPTIMIZER_VERSION,
@@ -15,36 +13,27 @@ from repro.optimize.optimizer import (
     optimize,
     optimize_cache_key,
 )
-from repro.optimize.rewrites import (
-    ActivationHandoff,
-    Rewrite,
-    RewriteContext,
-    RewriteStep,
-    TokenSplit,
-    default_rewrites,
-)
+from repro.optimize.rewrites import RewriteStep, TokenSplit, default_rewrites
 from repro.optimize.search import (
     ScoreContext,
     ScoredCandidate,
     TokenSplitRuntime,
-    greedy_search,
+    replay,
+    split_chain,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
     "OPTIMIZER_VERSION",
-    "ActivationHandoff",
     "OptimizedPlan",
-    "Rewrite",
-    "RewriteContext",
     "RewriteStep",
-    "ScheduleIR",
     "ScoreContext",
     "ScoredCandidate",
     "TokenSplit",
     "TokenSplitRuntime",
     "default_rewrites",
-    "greedy_search",
     "optimize",
     "optimize_cache_key",
+    "replay",
+    "split_chain",
 ]

@@ -1,14 +1,14 @@
-"""``optimize``: rewrite-based schedule search beyond the named families.
+"""``optimize``: token-split the best named family's schedule.
 
 :func:`optimize` is the planner's "go further" button: where
 :func:`repro.planner.planner.plan` ranks the paper's fixed schedule
-families, ``optimize`` starts from the best named family, lowers it
-into the rewrite IR (:mod:`repro.optimize.ir`) and searches the local
-rewrite space (:mod:`repro.optimize.rewrites`) with a seeded greedy
-search (:mod:`repro.optimize.search`), scoring every candidate against
-the compiled-graph oracle.  The result is an :class:`OptimizedPlan`: the
-discovered schedule, the rewrite trace that produced it, and its
-verified speedup over the best named family.
+families, ``optimize`` takes the best one's refined schedule and scores
+its TeraPipe-style token splits at factors 2 and 4 against the
+compiled-graph oracle (:mod:`repro.optimize.search`), keeping a split
+only while it fits the memory budget and is strictly faster.  The
+result is an :class:`OptimizedPlan`: the schedule it ends at, the split
+trace that produced it, and its verified speedup over the best named
+family.
 
 Caching follows the planner's discipline exactly: results live in the
 ``"optimize"`` auxiliary namespace of the
@@ -18,6 +18,8 @@ Caching follows the planner's discipline exactly: results live in the
 scenario signature, the cost model's *content* digest, the seed and
 the evaluation budget — plus
 :data:`OPTIMIZER_VERSION` so semantic changes invalidate stale entries.
+The seed changes no output; it is recorded and keyed so that results
+stored under earlier versions keep their addresses.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.calibrate import resolve_cost_model
 from repro.costmodel.hardware import A100_SXM_80G, HardwareModel
 from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB, MemoryModel
-from repro.harness.experiments import search_start
-from repro.optimize.ir import ScheduleIR
-from repro.optimize.rewrites import RewriteStep, default_rewrites
-from repro.optimize.search import ScoreContext, greedy_search
+from repro.harness.experiments import scored_chain
+from repro.optimize.rewrites import RewriteStep, split_factor
+from repro.optimize.search import ScoreContext, replay, split_chain
 from repro.planner.cache import PlanCache, config_digest
 from repro.planner.planner import (
     PLANNER_VERSION,
@@ -45,11 +46,13 @@ from repro.scheduling.orders import OrderTable
 from repro.scheduling.schedule import Schedule
 from repro.sim import SimulationSetup, simulation_engine
 
-#: Bumped whenever optimizer semantics change (IR lowering, rewrite
-#: catalog, scoring, search behaviour), invalidating cached plans.
+#: Bumped whenever optimizer semantics change (the rewrites, scoring,
+#: search behaviour), invalidating cached plans.
 OPTIMIZER_VERSION = 2
 
-#: Default number of oracle evaluations a search may spend.
+#: Default cap on the oracle evaluations a search may spend.  The split
+#: chain spends at most 3 (the start and its splits at factors 2 and 4),
+#: so any budget of 3 or more gives the same result.
 DEFAULT_BUDGET = 96
 
 
@@ -63,7 +66,7 @@ class OptimizedPlan:
     and ``speedup`` their ratio (> 1 means the search won).
     ``baseline_times`` carries every feasible named family's verified
     time, so "beats every named family" is checkable from the result
-    alone.  ``trace`` is the rewrite sequence that produced the
+    alone.  ``trace`` is the split sequence that produced the
     discovered schedule, in application order.
     """
 
@@ -167,6 +170,18 @@ class OptimizedPlan:
         return "\n".join(lines)
 
 
+def _integer_orders(schedule: Schedule) -> Schedule:
+    """``schedule`` with its integer orders only and its own metadata:
+    the passes and encodings memoized on a scored schedule are dead
+    weight in a long-lived cache entry, and are rebuilt on read."""
+    table = schedule.order_table()
+    return dataclasses.replace(
+        schedule,
+        device_orders=OrderTable(table.streams, table.codes),
+        metadata=dict(schedule.metadata),
+    )
+
+
 def _normalize(
     constraints: PlannerConstraints | None,
     scenario: ClusterScenario | str | None,
@@ -190,7 +205,7 @@ def _key_inputs(
     scenario: ClusterScenario | None,
 ) -> tuple:
     """Every normalized input of a search except seed and budget: what
-    its start state is a function of."""
+    its split chain is a function of."""
     memory_model = memory_model or DEFAULT_MEMORY_MODEL
     scenario_sig = None if scenario is None else scenario.signature()
     cost_model_digest = resolve_cost_model(constraints.cost_model).digest()
@@ -241,23 +256,26 @@ def optimize(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> OptimizedPlan:
-    """Search the rewrite space for a schedule beating every named family.
+    """Token-split the best named family's schedule while that pays.
 
     Runs :func:`~repro.planner.planner.plan` with full verification
     (every feasible family simulated, so the baseline comparison is
-    oracle-verified, not estimated), lowers the winner into the rewrite
-    IR and spends at most ``budget`` oracle evaluations on a greedy
-    search over token splits and activation handoffs.  Deterministic
-    for fixed inputs: the plan, the site enumeration and every random
-    decision (drawn from ``random.Random(seed)``) are pure functions of
-    the arguments, and the oracle replay is bit-identical across the
-    NumPy and pure-Python engines.
+    oracle-verified, not estimated), scores the winner's refined
+    schedule and then its token splits at factors 2 and 4, moving to a
+    split only while it fits the memory budget and is strictly faster,
+    and stops at the first that is not or once ``budget`` oracle
+    evaluations are spent.  Deterministic for fixed inputs: the plan
+    and the split chain are pure functions of the arguments, and the
+    oracle replay is bit-identical across the NumPy and pure-Python
+    engines.  ``seed`` changes no output; it is recorded in the result
+    and its cache key.
 
     ``constraints`` are respected throughout: the memory budget bounds
-    every candidate's simulated peak (including BPipe handoff
-    adjustments), ``methods`` restricts the starting families, and the
-    cost model prices the underlying plan (its content digest keys the
-    cache entry).
+    every candidate's simulated peak, ``methods`` restricts the
+    starting families, and the cost model prices the underlying plan
+    (its content digest keys the cache entry).  Raises
+    :class:`~repro.planner.planner.NoFeasibleSchedule` when no family
+    fits.
     """
     constraints, scenario = _normalize(constraints, scenario, budget)
     memory_model = memory_model or DEFAULT_MEMORY_MODEL
@@ -289,63 +307,54 @@ def optimize(
     setup_kwargs = {} if pass_overhead is None else {"pass_overhead": pass_overhead}
     setup = SimulationSetup(model, parallel, hardware=hardware, **setup_kwargs)
 
-    def context() -> ScoreContext:
-        return ScoreContext(
+    def build() -> tuple:
+        ctx = ScoreContext(
             setup,
             scenario=scenario,
             budget_bytes=plans.memory_budget_gib * GiB,
             memory_model=memory_model,
         )
-
-    def score_start():
         schedule = plans.build_best_schedule(hardware=hardware)
-        start = context().score(ScheduleIR.from_schedule(schedule), ())
-        return None if start is None else dataclasses.replace(start, children={})
+        start = ctx.score(
+            dataclasses.replace(schedule, device_orders=schedule.order_table(), metadata={}),
+            (),
+        )
+        if start is None or not start.feasible:  # pragma: no cover - plan() verified it
+            raise RuntimeError(
+                f"best named family {best.method!r} failed oracle verification"
+            )
+        return tuple(
+            c if c is None else dataclasses.replace(c, schedule=_integer_orders(c.schedule))
+            for c in split_chain(ctx, start)
+        )
 
-    # The scored start (with its token-split child memoized on it)
-    # depends on neither seed nor budget: every seed searched from one
-    # structure shares it.  The search still counts the start as its
-    # first evaluation and the child as one evaluation per use, exactly
-    # as when it scores them.
+    # The scored chain depends on neither seed nor budget: every search
+    # on one structure replays its first ``budget`` entries, exactly as
+    # a search scoring them itself would spend them.
     inputs = _key_inputs(
         model, parallel, constraints, hardware, memory_model, pass_overhead, scenario
     )
-    start_key = config_digest(
-        "optimize-start", *inputs, OPTIMIZER_VERSION, PLANNER_VERSION
+    chain_key = config_digest(
+        "optimize-chain", *inputs, OPTIMIZER_VERSION, PLANNER_VERSION
     )
-    start = search_start((start_key, simulation_engine()), score_start)
-    if start is None:  # pragma: no cover - plan() already verified it
-        raise RuntimeError(
-            f"best named family {best.method!r} failed oracle verification"
-        )
-    ctx = context()
-    ctx.adopt(start)
-    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
-
-    table = final.schedule.order_table()
+    chain = scored_chain((chain_key, simulation_engine()), build)
+    final, evaluations = replay(chain, budget)
     result = OptimizedPlan(
         baseline_method=best.method,
         scenario=None if scenario is None else scenario.name,
         seed=seed,
         budget=budget,
-        evaluations=ctx.evaluations,
-        baseline_time=start.time,
+        evaluations=evaluations,
+        baseline_time=chain[0].time,
         optimized_time=final.time,
         baseline_times=baseline_times,
         trace=final.trace,
-        num_microbatches=final.ir.num_microbatches,
-        token_split=final.ir.split,
+        num_microbatches=final.schedule.num_microbatches,
+        token_split=split_factor(final.schedule),
         peak_memory_gib=final.peak_bytes / GiB,
         memory_budget_gib=plans.memory_budget_gib,
         cache_key=key,
-        # The cached result keeps the integer orders only: the passes
-        # and encodings memoized on the search's schedule are dead
-        # weight in a long-lived cache entry, and are rebuilt on read.
-        schedule=dataclasses.replace(
-            final.schedule,
-            device_orders=OrderTable(table.streams, table.codes),
-            metadata=dict(final.schedule.metadata),
-        ),
+        schedule=_integer_orders(final.schedule),
     )
     cache.put_aux("optimize", key, result)
     return result

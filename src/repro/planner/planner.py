@@ -206,6 +206,21 @@ class PlanCandidate:
         return self.source == "sim"
 
 
+class NoFeasibleSchedule(ValueError):
+    """No schedule family fits the config; ``rejected`` holds each
+    considered family's ``(method, reason)``."""
+
+    def __init__(self, rejected: tuple[tuple[str, str], ...]) -> None:
+        super().__init__(
+            f"no feasible schedule for this config; rejected: {list(rejected)}"
+        )
+        self.rejected = rejected
+
+    def __reduce__(self):
+        # Pickled across the service's process pool by its argument.
+        return type(self), (self.rejected,)
+
+
 @dataclass
 class RankedPlans:
     """Outcome of one :func:`plan` call.
@@ -242,11 +257,11 @@ class RankedPlans:
 
     @property
     def best(self) -> PlanCandidate:
-        """The top-ranked feasible candidate."""
+        """The top-ranked feasible candidate; raises
+        :class:`NoFeasibleSchedule` when there is none."""
         if not self.ranked:
-            raise ValueError(
-                "no feasible schedule for this config; "
-                f"rejected: {[(c.method, c.reason) for c in self.rejected]}"
+            raise NoFeasibleSchedule(
+                tuple((c.method, c.reason) for c in self.rejected)
             )
         return self.ranked[0]
 

@@ -53,6 +53,7 @@ from repro import faultinject
 from repro.api import API_VERSION
 from repro.lru import LRU
 from repro.planner.cache import PlanCache
+from repro.planner.planner import NoFeasibleSchedule
 from repro.planner.sweep import (
     discard_pool,
     get_pool,
@@ -83,6 +84,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -535,6 +537,17 @@ class PlanningService:
             return 400, error_body(
                 "bad_request", str(error),
                 hint="fix the request body and resend",
+            ), {}
+        except NoFeasibleSchedule as error:
+            self.stats.errors += 1
+            return 422, error_body(
+                "no_feasible_schedule", str(error),
+                hint="raise memory_budget_gib or allow more methods; "
+                "/v1/plan lists the same rejections",
+                rejected=[
+                    {"method": method, "reason": reason}
+                    for method, reason in error.rejected
+                ],
             ), {}
         except asyncio.CancelledError:
             raise

@@ -863,25 +863,28 @@ def execute_scenario_request(
     _COST_MODEL,
     Param(
         "seed", int, 0, flag="--seed",
-        help="seed of the site sample a round draws when the budget cannot "
-        "score every site (default %(default)s)",
+        help="recorded in the result and its cache key; changes no other "
+        "output (default %(default)s)",
     ),
     Param(
         "budget", int, DEFAULT_BUDGET, _positive, flag="--budget",
         metavar="N",
-        help="oracle evaluations the search may spend (default %(default)s)",
+        help="oracle evaluations the search may spend; the split chain "
+        "spends at most 3 (default %(default)s)",
     ),
     _OVERHEAD,
 )
 class OptimizeRequest(_ConfigRequest):
-    """One normalized ``POST /v1/optimize`` body — a rewrite search.
+    """One normalized ``POST /v1/optimize`` body — a token-split search.
 
-    Runs :func:`repro.api.optimize`: start from the best named family
-    for the configuration and search semantics-preserving local
-    rewrites for a schedule the simulator verifies as faster.  The
+    Runs :func:`repro.api.optimize`: take the best named family for the
+    configuration and token-split its schedule at factors 2 and 4 while
+    the simulator verifies each split as fitting and faster.  The
     digest is the optimizer's own cache key, so the service tiers and
     the planner cache's ``"optimize"`` auxiliary namespace address the
-    same search.
+    same search.  A configuration no family fits raises
+    :class:`~repro.planner.planner.NoFeasibleSchedule`, which the
+    service answers with a 422.
     """
 
     def validate(self) -> None:
@@ -1046,7 +1049,7 @@ OPERATIONS: dict[str, Operation] = {
         ),
         Operation(
             OptimizeRequest, execute_stored_request, True,
-            "rewrite-based search for a schedule beating the named families",
+            "token-split the best named family's schedule while that is faster",
         ),
     )
 }

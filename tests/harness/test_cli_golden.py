@@ -59,6 +59,8 @@ ERROR_CASES = [
     ["optimize", "--methods", "nope"],
     ["optimize", "--scenario", "nope"],
     ["optimize", "--cost-model", "nope"],
+    ["optimize", "--devices", "4", "--vocab", "64k", "--seq", "1024",
+     "--microbatches", "8", "--methods", "baseline", "--memory-budget", "6.9"],
     ["whatif", "--device", "99"],
     ["whatif", "--method", "nope"],
     ["whatif", "--factor", "0"],

@@ -204,7 +204,7 @@ class TestRunMethodBindings:
 #: Every counter :func:`structural_cache_stats` reports.
 STATS_KEYS = {
     f"{kind}_{outcome}"
-    for kind in ("schedule", "graph", "refined", "robust", "start", "child")
+    for kind in ("schedule", "graph", "refined", "robust", "chain")
     for outcome in ("hits", "misses")
 }
 

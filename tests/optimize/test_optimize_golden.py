@@ -7,9 +7,7 @@ and a sha256 digest of its canonical integer orders
 (:meth:`~repro.scheduling.orders.OrderTable.key`).  The cases cover
 searches from vocab-1, vhalf-vocab-1, interlaced and baseline starts,
 each nominal and under ``slow-node``, a search that splits twice (split
-4, a second round), one that does not split, and searches under a memory
-budget tighter than the start's peak, which fire ``activation-handoff``:
-one that goes on to split and one whose evaluation budget runs out first.
+4) and one that does not split.
 
 A change to the optimizer's internals must leave every case unchanged.
 Re-record only for an intended change to the search::
@@ -27,15 +25,12 @@ from pathlib import Path
 import pytest
 
 import repro.sim.compiled as compiled
-from repro.api import PlanCache, PlannerConstraints, optimize, plan
+from repro.api import PlanCache, PlannerConstraints, optimize
 from repro.config import ParallelConfig
-from repro.costmodel.memory import GiB
 from repro.harness.experiments import clear_structural_caches
 from repro.harness.settings import model_for_1f1b, parallel_for
-from repro.optimize import ScheduleIR, ScoreContext, default_rewrites, greedy_search
 from repro.planner.sweep import model_for_devices
 from repro.service.requests import OptimizeRequest
-from repro.sim import SimulationSetup
 
 FIXTURE_PATH = Path(__file__).with_name("optimize_golden.json")
 
@@ -67,19 +62,8 @@ OPTIMIZE_CASES = {
     "baseline-slow-node-greedy-split-4": ("small", "baseline", "slow-node", 0, 48),
 }
 
-#: name -> (start family, memory budget in GiB, seed, budget): searches
-#: scored under a budget below the start's 6.96 GiB peak, so the start is
-#: infeasible and a handoff from device 0 to device 1 can fix it.  With 3
-#: evaluations the search stops after the handoff, before the split.
-HANDOFF_CASES = {
-    "handoff-greedy": ("baseline", 6.9, 0, 48),
-    "handoff-greedy-budget-3": ("baseline", 6.9, 0, 3),
-}
-
-CASES = sorted([*OPTIMIZE_CASES, *HANDOFF_CASES])
-SMALL_CASES = [
-    name for name in CASES if name in HANDOFF_CASES or OPTIMIZE_CASES[name][0] == "small"
-]
+CASES = sorted(OPTIMIZE_CASES)
+SMALL_CASES = [name for name in CASES if OPTIMIZE_CASES[name][0] == "small"]
 
 
 def _encode(value):
@@ -107,7 +91,8 @@ def _schedule_fields(schedule) -> dict:
     }
 
 
-def _optimize_case(name: str) -> dict:
+def _record_case(name: str) -> dict:
+    clear_structural_caches()
     config, method, scenario, seed, budget = OPTIMIZE_CASES[name]
     model, parallel = _config(config)
     constraints = PlannerConstraints(methods=None if method is None else (method,))
@@ -116,37 +101,6 @@ def _optimize_case(name: str) -> dict:
         seed=seed, budget=budget,
     )
     return _encode({**result.as_dict(), **_schedule_fields(result.schedule)})
-
-
-def _handoff_case(name: str) -> dict:
-    method, budget_gib, seed, budget = HANDOFF_CASES[name]
-    model, parallel = _config("small")
-    plans = plan(
-        model, parallel,
-        PlannerConstraints(methods=(method,), simulate_top_k=None),
-        cache=PlanCache(),
-    )
-    ctx = ScoreContext(SimulationSetup(model, parallel), budget_bytes=budget_gib * GiB)
-    start = ctx.score(ScheduleIR.from_schedule(plans.build_best_schedule()), ())
-    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
-    return _encode({
-        "start_time": start.time,
-        "start_feasible": start.feasible,
-        "optimized_time": final.time,
-        "speedup": start.time / final.time,
-        "feasible": final.feasible,
-        "peak_bytes": final.peak_bytes,
-        "evaluations": ctx.evaluations,
-        "trace": [step.as_dict() for step in final.trace],
-        **_schedule_fields(final.schedule),
-    })
-
-
-def _record_case(name: str) -> dict:
-    clear_structural_caches()
-    if name in HANDOFF_CASES:
-        return _handoff_case(name)
-    return _optimize_case(name)
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +128,7 @@ def test_matches_golden_without_numpy(name, golden, monkeypatch):
 
 def test_cases_cover_the_rules(golden):
     rules = {step["rule"] for case in golden.values() for step in case["trace"]}
-    assert rules == {"activation-handoff", "token-split"}
+    assert rules == {"token-split"}
     assert {case["metadata"].get("token_split", 1) for case in golden.values()} == {1, 2, 4}
 
 

@@ -1,9 +1,8 @@
-"""Property tests for the rewrite catalog over :class:`ScheduleIR`.
+"""Property tests for the token split over :class:`Schedule`.
 
-Every rewrite's contract: each enumerated site applies to a copy (the
-input program is never mutated), the emitted schedule still validates
-and executes under the compiled-graph oracle, and the applied step
-lands in the trace.
+The rewrite's contract: applying it leaves the input schedule alone,
+the split schedule still validates and executes under the
+compiled-graph oracle, and the applied step lands in the trace.
 """
 
 from dataclasses import replace
@@ -13,13 +12,8 @@ import pytest
 from repro.config import ModelConfig, ParallelConfig
 from repro.costmodel.memory import GiB
 from repro.harness.experiments import KNOWN_METHODS, build_schedule
-from repro.optimize import (
-    ActivationHandoff,
-    ScheduleIR,
-    ScoreContext,
-    TokenSplit,
-    default_rewrites,
-)
+from repro.optimize import ScoreContext, TokenSplit, default_rewrites
+from repro.optimize.rewrites import split_factor
 from repro.planner.planner import PlannerConstraints, plan
 from repro.planner.cache import PlanCache
 from repro.planner.sweep import model_for_devices
@@ -46,7 +40,7 @@ def parallel() -> ParallelConfig:
 
 @pytest.fixture
 def start(model, parallel, tmp_path):
-    """The best named family, lowered and oracle-scored."""
+    """The best named family, oracle-scored."""
     constraints = PlannerConstraints(simulate_top_k=None)
     plans = plan(
         model, parallel, constraints, cache=PlanCache(str(tmp_path))
@@ -56,65 +50,54 @@ def start(model, parallel, tmp_path):
         SimulationSetup(model, parallel),
         budget_bytes=plans.memory_budget_gib * GiB,
     )
-    candidate = ctx.score(ScheduleIR.from_schedule(schedule), ())
+    candidate = ctx.score(schedule, ())
     assert candidate is not None
     return ctx, candidate
 
 
-def program_state(ir):
-    """Everything a rewrite could change in a program."""
-    return (
-        ir.table, ir.table.codes, ir.graph, ir.num_microbatches, ir.split,
-        ir.handoffs,
-    )
-
-
-class TestNoMutation:
-    @pytest.mark.parametrize(
-        "rewrite, site", [(TokenSplit(), ()), (ActivationHandoff(), (0, 1, 1))]
-    )
-    def test_input_program_is_not_mutated(self, start, rewrite, site):
-        _, candidate = start
-        before = program_state(candidate.ir)
-        codes = [list(row) for row in candidate.ir.table.codes]
-        rewrite.apply(candidate.ir, site)
-        assert program_state(candidate.ir) == before
-        assert [list(row) for row in candidate.ir.table.codes] == codes
+def test_input_schedule_is_not_mutated(start):
+    _, candidate = start
+    schedule = candidate.schedule
+    table, metadata = schedule.order_table(), dict(schedule.metadata)
+    codes = [list(row) for row in table.codes]
+    TokenSplit().apply(schedule)
+    assert schedule.order_table() is table
+    assert schedule.metadata == metadata
+    assert [list(row) for row in table.codes] == codes
 
 
 class TestTokenSplit:
-    def test_split_doubles_microbatches_and_stays_legal(self, start):
+    def test_split_doubles_microbatches_and_stays_legal(self, start, model):
         ctx, candidate = start
         rewrite = TokenSplit()
-        sites = rewrite.sites(candidate.ir, candidate.rewrite_ctx)
-        assert sites == [()]
-        new_ir, step = rewrite.apply(candidate.ir, sites[0])
+        assert rewrite.sites(candidate.schedule, model.seq_length) == [()]
+        split, step = rewrite.apply(candidate.schedule)
         assert step.rule == "token-split"
-        assert new_ir.num_microbatches == 2 * candidate.ir.num_microbatches
-        assert new_ir.split == 2 * candidate.ir.split
-        for old, new in zip(candidate.ir.table.codes, new_ir.table.codes):
+        assert split.num_microbatches == 2 * candidate.schedule.num_microbatches
+        assert split.metadata == {"token_split": 2}
+        for old, new in zip(
+            candidate.schedule.order_table().codes, split.order_table().codes
+        ):
             assert len(new) == 2 * len(old)
-        new_ir.emit().validate()
-        scored = ctx.score(new_ir, (step,))
+        split.validate()
+        scored = ctx.score(split, (step,))
         assert scored is not None
         # Split halves per-pass compute but pays per-pass overhead and
         # full collectives twice: the time must stay in a sane band,
         # never double.
         assert scored.time < 2 * candidate.time
 
-    def test_split_round_trips_through_emit(self, start):
+    def test_respects_max_split(self, start, model):
         _, candidate = start
-        new_ir, _ = TokenSplit().apply(candidate.ir, ())
-        again = ScheduleIR.from_schedule(new_ir.emit())
-        assert again.split == new_ir.split
-        assert again.num_microbatches == new_ir.num_microbatches
-
-    def test_respects_max_split(self, start):
-        _, candidate = start
-        ir = candidate.ir
+        schedule = candidate.schedule
         for _ in range(2):  # split -> 2 -> 4 (MAX_SPLIT)
-            ir, _ = TokenSplit().apply(ir, ())
-        assert TokenSplit().sites(ir, candidate.rewrite_ctx) == []
+            schedule, _ = TokenSplit().apply(schedule)
+        assert split_factor(schedule) == 4
+        assert TokenSplit().sites(schedule, model.seq_length) == []
+
+    def test_needs_a_divisible_sequence(self, start):
+        _, candidate = start
+        assert TokenSplit().sites(candidate.schedule, 255) == []
 
 
 @pytest.mark.parametrize("method", KNOWN_METHODS)
@@ -129,84 +112,35 @@ def test_split_equals_splitting_every_pass(method):
         ParallelConfig(pipeline_size=4, num_microbatches=2, microbatch_size=1),
     )
     ctx = ScoreContext(setup)
-    scored = ctx.score(ScheduleIR.from_schedule(build_schedule(method, setup)), ())
+    scored = ctx.score(build_schedule(method, setup), ())
     for split in (2, 4):
         expected = [
             [Pass(p.type, 2 * p.microbatch + half, p.device, p.chunk)
              for p in order for half in (0, 1)]
-            for order in scored.ir.table.passes()
+            for order in scored.schedule.order_table().passes()
         ]
-        ir, step = TokenSplit().apply(scored.ir, ())
-        assert ir.split == split
-        assert [list(order) for order in ir.table.passes()] == expected
-        scored = ctx.score(ir, scored.trace + (step,))
+        schedule, step = TokenSplit().apply(scored.schedule)
+        assert split_factor(schedule) == split
+        assert [list(order) for order in schedule.order_table().passes()] == expected
+        scored = ctx.score(schedule, scored.trace + (step,))
         assert scored is not None
-        reference = ScheduleIR.from_schedule(
-            replace(ir.emit(), device_orders=OrderTable.from_passes(expected))
+        fresh = ctx.score(
+            replace(schedule, device_orders=OrderTable.from_passes(expected)),
+            scored.trace,
         )
-        fresh = ctx.score(reference, scored.trace)
-        assert fresh.ir.table.key() == ir.table.key()
+        assert fresh.schedule.order_table().key() == schedule.order_table().key()
         assert (fresh.time, fresh.peak_bytes, fresh.feasible) == (
             scored.time, scored.peak_bytes, scored.feasible
         )
 
 
-class TestActivationHandoff:
-    def test_no_sites_without_memory_pressure(self, start):
-        _, candidate = start
-        # The default budget leaves headroom on the small model, so the
-        # BPipe predicate must not fire.
-        assert (
-            ActivationHandoff().sites(candidate.ir, candidate.rewrite_ctx)
-            == []
-        )
-
-    def test_apply_records_handoff_without_touching_orders(self, start):
-        _, candidate = start
-        new_ir, step = ActivationHandoff().apply(candidate.ir, (0, 1, 1))
-        assert step.rule == "activation-handoff"
-        assert new_ir.handoffs == candidate.ir.handoffs + ((0, 1, 1),)
-        assert new_ir.table is candidate.ir.table
-        assert new_ir.graph is candidate.ir.graph
-
-    def test_scoring_prices_the_handoff(self, start):
-        ctx, candidate = start
-        # The oracle re-checks the BPipe bound on every score: the
-        # handoff shifts one activation's bytes from src to dst, and
-        # the candidate stays executable.
-        new_ir, step = ActivationHandoff().apply(candidate.ir, (0, 1, 1))
-        scored = ctx.score(new_ir, (step,))
-        assert scored is not None
-        assert scored.peak_bytes > 0
-
-    def test_child_on_parent_graph_equals_fresh_compile(self, start):
-        """A handoff child is scored on its parent's graph; lowering its
-        emitted schedule afresh must give the same result bit for bit."""
-        ctx, candidate = start
-        new_ir, step = ActivationHandoff().apply(candidate.ir, (0, 1, 1))
-        shared = ctx.score(new_ir, (step,))
-        assert shared.graph is candidate.graph
-        fresh = ctx.score(ScheduleIR.from_schedule(new_ir.emit()), (step,))
-        assert fresh.graph is not candidate.graph
-        assert fresh.ir.handoffs == new_ir.handoffs
-        assert (fresh.time, fresh.peak_bytes, fresh.feasible) == (
-            shared.time, shared.peak_bytes, shared.feasible
-        )
-        assert replace(fresh.rewrite_ctx, p2p_seconds=None) == replace(
-            shared.rewrite_ctx, p2p_seconds=None
-        )
-
-    def test_binding_budget_marks_infeasible(self, model, parallel, start):
-        _, candidate = start
-        tight = ScoreContext(
-            SimulationSetup(model, parallel), budget_bytes=1.0
-        )
-        scored = tight.score(candidate.ir.copy(), ())
-        assert scored is not None
-        assert not scored.feasible
+def test_binding_budget_marks_infeasible(model, parallel, start):
+    _, candidate = start
+    tight = ScoreContext(SimulationSetup(model, parallel), budget_bytes=1.0)
+    scored = tight.score(candidate.schedule, ())
+    assert scored is not None
+    assert not scored.feasible
 
 
-class TestCatalog:
-    def test_default_rewrites_order_is_stable(self):
-        names = [r.name for r in default_rewrites()]
-        assert names == ["activation-handoff", "token-split"]
+def test_catalog_is_the_token_split():
+    assert [r.name for r in default_rewrites()] == ["token-split"]

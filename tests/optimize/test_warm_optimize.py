@@ -1,15 +1,17 @@
-"""Warm :func:`repro.api.optimize`: the memoized start state, its
-memoized token-split child and the cached result's schedule.
+"""Warm :func:`repro.api.optimize`: the memoized split chain and the
+cached result's schedule.
 
-A search's start — the best named family's refined schedule, scored by
-the oracle, and its scored token-split child — does not depend on the
-seed or budget, so it is memoized beside the structural caches.  A warm search must equal a cold
-one in every output, including its ``evaluations`` count (the start and
-every use of the child are one evaluation each).  The result cached per
-seed holds its schedule as integer orders only.
+A search's scored split chain — the best named family's refined
+schedule and its token splits at factors 2 and 4, each scored by the
+oracle — depends on neither the seed nor the budget, so it is memoized
+beside the structural caches, and each call replays its first
+``budget`` entries.  A warm search must equal a cold one in every
+output, including its ``evaluations`` count.  The memo and the result
+cached per seed hold schedules as integer orders only.
 """
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -18,17 +20,18 @@ from repro.api import PlanCache, PlannerConstraints, optimize, plan
 from repro.costmodel.memory import DEFAULT_MEMORY_MODEL, GiB
 from repro.harness import experiments
 from repro.harness.experiments import clear_structural_caches, structural_cache_stats
-from repro.harness.settings import model_for_1f1b, parallel_for
-from repro.optimize import optimizer
-from repro.optimize.ir import ScheduleIR
-from repro.optimize.rewrites import default_rewrites
-from repro.optimize.search import ScoreContext, greedy_search
+from repro.optimize.search import ScoreContext, replay, split_chain
 from repro.scenarios import get_scenario
 from repro.scheduling.schedule import Schedule
 from repro.sim import SimulationSetup
+from repro.sim.compiled import CompiledGraph
+from tests.optimize.test_optimize_golden import OPTIMIZE_CASES, _config
 
-MODEL = model_for_1f1b(8, 2048, 64 * 1024)
-PARALLEL = parallel_for(8, 16)
+#: The golden search whose chain splits twice (to factor 4).
+SPLIT_4 = OPTIMIZE_CASES["baseline-slow-node-greedy-split-4"]
+MODEL, PARALLEL = _config(SPLIT_4[0])
+CONSTRAINTS = PlannerConstraints(methods=(SPLIT_4[1],))
+SCENARIO = SPLIT_4[2]
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +42,8 @@ def fresh_caches():
 
 
 def run(**kwargs):
-    return optimize(MODEL, PARALLEL, cache=PlanCache(), **kwargs)
+    kwargs = {"scenario": SCENARIO, "seed": 0, **kwargs}
+    return optimize(MODEL, PARALLEL, CONSTRAINTS, cache=PlanCache(), **kwargs)
 
 
 def outputs(result) -> tuple:
@@ -54,13 +58,24 @@ def outputs(result) -> tuple:
     )
 
 
-def search_scoring_its_own_start(scenario, seed, budget):
-    """The search without any memo: one context scores the start itself
-    and then spends the rest of the budget.  Returns its evaluation
-    count and final candidate."""
-    scenario = get_scenario(scenario)
+def cold(**kwargs):
+    clear_structural_caches()
+    result = run(**kwargs)
+    assert structural_cache_stats()["chain_misses"] == 1
+    return outputs(result)
+
+
+def chain_stats() -> tuple[int, int]:
+    stats = structural_cache_stats()
+    return stats["chain_misses"], stats["chain_hits"]
+
+
+def search_scoring_its_own_chain(budget):
+    """The search without any memo: one context scores the start and
+    its splits.  Returns the evaluations spent and the final candidate."""
+    scenario = get_scenario(SCENARIO)
     plans = plan(
-        MODEL, PARALLEL, PlannerConstraints(simulate_top_k=None),
+        MODEL, PARALLEL, dataclasses.replace(CONSTRAINTS, simulate_top_k=None),
         cache=PlanCache(), scenario=scenario,
     )
     ctx = ScoreContext(
@@ -69,143 +84,106 @@ def search_scoring_its_own_start(scenario, seed, budget):
         budget_bytes=plans.memory_budget_gib * GiB,
         memory_model=DEFAULT_MEMORY_MODEL,
     )
-    start = ctx.score(ScheduleIR.from_schedule(plans.build_best_schedule()), ())
-    final = greedy_search(ctx, default_rewrites(), start, budget=budget, seed=seed)
-    return ctx.evaluations, final
+    schedule = plans.build_best_schedule()
+    start = ctx.score(
+        dataclasses.replace(schedule, device_orders=schedule.order_table(), metadata={}), ()
+    )
+    final, evaluations = replay(split_chain(ctx, start), budget)
+    return evaluations, final
 
 
-def cold_and_warm(**kwargs):
-    clear_structural_caches()
-    cold = run(**kwargs)
-    assert structural_cache_stats()["start_misses"] == 1
-    clear_structural_caches()
-    # Warm the memo with another seed's search first.
-    run(**{**kwargs, "seed": kwargs["seed"] + 100})
-    warm = run(**kwargs)
-    stats = structural_cache_stats()
-    assert (stats["start_misses"], stats["start_hits"]) == (1, 1)
-    return cold, warm
+class TestChainMemo:
+    @pytest.mark.parametrize(
+        "first, then", [(16, (1, 2, 3, 16)), (1, (16, 3, 2, 1))],
+        ids=["widest-first", "narrowest-first"],
+    )
+    def test_warm_equals_cold(self, first, then):
+        expected = {budget: cold(budget=budget) for budget in {first, *then}}
+        clear_structural_caches()
+        assert outputs(run(budget=first)) == expected[first]
+        for budget in then:
+            assert outputs(run(budget=budget)) == expected[budget]
+        assert chain_stats() == (1, len(then))
 
+    def test_chain_reaches_split_4(self):
+        result = run(budget=16)
+        assert result.token_split == 4 and result.evaluations == 3
+        assert [step.rule for step in result.trace] == ["token-split"] * 2
+        (chain,) = experiments._CHAIN_CACHE.values()
+        assert len(chain) == 3
 
-class TestStartStateMemo:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_warm_equals_cold(self, seed):
-        cold, warm = cold_and_warm(scenario="slow-node", seed=seed, budget=24)
-        assert warm.optimized_time == cold.optimized_time
-        assert warm.evaluations == cold.evaluations
-        assert outputs(warm) == outputs(cold)
-        # Each first round scores the token split: the warm search was
-        # served the child its warm-up search scored.
-        assert child_stats() == (1, 1)
-        evaluations, final = search_scoring_its_own_start("slow-node", seed, 24)
-        assert warm.evaluations == evaluations
+    @pytest.mark.parametrize("budget", [1, 2, 3, 16])
+    def test_equals_a_search_scoring_its_own_chain(self, budget):
+        run(budget=16)
+        warm = run(budget=budget, seed=5)
+        evaluations, final = search_scoring_its_own_chain(budget)
+        assert warm.evaluations == evaluations == min(budget, 3)
         assert (warm.optimized_time, warm.trace) == (final.time, final.trace)
         assert warm.schedule.device_orders == final.schedule.device_orders
+        assert warm.schedule.metadata == final.schedule.metadata
 
-    def test_multi_round_greedy_warm_equals_cold(self):
-        cold, warm = cold_and_warm(scenario="slow-node", seed=0, budget=40)
-        # Two rounds (the split child improves, its own split does not),
-        # stopped before the budget ran out, so the count shows whether
-        # the start was counted.
-        assert cold.evaluations == 3
-        assert [step.rule for step in cold.trace] == ["token-split"]
-        assert outputs(warm) == outputs(cold)
-        evaluations, final = search_scoring_its_own_start("slow-node", 0, 40)
-        assert warm.evaluations == evaluations
-        assert warm.trace == final.trace
-
-    def test_start_counts_as_one_evaluation(self):
-        cold, warm = cold_and_warm(seed=0, budget=1)
-        assert cold.evaluations == warm.evaluations == 1
-        assert warm.trace == ()
-        assert warm.optimized_time == warm.baseline_time
+    def test_memo_holds_no_compiled_graph(self):
+        run(budget=16)
+        (chain,) = experiments._CHAIN_CACHE.values()
+        seen, stack = set(), [chain]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, CompiledGraph)
+            stack.extend(gc.get_referents(obj))
+        for candidate in chain:
+            table = candidate.schedule.order_table()
+            assert candidate.schedule._lists is None
+            assert table._passes is None and table._source is None
 
     def test_key_leaves_out_seed_and_budget_only(self):
-        run(seed=0, budget=2)
+        run(budget=2)
         run(seed=5, budget=3)
-        assert structural_cache_stats()["start_hits"] == 1
-        run(seed=0, budget=2, scenario="slow-node")
-        run(seed=0, budget=2, pass_overhead=1e-3)
-        stats = structural_cache_stats()
-        assert (stats["start_misses"], stats["start_hits"]) == (3, 1)
+        assert chain_stats() == (1, 1)
+        run(budget=2, scenario=None)
+        run(budget=2, pass_overhead=1e-3)
+        assert chain_stats() == (3, 1)
 
     def test_results_share_no_mutable_state(self):
-        # Budget 1 returns the memoized start itself as the result.
-        first = run(seed=0, budget=1)
+        # Budget 1 returns the memoized start as the result.
+        first = run(budget=1)
         first.schedule.metadata["poisoned"] = True
         first.schedule.device_orders[0].reverse()
         second = run(seed=1, budget=1)
-        assert structural_cache_stats()["start_hits"] == 1
+        assert chain_stats() == (1, 1)
         assert "poisoned" not in second.schedule.metadata
         second.schedule.validate()
 
     def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(experiments._START_CACHE, "capacity", 1)
-        run(seed=0, budget=2)
-        run(seed=0, budget=2, scenario="slow-node")
-        assert len(experiments._START_CACHE) == 1
-        run(seed=0, budget=2)
-        assert structural_cache_stats()["start_misses"] == 3
-
-
-def child_stats() -> tuple[int, int]:
-    stats = structural_cache_stats()
-    return stats["child_misses"], stats["child_hits"]
-
-
-class TestSplitChildMemo:
-    """Every greedy round from the start scores its one token-split
-    site, so the scored split child is kept on the memoized start
-    (warm equals cold with it: ``TestStartStateMemo``)."""
-
-    def test_counter_rises_and_child_is_shared(self):
-        for seed in range(4):
-            run(seed=seed, budget=24)
-            assert child_stats() == (1, seed)
-        (start,) = experiments._START_CACHE.values()
-        (key,) = start.children
-        assert key == ("token-split", ())
-        child = start.children[key]
-        assert child.ir.split == 2 and child.trace[0].rule == "token-split"
-        assert child.children is None, "only the start memoizes children"
-
-    def test_every_use_counts_as_one_evaluation(self):
-        # Budget 2: the start, then the split child, served cold and
-        # then warm.
-        for seed, expected in ((0, (1, 0)), (1, (1, 1))):
-            result = run(seed=seed, budget=2)
-            assert child_stats() == expected
-            assert result.evaluations == 2
+        monkeypatch.setattr(experiments._CHAIN_CACHE, "capacity", 1)
+        run(budget=2)
+        run(budget=2, scenario=None)
+        assert len(experiments._CHAIN_CACHE) == 1
+        run(budget=2)
+        assert chain_stats() == (3, 0)
 
     @pytest.mark.parametrize("clear", [clear_structural_caches, experiments.clear_derived_caches])
     def test_dropped_on_clear(self, clear):
-        run(seed=0, budget=24)
-        (start,) = experiments._START_CACHE.values()
-        assert start.children
+        run(budget=16)
+        (chain,) = experiments._CHAIN_CACHE.values()
         clear()
-        assert not experiments._START_CACHE
-        run(seed=1, budget=24)
-        (fresh,) = experiments._START_CACHE.values()
-        assert fresh is not start and fresh.children
-        misses, hits = child_stats()
-        assert hits == 0
-        assert misses == (1 if clear is clear_structural_caches else 2)
+        assert not experiments._CHAIN_CACHE
+        run(seed=1, budget=16)
+        (fresh,) = experiments._CHAIN_CACHE.values()
+        assert fresh is not chain
+        assert [(c.time, c.trace) for c in fresh] == [(c.time, c.trace) for c in chain]
+        assert chain_stats() == ((1, 0) if clear is clear_structural_caches else (2, 0))
 
 
 @pytest.fixture
-def searched(monkeypatch):
-    """An improving slow-node search (it token-splits) and the schedule
-    its search returned, captured before the result trims it."""
-    finals = []
-
-    def capturing(*args, **kwargs):
-        finals.append(greedy_search(*args, **kwargs))
-        return finals[-1]
-
-    monkeypatch.setattr(optimizer, "greedy_search", capturing)
-    result = run(scenario="slow-node", seed=0, budget=24)
+def searched():
+    """A search that token-splits, and the final candidate of the same
+    search scored without the memo."""
+    result = run(budget=24)
     assert result.token_split > 1
-    return result, finals[0].schedule
+    return result, search_scoring_its_own_chain(24)[1].schedule
 
 
 class TestCachedSchedule:

@@ -6,9 +6,9 @@ refinement and memory accounting read those.  A cold ``plan()`` or
 ``run_method`` may build one microbatch-0 representative per stream
 (runtimes price passes per stream) and the passes of the m=1 probes the
 estimator prices — nothing for microbatches >= 1.  A warm ``optimize()``
-builds no pass of the unrolled schedule either: the optimizer's programs
-are integer order tables, and applying and scoring a rewrite candidate
-(token split or activation handoff) builds no ``Pass`` at all.
+builds no pass of the unrolled schedule either: the optimizer's
+schedules are integer order tables, and applying and scoring a token
+split builds no ``Pass`` at all.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.api import PlanCache, PlannerConstraints, optimize, plan
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness import experiments
 from repro.harness.experiments import KNOWN_METHODS, clear_structural_caches, run_method
-from repro.optimize import ActivationHandoff, ScheduleIR, ScoreContext, TokenSplit
+from repro.optimize import ScoreContext, TokenSplit
 from repro.planner.estimate import clear_probe_cache
 from repro.scheduling.orders import OrderTable
 from repro.scheduling.passes import Pass
@@ -113,21 +113,15 @@ def test_second_warm_optimize_reuses_built_passes(built, monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "rule, site", [(TokenSplit, ()), (ActivationHandoff, (0, 1, 1))],
-    ids=["TokenSplit", "ActivationHandoff"],
-)
-def test_scoring_rewrite_candidates_builds_no_pass(built, rule, site):
+def test_scoring_token_splits_builds_no_pass(built):
     setup = SimulationSetup(MODEL, PARALLEL)
     ctx = ScoreContext(setup)
-    start = ctx.score(
-        ScheduleIR.from_schedule(experiments.build_schedule("vocab-1", setup)), ()
-    )
+    start = ctx.score(experiments.build_schedule("vocab-1", setup), ())
     built.clear()
-    ir, step = rule().apply(start.ir, site)
-    candidate = ctx.score(ir, (step,))
+    schedule, step = TokenSplit().apply(start.schedule)
+    candidate = ctx.score(schedule, (step,))
     assert candidate is not None
-    # The rewritten program's own rewrite reads its table, not passes.
-    ir, step = rule().apply(candidate.ir, site)
-    assert ctx.score(ir, (step,)) is not None
+    # The split schedule's own split reads its table, not passes.
+    schedule, step = TokenSplit().apply(candidate.schedule)
+    assert ctx.score(schedule, (step,)) is not None
     assert built == []

@@ -8,7 +8,8 @@ type, ``true`` as an int, NaN/Infinity, non-positive numbers, unknown
 method/scenario/cost model, the removed ``strategy`` field, robustness
 without a scenario, the sweep point cap, a what-if device out of range,
 a bad ``deadline_ms``), the ``payload_too_large``/``not_found``/``method_not_allowed`` codes,
-and one success per endpoint on a tiny configuration.  It holds the
+the ``422 no_feasible_schedule`` of an optimize no family fits, and one
+success per endpoint on a tiny configuration.  It holds the
 service's validation messages and result schemas byte-for-byte while
 the request layer changes underneath.
 
@@ -197,6 +198,9 @@ CASES = [
      dict(OPTIMIZE, cost_model="h100-???")),
     ("optimize/budget-nan", "POST", "/v1/optimize",
      '{"devices": 4, "vocab_size": "32k", "memory_budget_gib": NaN}'),
+    ("optimize/no-feasible-schedule", "POST", "/v1/optimize",
+     dict(OPTIMIZE, vocab_size="64k", seq_length=1024, methods=["baseline"],
+          memory_budget_gib=6.9)),
 ]
 
 

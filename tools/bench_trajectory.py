@@ -44,12 +44,12 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
   (:meth:`~repro.sim.compiled.CompiledGraph.execute_delta_summary`);
   ``resweep_s`` records the same sweep through a fresh rebind clone's
   K=1 ``execute_many_summary`` (no resident graph);
-* ``optimize_*`` — one fixed-seed, budget-bounded rewrite search
+* ``optimize_*`` — one token-split search
   (:func:`repro.optimize.optimize`: full-verify named-family baseline
-  + at most 16 oracle evaluations, a ``/v1/optimize`` cache miss) on a cold
-  cache; the "reference" side is the identical search on the
-  reference engine (the discovered speedup is asserted bit-equal
-  across engines every run).
+  + the start and at most two token splits, a ``/v1/optimize`` cache
+  miss) on a cold cache; the "reference" side is the identical search
+  on the reference engine (the discovered speedup is asserted
+  bit-equal across engines every run).
 
 With ``--service`` the *serving* trajectory is measured instead (and
 written to ``BENCH_service.json``), driving a live in-process
@@ -138,12 +138,12 @@ SWEEP_BUDGETS = (24.0, 32.0, 40.0, 48.0, 56.0, 64.0, 72.0, 80.0)
 #: Best-of rounds: the quick class gates CI on millisecond timings, so
 #: it takes more rounds to suppress shared-runner noise.
 ROUNDS = {"full": 3, "quick": 5}
-#: Oracle-evaluation budget of the optimize_* classes.  The greedy
-#: search stops well inside it (``evaluations`` records where): at the
+#: Oracle-evaluation budget of the optimize_* classes.  The split
+#: chain spends at most 3 (``evaluations`` records how many): at the
 #: quick m=32 it finds its token-split improvement on both panels; at
 #: the full m=128 it does not (those entries record ``improved: 0``).
 OPTIMIZE_BUDGET = 16
-#: Seed of the optimize_* classes (the search is bit-reproducible).
+#: Seed of the optimize_* classes (recorded; it changes no output).
 OPTIMIZE_SEED = 0
 #: Synchronized duplicate requests of the service coalesced-burst class.
 SERVICE_DUPLICATES = 8
@@ -540,16 +540,16 @@ def measure_class(
             points=len(points),
         )
 
-        # Rewrite-based optimizer search: one fixed-seed, budget-bounded
-        # optimize() call on a cold cache — the full-verify named-family
-        # baseline plus at most OPTIMIZE_BUDGET oracle evaluations (what the CLI
+        # Token-split optimizer search: one optimize() call on a cold
+        # cache — the full-verify named-family baseline plus the scored
+        # split chain, at most 3 oracle evaluations (what the CLI
         # `optimize` subcommand and /v1/optimize pay on a cache miss).
         # The engines are bit-identical by construction, so "reference"
         # is the same search on the reference engine; the discovered
         # speedup is asserted identical across both every run.  The
-        # refined-schedule and start-state memos are dropped every round
+        # refined-schedule and split-chain memos are dropped every round
         # (generated schedules and compiled graphs stay warm), so each
-        # round still pays the refine and start scoring of a miss.
+        # round still pays the refine and chain scoring of a miss.
         from repro.harness.experiments import clear_derived_caches
         from repro.optimize import optimize as optimize_search
 
