@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro import spares
 from repro.config import ModelConfig, ParallelConfig, layers_per_stage
 from repro.costmodel.memory import GiB, MemoryModel
 from repro.costmodel.mfu import mfu
@@ -129,9 +130,11 @@ def clear_structural_caches() -> None:
     generated schedules, compiled graphs, refined schedules
     (:func:`build_schedule`), robust nominal bindings
     (:func:`robust_nominal`) and optimizer split chains
-    (:func:`scored_chain`)."""
+    (:func:`scored_chain`); and the batched kernels' spare buffers
+    (:mod:`repro.spares`)."""
     for cache in _STRUCTURAL_CACHES.values():
         cache.clear()
+    spares.clear()
 
 
 def scored_chain(key: tuple, build):

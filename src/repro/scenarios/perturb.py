@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro import spares
 from repro._lazy import optional_numpy
 from repro.scenarios.cluster import ClusterScenario
 from repro.sim.compiled import CompiledGraph
@@ -251,18 +252,6 @@ def _factor_matrix(scenario, seed, start, rows, width, columns, sigma):
     return _factors_py(scenario, seed, start, rows, width, columns, sigma)
 
 
-#: Recycled :class:`DrawStream` prefix buffers: a release keeps its
-#: buffer only when none is waiting (list ``pop``/``append`` are atomic,
-#: so concurrent rankings at worst keep one each).  A
-#: prefix lives for one robust ranking; allocating a fresh one for
-#: every ranking makes the allocator return and re-fault megabytes of
-#: pages per plan, which costs about as much as the prefix saves
-#: (``docs/performance.md``, "Warm robust plans: each draw once").
-_SPARE: list = []
-#: Largest buffer kept for reuse, in values (8 MiB).
-_SPARE_VALUES = 1 << 20
-
-
 class DrawStream:
     """The unscaled jitter values of one Monte Carlo stream, each drawn
     at most once however many graphs read it.
@@ -283,17 +272,21 @@ class DrawStream:
     A robust :func:`~repro.planner.planner.plan` makes one stream per
     ranking, passes it down as ``_draws`` and releases it at the end
     (:meth:`release`); any other caller of :func:`perturbed_rows` gets
-    a private one per call.  No array handed out views the prefix, so
-    its buffer can be recycled.
+    a private one per call.  The prefix and the work arrays a ranking
+    writes its rows into (:meth:`lend`) live in buffers lent by
+    :mod:`repro.spares`, which :meth:`release` hands back.  No array
+    :meth:`factors` returns views the prefix: it gathers into a fresh
+    array, or into the ``out`` its caller lent.
     """
 
-    __slots__ = ("key", "drawn", "_size", "_values")
+    __slots__ = ("key", "drawn", "_size", "_values", "_lent")
 
     def __init__(self, scenario: ClusterScenario, seed: int) -> None:
         self.key = (_stream_seed(scenario.seed, seed), scenario.jitter_distribution)
         self.drawn = 0
         self._size = 0  # P
-        self._values = None  # x[:P], in a buffer of at least P values
+        self._values = None  # x[:P], in a lent buffer of at least P values
+        self._lent: dict = {}  # name -> the work array lent under it
 
     def _check(self, scenario: ClusterScenario, seed: int) -> None:
         if self.key != (_stream_seed(scenario.seed, seed), scenario.jitter_distribution):
@@ -309,14 +302,12 @@ class DrawStream:
             self._values = (self._values or []) + [row[0] for row in rows]
         else:
             values = self._values
-            if values is None:
-                try:
-                    values = _SPARE.pop()
-                except IndexError:
-                    pass
             if values is None or len(values) < end:
-                grown = _np.empty(end)
-                grown[:have] = values[:have] if have else 0.0
+                grown = spares.lend((end,))
+                if have:
+                    grown[:have] = values[:have]
+                if values is not None:
+                    spares.give_back(values)
                 values = grown
             _factors_np(
                 scenario, self.key[0], start, count, 1, (0,), None,
@@ -326,33 +317,52 @@ class DrawStream:
         self._size = end
         self.drawn += count
 
-    def release(self) -> None:
-        """Forget the prefix; keep its buffer for the next stream."""
-        values, self._values, self._size = self._values, None, 0
-        if _np is not None and values is not None and len(values) <= _SPARE_VALUES:
-            if not _SPARE:
-                _SPARE.append(values)
+    def lend(self, name, shape: tuple):
+        """A work array of ``shape`` lent for this ranking under
+        ``name``, valid until the next call with that name or
+        :meth:`release` (NumPy only)."""
+        held = self._lent.get(name)
+        if held is not None and held.shape == shape:
+            return held
+        if held is not None:
+            spares.give_back(held)
+        held = self._lent[name] = spares.lend(shape)
+        return held
 
-    def factors(self, scenario, start, rows, width, columns, sigma):
+    def release(self) -> None:
+        """Forget the prefix; hand its buffer and every lent work array
+        back for the next stream."""
+        values, self._values, self._size = self._values, None, 0
+        lent, self._lent = self._lent, {}
+        if _np is not None and values is not None:
+            spares.give_back(values)
+        spares.give_back(*lent.values())
+
+    def factors(self, scenario, start, rows, width, columns, sigma, out=None):
         """Factors of ``columns`` in the ``rows × width`` block of values
-        ``x[start:]``: a fresh ``len(columns) × rows`` array with NumPy
-        (``columns``/``sigma`` as arrays), ``rows`` lists of
-        ``len(columns)`` without."""
+        ``x[start:]``: a ``len(columns) × rows`` array with NumPy
+        (``columns``/``sigma`` as arrays; written into ``out`` when
+        given, else fresh), ``rows`` lists of ``len(columns)`` without."""
         count = len(columns)
         need = start + rows * width
         if self._size < need <= self._size + rows * count:
             self._extend(scenario, need)
         if not count or need > self._size:
             self.drawn += rows * count
-            backend = _factors_np if _np is not None else _factors_py
-            return backend(
+            if _np is not None:
+                return _factors_np(
+                    scenario, self.key[0], start * _DRAWS, rows, width, columns,
+                    sigma, out=out,
+                )
+            return _factors_py(
                 scenario, self.key[0], start * _DRAWS, rows, width, columns, sigma
             )
         floor = scenario.min_jitter_factor
         values = self._values
         if _np is not None:
-            # The row-major block, gathered node-major into a new array.
-            x = values[start:need].reshape(rows, width).T[columns]
+            # The row-major block, gathered node-major into out or a new array.
+            block = values[start:need].reshape(rows, width).T
+            x = _np.take(block, columns, axis=0, out=out, mode="clip")
             x *= sigma[:, None]
             x += 1.0
             _np.maximum(x, floor, out=x)
@@ -400,18 +410,26 @@ def _column_plan(graph: CompiledGraph, scenario: ClusterScenario) -> tuple:
     )
 
 
-def _jittered(scenario, draws, start, samples, slots):
+def _jittered(scenario, draws, start, samples, slots, lend=None):
     """``samples`` copies of the row ``slots.base``, its jittered
     columns multiplied by their factors (values ``x[start:]`` of
     ``draws``); with NumPy, a transposed view of a ``width × samples``
-    array."""
+    array: a fresh one, or with ``lend`` (a name for the row kind) work
+    arrays ``draws`` lends until its next call under that name."""
     width = len(slots.base)
     if _np is not None:
         base, columns, sigma = slots.arrays()
-        block = draws.factors(scenario, start, samples, width, columns, sigma)
+
+        def work(part, shape):
+            return _np.empty(shape) if lend is None else draws.lend((lend, part), shape)
+
+        block = draws.factors(
+            scenario, start, samples, width, columns, sigma,
+            work("factors", (len(columns), samples)),
+        )
         block *= base[columns][:, None]
         if len(columns) < width:
-            drawn, block = block, _np.empty((width, samples))
+            drawn, block = block, work("rows", (width, samples))
             block[:] = base[:, None]
             block[columns] = drawn
         return block.T
@@ -454,15 +472,20 @@ def perturbed_rows(
 
     With NumPy the matrices are transposed views of node-major
     (``num_nodes × K``) arrays — the layout the batched kernel sweeps.
+    They are fresh, except under ``_draws``: then they live in work
+    arrays the ranking's stream lends, which its next
+    :func:`perturbed_rows` call overwrites, so a caller consumes them
+    first (:func:`robustness_stats` sweeps them at once).
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     draws = _draws or DrawStream(scenario, seed)
     draws._check(scenario, seed)
     durations, lags = _columns or _column_plan(graph, scenario)
+    lend = (None, None) if _draws is None else ("durations", "lags")
     rows = (
-        _jittered(scenario, draws, 0, samples, durations),
-        _jittered(scenario, draws, samples * graph.num_nodes, samples, lags),
+        _jittered(scenario, draws, 0, samples, durations, lend[0]),
+        _jittered(scenario, draws, samples * graph.num_nodes, samples, lags, lend[1]),
     )
     if _draws is None:
         draws.release()

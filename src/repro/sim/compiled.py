@@ -46,6 +46,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
 
+from repro import spares
 from repro._lazy import is_ndarray, optional_numpy
 from repro.scheduling.orders import gather, microbatches_of, streams_of
 from repro.scheduling.passes import CollectiveKind, Pass, PassType
@@ -622,7 +623,10 @@ class CompiledGraph:
         level-major node order (``plan.position[i]`` is node ``i``'s
         row) — and returns the K results.  Both see exactly the values
         the corresponding single-binding :meth:`replay` would have
-        produced.
+        produced.  The batched arrays are work buffers lent by
+        :mod:`repro.spares` for the call and lent again by the next
+        one, on any graph: ``collect_batch`` may overwrite them, and
+        nothing it returns may view them.
         """
         rows = _as_matrix(durations)
         k_rows = len(rows)
@@ -676,28 +680,44 @@ class CompiledGraph:
         # with weight on any other edge is swept over all edges' rows.
         weighted = edge_lags.any(axis=1)
         every_edge = bool(weighted[plan.zero_edges].any())
-        lag_block = None
+        height = self.num_nodes + 1
+        shapes = [(height, k_rows), (height, k_rows)]
         if weighted.any():
-            lagged = edge_lags if every_edge else edge_lags[plan.p2p_edges]
-            # The lagged rows, then the zero row padding and chain edges read.
-            lag_block = _np.concatenate((lagged, _np.zeros((1, lagged.shape[1]))))
-        dur = _np.take(dur.T, plan.perm, axis=0)  # (nodes, K), level-major
-        ready = _np.zeros((self.num_nodes, k_rows), dtype=_np.float64)
-        # end's extra last row is the zero every padding index reads.
-        end = _np.empty((self.num_nodes + 1, k_rows), dtype=_np.float64)
-        end[-1] = 0.0
-        add, maximum = _np.add, _np.maximum.reduce
-        for start, stop, src, p2p_idx, edge_idx in plan.levels:
-            if src is not None:
-                # (level nodes, fan-in, K): each predecessor's end ...
-                candidate = end[src]
-                lag_idx = edge_idx if every_edge else p2p_idx
-                if lag_block is not None and lag_idx is not None:
-                    candidate += lag_block[lag_idx]  # ... plus its edge's lag
-                # ready = max(0.0, every candidate), as the scalar sweep.
-                maximum(candidate, axis=1, initial=0.0, out=ready[start:stop])
-            add(ready[start:stop], dur[start:stop], out=end[start:stop])
-        return collect_batch(ready, end[:-1], plan)
+            lagged_edges = num_edges if every_edge else len(plan.p2p_edges)
+            shapes.append((lagged_edges + 1, edge_lags.shape[1]))
+        with spares.lent(*shapes) as (end, ready, *lagged):
+            # The durations, level-major, go straight into end: a level
+            # reads only earlier levels' end rows, and adds its ready
+            # times onto its own.  end's extra last row is the zero
+            # every padding index reads; ready is as tall, so either
+            # spare serves either.  Every index is in range, and
+            # mode="clip" writes into out where "raise" would buffer.
+            take = _np.take
+            take(dur.T, plan.perm, axis=0, out=end[:-1], mode="clip")
+            end[-1] = 0.0
+            lag_block = lagged[0] if lagged else None
+            if lag_block is not None:
+                # The lagged rows, then the zero row padding and chain edges read.
+                if every_edge:
+                    lag_block[:-1] = edge_lags
+                else:
+                    take(edge_lags, plan.p2p_edges, axis=0, out=lag_block[:-1], mode="clip")
+                lag_block[-1] = 0.0
+            add, maximum = _np.add, _np.maximum.reduce
+            for start, stop, src, p2p_idx, edge_idx in plan.levels:
+                level = ready[start:stop]
+                if src is None:
+                    level.fill(0.0)
+                else:
+                    # (level nodes, fan-in, K): each predecessor's end ...
+                    candidate = end[src]
+                    lag_idx = edge_idx if every_edge else p2p_idx
+                    if lag_block is not None and lag_idx is not None:
+                        candidate += lag_block[lag_idx]  # ... plus its edge's lag
+                    # ready = max(0.0, every candidate), as the scalar sweep.
+                    maximum(candidate, axis=1, initial=0.0, out=level)
+                add(level, end[start:stop], out=end[start:stop])
+            return collect_batch(ready[:-1], end[:-1], plan)
 
     def execute_many(
         self,
@@ -761,10 +781,12 @@ class CompiledGraph:
         reduction over its ``(passes, K)`` block: along a non-contiguous
         axis NumPy adds row after row (its pairwise summation runs only
         along a contiguous one, and K ≥ 2 here), so each column gets the
-        scalar loop's IEEE adds in the scalar loop's order.
+        scalar loop's IEEE adds in the scalar loop's order.  The spans
+        overwrite ``start``, the sweep's own buffer, once its minima
+        are taken.
         """
         iteration = (end.max(axis=0) - start.min(axis=0)).tolist()
-        span = end - start
+        span = _np.subtract(end, start, out=start)
         reduce = _np.add.reduce
         busy = [
             reduce(span[rows], axis=0, initial=0.0).tolist()
