@@ -42,9 +42,9 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from bisect import insort
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain
 
 from repro import spares
 from repro._lazy import is_ndarray, optional_numpy
@@ -921,10 +921,10 @@ class CompiledGraph:
         Semantics match
         :func:`repro.sim.reference_executor.reference_execute_schedule_dataflow`
         exactly (the dispatch and tie-break rules are written down in
-        :meth:`_dataflow`); the difference is that after each event
-        only devices whose dependency state or free time changed are
-        re-scanned, instead of the reference's O(devices) sweep per
-        completion.
+        :meth:`_dataflow`); the difference is that one flat event loop
+        re-tries only devices whose dependency state or free time
+        changed at an event, instead of the reference's O(devices)
+        sweep per completion.
         """
         start, end, _ = self._dataflow(lookahead, mode)
         return self._collect(start, end)
@@ -963,11 +963,35 @@ class CompiledGraph:
            a forward whose chunk is at its live-forward cap.  It starts
            at ``max(now, ready, device free)``.
 
-        A try on a device whose state has not changed since its last
-        failed try fails again, so this engine re-tries only devices
-        that gained a ready pass or reached their free time (rule 3's
-        sweep), and gives the second try only to a device that
-        dispatched since the completed pass and is still free.
+        The engine is one flat event loop over a single heap of ``(end,
+        tick, node)`` events.  Each turn launches the collectives the
+        last event made ready (in relaxation order, as rule 3 has them),
+        sweeps the devices to try, then pops the next event and relaxes
+        it.  A try on a device whose state has not changed since its
+        last failed try fails again, so a sweep tries only the devices
+        that are free at ``now`` and either gained a ready pass or
+        reached their free time:
+
+        * A device's free time is the end of the pass it last
+          dispatched, and that end is itself an event.  The completed
+          pass's device is free at its own event.  Devices whose own
+          completion at ``now`` has a later tick are free too, and
+          rule 3 tries them at the first event of ``now``: their
+          events are the heap's entries at time ``now``, which form a
+          subtree at its root, so a tie walks that subtree.  (Walking
+          it again at a later event of the same instant only re-tries
+          devices that are busy or unchanged, which changes nothing.)
+        * A device that gains a ready pass while busy is not tried
+          then; it is tried when it reaches its free time.
+        * Rule 3's second try re-visits the completed pass's device
+          only when its sweep try dispatched a zero-duration pass:
+          otherwise that device is busy, or unchanged since a failed
+          try.
+
+        Both modes share the loop; the mode picks the eligibility scan
+        and the bookkeeping after a dispatch (strict mode tracks the
+        window's head, zero-bubble mode the live forward counts).
+        Durations are assumed non-negative, as runtimes price them.
         """
         if lookahead < 1:
             raise ValueError(f"lookahead must be ≥ 1, got {lookahead}")
@@ -982,23 +1006,25 @@ class CompiledGraph:
         dur = self.durations
         off, nxt, lag = self.succ_off, self.succ_node, self.succ_lag
         node_device = self.node_device
-        node_type = self.node_type
-        node_chunk = self.node_chunk
         node_flexible = self.node_flexible
         coll_comm = self.coll_comm
+        streams = self.device_nodes
         strict = mode == "strict"
         heappush, heappop = heapq.heappush, heapq.heappop
 
-        f_caps: list[dict[int, int]] | None = None
-        forward = PassType.F
-        release_type = (
-            PassType.W if schedule.has_weight_passes else PassType.B
-        )
-        if mode == "zero-bubble":
-            f_caps = _live_f_caps(schedule, self.execute())
-        live_f: list[dict[int, int]] = [
-            defaultdict(int) for _ in range(num_devices)
-        ]
+        if not strict:
+            # Live forwards per device and chunk, capped by the in-order
+            # run's peak.
+            node_type = self.node_type
+            node_chunk = self.node_chunk
+            forward = PassType.F
+            release = PassType.W if schedule.has_weight_passes else PassType.B
+            chunks = range(max(node_chunk, default=-1) + 1)
+            f_caps = [
+                [caps.get(chunk, 0) for chunk in chunks]
+                for caps in _live_f_caps(schedule, self.execute())
+            ]
+            live_f = [[0] * len(chunks) for _ in range(num_devices)]
 
         num_deps = list(self.base_indeg)
         dep_ready = [0.0] * n
@@ -1013,11 +1039,12 @@ class CompiledGraph:
         # passes whose dependencies are done can dispatch, so instead of
         # scanning the window each device keeps those passes' stream
         # positions sorted (``ready``), and the window as a bound: every
-        # pending pass before ``limit`` is in it, none after.  ``head`` is
-        # the first pending position.  Visiting ``ready`` in order below
-        # ``limit`` visits the window's ready passes in window order, so
-        # the first eligible one is the pass a window scan would pick.
-        streams = self.device_nodes
+        # pending pass before ``limit`` is in it, none after (a bound
+        # past the stream's end bounds nothing more).  ``head`` is the
+        # first pending position, which only strict mode reads.
+        # Visiting ``ready`` in order below ``limit`` visits the window's
+        # ready passes in window order, so the first eligible one is the
+        # pass a window scan would pick.
         node_pos = [0] * n
         ready: list[list[int]] = []
         for nodes in streams:
@@ -1025,84 +1052,115 @@ class CompiledGraph:
                 node_pos[i] = pos
             ready.append([pos for pos, i in enumerate(nodes) if num_deps[i] == 0])
         head = [0] * num_devices
+        limit = [lookahead] * num_devices
         dispatched: list[list[int]] = [[] for _ in streams]
-        limit = [min(lookahead, len(nodes)) for nodes in streams]
 
-        # Completion events (end, tie-break tick, node).
         events: list[tuple[float, int, int]] = []
-        tick = count()
-        # Devices become eligible again the moment simulated time reaches
-        # their busy-until mark — which can happen at an event of *another*
-        # node sharing that timestamp, not just at their own completion.
-        # A min-heap of (free_time, device) reproduces the reference
-        # executor's every-event sweep exactly while only re-scanning
-        # devices whose state could actually have changed.
-        free_heap: list[tuple[float, int]] = []
+        tick = 0
+        # The seed is the loop's first turn: no completed node (``i =
+        # n``), every device to try at 0.
+        launch = [j for j in range(num_passes, n) if not num_deps[j]]
+        dirty = list(range(num_devices))
+        now = 0.0
+        i = n
+        while True:
+            for j in launch:
+                comm = coll_comm[j - num_passes]
+                start = dep_ready[j]
+                if comm_free[comm] > start:
+                    start = comm_free[comm]
+                if now > start:
+                    start = now
+                e = comm_free[comm] = start + dur[j]
+                start_arr[j] = start
+                end_arr[j] = e
+                seen[j] = True
+                heappush(events, (e, tick, j))
+                tick += 1
+            launch.clear()
 
-        def launch_collective(j: int, now: float) -> None:
-            comm = coll_comm[j - num_passes]
-            start = max(dep_ready[j], comm_free[comm], now)
-            e = comm_free[comm] = start + dur[j]
-            start_arr[j] = start
-            end_arr[j] = e
-            seen[j] = True
-            heappush(events, (e, next(tick), j))
-
-        def try_dispatch(device: int, now: float) -> None:
-            # Callers skip devices still busy at ``now``.
-            positions = ready[device]
-            nodes = streams[device]
-            first = head[device]
-            bound = limit[device]
-            for index, pos in enumerate(positions):
+            if len(dirty) > 1:
+                dirty.sort()
+            # Every device in ``dirty`` is free at ``now``.
+            for device in dirty:
+                positions = ready[device]
+                if not positions:
+                    continue
+                pos = positions[0]
+                bound = limit[device]
                 if pos >= bound:
-                    return
-                i = nodes[pos]
+                    continue
+                nodes = streams[device]
+                # The first eligible ready pass in the window: positions[0]
+                # unless it is ruled out, else a scan.
+                index = 0
                 if strict:
-                    if pos != first and not node_flexible[i]:
-                        continue
-                elif node_type[i] is forward:
-                    chunk = node_chunk[i]
-                    if live_f[device][chunk] >= f_caps[device].get(chunk, 0):
-                        continue
-                start = max(now, dep_ready[i], device_free[device])
-                e = device_free[device] = start + dur[i]
-                heappush(free_heap, (e, device))
+                    first = head[device]
+                    if pos != first:
+                        for index, pos in enumerate(positions):
+                            if pos >= bound:
+                                index = -1
+                                break
+                            if node_flexible[nodes[pos]]:
+                                break
+                        else:
+                            index = -1
+                else:
+                    live = live_f[device]
+                    caps = f_caps[device]
+                    j = nodes[pos]
+                    if node_type[j] is forward and live[node_chunk[j]] >= caps[node_chunk[j]]:
+                        for index, pos in enumerate(positions):
+                            if pos >= bound:
+                                index = -1
+                                break
+                            j = nodes[pos]
+                            if node_type[j] is not forward:
+                                break
+                            chunk = node_chunk[j]
+                            if live[chunk] < caps[chunk]:
+                                break
+                        else:
+                            index = -1
+                if index < 0:
+                    continue
+                j = nodes[pos]
                 del positions[index]
-                if bound < len(nodes):
-                    limit[device] = bound + 1
-                if not strict:
-                    if node_type[i] is forward:
-                        live_f[device][node_chunk[i]] += 1
-                    elif node_type[i] is release_type:
-                        live_f[device][node_chunk[i]] -= 1
-                start_arr[i] = start
-                end_arr[i] = e
-                seen[i] = True
-                heappush(events, (e, next(tick), i))
-                dispatched[device].append(i)
-                if pos == first:
-                    while first < len(nodes) and seen[nodes[first]]:
-                        first += 1
-                    head[device] = first
-                return
+                limit[device] = bound + 1
+                # max(now, ready, device free), the device free by ``now``.
+                start = dep_ready[j]
+                if not start > now:
+                    start = now
+                e = device_free[device] = start + dur[j]
+                start_arr[j] = start
+                end_arr[j] = e
+                seen[j] = True
+                heappush(events, (e, tick, j))
+                tick += 1
+                dispatched[device].append(j)
+                if strict:
+                    if pos == first:
+                        last = len(nodes)
+                        while first < last and seen[nodes[first]]:
+                            first += 1
+                        head[device] = first
+                elif node_type[j] is forward:
+                    live[node_chunk[j]] += 1
+                elif node_type[j] is release:
+                    live[node_chunk[j]] -= 1
+                if e == now and i < num_passes and node_device[i] == device:
+                    dirty.append(device)  # the second try, once
+                    i = n
+            dirty.clear()
 
-        # Seed: collectives with no dependencies, then every device.
-        for j in range(num_passes, n):
-            if num_deps[j] == 0:
-                launch_collective(j, 0.0)
-        for device in range(num_devices):
-            try_dispatch(device, 0.0)
-
-        executed = 0
-        # Devices to re-scan after the current event, deduplicated through
-        # ``marked`` and visited in ascending order like the reference.
-        dirty: list[int] = []
-        marked = [False] * num_devices
-        while events:
+            if not events:
+                break
             # An event's time is its node's end.
             now, _, i = heappop(events)
-            executed += 1
+            if i < num_passes:
+                device = node_device[i]
+                if device_free[device] <= now:
+                    dirty.append(device)
             for k in range(off[i], off[i + 1]):
                 j = nxt[k]
                 r = now + lag[k]
@@ -1112,32 +1170,30 @@ class CompiledGraph:
                 num_deps[j] = deps
                 if not deps:
                     if j >= num_passes:
-                        launch_collective(j, now)
+                        launch.append(j)
                     else:
                         device = node_device[j]
                         insort(ready[device], node_pos[j])
-                        if not marked[device]:
-                            marked[device] = True
+                        if device_free[device] <= now and device not in dirty:
                             dirty.append(device)
-            while free_heap and free_heap[0][0] <= now:
-                device = heappop(free_heap)[1]
-                if not marked[device]:
-                    marked[device] = True
-                    dirty.append(device)
-            if dirty:
-                if len(dirty) > 1:
-                    dirty.sort()
-                for device in dirty:
-                    marked[device] = False
-                    if device_free[device] <= now:
-                        try_dispatch(device, now)
-                dirty.clear()
-                # Rule 3's second try, for the completed pass's device.
-                if i < num_passes:
-                    device = node_device[i]
-                    if device_free[device] <= now and dispatched[device][-1] != i:
-                        try_dispatch(device, now)
-        if executed != n:
+            if events and events[0][0] == now:
+                # A tie: walk the heap's entries at ``now``.
+                stack = [0]
+                size = len(events)
+                while stack:
+                    k = stack.pop()
+                    j = events[k][2]
+                    if j < num_passes:
+                        device = node_device[j]
+                        if device_free[device] <= now and device not in dirty:
+                            dirty.append(device)
+                    k = 2 * k + 1
+                    if k < size and events[k][0] == now:
+                        stack.append(k)
+                    k += 1
+                    if k < size and events[k][0] == now:
+                        stack.append(k)
+        if tick != n:
             blocked = [self._describe(i) for i in range(n) if not seen[i]]
             raise DeadlockError(
                 f"schedule '{self.schedule.name}' deadlocked in dataflow mode; "

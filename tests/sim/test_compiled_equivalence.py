@@ -14,6 +14,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ModelConfig, ParallelConfig
 from repro.harness.experiments import KNOWN_METHODS, build_schedule
@@ -270,6 +271,96 @@ class TestZeroDurationDataflow:
                 schedule, runtime, lookahead=lookahead, mode=mode
             )
             assert_results_identical(compiled, reference)
+
+
+class _Uniform:
+    """A runtime pricing every pass by its type alone, from a table of
+    small integers: pass ends coincide across devices all the time."""
+
+    def __init__(self, durations, collective=0.0, p2p=0.0):
+        self.durations = durations
+        self.collective = collective
+        self.p2p = p2p
+
+    def pass_duration(self, p):
+        return self.durations[p.type]
+
+    def collective_duration(self, kind):
+        return self.collective
+
+    def p2p_duration(self, src, dst):
+        return self.p2p
+
+
+class TestFreeTimeTies:
+    """Rule 3 tries every device free at ``now``, including one whose own
+    completion at ``now`` has a later tick than the event being
+    processed (see ``CompiledGraph._dataflow``)."""
+
+    def test_later_ticked_device_dispatches_at_the_earlier_event(self):
+        """V-Half on 2 devices, F = B = 2 and W = 1, lookahead 2.  At
+        t = 16 device 0's B[0] and device 1's F[1] both end; device 0
+        dispatched first (at 14, in ascending device order), so its
+        completion is the earlier event.  Device 1 is free at that
+        event: its head F.1[1] still waits on F[1], and the flexible
+        W.1[0] behind it is ready, so W.1[0] starts at 16.  Were device 1
+        tried only at its own completion, F[1]'s end would ready F.1[1]
+        first and the head would start at 16 instead."""
+        setup = SimulationSetup(
+            MODEL, ParallelConfig(pipeline_size=2, num_microbatches=2, microbatch_size=1)
+        )
+        schedule = build_schedule("vhalf-baseline", setup, refine=False)
+        durations = dict.fromkeys(PassType, 1.0)
+        durations.update({PassType.F: 2.0, PassType.B: 2.0})
+        runtime = _Uniform(durations)
+        compiled = compile_schedule(schedule, runtime).execute_dataflow(
+            lookahead=2, mode="strict"
+        )
+        times = compiled.pass_times
+        device0_b = Pass(PassType.B, 0, 0, 0)
+        device1_f = Pass(PassType.F, 1, 1, 0)
+        assert times[device0_b] == times[device1_f] == (14.0, 16.0)
+        head, flexible = Pass(PassType.F, 1, 1, 1), Pass(PassType.W, 0, 1, 1)
+        stream = schedule.device_orders[1]
+        assert stream.index(flexible) == stream.index(head) + 1
+        assert times[flexible][0] == 16.0 < times[head][0]
+        reference = reference_execute_schedule_dataflow(
+            schedule, runtime, lookahead=2, mode="strict"
+        )
+        assert_results_identical(compiled, reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        method=st.sampled_from(KNOWN_METHODS),
+        devices=st.sampled_from((2, 4)),
+        microbatches=st.integers(1, 8),
+        lookahead=st.sampled_from((1, 2, 4, 64)),
+        mode=st.sampled_from(("strict", "zero-bubble")),
+        durations=st.fixed_dictionaries({t: st.sampled_from((1.0, 2.0)) for t in PassType}),
+        collective=st.sampled_from((0.0, 1.0)),
+        p2p=st.sampled_from((0.0, 1.0)),
+    )
+    def test_tie_heavy_runtimes_match_reference(
+        self, method, devices, microbatches, lookahead, mode, durations, collective, p2p
+    ):
+        """Every family under integer durations (each pass type 1 or 2,
+        collectives and transfers 0 or 1), where pass ends keep
+        coinciding, dispatches exactly as the reference."""
+        setup = SimulationSetup(
+            MODEL,
+            ParallelConfig(
+                pipeline_size=devices, num_microbatches=microbatches, microbatch_size=1
+            ),
+        )
+        schedule = build_schedule(method, setup, refine=False)
+        runtime = _Uniform(durations, collective, p2p)
+        compiled = compile_schedule(schedule, runtime).execute_dataflow(
+            lookahead=lookahead, mode=mode
+        )
+        reference = reference_execute_schedule_dataflow(
+            schedule, runtime, lookahead=lookahead, mode=mode
+        )
+        assert_results_identical(compiled, reference)
 
 
 class TestDeadlockParity:

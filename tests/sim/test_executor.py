@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.config import ModelConfig, ParallelConfig
+from repro.harness.experiments import KNOWN_METHODS, build_schedule
 from repro.scheduling import (
     Pass,
     PassType,
@@ -161,12 +162,28 @@ class TestDataflowExecution:
         )
         assert dataflow.iteration_time <= in_order.iteration_time + 1e-9
 
-    def test_lookahead_one_equals_in_order(self):
-        schedule = generate_1f1b_vocab(4, 8, 8, algorithm=1)
-        rt = UnitRuntime()
+    @pytest.mark.parametrize("mode", ["strict", "zero-bubble"])
+    @pytest.mark.parametrize("devices", [4, 8])
+    @pytest.mark.parametrize("method", KNOWN_METHODS)
+    def test_lookahead_one_equals_in_order(self, method, devices, mode):
+        """``lookahead=1`` is in-order execution, float for float: every
+        family, both modes."""
+        setup = SimulationSetup(
+            ModelConfig(
+                num_layers=16,
+                hidden_size=512,
+                num_attention_heads=8,
+                seq_length=512,
+                vocab_size=32 * 1024,
+            ),
+            ParallelConfig(pipeline_size=devices, num_microbatches=12, microbatch_size=1),
+        )
+        schedule = build_schedule(method, setup, refine=False)
+        rt = RuntimeModel(setup, schedule)
         in_order = execute_schedule(schedule, rt)
-        dataflow = execute_schedule_dataflow(schedule, rt, lookahead=1)
-        assert dataflow.iteration_time == pytest.approx(in_order.iteration_time)
+        dataflow = execute_schedule_dataflow(schedule, rt, lookahead=1, mode=mode)
+        assert dataflow.pass_times == in_order.pass_times
+        assert dataflow.iteration_time == in_order.iteration_time
 
     def test_flexible_only_keeps_f_positions(self):
         schedule = generate_1f1b(4, 8, num_layers=4)
