@@ -532,10 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_workers=args.workers,
             cache_dir=args.cache_dir,
             lru_size=args.lru_size,
-            max_inflight=args.max_inflight,
-            tenant_rate=args.tenant_rate,
-            tenant_burst=args.tenant_burst,
-            default_deadline_ms=args.default_deadline_ms,
             breaker_backoff_s=args.breaker_backoff,
             faults=args.faults,
         )
@@ -742,25 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--lru-size", type=int, default=256, metavar="N",
         help="entries in the in-process LRU tier (default 256)",
-    )
-    sv.add_argument(
-        "--max-inflight", type=int, default=64, metavar="N",
-        help="admission control: in-flight compute budget per request "
-        "class before shedding with 429 (default 64)",
-    )
-    sv.add_argument(
-        "--tenant-rate", type=float, default=None, metavar="R",
-        help="admission control: per-tenant token-bucket rate in "
-        "requests/s, keyed on the X-Tenant header (default: off)",
-    )
-    sv.add_argument(
-        "--tenant-burst", type=float, default=None, metavar="B",
-        help="per-tenant bucket capacity (default: 2x --tenant-rate)",
-    )
-    sv.add_argument(
-        "--default-deadline-ms", type=float, default=None, metavar="MS",
-        help="deadline applied to requests that carry no deadline_ms "
-        "field (default: none)",
     )
     sv.add_argument(
         "--breaker-backoff", type=float, default=0.5, metavar="S",

@@ -39,15 +39,3 @@ def format_table(
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_comparison(
-    label: str,
-    vocab_sizes: Sequence[int],
-    ours: Sequence[float | None],
-    paper: Sequence[float | None],
-) -> list[list[object]]:
-    """Rows interleaving simulated and paper values per vocabulary size."""
-    rows: list[list[object]] = []
-    for v, mine, theirs in zip(vocab_sizes, ours, paper):
-        rows.append([label, f"{v // 1024}k", mine, theirs])
-    return rows

@@ -13,7 +13,7 @@ name a well-understood cluster instead of hand-building one:
 * ``bandwidth-asymmetric`` — nominal compute, but inter-node links at
   35 % bandwidth and 3× latency (oversubscribed fabric);
 * ``high-jitter`` — heavy runtime noise on compute and communication
-  (busy multi-tenant cluster);
+  (busy shared cluster);
 * ``straggler-device`` — kernel-time jitter confined to the last
   pipeline device (one thermally unstable card).
 
@@ -58,7 +58,7 @@ _BUILTINS = (
     ),
     ClusterScenario(
         name="high-jitter",
-        description="Busy multi-tenant cluster: 15% compute jitter, "
+        description="Busy shared cluster: 15% compute jitter, "
         "30% communication jitter.",
         pass_jitter=0.15,
         comm_jitter=0.30,

@@ -120,10 +120,6 @@ class StageLayout:
             return offset, chunk
         return self.num_devices - 1 - offset, chunk
 
-    def layers_of_stage(self, stage: int) -> int:
-        device, chunk = self.holder_of_stage(stage)
-        return self.transformer_layers[device][chunk]
-
     def signature(self) -> tuple:
         """Hashable, runtime-independent identity of the spatial layout.
 
@@ -255,10 +251,6 @@ class Schedule:
     def num_devices(self) -> int:
         return self.layout.num_devices
 
-    def passes_of(self, device: int, type_: PassType) -> list[Pass]:
-        """All passes of one type on one device, in execution order."""
-        return [p for p in self.device_orders[device] if p.type is type_]
-
     def structure_key(self) -> tuple:
         """Hashable identity of everything the executor's timing sees.
 
@@ -302,14 +294,6 @@ class Schedule:
             self.has_input_passes,
             self.interlaced,
         )
-
-    def last_stage_holder(self) -> tuple[int, int]:
-        """(device, chunk) of the final transformer stage."""
-        return self.layout.holder_of_stage(self.layout.num_stages - 1)
-
-    def first_stage_holder(self) -> tuple[int, int]:
-        """(device, chunk) of the first transformer stage."""
-        return self.layout.holder_of_stage(0)
 
     def validate(self) -> None:
         """Structural validation; raises ``ValueError`` on any violation.

@@ -54,7 +54,6 @@ from repro.service.resilience import (
     AdmissionController,
     CircuitBreaker,
     Shed,
-    TokenBucket,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "ServiceThread",
     "Shed",
     "SweepRequest",
-    "TokenBucket",
     "WhatifRequest",
     "execute_plan_request",
     "execute_scenario_request",

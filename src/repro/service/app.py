@@ -33,6 +33,13 @@ systems batch and share state across concurrent queries:
   chunks.  A broken pool degrades the service to threads (logged and
   visible in ``/stats``) instead of failing requests; shutdown joins
   the workers and reports leaks through the exit code.
+
+* **Guards** — the guards of :mod:`repro.service.resilience`: a
+  per-endpoint in-flight budget sheds compute-tier work with 429 and a
+  measured ``Retry-After`` (the pool itself queues without bound), and
+  the circuit breaker supervises the pool.  A body's ``deadline_ms``
+  bounds the client's wait with a 504 while its computation still
+  lands in the caches.
 """
 
 from __future__ import annotations
@@ -113,6 +120,10 @@ ROUTES: tuple[Route, ...] = (
     ),
     Route("POST", "/shutdown", "graceful shutdown (drains in-flight work)"),
 )
+#: ``(method, path)`` of every route, and every served path: the
+#: dispatcher's 404/405 lookups.
+_ROUTE_KEYS = frozenset((route.method, route.path) for route in ROUTES)
+_ROUTE_PATHS = frozenset(route.path for route in ROUTES)
 
 
 def envelope(result, *, digest: str, cache: str, started: float) -> dict:
@@ -194,23 +205,12 @@ class PlanningService:
         max_workers: int | None = None,
         cache_dir: str | None = None,
         lru_size: int = 256,
-        max_inflight: int = 64,
-        tenant_rate: float | None = None,
-        tenant_burst: float | None = None,
-        default_deadline_ms: float | None = None,
         breaker_backoff_s: float = 0.5,
         faults: str | None = None,
     ):
         if executor not in ("process", "thread"):
             raise ValueError(
                 f"executor must be 'process' or 'thread', got {executor!r}"
-            )
-        # Checked here, not per request: a NaN default would otherwise
-        # answer every body without deadline_ms with a 400.
-        if default_deadline_ms is not None and not 0 < default_deadline_ms < math.inf:
-            raise ValueError(
-                "default_deadline_ms must be a positive finite number, "
-                f"got {default_deadline_ms}"
             )
         self.host = host
         self.port = port
@@ -220,13 +220,8 @@ class PlanningService:
         self.lru = LRU(lru_size)
         self.disk = PlanCache(cache_dir) if cache_dir is not None else None
         self.stats = ServiceStats()
-        self.admission = AdmissionController(
-            max_inflight=max_inflight,
-            tenant_rate=tenant_rate,
-            tenant_burst=tenant_burst,
-        )
+        self.admission = AdmissionController()
         self.breaker = CircuitBreaker(backoff_s=breaker_backoff_s)
-        self.default_deadline_ms = default_deadline_ms
         if faults:
             faultinject.install(faults)
         else:
@@ -246,8 +241,7 @@ class PlanningService:
 
     # -- tiered lookup + coalescing -------------------------------------
 
-    async def _resolve(self, key: str, compute, *, disk: bool, klass: str,
-                       tenant: str = ""):
+    async def _resolve(self, key: str, compute, *, disk: bool, klass: str):
         """One result through the tiers: LRU → coalesce → admit → pool.
 
         ``compute`` is a zero-argument callable (already bound to its
@@ -271,7 +265,7 @@ class PlanningService:
             self.stats.coalesced += 1
             _tier, value = await asyncio.shield(task)
             return "coalesced", value
-        self.admission.admit(klass, tenant)  # raises Shed → HTTP 429
+        self.admission.admit(klass)  # raises Shed → HTTP 429
         task = asyncio.ensure_future(self._lead(key, compute, disk))
         task.add_done_callback(lambda _t: self.admission.release(klass))
         self._inflight[key] = task
@@ -374,7 +368,7 @@ class PlanningService:
 
     # -- endpoint handlers ----------------------------------------------
 
-    async def _post(self, path: str, payload, tenant: str = "") -> dict:
+    async def _post(self, path: str, payload) -> dict:
         """One ``POST /v1/*`` body, through the operation ``path`` names:
         validate, digest, resolve through the tiers, wrap the result."""
         started = time.monotonic()
@@ -386,7 +380,6 @@ class PlanningService:
             functools.partial(operation.execute, request, self.cache_dir),
             disk=operation.disk,
             klass=path,
-            tenant=tenant,
         )
         if operation.render is not None:
             result = operation.render(result)
@@ -449,12 +442,11 @@ class PlanningService:
 
     # -- HTTP plumbing ---------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        tenant: str = ""):
+    async def _dispatch(self, method: str, path: str, body: bytes):
         """Route one parsed request → (status, payload, extra_headers).
 
-        Planning endpoints run under the request's ``deadline_ms`` (or
-        the service default): expiry cancels *this client's wait* and
+        Planning endpoints run under the request's ``deadline_ms``, if
+        it carries one: expiry cancels *this client's wait* and
         answers 504 — the shielded leader computation keeps running and
         lands in the caches, so a timed-out client retrying later hits
         the LRU, and coalesced riders with laxer deadlines are never
@@ -462,10 +454,8 @@ class PlanningService:
         ``Retry-After`` header.
         """
         path = path.split("?", 1)[0]
-        known_paths = {route.path for route in ROUTES}
-        route = {(r.method, r.path): r for r in ROUTES}.get((method, path))
-        if route is None:
-            if path in known_paths:
+        if (method, path) not in _ROUTE_KEYS:
+            if path in _ROUTE_PATHS:
                 allowed = [r.method for r in ROUTES if r.path == path]
                 return 405, error_body(
                     "method_not_allowed",
@@ -508,8 +498,8 @@ class PlanningService:
                 hint="send a JSON object with the endpoint's fields",
             ), {}
         try:
-            deadline_s = pop_deadline(payload, self.default_deadline_ms)
-            work = self._post(path, payload, tenant)
+            deadline_s = pop_deadline(payload)
+            work = self._post(path, payload)
             if deadline_s is not None:
                 result = await asyncio.wait_for(work, deadline_s)
             else:
@@ -618,7 +608,7 @@ class PlanningService:
             )
         body = await reader.readexactly(length) if length > 0 else b""
         close = headers.get("connection", "").lower() == "close"
-        return method.upper(), path, body, close, headers
+        return method.upper(), path, body, close
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -661,10 +651,9 @@ class PlanningService:
                     self._idle.discard(writer)
                 if parsed is None:
                     break
-                method, path, body, client_close, headers = parsed
-                tenant = headers.get("x-tenant", "")
+                method, path, body, client_close = parsed
                 status, payload, extra = await self._dispatch(
-                    method, path, body, tenant
+                    method, path, body
                 )
                 shutting_down = (
                     self._shutdown_event.is_set()

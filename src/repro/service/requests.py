@@ -345,7 +345,7 @@ _COST_MODEL = Param(
 _DEADLINE = Param("deadline_ms", (int, float), None, _positive)
 
 
-def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
+def pop_deadline(payload: Any) -> float | None:
     """Extract ``deadline_ms`` from a parsed body → deadline in *seconds*.
 
     Every ``POST /v1/*`` body may carry ``deadline_ms`` (a positive
@@ -354,12 +354,12 @@ def pop_deadline(payload: Any, default_ms: float | None = None) -> float | None:
     before the request dataclass ever sees the payload, so a deadline
     never changes a request's digest — two clients asking the same
     question with different patience share one cache entry and one
-    coalesced computation.  Returns ``default_ms`` (converted) when the
+    coalesced computation.  Returns ``None`` (no deadline) when the
     field is absent or null; raises :class:`RequestError` (→ 400) on a
     value the ``deadline_ms`` field rejects.
     """
     raw = payload.pop(_DEADLINE.name, None) if isinstance(payload, dict) else None
-    ms = _DEADLINE.parse({_DEADLINE.name: default_ms if raw is None else raw})
+    ms = _DEADLINE.parse({_DEADLINE.name: raw})
     return None if ms is None else float(ms) / 1000.0
 
 

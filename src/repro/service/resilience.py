@@ -1,17 +1,17 @@
 """Resilience primitives for the planning service.
 
-Three small, independently testable machines that
+Two small, independently testable machines that
 :class:`~repro.service.app.PlanningService` threads through its request
 path, each with an injectable clock so tests drive the state machines
 deterministically:
 
-* :class:`TokenBucket` / :class:`AdmissionController` — **admission
-  control**.  Work that would reach the compute tier is charged against
-  a bounded per-class in-flight budget and (optionally) a per-tenant
-  token bucket keyed on the ``X-Tenant`` header; anything over budget
-  is *shed* with a :class:`Shed` exception the HTTP layer renders as
-  ``429`` + ``Retry-After``.  Cache hits and coalesced riders are never
-  charged — the service sheds *work*, not lookups.
+* :class:`AdmissionController` — **admission control**.  Work that
+  would reach the compute tier is charged against a bounded per-class
+  in-flight budget; anything over budget is *shed* with a :class:`Shed`
+  exception the HTTP layer renders as ``429`` + ``Retry-After``.  The
+  process pool queues submissions without bound, so this budget is the
+  only limit on queued compute.  Cache hits and coalesced riders are
+  never charged — the service sheds *work*, not lookups.
 
 * :class:`CircuitBreaker` — supervised recovery around the worker
   pool.  A broken process pool trips the breaker ``closed → open``;
@@ -44,77 +44,28 @@ class Shed(Exception):
         self.retry_after_s = retry_after_s
 
 
-class TokenBucket:
-    """A standard token bucket: ``rate`` tokens/s, ``burst`` capacity.
-
-    ``try_acquire`` returns ``0.0`` on success or the seconds until
-    enough tokens will have accrued — the number the HTTP layer turns
-    into ``Retry-After``.  Time comes from the injected ``clock`` so
-    tests advance it manually.
-    """
-
-    def __init__(self, rate: float, burst: float, clock=time.monotonic):
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = self.burst
-        self._updated = clock()
-
-    def try_acquire(self, amount: float = 1.0) -> float:
-        """Take ``amount`` tokens; 0.0 if taken, else seconds to wait."""
-        now = self._clock()
-        self._tokens = min(
-            self.burst, self._tokens + (now - self._updated) * self.rate
-        )
-        self._updated = now
-        if self._tokens >= amount:
-            self._tokens -= amount
-            return 0.0
-        return (amount - self._tokens) / self.rate
-
-
-#: Hard cap on distinct tenant buckets kept alive (oldest dropped
-#: first) — an attacker inventing tenant names must not grow memory.
-MAX_TENANT_BUCKETS = 1024
+#: Compute-tier leaders each request class may have in flight at once.
+MAX_INFLIGHT = 64
 
 
 class AdmissionController:
-    """Bounded in-flight budget per request class + per-tenant buckets.
+    """Bounded in-flight budget per request class.
 
     A *class* is the endpoint path (``/v1/plan``, ``/v1/sweep``, …);
     each class may have at most ``max_inflight`` leaders in the compute
-    tier at once.  Tenants (the ``X-Tenant`` header; missing header =
-    the ``""`` tenant) are additionally rate-limited by token buckets
-    when ``tenant_rate`` is set.  :meth:`admit` raises :class:`Shed`
-    instead of returning so call sites cannot forget to check; every
-    successful admit must be paired with :meth:`release`.
+    tier at once.  :meth:`admit` raises :class:`Shed` instead of
+    returning so call sites cannot forget to check; every successful
+    admit must be paired with :meth:`release`.
     """
 
-    def __init__(
-        self,
-        max_inflight: int = 64,
-        tenant_rate: float | None = None,
-        tenant_burst: float | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, max_inflight: int = MAX_INFLIGHT, clock=time.monotonic):
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
         self.max_inflight = max_inflight
-        self.tenant_rate = tenant_rate if tenant_rate else None
-        self.tenant_burst = (
-            float(tenant_burst)
-            if tenant_burst
-            else (max(1.0, 2.0 * tenant_rate) if self.tenant_rate else None)
-        )
         self._clock = clock
         self._inflight: dict[str, int] = {}
-        self._buckets: dict[str, TokenBucket] = {}
         #: Admission timestamps per class (oldest first) so releases can
         #: measure how long one unit of compute-tier work actually held
         #: its slot — the basis of the in-flight ``Retry-After``.
@@ -123,8 +74,6 @@ class AdmissionController:
         #: ``None`` until the first release.
         self.work_ewma_s: float | None = None
         self.admitted = 0
-        self.shed_inflight = 0
-        self.shed_tenant = 0
         self.shed_by_class: dict[str, int] = {}
 
     def retry_after_s(self) -> float:
@@ -141,37 +90,16 @@ class AdmissionController:
             return 1.0
         return max(0.05, self.work_ewma_s / self.max_inflight)
 
-    def admit(self, klass: str, tenant: str = "") -> None:
+    def admit(self, klass: str) -> None:
         """Charge one unit of compute-tier work, or raise :class:`Shed`."""
         inflight = self._inflight.get(klass, 0)
         if inflight >= self.max_inflight:
-            self.shed_inflight += 1
             self.shed_by_class[klass] = self.shed_by_class.get(klass, 0) + 1
             raise Shed(
                 f"{klass} is at its in-flight budget "
                 f"({inflight}/{self.max_inflight}); shedding",
                 retry_after_s=self.retry_after_s(),
             )
-        if self.tenant_rate is not None:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                while len(self._buckets) >= MAX_TENANT_BUCKETS:
-                    self._buckets.pop(next(iter(self._buckets)))
-                bucket = TokenBucket(
-                    self.tenant_rate, self.tenant_burst, clock=self._clock
-                )
-                self._buckets[tenant] = bucket
-            wait = bucket.try_acquire()
-            if wait > 0.0:
-                self.shed_tenant += 1
-                self.shed_by_class[klass] = (
-                    self.shed_by_class.get(klass, 0) + 1
-                )
-                raise Shed(
-                    f"tenant {tenant or '<default>'} is over its rate "
-                    f"({self.tenant_rate}/s); shedding",
-                    retry_after_s=wait,
-                )
         self._inflight[klass] = inflight + 1
         self._admitted_at.setdefault(klass, []).append(self._clock())
         self.admitted += 1
@@ -201,16 +129,11 @@ class AdmissionController:
         """Counter snapshot for the ``/stats`` endpoint."""
         return {
             "max_inflight": self.max_inflight,
-            "tenant_rate": self.tenant_rate,
-            "tenant_burst": self.tenant_burst,
             "work_ewma_s": self.work_ewma_s,
             "retry_after_s": self.retry_after_s(),
             "inflight": dict(sorted(self._inflight.items())),
             "admitted": self.admitted,
-            "shed_inflight": self.shed_inflight,
-            "shed_tenant": self.shed_tenant,
             "shed_by_class": dict(sorted(self.shed_by_class.items())),
-            "tenants": len(self._buckets),
         }
 
 

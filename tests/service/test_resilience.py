@@ -22,7 +22,6 @@ from repro.service import (
     RequestError,
     ServiceThread,
     Shed,
-    TokenBucket,
     pop_deadline,
 )
 
@@ -52,12 +51,12 @@ class FakeClock:
         self.now += seconds
 
 
-def request_raw(service, method, path, payload=None, headers=None):
+def request_raw(service, method, path, payload=None):
     """One request returning (status, body, response headers)."""
     conn = http.client.HTTPConnection(service.host, service.port, timeout=120)
     try:
         body = None if payload is None else json.dumps(payload)
-        conn.request(method, path, body=body, headers=headers or {})
+        conn.request(method, path, body=body)
         response = conn.getresponse()
         return (
             response.status,
@@ -66,32 +65,6 @@ def request_raw(service, method, path, payload=None, headers=None):
         )
     finally:
         conn.close()
-
-
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=clock)
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        wait = bucket.try_acquire()
-        assert wait == pytest.approx(1.0)
-        clock.advance(1.0)  # one token accrues
-        assert bucket.try_acquire() == 0.0
-
-    def test_tokens_cap_at_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock)
-        clock.advance(3600.0)
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=2.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0.5)
 
 
 class TestAdmissionController:
@@ -107,45 +80,8 @@ class TestAdmissionController:
         admission.release("/v1/plan")
         admission.admit("/v1/plan")
         snap = admission.snapshot()
-        assert snap["shed_inflight"] == 1
         assert snap["shed_by_class"] == {"/v1/plan": 1}
         assert snap["inflight"] == {"/v1/plan": 2, "/v1/sweep": 1}
-
-    def test_tenant_buckets_are_isolated(self):
-        clock = FakeClock()
-        admission = AdmissionController(
-            max_inflight=100, tenant_rate=1.0, tenant_burst=1.0, clock=clock
-        )
-        admission.admit("/v1/plan", tenant="alice")
-        with pytest.raises(Shed):
-            admission.admit("/v1/plan", tenant="alice")
-        # A different tenant has its own bucket; so does the default.
-        admission.admit("/v1/plan", tenant="bob")
-        admission.admit("/v1/plan")
-        clock.advance(1.0)
-        admission.admit("/v1/plan", tenant="alice")
-        assert admission.snapshot()["shed_tenant"] == 1
-        assert admission.snapshot()["tenants"] == 3
-
-    def test_shed_carries_bucket_wait(self):
-        clock = FakeClock()
-        admission = AdmissionController(
-            max_inflight=100, tenant_rate=0.5, tenant_burst=1.0, clock=clock
-        )
-        admission.admit("/v1/plan", tenant="t")
-        with pytest.raises(Shed) as caught:
-            admission.admit("/v1/plan", tenant="t")
-        assert caught.value.retry_after_s == pytest.approx(2.0)
-
-    def test_tenant_bucket_count_is_bounded(self):
-        from repro.service.resilience import MAX_TENANT_BUCKETS
-
-        admission = AdmissionController(
-            max_inflight=10**6, tenant_rate=10**6, tenant_burst=10**6
-        )
-        for i in range(MAX_TENANT_BUCKETS + 50):
-            admission.admit("/v1/plan", tenant=f"t{i}")
-        assert admission.snapshot()["tenants"] == MAX_TENANT_BUCKETS
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -285,28 +221,23 @@ class TestCircuitBreaker:
 
 
 class TestPopDeadline:
-    def test_absent_uses_default(self):
+    def test_absent_is_no_deadline(self):
         assert pop_deadline({}) is None
-        assert pop_deadline({}, default_ms=250) == pytest.approx(0.25)
 
     def test_popped_before_validation(self):
         payload = dict(SMALL_PLAN, deadline_ms=1500)
         assert pop_deadline(payload) == pytest.approx(1.5)
         assert payload == SMALL_PLAN  # digest input unchanged
 
-    def test_explicit_null_falls_back_to_default(self):
+    def test_explicit_null_is_no_deadline(self):
         payload = {"deadline_ms": None}
-        assert pop_deadline(payload, default_ms=100) == pytest.approx(0.1)
+        assert pop_deadline(payload) is None
+        assert payload == {}
 
     @pytest.mark.parametrize("bad", [0, -5, "fast", True])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(RequestError):
             pop_deadline({"deadline_ms": bad})
-
-    @pytest.mark.parametrize("bad", [0, -5, math.nan, math.inf])
-    def test_invalid_service_default_refused_at_start(self, bad):
-        with pytest.raises(ValueError, match="default_deadline_ms"):
-            PlanningService(port=0, executor="thread", default_deadline_ms=bad)
 
 
 class TestDeadlinesOverHttp:
@@ -359,59 +290,17 @@ class TestDeadlinesOverHttp:
 
 
 class TestAdmissionOverHttp:
-    def test_tenant_over_rate_is_429_with_retry_after(self):
-        service = PlanningService(
-            port=0, executor="thread", lru_size=32,
-            tenant_rate=0.001, tenant_burst=1.0,
-        )
-        with ServiceThread(service) as live:
-            fresh = dict(SMALL_PLAN, pass_overhead=1e-9)
-            status, _, _ = request_raw(
-                live, "POST", "/v1/plan", fresh,
-                headers={"X-Tenant": "alice"},
-            )
-            assert status == 200
-            status, body, headers = request_raw(
-                live, "POST", "/v1/plan",
-                dict(SMALL_PLAN, pass_overhead=2e-9),
-                headers={"X-Tenant": "alice"},
-            )
-            assert status == 429
-            assert "alice" in body["error"]["message"]
-            assert int(headers["retry-after"]) >= 1
-            # Another tenant is unaffected.
-            status, _, _ = request_raw(
-                live, "POST", "/v1/plan",
-                dict(SMALL_PLAN, pass_overhead=3e-9),
-                headers={"X-Tenant": "bob"},
-            )
-            assert status == 200
-            # Cache reads are never charged: the over-budget tenant can
-            # still read what is already computed.
-            status, body, _ = request_raw(
-                live, "POST", "/v1/plan", fresh,
-                headers={"X-Tenant": "alice"},
-            )
-            assert status == 200
-            assert body["meta"]["cache"] == "lru"
-            snap = service.stats_payload()["resilience"]
-            assert snap["shed"] == 1
-            assert snap["admission"]["shed_tenant"] == 1
-
     def test_inflight_shed_retry_after_derives_from_observed_work(self):
         # Make work measurably slow, complete one request to seed the
         # EWMA, then fill the single-slot budget and observe the shed:
         # the header must reflect the ~2 s of observed work, not the
         # old hardcoded 1 s.
         faultinject.install("slow-worker:rate=1,delay_ms=1800")
-        service = PlanningService(
-            port=0, executor="thread", lru_size=32, max_inflight=1
-        )
+        service = PlanningService(port=0, executor="thread", lru_size=32)
+        service.admission = AdmissionController(max_inflight=1)
+        cached = dict(SMALL_PLAN, pass_overhead=1e-9)
         with ServiceThread(service) as live:
-            status, _, _ = request_raw(
-                live, "POST", "/v1/plan",
-                dict(SMALL_PLAN, pass_overhead=1e-9),
-            )
+            status, _, _ = request_raw(live, "POST", "/v1/plan", cached)
             assert status == 200
             ewma = service.admission.work_ewma_s
             assert ewma is not None and ewma >= 1.8
@@ -462,6 +351,52 @@ class TestAdmissionOverHttp:
             snap = service.stats_payload()["resilience"]["admission"]
             assert snap["work_ewma_s"] is not None
             assert snap["retry_after_s"] >= 1.8
+
+    def test_full_budget_sheds_work_not_lookups(self):
+        # One slow leader fills the single-slot budget for 3 s.  While
+        # it runs, a fresh digest is shed, a cached digest answers from
+        # the LRU and a request for the leader's own digest rides it.
+        service = PlanningService(port=0, executor="thread", lru_size=32)
+        service.admission = AdmissionController(max_inflight=1)
+        cached = dict(SMALL_PLAN, pass_overhead=1e-9)
+        slow = dict(SMALL_PLAN, pass_overhead=2e-9)
+        with ServiceThread(service) as live:
+            assert request_raw(live, "POST", "/v1/plan", cached)[0] == 200
+            faultinject.install("slow-worker:rate=1,limit=1,delay_ms=3000")
+            results = {}
+            leader = threading.Thread(
+                target=lambda: results.update(
+                    leader=request_raw(live, "POST", "/v1/plan", slow)
+                )
+            )
+            leader.start()
+            try:
+                deadline = time.monotonic() + 10
+                while not service.admission.snapshot()["inflight"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                status, body, headers = request_raw(
+                    live, "POST", "/v1/plan",
+                    dict(SMALL_PLAN, pass_overhead=3e-9),
+                )
+                assert status == 429
+                assert int(headers["retry-after"]) >= 1
+                status, body, _ = request_raw(live, "POST", "/v1/plan", cached)
+                assert (status, body["meta"]["cache"]) == (200, "lru")
+                status, rider, _ = request_raw(live, "POST", "/v1/plan", slow)
+                assert (status, rider["meta"]["cache"]) == (200, "coalesced")
+            finally:
+                leader.join(timeout=30)
+            status, body, _ = results["leader"]
+            assert (status, body["meta"]["cache"]) == (200, "computed")
+            assert body["result"] == rider["result"]
+            stats = service.stats_payload()
+            assert stats["resilience"]["shed"] == 1
+            assert stats["resilience"]["admission"]["shed_by_class"] == {
+                "/v1/plan": 1
+            }
+            assert stats["computed"] == 2
+            assert stats["coalesced"] == 1
 
 
 class TestObservability:

@@ -165,6 +165,22 @@ class TestHttpSurface:
         assert stats["executor"]["kind"] == "thread"
         assert stats["disk"] == {"enabled": False}
 
+    def test_benchmark_driver_contract(self, live):
+        # Exactly what perfbench/service.py reads from the service: a
+        # trim that drops one of these breaks the serve-mixed workload.
+        status, body = request_json(live, "POST", "/v1/plan", SMALL_PLAN)
+        assert status == 200
+        meta = body["meta"]
+        assert isinstance(meta["digest"], str)
+        assert meta["cache"] in ("computed", "lru", "coalesced", "disk")
+        assert isinstance(meta["timings"]["total_ms"], float)
+        stats = live.stats_payload()
+        for count in (
+            stats["lru"]["hits"], stats["lru"]["misses"], stats["computed"],
+            stats["coalesced"], stats["resilience"]["shed"],
+        ):
+            assert isinstance(count, int)
+
     def test_keep_alive_connection_reuse(self, live):
         conn = http.client.HTTPConnection(live.host, live.port, timeout=30)
         try:
