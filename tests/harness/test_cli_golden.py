@@ -84,6 +84,15 @@ ERROR_CASES = [
     ["schedules", "--microbatches", "0"],
     ["schedules", "--width", "0", "--devices", "2", "--microbatches", "2"],
     ["calibrate", "show", "--profile", "nope"],
+    ["serve", "--port", "abc"],
+    ["serve", "--executor", "nope"],
+    ["serve", "--lru-size", "0"],
+    ["serve", "--breaker-backoff", "0"],
+    ["serve", "--faults", "nope"],
+    ["serve", "--max-inflight", "4"],
+    ["serve", "--tenant-rate", "5"],
+    ["serve", "--tenant-burst", "5"],
+    ["serve", "--default-deadline-ms", "100"],
     ["table5", "--gpus", "12"],
     ["table5", "--microbatches", "0"],
     ["appendix-b", "--microbatches", "0"],

@@ -279,6 +279,22 @@ class TestDeadlinesOverHttp:
             assert patient["meta"]["digest"] == unbounded["meta"]["digest"]
             assert unbounded["meta"]["cache"] == "lru"
 
+    def test_null_deadline_is_unbounded(self):
+        # A null deadline_ms means no deadline: the 1 s of injected
+        # delay would miss any short default, yet the request answers
+        # 200 and shares the digest of a body without the field.
+        faultinject.install("slow-worker:rate=1,limit=1,delay_ms=1000")
+        service = PlanningService(port=0, executor="thread", lru_size=32)
+        with ServiceThread(service) as live:
+            status, body, _ = request_raw(
+                live, "POST", "/v1/plan", dict(SMALL_PLAN, deadline_ms=None)
+            )
+            assert (status, body["meta"]["cache"]) == (200, "computed")
+            _, unbounded, _ = request_raw(live, "POST", "/v1/plan", SMALL_PLAN)
+            assert unbounded["meta"]["digest"] == body["meta"]["digest"]
+            assert unbounded["meta"]["cache"] == "lru"
+            assert service.stats_payload()["resilience"]["deadline_timeouts"] == 0
+
     def test_bad_deadline_is_400(self):
         service = PlanningService(port=0, executor="thread", lru_size=32)
         with ServiceThread(service) as live:
