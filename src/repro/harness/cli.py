@@ -39,7 +39,7 @@ request specs in :mod:`repro.service.requests`, an invocation builds
 the same request object a JSON body would, and an invalid value exits
 with the service's 400 message.  Only table rendering and the
 CLI-only options (``--format``, ``--cache-dir``, the sweep pool's
-``--executor``/``--workers``/``--chunk-size``) live here.
+``--executor``/``--workers``) live here.
 
 Examples::
 
@@ -275,7 +275,6 @@ def _cmd_plan(args: argparse.Namespace) -> None:
         executor=args.executor,
         max_workers=args.workers,
         cache_dir=args.cache_dir,
-        chunk_size=args.chunk_size,
     )
     if args.format == "json":
         _print_json(sweep_to_json(outcomes))
@@ -629,10 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument(
         "--workers", type=_positive_int, default=None, help="max sweep workers"
-    )
-    pl.add_argument(
-        "--chunk-size", type=_positive_int, default=None, metavar="N",
-        help="grid points per pool task (default: ~4 chunks per worker)",
     )
     pl.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -77,7 +77,7 @@ class MethodMetrics:
 # process-wide.  A sweep whose grid points share a schedule structure
 # (same family/model/parallel shape, different memory budgets or
 # pass-overhead bindings) then builds each structure once and re-prices
-# it per binding via CompiledGraph.rebind / execute_many.  Three memos
+# it per binding via CompiledGraph.rebind.  Three memos
 # of seed-independent work on warm structures sit beside them: refined
 # schedules (build_schedule), robust plans' nominal bindings
 # (robust_nominal) and the optimizer's scored split chains.
@@ -162,11 +162,9 @@ def _generation_timings(method: str, setup: SimulationSetup) -> tuple[float, ...
     durations — so (method, model, parallel shape, these scalars) is an
     exact cache key: two setups mapping to the same scalars generate
     identical schedules, whatever hardware produced them.
-
-    KEEP IN SYNC with :func:`_generate_method_schedule_uncached`: if a
-    generator starts consuming another setup-dependent input, it must
-    be added here too, or the cache will conflate setups that differ in
-    that input and silently return the wrong schedule.
+    :func:`_generate_method_schedule_uncached` builds the schedule from
+    this tuple alone, so the key cannot miss an input the generator
+    reads.
     """
     model = setup.model
     parallel = setup.parallel
@@ -210,106 +208,101 @@ def generate_method_schedule(method: str, setup: SimulationSetup) -> Schedule:
     defensive copy of the cached schedule, so repeated planner/sweep
     calls over the same structure skip generation entirely.
     """
+    scalars = _generation_timings(method, setup)
     key = (
         method,
         setup.model,
         setup.parallel.pipeline_size,
         setup.parallel.num_microbatches,
         setup.parallel.microbatch_size,
-        _generation_timings(method, setup),
+        scalars,
     )
     cached = _SCHEDULE_CACHE.get(key)
     if cached is not None:
         return cached.copy()
-    schedule = _generate_method_schedule_uncached(method, setup)
+    schedule = _generate_method_schedule_uncached(method, setup, scalars)
     _SCHEDULE_CACHE.put(key, schedule.copy())
     return schedule
 
 
 def _generate_method_schedule_uncached(
-    method: str, setup: SimulationSetup
+    method: str, setup: SimulationSetup, scalars: tuple[float, ...] | None = None
 ) -> Schedule:
-    """The actual schedule construction (one per structural key)."""
+    """The actual schedule construction (one per structural key).
+
+    ``scalars`` is the generation key's :func:`_generation_timings`
+    tuple (derived from ``setup`` when omitted); ``setup`` contributes
+    only the model and parallel shape.
+    """
+    if scalars is None:
+        scalars = _generation_timings(method, setup)
     model = setup.model
     parallel = setup.parallel
     p = parallel.pipeline_size
     m = parallel.num_microbatches
-    timings = PassTimings(setup)
-    if method in ("baseline", "redis", "vocab-1", "vocab-2", "interlaced"):
-        per_stage = layers_per_stage(model, parallel)
-        t_f = timings.transformer_forward_time(per_stage)
-        t_b = timings.transformer_backward_time(per_stage, split_weight=False)
-        if method == "baseline":
-            schedule = generate_1f1b(
-                p, m, num_layers=model.num_layers, t_forward=t_f, t_backward=t_b
-            )
-        elif method == "redis":
-            plan = redistribute_layers(model, p, parallel.microbatch_size)
-            schedule = generate_1f1b(
-                p,
-                m,
-                layout=plan.layout(),
-                t_forward=t_f,
-                t_backward=t_b,
-                name="1f1b-redis",
-            )
-            schedule.metadata["redistribution"] = plan
-        elif method in ("vocab-1", "vocab-2"):
-            algorithm = 1 if method == "vocab-1" else 2
-            schedule = generate_1f1b_vocab(
-                p,
-                m,
-                model.num_layers,
-                algorithm,
-                t_forward=t_f,
-                t_backward=t_b,
-                t_s=timings.s_pass_time(algorithm),
-                t_t=timings.t_pass_time(algorithm),
-            )
-        else:
-            schedule = generate_interlaced(
-                p,
-                m,
-                model.num_layers,
-                t_forward=t_f,
-                t_backward=t_b,
-                t_vf=timings.interlaced_vf_time(),
-                t_vb=timings.interlaced_vb_time(),
-            )
-    elif method in ("vhalf-baseline", "vhalf-vocab-1", "vhalf-vocab-2"):
-        if model.num_layers % (2 * p) != 0:
-            raise ValueError(
-                f"V-Half needs layers divisible by 2p; got {model.num_layers}, p={p}"
-            )
-        per_chunk = model.num_layers // (2 * p)
-        f_c = timings.transformer_forward_time(per_chunk)
-        b_c = timings.transformer_backward_time(per_chunk, split_weight=True)
-        w_c = timings.transformer_weight_time(per_chunk)
-        if method == "vhalf-baseline":
-            schedule = generate_vhalf(
-                p,
-                m,
-                model.num_layers,
-                t_forward_chunk=f_c,
-                t_backward_chunk=b_c,
-                t_weight_chunk=w_c,
-            )
-        else:
-            algorithm = 1 if method == "vhalf-vocab-1" else 2
-            schedule = generate_vhalf_vocab(
-                p,
-                m,
-                model.num_layers,
-                algorithm=algorithm,
-                t_forward_chunk=f_c,
-                t_backward_chunk=b_c,
-                t_weight_chunk=w_c,
-                t_s=timings.s_pass_time(algorithm),
-                t_t=timings.t_pass_time(algorithm),
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
-    return schedule
+    if method == "baseline":
+        t_f, t_b = scalars
+        return generate_1f1b(
+            p, m, num_layers=model.num_layers, t_forward=t_f, t_backward=t_b
+        )
+    if method == "redis":
+        t_f, t_b = scalars
+        plan = redistribute_layers(model, p, parallel.microbatch_size)
+        schedule = generate_1f1b(
+            p,
+            m,
+            layout=plan.layout(),
+            t_forward=t_f,
+            t_backward=t_b,
+            name="1f1b-redis",
+        )
+        schedule.metadata["redistribution"] = plan
+        return schedule
+    if method in ("vocab-1", "vocab-2"):
+        t_f, t_b, t_s, t_t = scalars
+        return generate_1f1b_vocab(
+            p,
+            m,
+            model.num_layers,
+            1 if method == "vocab-1" else 2,
+            t_forward=t_f,
+            t_backward=t_b,
+            t_s=t_s,
+            t_t=t_t,
+        )
+    if method == "interlaced":
+        t_f, t_b, t_vf, t_vb = scalars
+        return generate_interlaced(
+            p,
+            m,
+            model.num_layers,
+            t_forward=t_f,
+            t_backward=t_b,
+            t_vf=t_vf,
+            t_vb=t_vb,
+        )
+    if method == "vhalf-baseline":
+        f_c, b_c, w_c = scalars
+        return generate_vhalf(
+            p,
+            m,
+            model.num_layers,
+            t_forward_chunk=f_c,
+            t_backward_chunk=b_c,
+            t_weight_chunk=w_c,
+        )
+    f_c, b_c, w_c, t_s, t_t = scalars
+    return generate_vhalf_vocab(
+        p,
+        m,
+        model.num_layers,
+        algorithm=1 if method == "vhalf-vocab-1" else 2,
+        t_forward_chunk=f_c,
+        t_backward_chunk=b_c,
+        t_weight_chunk=w_c,
+        t_s=t_s,
+        t_t=t_t,
+    )
 
 
 def _scenario_setup(setup: SimulationSetup, scenario) -> SimulationSetup:
@@ -481,94 +474,6 @@ def _simulate(
     return schedule, graph.execute()
 
 
-def _metrics_from(
-    method: str,
-    model: ModelConfig,
-    parallel: ParallelConfig,
-    setup: SimulationSetup,
-    memory_model: MemoryModel | None,
-    result: ExecutionResult,
-) -> MethodMetrics:
-    """Assemble :class:`MethodMetrics` from one execution result."""
-    report = memory_report(result, setup, memory_model)
-    return MethodMetrics(
-        method=method,
-        mfu=mfu(model, parallel, setup.hardware, result.iteration_time),
-        iteration_time=result.iteration_time,
-        peak_memory_gb=report.peak / GiB,
-        per_device_peak_gb=[b / GiB for b in report.per_device_peak],
-        memory_spread_gb=report.spread / GiB,
-        mean_bubble=result.mean_bubble_fraction(),
-        oom=not report.fits(setup.hardware.memory_bytes),
-    )
-
-
-def run_method_bindings(
-    method: str,
-    model: ModelConfig,
-    parallel: ParallelConfig,
-    setups: list[SimulationSetup],
-    memory_model: MemoryModel | None = None,
-    refine: bool = True,
-    scenario=None,
-) -> list[MethodMetrics]:
-    """Simulate one method under many runtime bindings in one batch.
-
-    All ``setups`` must share ``model`` and ``parallel`` and differ only
-    in their runtime binding (hardware, efficiency, ``pass_overhead``).
-    Bindings whose generated schedules share a
-    :meth:`~repro.scheduling.schedule.Schedule.structure_key` are priced
-    through one compiled graph and executed together with
-    :meth:`~repro.sim.compiled.CompiledGraph.execute_many`.  Bindings
-    that want order refinement fall back to :func:`run_method` — the
-    refinement's work-conserving run is a stateful per-binding
-    simulation that cannot be batched — as does the reference engine.
-    ``scenario`` applies one cluster scenario to every binding
-    (nominal ``setups``; transformed here).
-    """
-    for setup in setups:
-        if setup.model != model or setup.parallel != parallel:
-            raise ValueError(
-                "run_method_bindings requires every setup to share the "
-                "model and parallel configuration; only the runtime "
-                "binding may differ"
-            )
-    metrics: list[MethodMetrics | None] = [None] * len(setups)
-    bound_setups = [_scenario_setup(setup, scenario) for setup in setups]
-    schedules = [
-        generate_method_schedule(method, setup) for setup in bound_setups
-    ]
-    batchable: dict[tuple, list[int]] = {}
-    for index, schedule in enumerate(schedules):
-        if (refine and _wants_refinement(schedule)) or (
-            simulation_engine() == "reference"
-        ):
-            metrics[index] = run_method(
-                method,
-                model,
-                parallel,
-                setup=setups[index],
-                memory_model=memory_model,
-                refine=refine,
-                scenario=scenario,
-            )
-        else:
-            batchable.setdefault(schedule.structure_key(), []).append(index)
-    for indices in batchable.values():
-        first = indices[0]
-        runtimes = [
-            _scenario_runtime(bound_setups[i], schedules[i], scenario)
-            for i in indices
-        ]
-        graph = _compile_cached(schedules[first], runtimes[0])
-        results = graph.execute_bindings(runtimes)
-        for i, result in zip(indices, results):
-            metrics[i] = _metrics_from(
-                method, model, parallel, bound_setups[i], memory_model, result
-            )
-    return metrics  # type: ignore[return-value]
-
-
 def run_method(
     method: str,
     model: ModelConfig,
@@ -611,7 +516,17 @@ def run_method(
                 per_device_peak_gb=list(cached.per_device_peak_gb),
             )
     schedule, result = _simulate(schedule, setup, refine, scenario)
-    metrics = _metrics_from(method, model, parallel, setup, memory_model, result)
+    report = memory_report(result, setup, memory_model)
+    metrics = MethodMetrics(
+        method=method,
+        mfu=mfu(model, parallel, setup.hardware, result.iteration_time),
+        iteration_time=result.iteration_time,
+        peak_memory_gb=report.peak / GiB,
+        per_device_peak_gb=[b / GiB for b in report.per_device_peak],
+        memory_spread_gb=report.spread / GiB,
+        mean_bubble=result.mean_bubble_fraction(),
+        oom=not report.fits(setup.hardware.memory_bytes),
+    )
     if sim_cache is not None:
         # Store a clone, not the returned object: a caller mutating its
         # result (per_device_peak_gb is a plain list) must not poison

@@ -1,7 +1,7 @@
 """Numbers reported in the paper, for side-by-side comparison only.
 
 The simulation never consumes these values; they appear in the
-benchmark output and EXPERIMENTS.md so the reproduction's shape can be
+benchmark output so the reproduction's shape can be
 checked against the original measurements (the authors ran 8–32 A100s;
 we run a calibrated simulator, so absolute agreement is not expected —
 orderings, trends and crossovers are).

@@ -16,9 +16,8 @@ surfaced on the affected outcomes' ``fallback_reason``.
 Grid points are submitted to the pool in *chunks* rather than one
 future per point: every process-pool task pays a fixed cost (pickling
 the constraints and the worker closure, queue round-trips), which for
-small per-point work dominated the sweep.  ``chunk_size`` controls the
-batching; the default targets a few chunks per worker so load still
-balances.
+small per-point work dominated the sweep.  :func:`default_chunk_size`
+sizes the chunks: a few per worker, so load still balances.
 
 Before chunking, points are grouped by their **structural signature**
 (devices, vocabulary, sequence length, microbatches — everything that
@@ -27,10 +26,9 @@ shapes the generated schedules, as opposed to the memory budget and
 sharing a structure land in the same chunk, so one worker builds each
 schedule structure once and every sibling point re-uses it through the
 process-wide structural caches and the planner's budget-independent
-estimate/metrics entries.  Groups that span several ``pass_overhead``
-bindings are additionally pre-priced as one batch: one compiled graph
-per method, executed for all bindings in a single
-:meth:`~repro.sim.compiled.CompiledGraph.execute_many` pass.
+estimate/metrics entries.  Every point is then planned by
+:func:`~repro.planner.planner.plan` alone, which decides which
+candidates get simulated.
 """
 
 from __future__ import annotations
@@ -54,25 +52,9 @@ from concurrent.futures import (
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, ParallelConfig
-from repro.costmodel.memory import DEFAULT_MEMORY_MODEL
-from repro.harness.experiments import (
-    KNOWN_METHODS,
-    generate_method_schedule,
-    run_method_bindings,
-)
 from repro.harness.settings import TABLE1_SHAPES, TABLE2_SHAPES
 from repro.planner.cache import PlanCache
-from repro.planner.estimate import estimate_method, infeasibility_reason
-from repro.costmodel.calibrate import resolve_cost_model
-from repro.planner.planner import (
-    PlannerConstraints,
-    RankedPlans,
-    _estimate_digest,
-    _metrics_digest,
-    default_plan_cache,
-    plan,
-)
-from repro.sim import SimulationSetup
+from repro.planner.planner import PlannerConstraints, RankedPlans, plan
 
 logger = logging.getLogger(__name__)
 
@@ -242,105 +224,6 @@ def _plan_point(
     )
 
 
-def _warm_binding_groups(
-    points: Sequence[SweepPoint],
-    constraints: PlannerConstraints | None,
-    cache: PlanCache | None,
-) -> None:
-    """Batch-price structure groups that span several runtime bindings.
-
-    Points sharing :meth:`SweepPoint.structure_axes` but carrying
-    different ``pass_overhead`` bindings need the *same* schedule
-    structures simulated under K different duration vectors.  For each
-    such group this pre-seeds the planner's budget-independent
-    estimate/metrics cache entries: per likely-top-k method, one
-    compiled graph priced for all K bindings in a single
-    :meth:`~repro.sim.compiled.CompiledGraph.execute_many` batch
-    (methods that want order refinement fall back to per-binding
-    simulation inside :func:`~repro.harness.experiments.run_method_bindings`).
-
-    Purely an optimization: a method this pass misses (e.g. a
-    borderline-memory candidate beyond top-k) is simulated on demand by
-    :func:`~repro.planner.planner.plan`, with identical results.
-    """
-    base = constraints or PlannerConstraints()
-    if base.simulate_top_k == 0:
-        return
-    if cache is None:
-        cache = default_plan_cache()
-    groups: dict[tuple, list[SweepPoint]] = {}
-    for point in points:
-        groups.setdefault(point.structure_axes(), []).append(point)
-    for group in groups.values():
-        if group[0].scenario is not None:
-            # The warm-up prices *nominal* runtimes; a scenario point
-            # only reads scenario-keyed metrics entries, so pre-seeding
-            # here would be wasted work.  plan() still shares its
-            # budget-independent aux entries across the scenario group.
-            continue
-        overheads = list(dict.fromkeys(p.pass_overhead for p in group))
-        if len(overheads) < 2:
-            continue
-        model, parallel = _point_configs(group[0])
-        setups = [
-            SimulationSetup(
-                model,
-                parallel,
-                **({} if overhead is None else {"pass_overhead": overhead}),
-            )
-            for overhead in overheads
-        ]
-        methods = base.methods or KNOWN_METHODS
-        feasible = [
-            m for m in methods
-            if infeasibility_reason(m, model, parallel) is None
-        ]
-        cost_model = resolve_cost_model(base.cost_model)
-        cost_model_digest = cost_model.digest()
-        warm: set[str] = set()
-        for setup, overhead in zip(setups, overheads):
-            ranked = []
-            for method in feasible:
-                est_key = _estimate_digest(
-                    method, model, parallel, setup.hardware,
-                    DEFAULT_MEMORY_MODEL, overhead, cost_model_digest,
-                )
-                est = cache.get_aux("estimate", est_key)
-                if est is None:
-                    est = estimate_method(
-                        method, setup, DEFAULT_MEMORY_MODEL, cost_model
-                    )
-                    cache.put_aux("estimate", est_key, est)
-                ranked.append((est.iteration_time, method))
-            ranked.sort()
-            top_k = (
-                len(ranked)
-                if base.simulate_top_k is None
-                else min(base.simulate_top_k, len(ranked))
-            )
-            warm.update(method for _, method in ranked[:top_k])
-        for method in sorted(warm):
-            metrics_rows = run_method_bindings(
-                method, model, parallel, setups, refine=base.refine
-            )
-            for setup, overhead, metrics in zip(setups, overheads, metrics_rows):
-                signature = generate_method_schedule(
-                    method, setup
-                ).structure_signature()
-                sim_key = _metrics_digest(
-                    method, signature, model, parallel, setup.hardware,
-                    DEFAULT_MEMORY_MODEL, overhead, base.refine,
-                )
-                cache.put_aux(
-                    "metrics",
-                    sim_key,
-                    dataclasses.replace(
-                        metrics,
-                        per_device_peak_gb=list(metrics.per_device_peak_gb),
-                    ),
-                )
-
-
 def plan_points(
     points: Sequence[SweepPoint],
     constraints: PlannerConstraints | None = None,
@@ -350,14 +233,10 @@ def plan_points(
 
     Top-level so process pools can pickle it; the per-task fixed cost
     (constraint pickling, queue round-trips) is paid once per chunk
-    instead of once per point.  Structure groups spanning several
-    runtime bindings inside the chunk are batch-priced first
-    (:func:`_warm_binding_groups`), then every point is planned against
-    the warmed caches, all through one disk-backed cache when
-    ``cache_dir`` is given.
+    instead of once per point.  Every point goes through one
+    disk-backed cache when ``cache_dir`` is given.
     """
     cache = PlanCache(cache_dir) if cache_dir is not None else None
-    _warm_binding_groups(points, constraints, cache)
     return [_plan_point(point, constraints, cache) for point in points]
 
 
@@ -496,7 +375,6 @@ def sweep(
     executor: str = "process",
     max_workers: int | None = None,
     cache_dir: str | None = None,
-    chunk_size: int | None = None,
 ) -> list[SweepOutcome]:
     """Plan every grid point, in parallel, preserving input order.
 
@@ -508,10 +386,8 @@ def sweep(
     missing points are re-planned serially in-process — the cause is
     logged via :mod:`warnings`/:mod:`logging` and recorded on the
     affected outcomes' ``fallback_reason``.  ``cache_dir`` enables a
-    shared disk-backed plan cache across workers and runs.
-    ``chunk_size`` batches grid points per pool task
-    (:func:`default_chunk_size` when ``None``); ``1`` restores the old
-    one-future-per-point submission.
+    shared disk-backed plan cache across workers and runs.  Grid
+    points are batched per pool task, :func:`default_chunk_size` each.
 
     Grid points are grouped by :meth:`SweepPoint.structure_axes` before
     chunking, so points sharing a schedule structure (differing only in
@@ -525,8 +401,6 @@ def sweep(
         raise ValueError(
             f"executor must be 'process', 'thread' or 'serial', got {executor!r}"
         )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be ≥ 1, got {chunk_size}")
     # Stable structural grouping; the (i,) suffix keeps equal-structure
     # points in input order and makes the sort total.
     order = sorted(
@@ -542,13 +416,11 @@ def sweep(
 
     if executor == "serial" or len(points) <= 1:
         return restore(plan_points(grouped, constraints, cache_dir))
-    if chunk_size is None:
-        cpus = os.cpu_count() or 1
-        # Match each pool's actual default sizing so chunks balance:
-        # ThreadPoolExecutor defaults to min(32, cpus + 4) workers.
-        pool_default = min(32, cpus + 4) if executor == "thread" else cpus
-        workers = max_workers or pool_default
-        chunk_size = default_chunk_size(len(points), workers)
+    cpus = os.cpu_count() or 1
+    # Match each pool's actual default sizing so chunks balance:
+    # ThreadPoolExecutor defaults to min(32, cpus + 4) workers.
+    pool_default = min(32, cpus + 4) if executor == "thread" else cpus
+    chunk_size = default_chunk_size(len(points), max_workers or pool_default)
     chunks = [
         grouped[i : i + chunk_size] for i in range(0, len(grouped), chunk_size)
     ]

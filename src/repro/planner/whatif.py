@@ -40,7 +40,7 @@ from repro.sim import RuntimeModel, SimulationSetup
 
 #: Resident compiled graphs with their baseline checkpoints, keyed on the
 #: binding digest.  Small on purpose: each entry pins a full graph plus
-#: its LevelState; the serving layer's request mix concentrates on a
+#: its baseline summary; the serving layer's request mix concentrates on a
 #: handful of (model, method) bindings at a time.
 _RESIDENT = LRU(8)
 #: One lock guards the resident table and each query against a resident
@@ -244,7 +244,7 @@ def whatif(
     )
     with _RESIDENT_LOCK:
         graph = _resident_graph(graph_key, method, setup, scenario, refine)
-        baseline = graph.checkpoint().baseline
+        baseline = graph.checkpoint()
         perturbation = graph.device_perturbation(device, factor)
         summary = graph.execute_delta_summary(perturbation)
     result = WhatifResult(

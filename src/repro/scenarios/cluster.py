@@ -331,8 +331,7 @@ class ScenarioRuntime:
     Satisfies the :class:`~repro.sim.runtime.RuntimeModel` stream
     contract — ``pass_duration`` depends only on the pass's
     ``(type, device, chunk)`` — so compiled graphs may price it
-    stream-wise (``rebind``, ``binding_matrix``, ``execute_bindings``)
-    and both simulation engines accept it.
+    stream-wise (``rebind``) and both simulation engines accept it.
     """
 
     __slots__ = ("inner", "speeds")

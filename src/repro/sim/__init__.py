@@ -22,7 +22,6 @@ from repro.sim.executor import (
 from repro.sim.compiled import (
     CompiledGraph,
     ExecutionSummary,
-    LevelState,
     Perturbation,
     compile_schedule,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "compile_schedule",
     "ExecutionResult",
     "ExecutionSummary",
-    "LevelState",
     "Perturbation",
     "DeadlockError",
     "MemoryReport",

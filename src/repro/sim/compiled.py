@@ -96,23 +96,6 @@ class Perturbation:
 
 
 @dataclass(frozen=True)
-class LevelState:
-    """The resident in-order baseline of one bound :class:`CompiledGraph`.
-
-    Per-node ``ready``/``end`` times of one sweep over the bound
-    durations and lags, plus the :class:`ExecutionSummary` of that
-    sweep (iteration time and per-device busy sums in collection
-    order) — everything a what-if needs to report the unperturbed
-    schedule without sweeping, or even scanning, it again
-    (:meth:`CompiledGraph.checkpoint`).
-    """
-
-    ready: list[float]
-    end: list[float]
-    baseline: ExecutionSummary
-
-
-@dataclass(frozen=True)
 class ExecutionSummary(BubbleFractions):
     """The observables Monte Carlo statistics need, without the per-pass
     timing dictionaries of a full :class:`ExecutionResult`.
@@ -290,7 +273,7 @@ class CompiledGraph:
         "_chains",
         "_inorder",
         "_pricing",
-        "_levelstate",
+        "_baseline",
     )
 
     def __init__(self) -> None:
@@ -298,7 +281,7 @@ class CompiledGraph:
         self._chains = _ChainPlan()
         self._inorder: ExecutionResult | None = None
         self._pricing: _PricingPlan | None = None
-        self._levelstate: LevelState | None = None
+        self._baseline: ExecutionSummary | None = None
 
     @property
     def node_pass(self) -> list[Pass]:
@@ -374,36 +357,6 @@ class CompiledGraph:
         ]
         return values, pair_values
 
-    def binding_matrix(self, runtimes) -> tuple[list, list]:
-        """K duration rows and K lag rows, priced stream-wise.
-
-        Bit-identical to ``[self.binding_rows(r) for r in runtimes]``
-        (the same ``pass_duration``/``collective_duration``/
-        ``p2p_duration`` values land in the same slots); the per-stream
-        dedup plus vectorized gather is what makes pricing K bindings
-        cheap enough for :meth:`execute_bindings` to amortize.
-        """
-        plan = self._pricing
-        node_list, edge_list = plan.node_value_idx, plan.edge_value_idx
-        node_idx, edge_idx = plan.arrays()
-        duration_rows: list = []
-        lag_rows: list = []
-        for runtime in runtimes:
-            values, pair_values = self._stream_values(runtime)
-            if _np is not None:
-                duration_rows.append(
-                    _np.take(_np.asarray(values, dtype=_np.float64), node_idx)
-                )
-                lag_rows.append(
-                    _np.take(
-                        _np.asarray(pair_values, dtype=_np.float64), edge_idx
-                    )
-                )
-            else:
-                duration_rows.append([values[i] for i in node_list])
-                lag_rows.append([pair_values[i] for i in edge_list])
-        return duration_rows, lag_rows
-
     def _bind(self, runtime) -> None:
         """(Re)compute durations and transfer lags from ``runtime``.
 
@@ -420,7 +373,7 @@ class CompiledGraph:
         # rebind; the cached execution result and the resident baseline
         # (checkpoint) price the old binding and must be dropped.
         self._inorder = None
-        self._levelstate = None
+        self._baseline = None
 
     def rebind(self, runtime, schedule: Schedule | None = None) -> CompiledGraph:
         """A graph sharing this topology with durations from ``runtime``.
@@ -810,19 +763,6 @@ class CompiledGraph:
             for s, e, t in zip(start.tolist(), end.tolist(), iteration)
         ]
 
-    def execute_bindings(self, runtimes) -> list[ExecutionResult]:
-        """Price and execute this topology under each runtime in one batch.
-
-        Convenience wrapper: :meth:`binding_matrix` (stream-level
-        pricing), then one :meth:`execute_many` call.  Equivalent to
-        (but much faster than) ``[self.rebind(r).execute() for r in
-        runtimes]``.  Runtimes must price passes per stream — i.e.
-        ``pass_duration`` may not depend on the microbatch index, the
-        contract :class:`~repro.sim.runtime.RuntimeModel` follows.
-        """
-        duration_rows, lag_rows = self.binding_matrix(runtimes)
-        return self.execute_many(duration_rows, lag_rows)
-
     def execute(self) -> ExecutionResult:
         """In-order execution result; cached across calls.
 
@@ -846,22 +786,21 @@ class CompiledGraph:
     # What-if replay (resident baseline + one perturbed sweep)
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> LevelState:
-        """Materialize (or return) the resident :class:`LevelState`.
+    def checkpoint(self) -> ExecutionSummary:
+        """The in-order baseline's :class:`ExecutionSummary`, resident.
 
-        Runs one baseline sweep over the currently bound durations and
-        lags and keeps its per-node ready/end solution and its
-        :class:`ExecutionSummary`.  Cached until the binding changes
-        (:meth:`rebind` / a fresh :meth:`_bind` drop it).  Raises :class:`DeadlockError`
+        Runs one sweep over the currently bound durations and lags and
+        keeps its summary (iteration time and per-device busy sums), so
+        a what-if reports the unperturbed schedule without sweeping it
+        again.  Cached until the binding changes (:meth:`rebind` / a
+        fresh :meth:`_bind` drop it).  Raises :class:`DeadlockError`
         exactly when :meth:`execute` would.
         """
-        if self._levelstate is not None:
-            return self._levelstate
-        ready, end = self._sweep(self.durations, self.succ_lag)
-        self._levelstate = LevelState(
-            ready=ready, end=end, baseline=self._summarize(ready, end)
-        )
-        return self._levelstate
+        if self._baseline is None:
+            self._baseline = self._summarize(
+                *self._sweep(self.durations, self.succ_lag)
+            )
+        return self._baseline
 
     def device_perturbation(self, device: int, factor: float) -> Perturbation:
         """Scale every pass of ``device`` by ``factor`` (a straggler).
@@ -1652,8 +1591,8 @@ class _LevelPlan:
 
 class _PricingPlan:
     """Stream-level pricing plan: durations are per *stream*, not per
-    node, so K bindings price ``O(streams)`` Python calls and a
-    vectorized gather instead of ``O(nodes)`` calls each.
+    node, so a binding prices ``O(streams)`` Python calls and a gather
+    instead of ``O(nodes)`` calls.
 
     * ``stream_reps`` — one representative :class:`Pass` per distinct
       ``(type, device, chunk)`` stream;
@@ -1662,14 +1601,12 @@ class _PricingPlan:
     * ``comm_kinds`` — per communicator, the kind its duration is
       priced from (the kind of the chain that registered it);
     * ``pair_list`` / ``edge_value_idx`` — distinct P2P pairs and, per
-      edge, the index into ``[0.0] + pair durations`` (0: no transfer);
-    * :meth:`arrays` — the two index lists as NumPy arrays (``None``
-      without NumPy), built on first use by the batched kernels.
+      edge, the index into ``[0.0] + pair durations`` (0: no transfer).
     """
 
     __slots__ = (
         "stream_reps", "node_value_idx", "comm_kinds", "pair_list",
-        "edge_value_idx", "_arrays",
+        "edge_value_idx",
     )
 
     def __init__(
@@ -1680,16 +1617,3 @@ class _PricingPlan:
         self.comm_kinds = comm_kinds
         self.pair_list = pair_list
         self.edge_value_idx = edge_value_idx
-        self._arrays: tuple | None = None
-
-    def arrays(self) -> tuple:
-        """``(node_idx, edge_idx)`` as NumPy ``intp`` arrays."""
-        if self._arrays is None:
-            if _np is None:
-                self._arrays = (None, None)
-            else:
-                self._arrays = (
-                    _np.asarray(self.node_value_idx, dtype=_np.intp),
-                    _np.asarray(self.edge_value_idx, dtype=_np.intp),
-                )
-        return self._arrays

@@ -48,6 +48,7 @@ ERROR_CASES = [
     ["plan", "--cost-model", "nope"],
     ["plan", "--format", "yaml"],
     ["plan", "--devices", "4", "8", "--chunk-size", "0"],
+    ["plan", "--devices", "4", "8", "--workers", "0"],
     ["optimize", "--strategy", "tabu"],
     ["optimize", "--budget", "0"],
     ["optimize", "--devices", "0"],

@@ -62,8 +62,7 @@ CONVENIENCE = {
 }
 
 #: Options of these subcommands that are not request fields.
-CLI_ONLY = {"-h", "--help", "--format", "--cache-dir", "--executor", "--workers",
-            "--chunk-size"}
+CLI_ONLY = {"-h", "--help", "--format", "--cache-dir", "--executor", "--workers"}
 
 #: One (flag text, equal wire value) per flagged field name.
 SAMPLES = {

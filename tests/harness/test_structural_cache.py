@@ -20,7 +20,6 @@ from repro.harness.experiments import (
     compiled_graph_for,
     generate_method_schedule,
     run_method,
-    run_method_bindings,
     structural_cache_stats,
 )
 from repro.scenarios import get_scenario, method_robustness
@@ -162,43 +161,6 @@ class TestChainPlanSharing:
     def _bound(method, setup):
         schedule = generate_method_schedule(method, setup)
         return schedule, RuntimeModel(setup, schedule)
-
-
-class TestRunMethodBindings:
-    def _setups(self):
-        return [
-            SimulationSetup(MODEL, PARALLEL),
-            SimulationSetup(MODEL, PARALLEL, pass_overhead=1e-3),
-            SimulationSetup(MODEL, PARALLEL, pass_overhead=5e-4),
-        ]
-
-    @pytest.mark.parametrize("refine", [False, True])
-    @pytest.mark.parametrize("method", KNOWN_METHODS)
-    def test_batched_equals_per_binding(self, method, refine):
-        setups = self._setups()
-        batched = run_method_bindings(
-            method, MODEL, PARALLEL, setups, refine=refine
-        )
-        singles = [
-            run_method(method, MODEL, PARALLEL, setup=s, refine=refine)
-            for s in setups
-        ]
-        for a, b in zip(batched, singles):
-            assert a.iteration_time == b.iteration_time
-            assert a.peak_memory_gb == b.peak_memory_gb
-            assert a.per_device_peak_gb == b.per_device_peak_gb
-            assert a.mean_bubble == b.mean_bubble
-            assert a.oom == b.oom
-
-    def test_mismatched_configs_rejected(self):
-        other = SimulationSetup(
-            MODEL.replace(vocab_size=64 * 1024), PARALLEL
-        )
-        with pytest.raises(ValueError, match="share"):
-            run_method_bindings(
-                "baseline", MODEL, PARALLEL,
-                [SimulationSetup(MODEL, PARALLEL), other],
-            )
 
 
 #: Every counter :func:`structural_cache_stats` reports.

@@ -79,17 +79,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="executor"):
             sweep([SweepPoint(4, 32 * 1024)], executor="mpi")
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            sweep([SweepPoint(4, 32 * 1024)], executor="serial", chunk_size=0)
-
     def test_chunked_sweep_matches_serial(self):
         points = grid(devices=(4,), vocab_sizes=(32 * 1024, 128 * 1024),
-                      microbatches=(8,), memory_budgets_gib=(None, 80.0))
+                      microbatches=(8,),
+                      memory_budgets_gib=(None, 80.0, 40.0, 20.0))
         serial = sweep(points, FAST, executor="serial")
-        for chunk_size in (1, 3, 16):
+        # Eight points make chunks of 2 for one worker and of 1 for two.
+        for max_workers in (1, 2):
             chunked = sweep(points, FAST, executor="thread",
-                            max_workers=2, chunk_size=chunk_size)
+                            max_workers=max_workers)
             assert [o.point for o in chunked] == points
             assert [o.best_method for o in chunked] == [
                 o.best_method for o in serial
@@ -136,8 +134,7 @@ class TestStructuralGrouping:
         points = [a, b, a2, b2]
         outcomes = sweep(points, FAST, executor="serial")
         assert [o.point for o in outcomes] == points
-        threaded = sweep(points, FAST, executor="thread", max_workers=2,
-                         chunk_size=2)
+        threaded = sweep(points, FAST, executor="thread", max_workers=1)
         assert [o.point for o in threaded] == points
         assert [o.best_method for o in threaded] == [
             o.best_method for o in outcomes
@@ -198,7 +195,7 @@ class TestPoolFallback:
         points = grid(devices=(4,), vocab_sizes=(32 * 1024, 128 * 1024),
                       microbatches=(8,))
         with pytest.warns(RuntimeWarning, match="fell back to serial"):
-            outcomes = sweep(points, FAST, executor="thread", chunk_size=1)
+            outcomes = sweep(points, FAST, executor="thread")
         assert [o.point for o in outcomes] == points
         for outcome in outcomes:
             assert outcome.fallback_reason is not None

@@ -467,9 +467,15 @@ class TestExecuteMany:
         runtimes = [_ScaledRuntime(runtime, f) for f in self.FACTORS]
         return schedule, graph, runtimes
 
-    def test_execute_bindings_bit_identical(self, method, setup):
+    @staticmethod
+    def _priced(graph, runtimes):
+        """``execute_many`` over one ``binding_rows`` row per runtime."""
+        rows = [graph.binding_rows(runtime) for runtime in runtimes]
+        return graph.execute_many([d for d, _ in rows], [lag for _, lag in rows])
+
+    def test_execute_many_over_binding_rows_bit_identical(self, method, setup):
         schedule, graph, runtimes = self._graph_and_runtimes(method, setup)
-        batched = graph.execute_bindings(runtimes)
+        batched = self._priced(graph, runtimes)
         for result, runtime in zip(batched, runtimes):
             fresh = compile_schedule(schedule, runtime).execute()
             assert_results_identical(result, fresh)
@@ -485,9 +491,9 @@ class TestExecuteMany:
         import repro.sim.compiled as compiled_mod
 
         schedule, graph, runtimes = self._graph_and_runtimes(method, setup)
-        vectorized = graph.execute_bindings(runtimes)
+        vectorized = self._priced(graph, runtimes)
         monkeypatch.setattr(compiled_mod, "_np", None)
-        fallback = graph.execute_bindings(runtimes)
+        fallback = self._priced(graph, runtimes)
         for a, b in zip(vectorized, fallback):
             assert_results_identical(a, b)
 

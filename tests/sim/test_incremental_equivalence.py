@@ -144,7 +144,6 @@ class TestDifferentialFuzz:
         _, _, graph = _graph(method, setup)
         rng = random.Random(f"binding/{method}/{engine}")
         state = graph.checkpoint()
-        baseline = (list(state.ready), list(state.end), state.baseline)
         durations = list(graph.durations)
         lags = list(graph.succ_lag)
         for kind in KINDS:
@@ -154,7 +153,6 @@ class TestDifferentialFuzz:
             assert graph.durations == durations
             assert graph.succ_lag == lags
             assert graph.checkpoint() is state
-            assert (list(state.ready), list(state.end), state.baseline) == baseline
 
 
 class TestDeadlockParity:
@@ -205,7 +203,7 @@ class TestRebind:
         rebound = graph.rebind(Doubled(runtime))
         rebound_state = rebound.checkpoint()
         assert rebound_state is not state
-        assert rebound_state.end != state.end
+        assert rebound_state.iteration_time == 2.0 * state.iteration_time
         perturbation = rebound.device_perturbation(0, 1.5)
         fresh = compile_schedule(schedule, Doubled(runtime))
         dur, lag = _perturbed_rows(fresh, perturbation)

@@ -1,4 +1,4 @@
-"""Invariants of the resident :class:`LevelState` and the what-if queries.
+"""Invariants of the resident baseline checkpoint and the what-if queries.
 
 A what-if sweeps copies of the bound rows, so the properties that keep
 the graph safe to leave resident inside the planner's graph cache are:
@@ -43,10 +43,6 @@ def _graph(setup, method="vocab-1"):
     return schedule, runtime, compile_schedule(schedule, runtime)
 
 
-def _snapshot(state):
-    return (list(state.ready), list(state.end), state.baseline)
-
-
 class TestIdempotence:
     def test_same_delta_twice_is_identical(self, setup):
         _, _, graph = _graph(setup)
@@ -77,7 +73,6 @@ class TestBinding:
         exactly as they were — there is nothing to roll back."""
         _, _, graph = _graph(setup)
         state = graph.checkpoint()
-        baseline = _snapshot(state)
         durations = list(graph.durations)
         lags = list(graph.succ_lag)
         graph.execute_delta(graph.device_perturbation(1, 2.0))
@@ -85,16 +80,16 @@ class TestBinding:
         assert graph.durations == durations
         assert graph.succ_lag == lags
         assert graph.checkpoint() is state
-        assert _snapshot(state) == baseline
+        assert state == graph.execute_many_summary([durations])[0]
 
 
 class TestBaseline:
     @pytest.mark.parametrize("method", ["vocab-1", "vhalf-vocab-1", "interlaced"])
     def test_checkpoint_baseline_matches_execute(self, setup, method):
-        """The summary kept with the checkpoint is what a fresh
+        """The summary the checkpoint keeps is what a fresh
         ``execute()`` of the bound binding reports — bit for bit."""
         _, _, graph = _graph(setup, method)
-        baseline = graph.checkpoint().baseline
+        baseline = graph.checkpoint()
         full = graph.execute()
         assert baseline.iteration_time == full.iteration_time
         assert baseline.device_busy == tuple(full.device_busy)
@@ -117,7 +112,7 @@ class TestInterleaving:
 class TestK1FastPath:
     """execute_many's K=1 lane runs the scalar sweep; its results stay
     pinned — bit for bit — to the batched path, with or without a
-    resident LevelState on the graph."""
+    resident baseline checkpoint on the graph."""
 
     def _rows(self, graph, seed):
         rng = random.Random(seed)
@@ -133,11 +128,9 @@ class TestK1FastPath:
             pytest.skip("batched path needs NumPy")
         _, _, graph = _graph(setup, "vhalf-vocab-1")
         state = graph.checkpoint()
-        baseline = _snapshot(state)
         row = self._rows(graph, "k1")
         single = graph.execute_many([row])[0]
-        assert graph.checkpoint() is state  # resident state survives
-        assert _snapshot(state) == baseline
+        assert graph.checkpoint() is state  # resident baseline survives
         batched = graph.execute_many([row, row])  # K=2 → vectorized lane
         for result in batched:
             assert single.pass_times == result.pass_times
@@ -161,6 +154,6 @@ class TestK1FastPath:
         graph.checkpoint()
         row = self._rows(graph, "summary")
         with_state = graph.execute_many_summary([row])[0]
-        graph._levelstate = None
+        graph._baseline = None
         without_state = graph.execute_many_summary([row])[0]
         assert with_state == without_state

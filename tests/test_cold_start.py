@@ -2,8 +2,9 @@
 
 NumPy is imported on the first *vectorized* call (the seam in
 :mod:`repro._lazy`).  A cold ``plan()``, ``whatif()``, ``optimize()``,
-the CLI's ``plan`` verb and the service's plan/what-if worker bodies run
-no batched kernel, so each must finish with ``numpy`` absent from
+the CLI's ``plan`` verb (one point, or a serial sweep over pass
+overheads) and the service's plan/what-if worker bodies run no batched
+kernel, so each must finish with ``numpy`` absent from
 ``sys.modules``; a robust ``plan()`` draws Monte Carlo jitter and must
 load it.  Every case runs in a fresh interpreter with NumPy installed.
 """
@@ -44,6 +45,11 @@ optimize(model, parallel, budget=8)
     "cli plan": """
 from repro.harness.cli import main
 main(["plan", "--devices", "4", "--vocab", "32k", "--microbatches", "8"])
+""",
+    "cli plan over pass overheads": """
+from repro.harness.cli import main
+main(["plan", "--devices", "8", "--vocab", "128k", "--microbatches", "32",
+      "--pass-overhead", "0", "2.5e-4", "1e-3", "--executor", "serial"])
 """,
     "service plan": """
 from repro.service.requests import PlanRequest, execute_plan_request

