@@ -110,6 +110,35 @@ class TestCompiledGraphCache:
         assert warm.per_device_peak_gb == cold.per_device_peak_gb
 
 
+class TestBindingRepricing:
+    """Pass-overhead bindings of one structure, priced one after another
+    through the shared caches (as a sweep's sibling points are), report
+    exactly what a cold run of each binding reports."""
+
+    SETUPS = (
+        SimulationSetup(MODEL, PARALLEL),
+        SimulationSetup(MODEL, PARALLEL, pass_overhead=1e-3),
+        SimulationSetup(MODEL, PARALLEL, pass_overhead=5e-4),
+    )
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("method", KNOWN_METHODS)
+    def test_warm_bindings_equal_cold_runs(self, method, refine):
+        warm = [
+            run_method(method, MODEL, PARALLEL, setup=s, refine=refine)
+            for s in self.SETUPS
+        ]
+        for a, s in zip(warm, self.SETUPS):
+            clear_structural_caches()
+            b = run_method(method, MODEL, PARALLEL, setup=s, refine=refine)
+            assert a.iteration_time == b.iteration_time
+            assert a.peak_memory_gb == b.peak_memory_gb
+            assert a.per_device_peak_gb == b.per_device_peak_gb
+            assert a.mean_bubble == b.mean_bubble
+            assert a.oom == b.oom
+        assert len({m.iteration_time for m in warm}) == len(self.SETUPS)
+
+
 class TestChainPlanSharing:
     """A cached graph and its rebinds share the topological order and
     the batched kernel's level plan, whichever graph builds them first."""
